@@ -13,7 +13,15 @@ Fourier symbols, 1/(1 + 4 pi^2 k^2) and 2 pi i k/(1 + 4 pi^2 k^2).
 
 Products of fields are never formed on the native grid: quadratic and
 cubic nonlinearities are evaluated on a 2n-point grid and projected back,
-which removes aliasing into the retained band.
+which removes aliasing into the retained band.  Padding and projection are
+statements about coefficients (zero-fill above n/2, split or fold the
+Nyquist mode), so the dynamics apply them to coefficients directly, to
+several fields per batched transform; deriv_values, pad_values and
+interp_values likewise accept a leading batch axis.
+
+Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
+by repeated doubling of a running product rather than one complex
+exponential per entry, and shares it across every field in the batch.
 """
 
 from __future__ import annotations
@@ -201,9 +209,10 @@ def inverse_transform(s: Spectrum) -> Field:
 # array-level kernels; Field wrappers below
 
 def deriv_values(v: np.ndarray, order: int) -> np.ndarray:
+    """Spectral derivative of each row of v (shape (..., n))."""
     if order < 1:
         raise ValueError(f"derivative order must be positive, got {order}")
-    n = v.size
+    n = v.shape[-1]
     k = np.arange(n // 2 + 1, dtype=float)
     sym = (2j * np.pi * k) ** order
     if order % 2 == 1:
@@ -212,20 +221,21 @@ def deriv_values(v: np.ndarray, order: int) -> np.ndarray:
 
 
 def pad_values(v: np.ndarray, m: int) -> np.ndarray:
-    """Resample to a finer m-point grid by zero-padding the spectrum.
+    """Resample each row of v (shape (..., n)) to a finer m-point grid by
+    zero-padding the spectrum.
 
     Exact for the interpolating trigonometric polynomial; the Nyquist
     coefficient is split between +n/2 and -n/2.
     """
-    n = v.size
+    n = v.shape[-1]
     if m < n or m % 2 != 0:
         raise ValueError(f"target size must be even and >= {n}, got {m}")
     if m == n:
         return np.array(v, dtype=float)
     c = np.fft.rfft(v)
-    cf = np.zeros(m // 2 + 1, dtype=complex)
-    cf[: n // 2] = c[: n // 2]
-    cf[n // 2] = 0.5 * c[n // 2]
+    cf = np.zeros(v.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    cf[..., : n // 2] = c[..., : n // 2]
+    cf[..., n // 2] = 0.5 * c[..., n // 2]
     return np.fft.irfft(cf, m) * (m / n)
 
 
@@ -243,16 +253,41 @@ def project_values(v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(c, n) * (n / m)
 
 
-def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the interpolating trig polynomial at arbitrary points."""
-    n = v.size
-    c = np.fft.rfft(v) / n
-    xs = np.asarray(xs, dtype=float)
-    k = np.arange(1, n // 2)
-    phases = np.exp((2j * np.pi) * xs[..., None] * k)
-    out = c[0].real + 2.0 * (phases @ c[1 : n // 2]).real
-    out += c[n // 2].real * np.cos(np.pi * n * xs)
+def _phase_powers(x: np.ndarray, top: int) -> np.ndarray:
+    """z^k for z = e^{2 pi i x}, k = 1 .. top: shape (top, x.size).
+
+    Each doubling multiplies the known rows z^1 .. z^j by z^j, so the
+    matrix costs log2(top) vectorised products and one exp per point, and
+    the rounding error of z^k grows like log2(k), not like k.
+    """
+    out = np.empty((top, x.size), dtype=complex)
+    if top == 0:
+        return out
+    out[0] = np.exp((2j * np.pi) * x)
+    j = 1
+    while j < top:
+        step = min(j, top - j)
+        np.multiply(out[:step], out[j - 1], out=out[j : j + step])
+        j += step
     return out
+
+
+def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the interpolating trig polynomial of each row of v at xs.
+
+    v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
+    Every row is evaluated with one shared phase matrix.
+    """
+    v = np.asarray(v, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = v.shape[-1]
+    half = n // 2
+    c = np.fft.rfft(v, norm="forward")
+    x = xs.reshape(-1)
+    out = 2.0 * (c[..., 1:half] @ _phase_powers(x, half - 1)).real
+    out += c[..., :1].real
+    out += c[..., half : half + 1].real * np.cos(np.pi * n * x)
+    return out.reshape(v.shape[:-1] + xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,15 +43,23 @@ class ConfigError(ValueError):
     """Malformed configuration: unknown key, bad value, or missing field."""
 
 
+_MAX_EXACT_INT = 2.0**53  # larger integers do not survive the float parse
+
+
 def _to_float(text: str) -> float:
     try:
-        return float(text)
+        x = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _to_int(text: str) -> int:
     x = _to_float(text)
+    if not abs(x) <= _MAX_EXACT_INT:
+        raise ConfigError(f"integer {text!r} is out of range")
     if x != int(x):
         raise ConfigError(f"expected an integer, got {text!r}")
     return int(x)
@@ -113,15 +122,15 @@ def _merge_family_params(family: str, params: dict) -> dict:
 
 
 def _check_family_constraints(family: str, p: dict) -> None:
-    if family == "global41" and p["r0"] <= 1.0:
+    if family == "global41" and not p["r0"] > 1.0:
         raise ConfigError(f"global41 requires r0 > 1, got r0 = {p['r0']}")
     if family == "blowup31":
-        if p["margin"] <= 1.0:
+        if not p["margin"] > 1.0:
             raise ConfigError(
                 f"blowup31 margin must exceed 1 (slope beyond threshold), "
                 f"got {p['margin']}"
             )
-        if p["a"] != "auto" and p["a"] <= 0.0:
+        if p["a"] != "auto" and not p["a"] > 0.0:
             raise ConfigError(f"blowup31 amplitude must be positive, got {p['a']}")
     if family == "zero-mean" and p["a"] == 0.0:
         raise ConfigError("zero-mean amplitude must be nonzero")
@@ -244,9 +253,9 @@ class Scenario:
         object.__setattr__(
             self, "eps_list", tuple(float(e) for e in self.eps_list)
         )
-        if any(e <= 0.0 for e in self.eps_list):
+        if not all(e > 0.0 for e in self.eps_list):
             raise ConfigError(f"eps_list entries must be positive: {self.eps_list}")
-        if self.characteristic_count < 2:
+        if not self.characteristic_count >= 2:
             raise ConfigError(
                 f"characteristic count must be at least 2, got "
                 f"{self.characteristic_count}"

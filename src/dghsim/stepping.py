@@ -17,6 +17,7 @@ Runs terminate with one of four causes:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,15 +79,20 @@ class SimConfig:
         PeriodicGrid(self.n)  # validates n
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        # written as not (inside) so that NaN fails every test
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.slope_dt_factor <= 0.0:
-            raise ValueError("slope_dt_factor must be positive")
-        if self.dt_min <= 0.0:
-            raise ValueError("dt_min must be positive")
-        if self.blowup_slope >= 0.0:
-            raise ValueError("blowup_slope must be negative")
-        if self.record_every < 1:
+        if not 0.0 < self.slope_dt_factor < math.inf:
+            raise ValueError(
+                f"slope_dt_factor must be positive and finite, got {self.slope_dt_factor}"
+            )
+        if not 0.0 < self.dt_min < math.inf:
+            raise ValueError(f"dt_min must be positive and finite, got {self.dt_min}")
+        if not -math.inf < self.blowup_slope < 0.0:
+            raise ValueError(
+                f"blowup_slope must be negative and finite, got {self.blowup_slope}"
+            )
+        if not self.record_every >= 1:
             raise ValueError("record_every must be at least 1")
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
@@ -110,24 +116,26 @@ class SimResult:
 
 
 def adaptive_dt(
-    s: State,
+    u: np.ndarray,
     p: ModelParams,
     c: SimConfig,
     t_remaining: float,
     min_slope: float | None = None,
 ) -> float:
-    """Advective-CFL / slope-limited step, clipped to the time remaining."""
-    speed = float(np.max(np.abs(s.u.values - p.gamma)))
+    """Advective-CFL / slope-limited step for velocity samples u, clipped
+    to the time remaining."""
+    dx = 1.0 / u.size
+    speed = float(np.max(np.abs(u - p.gamma)))
     if min_slope is None:
-        min_slope, _ = refined_min(deriv_values(s.u.values, 1), s.grid.dx)
-    dt_advect = c.cfl * s.grid.dx / max(speed, 1.0e-8)
+        min_slope, _ = refined_min(deriv_values(u, 1), dx)
+    dt_advect = c.cfl * dx / max(speed, 1.0e-8)
     dt_slope = c.slope_dt_factor / max(abs(min_slope), 1.0)
     return min(dt_advect, dt_slope, t_remaining)
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
+def _require_finite(*arrays: np.ndarray | None) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if a is not None and not np.isfinite(a).all():
             raise NonFiniteStateError("non-finite samples in an RK4 stage")
 
 
@@ -144,46 +152,42 @@ def _advance(
 
     Trajectories use the same stage structure: stage positions advance with
     interpolated stage velocities, and the log-Jacobian integrates the
-    interpolated stage slopes.
+    interpolated stage slopes.  Each stage evaluates u and u_x with one
+    shared phase matrix.
+
+    Finiteness is checked once, on the outputs: every stage enters the
+    final RK4 sum, so a non-finite sample in any stage leaves one in u_new
+    or rho_new, and no stage needs a check of its own.
     """
-    track = q is not None
     half = 0.5 * dt
+    q_new = lq_new = None
     with np.errstate(over="ignore", invalid="ignore"):
         k1u, k1r = rhs_values(u, rho, grid, p)
-        _require_finite(k1u, k1r)
         u2, r2 = u + half * k1u, rho + half * k1r
         k2u, k2r = rhs_values(u2, r2, grid, p)
-        _require_finite(k2u, k2r)
         u3, r3 = u + half * k2u, rho + half * k2r
         k3u, k3r = rhs_values(u3, r3, grid, p)
-        _require_finite(k3u, k3r)
         u4, r4 = u + dt * k3u, rho + dt * k3r
         k4u, k4r = rhs_values(u4, r4, grid, p)
-        _require_finite(k4u, k4r)
         u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         rho_new = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        _require_finite(u_new, rho_new)
 
-        if not track:
-            return u_new, rho_new, None, None
-
-        stages = (u, u2, u3, u4)
-        slopes = tuple(deriv_values(s, 1) for s in stages)
-        qk1 = interp_values(stages[0], q)
-        lk1 = interp_values(slopes[0], q)
-        qa = q + half * qk1
-        qk2 = interp_values(stages[1], qa)
-        lk2 = interp_values(slopes[1], qa)
-        qb = q + half * qk2
-        qk3 = interp_values(stages[2], qb)
-        lk3 = interp_values(slopes[2], qb)
-        qc = q + dt * qk3
-        qk4 = interp_values(stages[3], qc)
-        lk4 = interp_values(slopes[3], qc)
-        q_new = q + (dt / 6.0) * (qk1 + 2.0 * qk2 + 2.0 * qk3 + qk4)
-        lq_new = lq + (dt / 6.0) * (lk1 + 2.0 * lk2 + 2.0 * lk3 + lk4)
-        _require_finite(q_new, lq_new)
-        return u_new, rho_new, q_new, lq_new
+        if q is not None:
+            # rows (stage, its slope) for each of the four stages
+            pairs = np.empty((4, 2, grid.n))
+            pairs[:, 0] = (u, u2, u3, u4)
+            pairs[:, 1] = deriv_values(pairs[:, 0], 1)
+            qk1, lk1 = interp_values(pairs[0], q)
+            qa = q + half * qk1
+            qk2, lk2 = interp_values(pairs[1], qa)
+            qb = q + half * qk2
+            qk3, lk3 = interp_values(pairs[2], qb)
+            qc = q + dt * qk3
+            qk4, lk4 = interp_values(pairs[3], qc)
+            q_new = q + (dt / 6.0) * (qk1 + 2.0 * qk2 + 2.0 * qk3 + qk4)
+            lq_new = lq + (dt / 6.0) * (lk1 + 2.0 * lk2 + 2.0 * lk3 + lk4)
+    _require_finite(u_new, rho_new, q_new, lq_new)
+    return u_new, rho_new, q_new, lq_new
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
@@ -279,8 +283,7 @@ def run(
             termination = Termination(TERM_REACHED_END, t)
             break
 
-        state_view = State(Field(grid, u), Field(grid, rho))
-        dt = adaptive_dt(state_view, p, c, t_remaining, min_slope=trace_m[-1])
+        dt = adaptive_dt(u, p, c, t_remaining, min_slope=trace_m[-1])
         hit_snapshot = False
         if snaps_due:
             if snaps_due[0] <= t + tiny:

@@ -1,9 +1,10 @@
 """Shared numerical oracles: quadrature convolutions, finite differences,
-dense-grid extrema, and trig-polynomial builders used across the suite."""
+dense-grid extrema, trig-polynomial builders, and the physical-space
+reference forms of the spectral kernels used across the suite."""
 
 import numpy as np
 
-from dghsim.grid import PeriodicGrid, interp_values
+from dghsim.grid import PeriodicGrid, interp_values, pad_values, project_values
 
 
 def kernel_quadrature(values, grid, kernel_fn, m=8192):
@@ -55,3 +56,32 @@ def trig_poly(grid: PeriodicGrid, mean, cos_c=(), sin_c=()):
     for k, c in enumerate(sin_c, start=1):
         v += c * np.sin(2.0 * np.pi * k * x)
     return v
+
+
+def rhs_padded_reference(u, rho, grid, p):
+    """Right-hand side with every product padded to 2n, multiplied and
+    projected back through physical space, one field at a time."""
+    n = grid.n
+    m = 2 * n
+    cu = np.fft.rfft(u)
+    ux = np.fft.irfft(grid.ik * cu, n)
+    uf, uxf, rf = pad_values(u, m), pad_values(ux, m), pad_values(rho, m)
+    quad = project_values(uf * uf + 0.5 * uxf * uxf + 0.5 * rf * rf, n)
+    c_arg = np.fft.rfft(quad) + (p.gamma - p.A) * cu
+    conv = np.fft.irfft(grid.dgreen_symbol * c_arg, n)
+    du = -project_values(uf * uxf, n) + p.gamma * ux - conv
+    c_urho = np.fft.rfft(project_values(uf * rf, n))
+    drho = -np.fft.irfft(grid.ik * c_urho, n)
+    return du, drho
+
+
+def interp_exp_reference(values, xs):
+    """Trig interpolant of one field at xs, one complex exponential per
+    (point, mode) pair."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    c = np.fft.rfft(v) / n
+    k = np.arange(1, n // 2)
+    phases = np.exp((2j * np.pi) * np.asarray(xs, dtype=float)[..., None] * k)
+    out = c[0].real + 2.0 * (phases @ c[1 : n // 2]).real
+    return out + c[n // 2].real * np.cos(np.pi * n * np.asarray(xs))

@@ -127,6 +127,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "sim.dt_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim.n = 1e400",
+        "characteristics.count = 1e400",
+        "sim.n = nan",
+        "sim.slope_dt_factor = nan",
+        "sim.dt_min = nan",
+        "sim.blowup_slope = nan",
+    ],
+)
+def test_non_finite_config_value_exits_2(line, tmp_path, capsys):
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in SMOOTH_CONFIG.splitlines() if ln.split("=")[0].strip() != key]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(kept + [line]) + "\n")
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_exits_3(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", str(missing), "--out-dir", str(tmp_path / "o")]) == EXIT_IO

@@ -29,7 +29,7 @@ from dghsim.grid import (
     random_trig_field,
     resample,
 )
-from helpers import fd_derivative, kernel_quadrature, trig_poly
+from helpers import fd_derivative, interp_exp_reference, kernel_quadrature, trig_poly
 
 TWO_SINH_HALF = 2.0 * np.sinh(0.5)
 
@@ -161,6 +161,14 @@ def test_derivative_of_sine_exact():
     assert np.max(np.abs(d2.values + (2.0 * np.pi) ** 2 * f.values)) < 1e-10
 
 
+def test_derivative_of_batch_is_row_by_row(rng):
+    rows = rng.normal(size=(3, 32))
+    for order in (1, 2):
+        batched = deriv_values(rows, order)
+        for row, out in zip(rows, batched):
+            assert np.max(np.abs(out - deriv_values(row, order))) < 1e-11
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_derivative_of_constant_vanishes(order):
     f = Field.constant(PeriodicGrid(16), 3.7)
@@ -231,6 +239,29 @@ def test_interpolate_periodic_argument():
     f = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
     assert interpolate(f, 0.3) == pytest.approx(interpolate(f, 1.3), abs=1e-12)
     assert interpolate(f, 0.3) == pytest.approx(interpolate(f, -0.7), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16, 128, 1024, 2048])
+def test_interp_values_batched_matches_exp_form(n):
+    # white noise weights every mode up to Nyquist equally, the hardest
+    # case for the running-product phases
+    r = np.random.default_rng(n)
+    v = r.normal(size=(3, n))
+    xs = r.uniform(-0.5, 1.5, 64)
+    got = interp_values(v, xs)
+    assert got.shape == (3, 64)
+    for row, out in zip(v, got):
+        ref = interp_exp_reference(row, xs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(row))
+        assert np.max(np.abs(interp_values(row, xs) - out)) <= 1e-13 * np.max(np.abs(row))
+
+
+def test_interp_values_shapes(rng):
+    v = rng.normal(size=(2, 3, 16))
+    xs = rng.uniform(0.0, 1.0, (4, 5))
+    assert interp_values(v, xs).shape == (2, 3, 4, 5)
+    assert interp_values(v[0, 0], 0.25).shape == ()
+    assert interp_values(v[0, 0], xs).shape == (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +368,9 @@ def test_pad_project_round_trip(rng):
     assert np.max(np.abs(w[::2] - v)) < 1e-13  # original nodes survive
     back = project_values(w, 64)
     assert np.max(np.abs(back - v)) < 1e-13
+    # a batch pads row by row
+    rows = np.stack((v, rng.normal(size=64)))
+    assert np.array_equal(pad_values(rows, 128)[1], pad_values(rows[1], 128))
 
 
 def test_pad_project_validation():

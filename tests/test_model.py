@@ -27,7 +27,7 @@ from dghsim.model import (
     rhs,
     rhs_values,
 )
-from helpers import kernel_quadrature
+from helpers import kernel_quadrature, rhs_padded_reference
 
 
 def make_state(grid, u_fn, rho_fn):
@@ -109,6 +109,40 @@ def test_vanishing_density_stays_exactly_zero(rng):
     assert np.all(drho == 0.0)
 
 
+@pytest.mark.parametrize("n", [8, 16, 128, 1024])
+def test_rhs_values_matches_padded_reference(n):
+    # unsmoothed samples fill the band up to the Nyquist mode, so the split
+    # on the way up and the fold on the way down both carry weight
+    r = np.random.default_rng(n)
+    g = PeriodicGrid(n)
+    p = ModelParams(A=1.3, gamma=0.7)
+    u, rho = r.normal(size=n), r.normal(size=n)
+    got = rhs_values(u, rho, g, p)
+    want = rhs_padded_reference(u, rho, g, p)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_rhs_values_makes_four_transforms(monkeypatch, rng):
+    g = PeriodicGrid(64)
+    p = ModelParams(A=1.0, gamma=0.5)
+    u, rho = rng.normal(size=g.n), rng.normal(size=g.n)
+    rhs_values(u, rho, g, p)  # fills the grid's cached symbol tables
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, _counting(getattr(np.fft, name), calls))
+    rhs_values(u, rho, g, p)
+    assert calls == ["rfft", "irfft", "rfft", "irfft"]
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_semi_discrete_conservation(seed):
     # the dealiased Galerkin truncation conserves the energy and the mean
@@ -160,6 +194,22 @@ def test_hamiltonian_f_closed_forms():
     assert hamiltonian_f(s1, ModelParams(A=2.0, gamma=5.0)) == pytest.approx(-0.5, abs=1e-14)
     s2 = make_state(g, lambda x: np.sin(2.0 * np.pi * x), lambda x: 1.0 + 0.0 * x)
     assert hamiltonian_f(s2, ModelParams(A=1.0, gamma=0.0)) == pytest.approx(-0.25, abs=1e-12)
+
+
+def test_invariants_share_one_slope(monkeypatch, rng):
+    import dghsim.model as model
+
+    g = PeriodicGrid(64)
+    u = random_trig_field(g, rng, max_mode=12).values
+    rho = random_trig_field(g, rng, max_mode=12).values
+    direct = 0.5 * np.mean(u**2 + deriv_values(u, 1) ** 2 + (rho - 1.0) ** 2)
+    calls = []
+    monkeypatch.setattr(model, "deriv_values", _counting(model.deriv_values, calls))
+    s = State(Field(g, u), Field(g, rho))
+    energy_e0(s)
+    hamiltonian_f(s, ModelParams(A=1.0, gamma=0.3))
+    assert hamiltonian_e(s) == pytest.approx(direct, rel=1e-13)
+    assert calls == ["deriv_values"]
 
 
 def test_momentum_density(rng):

@@ -10,6 +10,7 @@ from dghsim.stepping import (
     SERIES_COLUMNS,
     TERM_BLOWUP,
     TERM_DT_UNDERFLOW,
+    TERM_NONFINITE,
     TERM_REACHED_END,
     NonFiniteStateError,
     SimConfig,
@@ -50,6 +51,14 @@ def test_config_validation():
         SimConfig(n=64, t_end=1.0, record_every=0)
 
 
+@pytest.mark.parametrize(
+    "field", ["t_end", "cfl", "slope_dt_factor", "dt_min", "blowup_slope"]
+)
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SimConfig(**{"n": 64, "t_end": 1.0, field: float("nan")})
+
+
 def test_config_coerces_snapshot_times():
     c = SimConfig(n=64, t_end=1.0, snapshot_times=[0, 1])
     assert c.snapshot_times == (0.0, 1.0)
@@ -64,8 +73,8 @@ def test_adaptive_dt_slope_cap_for_quiescent_state():
     s = State(Field.constant(g, 0.7), Field.constant(g, 1.0))
     p = ModelParams(A=1.0, gamma=0.7)  # u - gamma == 0: no advective limit
     c = SimConfig(n=64, t_end=10.0)
-    assert adaptive_dt(s, p, c, t_remaining=10.0) == pytest.approx(0.05)
-    assert adaptive_dt(s, p, c, t_remaining=0.01) == pytest.approx(0.01)
+    assert adaptive_dt(s.u.values, p, c, t_remaining=10.0) == pytest.approx(0.05)
+    assert adaptive_dt(s.u.values, p, c, t_remaining=0.01) == pytest.approx(0.01)
 
 
 def test_adaptive_dt_cfl_limit():
@@ -73,7 +82,7 @@ def test_adaptive_dt_cfl_limit():
     s = State(Field.constant(g, 0.5), Field.constant(g, 1.0))
     p = ModelParams(A=1.0, gamma=-0.5)  # |u - gamma| = 1
     c = SimConfig(n=256, t_end=10.0)
-    assert adaptive_dt(s, p, c, t_remaining=10.0) == pytest.approx(0.3 / 256)
+    assert adaptive_dt(s.u.values, p, c, t_remaining=10.0) == pytest.approx(0.3 / 256)
 
 
 def test_adaptive_dt_tracks_steepness():
@@ -81,7 +90,7 @@ def test_adaptive_dt_tracks_steepness():
     s = State(Field.constant(g, 0.0), Field.constant(g, 1.0))
     p = ModelParams(A=1.0, gamma=0.0)
     c = SimConfig(n=64, t_end=10.0)
-    dt = adaptive_dt(s, p, c, t_remaining=10.0, min_slope=-100.0)
+    dt = adaptive_dt(s.u.values, p, c, t_remaining=10.0, min_slope=-100.0)
     assert dt == pytest.approx(0.05 / 100.0)
 
 
@@ -103,6 +112,36 @@ def test_step_flags_overflow():
     s = smooth_state()
     with pytest.raises(NonFiniteStateError):
         step_rk4(s, ModelParams(), 1.0e30)
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("field", [0, 1])
+@pytest.mark.parametrize("stage", range(4))
+def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
+    # only a step's outputs are checked; one NaN in any stage of the third
+    # step must still end the run there, at the time that step started
+    import dghsim.stepping as stepping
+
+    s0 = smooth_state()
+    p = ModelParams()
+    c = SimConfig(n=64, t_end=1.0, record_every=1)
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
+    ref = run(s0, p, c, seeds=seeds)
+    calls = []
+    real = stepping.rhs_values
+
+    def poisoned(*args):
+        out = real(*args)
+        if len(calls) == 4 * 2 + stage:
+            out[field][5] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(stepping, "rhs_values", poisoned)
+    res = run(s0, p, c, seeds=seeds)
+    assert res.termination.cause == TERM_NONFINITE
+    assert res.termination.t == ref.slope_trace.times[2]
+    assert np.all(np.isfinite(res.series))
 
 
 def test_rk4_fourth_order():
