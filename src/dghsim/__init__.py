@@ -11,95 +11,29 @@ where G is the periodic kernel inverting 1 - d^2/dx^2.  The package
 integrates this system spectrally, tracks the minimal slope of u, and
 evaluates the closed-form criteria that decide between finite-time slope
 breakdown and global existence.
+
+The package root re-exports the names a library user needs to build
+initial data, run it and read the verdicts; everything else lives in its
+module (grid, model, stepping, characteristics, criteria, scenarios,
+oracles, cli).
 """
 
-from .characteristics import (
-    CharacteristicEnsemble,
-    advect,
-    default_seeds,
-    is_monotone,
-    sign_preserved,
-    verify_density_transport,
-)
-from .criteria import (
-    BLOWUP_PREDICTED,
-    GLOBAL_PREDICTED,
-    KERNEL_MAX,
-    NO_PREDICTION,
-    SHARP_EMBEDDING_CONSTANT,
-    CriterionReport,
-    DensitySignChangeError,
-    InsufficientWindowError,
-    LyapunovTrace,
-    RateEstimate,
-    SlopeTrace,
-    Verdict,
-    blowup_time_bound,
-    estimate_blowup_rate,
-    evaluate_criteria,
-    k_mean,
-    k_sharp,
-    lyapunov_trace,
-    poincare_check,
-    refined_max,
-    refined_min,
-    riccati_blowup_time,
-    sobolev_sharp_check,
-    threshold_mean,
-    threshold_sharp,
-    threshold_zero_mean,
-    track_slope,
-)
-from .grid import (
-    Field,
-    NonFiniteFieldError,
-    PeriodicGrid,
-    Spectrum,
-    dealiased_product,
-    derivative,
-    dgreen_convolve,
-    dgreen_kernel,
-    forward_transform,
-    green_kernel,
-    helmholtz_convolve,
-    integral,
-    interpolate,
-    interpolate_many,
-    inverse_transform,
-    random_trig_field,
-    resample,
-)
-from .model import (
-    InvariantRecord,
-    ModelParams,
-    State,
-    energy_e0,
-    hamiltonian_e,
-    hamiltonian_f,
-    mean_u,
-    momentum_m,
-    rhs,
-)
-from .scenarios import (
-    FAMILIES,
-    ConfigError,
-    Scenario,
-    build_initial_data,
-    parse_config,
-    solve_blowup_amplitude,
-)
-from .stepping import (
-    TERM_BLOWUP,
-    TERM_DT_UNDERFLOW,
-    TERM_NONFINITE,
-    TERM_REACHED_END,
-    NonFiniteStateError,
-    SimConfig,
-    SimResult,
-    Termination,
-    adaptive_dt,
-    run,
-    step_rk4,
-)
+from .criteria import estimate_blowup_rate, evaluate_criteria
+from .grid import Field, PeriodicGrid
+from .model import ModelParams, State
+from .scenarios import build_initial_data
+from .stepping import SimConfig, run
+
+__all__ = [
+    "PeriodicGrid",
+    "Field",
+    "ModelParams",
+    "State",
+    "SimConfig",
+    "build_initial_data",
+    "run",
+    "evaluate_criteria",
+    "estimate_blowup_rate",
+]
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .grid import Field, interp_values
 __all__ = [
     "CharacteristicEnsemble",
     "default_seeds",
-    "advect",
     "verify_density_transport",
     "is_monotone",
     "sign_preserved",
@@ -67,15 +66,6 @@ def default_seeds(count: int = 64) -> np.ndarray:
     if count < 2:
         raise ValueError(f"need at least 2 seeds, got {count}")
     return np.arange(count) / count
-
-
-def advect(seeds, s0, p, c) -> CharacteristicEnsemble:
-    """Run the coupled field + characteristics integration, return paths."""
-    from .stepping import run
-
-    result = run(s0, p, c, seeds=np.asarray(seeds, dtype=float))
-    assert result.ensemble is not None
-    return result.ensemble
 
 
 def verify_density_transport(e: CharacteristicEnsemble, rho0: Field) -> float:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oracles
 from .characteristics import (
     default_seeds,
     is_monotone,
@@ -33,48 +34,21 @@ from .characteristics import (
 )
 from .criteria import (
     BLOWUP_PREDICTED,
-    SHARP_EMBEDDING_CONSTANT,
     DensitySignChangeError,
     InsufficientWindowError,
     estimate_blowup_rate,
     evaluate_criteria,
-    k_mean,
-    k_sharp,
     lyapunov_trace,
-    poincare_check,
-    riccati_blowup_time,
-    sobolev_sharp_check,
-    threshold_mean,
-    threshold_sharp,
-    threshold_zero_mean,
 )
-from .grid import (
-    Field,
-    NonFiniteFieldError,
-    PeriodicGrid,
-    derivative,
-    dgreen_convolve,
-    dgreen_kernel,
-    green_kernel,
-    helmholtz_convolve,
-    random_trig_field,
-)
-from .model import ModelParams, State, energy_e0, mean_u
+from .grid import NonFiniteFieldError
 from .scenarios import (
     ConfigError,
     Scenario,
-    build_initial_data,
     parse_config_entries,
     resolved_config,
     scenario_from_entries,
 )
-from .stepping import (
-    TERM_NONFINITE,
-    SERIES_COLUMNS,
-    SimConfig,
-    run,
-    step_rk4,
-)
+from .stepping import TERM_NONFINITE, SERIES_COLUMNS, run
 
 __all__ = ["main", "run_scenario", "EXIT_OK", "EXIT_CONFIG", "EXIT_IO", "EXIT_NUMERIC"]
 
@@ -83,15 +57,14 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# most runs one sweep may launch; each member is a full run
+MAX_SWEEP_COUNT = 1000
 
-def _fmt(x) -> str:
-    return repr(float(x))
 
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows: np.ndarray) -> None:
+    # tolist() gives Python floats, whose repr is the round-trip form
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -126,8 +99,11 @@ def _snapshot_name(t: float, used: set) -> str:
     return name
 
 
-def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> int:
-    """Execute one scenario and write its artifacts under out_dir."""
+def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int, dict]:
+    """Execute one scenario and write its artifacts under out_dir.
+
+    Returns the exit code and the report document written to report.json.
+    """
     sc = sc.resolve()
     s0 = sc.build_state()
     report = evaluate_criteria(s0.u, s0.rho, sc.model, sc.eps_list)
@@ -203,12 +179,14 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> int:
             _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows)
     if result.ensemble is not None:
         ens = result.ensemble
-        rows = []
-        for i, t in enumerate(ens.times):
-            for j, seed in enumerate(ens.seeds):
-                rows.append(
-                    (t, seed, ens.q[i, j], np.exp(ens.log_qx[i, j]), ens.rho_q[i, j])
-                )
+        # long format: one row per (record time, seed), times outermost
+        rows = np.column_stack([
+            np.repeat(ens.times, ens.seeds.size),
+            np.tile(ens.seeds, ens.times.size),
+            ens.q.ravel(),
+            ens.qx.ravel(),
+            ens.rho_q.ravel(),
+        ])
         _write_csv(
             out_dir / "characteristics.csv",
             ("t", "seed", "q", "qx", "rho_q"),
@@ -234,21 +212,29 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> int:
                     f"approach",
                     file=sys.stderr,
                 )
-            return EXIT_NUMERIC
-    return EXIT_OK
+            return EXIT_NUMERIC, doc
+    return EXIT_OK, doc
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _read_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_config_entries(text)
+
+
 def _load_scenario(path: str) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
-    return scenario_from_entries(parse_config_entries(text))
+    return scenario_from_entries(_read_config(path))
 
 
 def _cmd_run(args) -> int:
     sc = _load_scenario(args.config)
-    return run_scenario(sc, Path(args.out_dir), quiet=args.quiet)
+    code, _ = run_scenario(sc, Path(args.out_dir), quiet=args.quiet)
+    return code
 
 
 def _cmd_criteria(args) -> int:
@@ -281,31 +267,31 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
         count = int(parts[2])
     except ValueError:
         raise ConfigError(f"bad sweep range {rng!r}") from None
-    if count < 1:
-        raise ConfigError(f"sweep count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_SWEEP_COUNT:
+        raise ConfigError(
+            f"--param sweep count must lie in 1 .. {MAX_SWEEP_COUNT}, got {count}"
+        )
     return key, np.linspace(lo, hi, count)
 
 
 def _cmd_sweep(args) -> int:
     key, values = _parse_sweep_param(args.param)
-    text = Path(args.config).read_text(encoding="utf-8")
-    entries = parse_config_entries(text)
+    entries = _read_config(args.config)
     base_name = entries.get("scenario.name", entries.get("scenario.family", "sweep"))
     out_root = Path(args.out_dir)
     summary = []
     worst = EXIT_OK
-    for i, value in enumerate(values):
+    for i, value in enumerate(values.tolist()):
         sub = dict(entries)
-        sub[key] = _fmt(value)
+        sub[key] = repr(value)
         sub["scenario.name"] = f"{base_name}__{i:03d}"
         sc = scenario_from_entries(sub)
-        code = run_scenario(sc, out_root / sc.name, quiet=args.quiet)
+        code, report = run_scenario(sc, out_root / sc.name, quiet=args.quiet)
         worst = max(worst, code)
-        report = json.loads((out_root / sc.name / "report.json").read_text())
         summary.append(
             {
                 "name": sc.name,
-                key: float(value),
+                key: value,
                 "termination": report["run"]["termination"]["cause"],
                 "t_sim": report["run"]["t_sim"],
                 "exit_code": code,
@@ -319,184 +305,41 @@ def _cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest: compact versions of the oracle suites
+# selftest: the acceptance oracles at smaller draw counts
 
-def _kernel_quadrature(values: np.ndarray, grid: PeriodicGrid, m: int = 8192):
-    """Direct fine-grid quadrature of kernel * field, for checking the symbol."""
-    from .grid import interp_values
-
-    y = np.arange(m) / m
-    vy = interp_values(values, y)
-    out = np.empty(grid.n)
-    for i, xi in enumerate(grid.nodes):
-        out[i] = np.mean(green_kernel(xi - y) * vy)
-    return out
-
-
-def _integrate_riccati(c: float, k: float, y0: float, y_stop: float = -1.0e6):
-    """RK4 integration of y' = -c y^2 + k until y falls through y_stop."""
-    def f(y):
-        return -c * y * y + k
-
-    t, y = 0.0, y0
-    while y > y_stop:
-        dt = 0.005 / max(c * abs(y), 1.0)
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if t > 1.0e6:
-            raise RuntimeError("riccati integration did not blow up")
-    return t
-
-
-def _st_threshold_algebra(rng) -> str | None:
-    for _ in range(2000):
-        e0 = float(rng.uniform(0.0, 50.0))
-        a0 = float(rng.uniform(-5.0, 5.0))
-        eps = float(rng.uniform(1.0e-3, 20.0))
-        gamma = float(rng.uniform(-3.0, 3.0))
-        a = float(rng.uniform(0.1, 3.0))
-        t1 = threshold_sharp(e0, gamma, a)
-        if abs(t1 * t1 - 2.0 * k_sharp(e0, gamma, a)) > 1.0e-12 * max(1.0, t1 * t1):
-            return f"sharp identity broke at e0={e0}"
-        t2 = threshold_mean(e0, a0, eps, gamma, a)
-        if abs(t2 * t2 - 2.0 * k_mean(e0, a0, eps, gamma, a)) > 1.0e-12 * max(
-            1.0, t2 * t2
-        ):
-            return f"mean identity broke at e0={e0}, eps={eps}"
-        lim = threshold_mean(e0, 0.0, 1.0e-8, gamma, a)
-        if abs(lim - threshold_zero_mean(e0, gamma, a)) > 1.0e-4:
-            return f"zero-mean limit broke at e0={e0}"
-    return None
-
-
-def _st_sharp_kernel(rng) -> str | None:
-    grid = PeriodicGrid(512)
-    f = Field(grid, green_kernel(grid.nodes))
-    fx_vals = dgreen_kernel(grid.nodes)
-    fx_vals[0] = -0.5  # one-sided corner value, so fx^2 keeps its size there
-    ratio = sobolev_sharp_check(f, Field(grid, fx_vals))
-    if abs(ratio - SHARP_EMBEDDING_CONSTANT) > 1.0e-6:
-        return f"kernel ratio {ratio!r} off the sharp constant"
-    for _ in range(200):
-        g = random_trig_field(grid, rng, max_mode=8, rms=float(rng.uniform(0.1, 3.0)))
-        if sobolev_sharp_check(g) > SHARP_EMBEDDING_CONSTANT + 1.0e-9:
-            return "random field exceeded the sharp constant"
-    return None
-
-
-def _st_poincare(rng) -> str | None:
-    grid = PeriodicGrid(256)
-    for _ in range(200):
-        f = random_trig_field(grid, rng, max_mode=8, rms=float(rng.uniform(0.1, 3.0)))
-        for eps in (0.1, 1.0, 10.0):
-            if poincare_check(f, eps) < -1.0e-9:
-                return f"margin negative at eps={eps}"
-    return None
-
-
-def _st_helmholtz_oracle(rng) -> str | None:
-    grid = PeriodicGrid(256)
-    for _ in range(3):
-        f = random_trig_field(grid, rng, max_mode=12, rms=1.0)
-        direct = _kernel_quadrature(f.values, grid)
-        err = float(np.max(np.abs(helmholtz_convolve(f).values - direct)))
-        if err > 1.0e-6:
-            return f"quadrature mismatch {err:.3e}"
-    for _ in range(5):
-        f = random_trig_field(grid, rng, max_mode=20, rms=1.0)
-        split = derivative(helmholtz_convolve(f))
-        err = float(np.max(np.abs(dgreen_convolve(f).values - split.values)))
-        if err > 1.0e-12:
-            return f"derivative factorization mismatch {err:.3e}"
-    return None
-
-
-def _st_constant_steady(rng) -> str | None:
-    grid = PeriodicGrid(64)
-    s = State(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
-    p = ModelParams()
-    for _ in range(1000):
-        s = step_rk4(s, p, 1.0e-3)
-    dev = max(
-        float(np.max(np.abs(s.u.values - 0.5))),
-        float(np.max(np.abs(s.rho.values - 1.0))),
-    )
-    if dev > 1.0e-10:
-        return f"constant state drifted by {dev:.3e}"
-    return None
-
-
-def _st_rk4_order(rng) -> str | None:
-    grid = PeriodicGrid(64)
-    u0 = random_trig_field(grid, rng, max_mode=4, rms=0.2)
-    r0 = Field(grid, 1.0 + 0.2 * random_trig_field(grid, rng, max_mode=4).values)
-    p = ModelParams(gamma=0.1)
-
-    def integrate(steps: int) -> np.ndarray:
-        s = State(u0, r0)
-        dt = 0.1 / steps
-        for _ in range(steps):
-            s = step_rk4(s, p, dt)
-        return s.u.values
-
-    ref = integrate(1024)
-    errs = [float(np.max(np.abs(integrate(k) - ref))) for k in (32, 64, 128)]
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    if min(orders) < 3.9:
-        return f"observed orders {orders}"
-    return None
-
-
-def _st_riccati(rng) -> str | None:
-    for _ in range(10):
-        c = float(rng.uniform(0.1, 2.0))
-        k = float(rng.uniform(0.0, 4.0))
-        y0 = -np.sqrt(k / c) * float(rng.uniform(1.2, 4.0)) - 0.1
-        bound = riccati_blowup_time(c, k, y0)
-        t_blow = _integrate_riccati(c, k, y0)
-        if t_blow > bound * 1.01:
-            return f"numeric blow-up at {t_blow} exceeds bound {bound}"
-    return None
-
-
-def _st_transport_trivial(rng) -> str | None:
-    grid = PeriodicGrid(64)
-    s0 = State(Field.constant(grid, 0.4), Field.constant(grid, 2.0))
-    cfg = SimConfig(n=64, t_end=1.0, record_every=5)
-    result = run(s0, ModelParams(), cfg, seeds=default_seeds(16))
-    resid = verify_density_transport(result.ensemble, s0.rho)
-    if resid > 1.0e-10:
-        return f"constant-state transport residual {resid:.3e}"
-    return None
-
-
+# name, measurement (given a seeded generator), pass condition on it
 _SELFTESTS = (
-    ("threshold-algebra", _st_threshold_algebra),
-    ("sharp-kernel-ratio", _st_sharp_kernel),
-    ("poincare-margin", _st_poincare),
-    ("helmholtz-oracle", _st_helmholtz_oracle),
-    ("constant-steady-state", _st_constant_steady),
-    ("rk4-order", _st_rk4_order),
-    ("riccati-bound", _st_riccati),
-    ("transport-trivial", _st_transport_trivial),
+    ("threshold-algebra", lambda rng: oracles.threshold_algebra(rng, draws=2000),
+     lambda r: r[0] <= 1.0e-12 and r[1] <= 1.0e-4),
+    ("sharp-kernel-ratio", lambda rng: oracles.sharp_kernel_ratio(rng, draws=200),
+     lambda r: r[0] <= 1.0e-6 and r[1] <= 1.0e-9),
+    ("poincare-margin", lambda rng: oracles.poincare_margin(rng, draws=200),
+     lambda worst: worst >= -1.0e-9),
+    ("helmholtz-oracle", lambda rng: oracles.helmholtz_oracle(rng, draws=5),
+     lambda r: r[0] <= 1.0e-6 and r[1] <= 1.0e-12),
+    ("constant-steady-state", lambda rng: oracles.steady_state_deviation(steps=1000),
+     lambda dev: dev <= 1.0e-10),
+    ("rk4-order", lambda rng: oracles.rk4_orders(),
+     lambda orders: min(orders) >= 3.9),
+    ("riccati-bound", lambda rng: oracles.riccati_ratio(rng, draws=10),
+     lambda ratio: ratio <= 1.01),
+    ("transport-trivial", lambda rng: oracles.transport_residual(
+        "constant", {"c": 0.4, "r": 2.0}, n=64, count=16, record_every=5),
+     lambda resid: resid <= 1.0e-10),
 )
 
 
 def _cmd_selftest(args) -> int:
     failures = 0
-    for i, (name, check) in enumerate(_SELFTESTS):
-        rng = np.random.default_rng(args.seed + i)
-        problem = check(rng)
-        if problem is None:
+    for i, (name, measure, passes) in enumerate(_SELFTESTS):
+        measured = measure(np.random.default_rng(args.seed + i))
+        if passes(measured):
             if not args.quiet:
                 print(f"ok   {name}")
         else:
             failures += 1
-            print(f"FAIL {name}: {problem}", file=sys.stderr)
+            shown = ", ".join(f"{v:.3e}" for v in np.ravel(measured))
+            print(f"FAIL {name}: measured {shown}", file=sys.stderr)
     if failures:
         print(f"{failures} selftest(s) failed", file=sys.stderr)
         return EXIT_NUMERIC

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, derivative, green_kernel, interpolate
+from .grid import Field, derivative, green_kernel, interp_values
 from .model import ModelParams, State, energy_e0, mean_u
 
 __all__ = [
     "SHARP_EMBEDDING_CONSTANT",
-    "KERNEL_MAX",
     "SlopeTrace",
     "RateEstimate",
     "LyapunovTrace",
@@ -36,7 +35,6 @@ __all__ = [
     "DensitySignChangeError",
     "refined_min",
     "refined_max",
-    "track_slope",
     "k_sharp",
     "threshold_sharp",
     "k_mean",
@@ -53,9 +51,10 @@ __all__ = [
 
 # sharp constant of the H1 -> Linf embedding on the unit circle
 SHARP_EMBEDDING_CONSTANT = (math.e + 1.0) / (2.0 * (math.e - 1.0))
-# peak of the smoothing kernel; numerically the same value, kept separate
-# because it enters the envelope bound through the kernel, not the embedding
-KERNEL_MAX = green_kernel(0.0)
+# peak of the smoothing kernel; numerically the same value (to 3e-16), kept
+# separate because it enters the envelope bound through the kernel, not the
+# embedding
+_KERNEL_MAX = green_kernel(0.0)
 
 
 class InsufficientWindowError(ValueError):
@@ -90,14 +89,6 @@ def refined_min(values: np.ndarray, dx: float) -> tuple[float, float]:
 def refined_max(values: np.ndarray, dx: float) -> tuple[float, float]:
     m, x = refined_min(-np.asarray(values), dx)
     return -m, x
-
-
-def track_slope(s: State) -> tuple[float, float, float]:
-    """(m, xi, alpha): minimal slope, its location, density sampled there."""
-    ux = derivative(s.u, 1)
-    m, xi = refined_min(ux.values, s.grid.dx)
-    alpha = interpolate(s.rho, xi)
-    return m, xi, alpha
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,7 @@ def lyapunov_trace(
     w = alpha[0] * alpha + (alpha[0] / alpha) * (1.0 + trace.m**2)
 
     c = SHARP_EMBEDDING_CONSTANT
-    c1 = c * e0 + 2.0 * abs(p.gamma - p.A) * math.sqrt(c * e0) + KERNEL_MAX * e0
+    c1 = c * e0 + 2.0 * abs(p.gamma - p.A) * math.sqrt(c * e0) + _KERNEL_MAX * e0
     ux0 = derivative(u0, 1).values
     sup_ux0 = max(abs(refined_min(ux0, dx)[0]), abs(refined_max(ux0, dx)[0]))
     sup_rho0 = max(abs(lo), abs(hi))
@@ -400,7 +391,7 @@ def evaluate_criteria(
 
     ux0 = derivative(u0, 1).values
     m0, xi0 = refined_min(ux0, dx)
-    rho_at_xi = interpolate(rho0, xi0)
+    rho_at_xi = float(interp_values(rho0.values, np.asarray([xi0]))[0])
     rho_hi, _ = refined_max(np.abs(rho0.values), dx)
     rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * rho_hi
 

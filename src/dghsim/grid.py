@@ -35,19 +35,12 @@ __all__ = [
     "NonFiniteFieldError",
     "PeriodicGrid",
     "Field",
-    "Spectrum",
     "green_kernel",
     "dgreen_kernel",
-    "forward_transform",
-    "inverse_transform",
     "derivative",
     "helmholtz_convolve",
     "dgreen_convolve",
-    "interpolate",
-    "interpolate_many",
     "integral",
-    "resample",
-    "dealiased_product",
     "random_trig_field",
     "pad_values",
     "project_values",
@@ -167,44 +160,6 @@ class Field:
         return cls(grid, np.full(grid.n, float(value)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Coefficients c_k of e^{2 pi i k x} for k = -n/2 .. n/2 - 1."""
-
-    grid: PeriodicGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.ascontiguousarray(self.coefficients, dtype=complex)
-        if c.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} coefficients, got shape {c.shape}"
-            )
-        object.__setattr__(self, "coefficients", c)
-
-    def coefficient(self, k: int) -> complex:
-        half = self.grid.n // 2
-        if not -half <= k < half:
-            raise ValueError(f"wavenumber {k} outside -{half} .. {half - 1}")
-        return complex(self.coefficients[k + half])
-
-
-def _same_grid(f: Field, g: Field) -> PeriodicGrid:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return f.grid
-
-
-def forward_transform(f: Field) -> Spectrum:
-    c = np.fft.fftshift(np.fft.fft(f.values)) / f.grid.n
-    return Spectrum(f.grid, c)
-
-
-def inverse_transform(s: Spectrum) -> Field:
-    v = np.fft.ifft(np.fft.ifftshift(s.coefficients)) * s.grid.n
-    return Field(s.grid, v.real)
-
-
 # ---------------------------------------------------------------------------
 # array-level kernels; Field wrappers below
 
@@ -310,35 +265,9 @@ def dgreen_convolve(f: Field) -> Field:
     return Field(f.grid, np.fft.irfft(c, f.grid.n))
 
 
-def interpolate(f: Field, x: float) -> float:
-    """Trigonometric interpolation at a single (possibly off-grid) point."""
-    return float(interp_values(f.values, np.asarray([float(x)]))[0])
-
-
-def interpolate_many(f: Field, xs: np.ndarray) -> np.ndarray:
-    return interp_values(f.values, np.asarray(xs, dtype=float))
-
-
 def integral(f: Field) -> float:
     """Trapezoidal quadrature over one period (= the node mean)."""
     return float(np.mean(f.values))
-
-
-def resample(f: Field, m: int) -> Field:
-    """Spectrally resample to an m-point grid (refine or coarsen)."""
-    if m == f.grid.n:
-        return f
-    if m > f.grid.n:
-        return Field(PeriodicGrid(m), pad_values(f.values, m))
-    return Field(PeriodicGrid(m), project_values(f.values, m))
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product formed on a 2n grid, projected back to n modes."""
-    grid = _same_grid(f, g)
-    m = 2 * grid.n
-    prod = pad_values(f.values, m) * pad_values(g.values, m)
-    return Field(grid, project_values(prod, grid.n))
 
 
 def random_trig_field(

@@ -25,24 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    Field,
-    PeriodicGrid,
-    deriv_values,
-    pad_values,
-)
+from .grid import Field, PeriodicGrid, deriv_values, pad_values
 
 __all__ = [
     "ModelParams",
     "State",
     "InvariantRecord",
-    "rhs",
     "rhs_values",
     "energy_e0",
     "mean_u",
     "hamiltonian_e",
     "hamiltonian_f",
-    "momentum_m",
 ]
 
 
@@ -52,16 +45,12 @@ class ModelParams:
 
     A: float = 1.0
     gamma: float = 0.0
-    allow_nonpositive_A: bool = False
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.A) and np.isfinite(self.gamma)):
             raise ValueError("model parameters must be finite")
-        if self.A <= 0.0 and not self.allow_nonpositive_A:
-            raise ValueError(
-                f"shear strength A must be positive (got A={self.A}); "
-                "set allow_nonpositive_A=True to override"
-            )
+        if self.A <= 0.0:
+            raise ValueError(f"shear strength A must be positive, got A={self.A}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +119,6 @@ def rhs_values(
     return du, drho
 
 
-def rhs(s: State, p: ModelParams) -> tuple[Field, Field]:
-    du, drho = rhs_values(s.u.values, s.rho.values, s.grid, p)
-    return Field(s.grid, du), Field(s.grid, drho)
-
-
 def energy_e0(s: State) -> float:
     """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions."""
     return float(np.mean(s.u.values**2 + s.ux**2 + s.rho.values**2))
@@ -170,7 +154,3 @@ def hamiltonian_f(s: State, p: ModelParams) -> float:
     )
     return 0.5 * float(np.mean(integrand))
 
-
-def momentum_m(s: State) -> Field:
-    """u - u_xx, the momentum density carried by the transport form."""
-    return Field(s.grid, s.u.values - deriv_values(s.u.values, 2))

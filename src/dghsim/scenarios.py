@@ -17,6 +17,7 @@ silently ignored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "parse_config_entries",
     "scenario_from_entries",
     "resolved_config",
+    "MAX_GRID_SIZE",
+    "MAX_CHARACTERISTICS",
 ]
 
 
@@ -44,6 +47,15 @@ class ConfigError(ValueError):
 
 
 _MAX_EXACT_INT = 2.0**53  # larger integers do not survive the float parse
+
+# Size limits.  A coupled run evaluates every characteristic against a
+# phase matrix of count x (n/2 - 1) complex entries per RK4 stage; at the
+# largest allowed pair that is 1024 x 32767 x 16 B, about 0.54 GB.
+MAX_GRID_SIZE = 2**16
+MAX_CHARACTERISTICS = 1024
+# The thresholds square a0 = 2 integral(u), and a0^2 <= 4 E0, so initial
+# data above this energy cannot be assessed in double precision.
+_MAX_ENERGY = sys.float_info.max / 4.0
 
 
 def _to_float(text: str) -> float:
@@ -63,6 +75,16 @@ def _to_int(text: str) -> int:
     if x != int(x):
         raise ConfigError(f"expected an integer, got {text!r}")
     return int(x)
+
+
+def _to_int_at_most(limit: int):
+    def convert(text: str) -> int:
+        x = _to_int(text)
+        if x > limit:
+            raise ConfigError(f"{x} exceeds the largest allowed value {limit}")
+        return x
+
+    return convert
 
 
 def _to_bool(text: str) -> bool:
@@ -190,6 +212,21 @@ def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
     return State(Field(grid, u), Field(grid, rho))
 
 
+def _check_energy(e0: float, family: str, params: dict) -> float:
+    """Pass E0 of initial data through, or reject it as a config error.
+
+    Callers compute e0 with numpy overflow warnings silenced, so data past
+    the range reports here and nowhere else.
+    """
+    if not e0 <= _MAX_ENERGY:
+        shown = ", ".join(f"{k} = {v!r}" for k, v in params.items())
+        raise ConfigError(
+            f"{family} initial data ({shown}) has energy E0 = {e0!r}, "
+            f"beyond {_MAX_ENERGY:.3g}"
+        )
+    return e0
+
+
 def solve_blowup_amplitude(
     b: float,
     margin: float,
@@ -209,26 +246,30 @@ def solve_blowup_amplitude(
 
     def overshoot(a: float) -> float:
         s = build_initial_data("blowup31", {"a": a, "b": b}, grid)
-        th = threshold_sharp(energy_e0(s), model.gamma, model.A)
+        e0 = _check_energy(energy_e0(s), "blowup31", {"a": a, "b": b})
+        th = threshold_sharp(e0, model.gamma, model.A)
         return a - margin * abs(th)
 
-    hi = 1.0
-    for _ in range(64):
-        if overshoot(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConfigError(
-            f"blowup31 margin {margin} admits no amplitude: the threshold "
-            f"outgrows the slope at every scale"
-        )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if overshoot(mid) < 0.0:
-            lo = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = 1.0
+        for _ in range(64):
+            if overshoot(hi) > 0.0:
+                break
+            hi *= 2.0
         else:
-            hi = mid
+            raise ConfigError(
+                f"blowup31 margin {margin} admits no amplitude: the threshold "
+                f"outgrows the slope at every scale"
+            )
+        lo = 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent doubles: tol is finer than their spacing
+                break
+            if overshoot(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -274,7 +315,11 @@ class Scenario:
         return replace(self, family_params=tuple(p.items()))
 
     def build_state(self) -> State:
-        return build_initial_data(self.family, self.params, PeriodicGrid(self.sim.n))
+        """Initial data on the run's grid; its energy must be finite."""
+        s = build_initial_data(self.family, self.params, PeriodicGrid(self.sim.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_energy(energy_e0(s), self.family, self.params)
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +345,7 @@ def parse_config_entries(text: str) -> dict[str, str]:
 
 _MODEL_KEYS = {"model.A": _to_float, "model.gamma": _to_float}
 _SIM_KEYS = {
-    "sim.n": _to_int,
+    "sim.n": _to_int_at_most(MAX_GRID_SIZE),
     "sim.t_end": _to_float,
     "sim.cfl": _to_float,
     "sim.slope_dt_factor": _to_float,
@@ -358,7 +403,9 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
 
     eps_list = take("criteria.eps_list", _to_float_tuple, default=(0.1, 1.0, 10.0))
     chars_on = take("characteristics.enabled", _to_bool, default=False)
-    char_count = take("characteristics.count", _to_int, default=64)
+    char_count = take(
+        "characteristics.count", _to_int_at_most(MAX_CHARACTERISTICS), default=64
+    )
 
     if entries:
         stray = sorted(entries)[0]

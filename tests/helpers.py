@@ -1,23 +1,11 @@
-"""Shared numerical oracles: quadrature convolutions, finite differences,
-dense-grid extrema, trig-polynomial builders, and the physical-space
-reference forms of the spectral kernels used across the suite."""
+"""Shared test references: finite differences, dense-grid extrema,
+trig-polynomial builders, and the physical-space reference forms of the
+spectral kernels used across the suite.  The quadrature convolution lives
+in dghsim.oracles, which the selftest shares."""
 
 import numpy as np
 
 from dghsim.grid import PeriodicGrid, interp_values, pad_values, project_values
-
-
-def kernel_quadrature(values, grid, kernel_fn, m=8192):
-    """Convolve by direct fine-grid quadrature against a sampled kernel.
-
-    The input samples are band-limited, so interpolating them onto the fine
-    grid is exact; the quadrature error is then set by the kernel's corner,
-    O(1/m^2) for the even kernel and its (midpoint-valued) derivative.
-    """
-    y = np.arange(m) / m
-    vy = interp_values(np.asarray(values, dtype=float), y)
-    gram = kernel_fn((grid.nodes[:, None] - y[None, :]))
-    return gram @ vy / m
 
 
 def fd_derivative(values, dx, order):
@@ -56,6 +44,13 @@ def trig_poly(grid: PeriodicGrid, mean, cos_c=(), sin_c=()):
     for k, c in enumerate(sin_c, start=1):
         v += c * np.sin(2.0 * np.pi * k * x)
     return v
+
+
+def dealiased_product(f, g):
+    """Product of two n-sample arrays formed on a 2n grid, projected back
+    to the n-point band."""
+    n = np.shape(f)[-1]
+    return project_values(pad_values(f, 2 * n) * pad_values(g, 2 * n), n)
 
 
 def rhs_padded_reference(u, rho, grid, p):

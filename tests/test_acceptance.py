@@ -3,7 +3,8 @@ line with the measured numbers (run with -s to see them on success).
 
 The expensive breaking-wave runs (n = 512, 1024, 2048) and the long
 smooth run are shared through module-scoped fixtures; everything else is
-direct computation against oracles."""
+direct computation against the oracles in dghsim.oracles, which
+`dghsim selftest` runs with fewer draws."""
 
 import time
 
@@ -11,37 +12,26 @@ import numpy as np
 import pytest
 
 from dghsim.characteristics import default_seeds, sign_preserved
-from dghsim.cli import _integrate_riccati
 from dghsim.criteria import (
-    SHARP_EMBEDDING_CONSTANT,
     blowup_time_bound,
     estimate_blowup_rate,
     evaluate_criteria,
-    k_sharp,
     lyapunov_trace,
-    poincare_check,
-    riccati_blowup_time,
-    sobolev_sharp_check,
-    threshold_mean,
-    threshold_sharp,
-    threshold_zero_mean,
-    k_mean,
 )
-from dghsim.grid import (
-    Field,
-    PeriodicGrid,
-    derivative,
-    dgreen_convolve,
-    dgreen_kernel,
-    green_kernel,
-    helmholtz_convolve,
-    random_trig_field,
+from dghsim.grid import PeriodicGrid
+from dghsim.model import ModelParams, energy_e0
+from dghsim.oracles import (
+    helmholtz_oracle,
+    poincare_margin,
+    riccati_ratio,
+    rk4_orders,
+    sharp_kernel_ratio,
+    steady_state_deviation,
+    threshold_algebra,
+    transport_residual,
 )
-from dghsim.model import ModelParams, State, energy_e0
 from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
-from dghsim.stepping import SimConfig, run, step_rk4
-from dghsim.characteristics import verify_density_transport
-from helpers import kernel_quadrature
+from dghsim.stepping import SimConfig, run
 
 BLOWUP_MODEL = ModelParams(A=1.0, gamma=0.0)
 GLOBAL_MODEL = ModelParams(A=1.0, gamma=0.0)
@@ -96,31 +86,12 @@ def test_criterion_01_conservation():
 
 
 def test_criterion_02_steady_state():
-    s0 = build_initial_data("constant", {"c": 0.5, "r": 1.0}, PeriodicGrid(64))
-    s = s0
-    for _ in range(10_000):
-        s = step_rk4(s, ModelParams(A=1.0, gamma=0.0), 1.0e-3)
-    dev = max(
-        float(np.max(np.abs(s.u.values - s0.u.values))),
-        float(np.max(np.abs(s.rho.values - s0.rho.values))),
-    )
+    dev = steady_state_deviation(steps=10_000)
     verdict(2, dev < 1e-10, f"sup deviation {dev:.3e} after 1e4 steps (<1e-10)")
 
 
 def test_criterion_03_operator_oracles(rng):
-    g = PeriodicGrid(256)
-    worst_quad = 0.0
-    worst_split = 0.0
-    for _ in range(20):
-        f = random_trig_field(g, rng, max_mode=12, rms=float(rng.uniform(0.2, 2.0)))
-        direct = kernel_quadrature(f.values, g, green_kernel)
-        worst_quad = max(
-            worst_quad, float(np.max(np.abs(helmholtz_convolve(f).values - direct)))
-        )
-        split = derivative(helmholtz_convolve(f)).values
-        worst_split = max(
-            worst_split, float(np.max(np.abs(dgreen_convolve(f).values - split)))
-        )
+    worst_quad, worst_split = helmholtz_oracle(rng, draws=20)
     ok = worst_quad < 1e-6 and worst_split < 1e-12
     verdict(
         3, ok,
@@ -130,17 +101,7 @@ def test_criterion_03_operator_oracles(rng):
 
 
 def test_criterion_04_sharp_constant(rng):
-    g = PeriodicGrid(512)
-    f = Field(g, green_kernel(g.nodes))
-    fx = dgreen_kernel(g.nodes)
-    fx[0] = -0.5  # one-sided corner derivative
-    ratio = sobolev_sharp_check(f, Field(g, fx))
-    err = abs(ratio - SHARP_EMBEDDING_CONSTANT)
-    g2 = PeriodicGrid(256)
-    worst = -np.inf
-    for _ in range(1000):
-        h = random_trig_field(g2, rng, max_mode=10, rms=float(rng.uniform(0.1, 4.0)))
-        worst = max(worst, sobolev_sharp_check(h) - SHARP_EMBEDDING_CONSTANT)
+    err, worst = sharp_kernel_ratio(rng, draws=1000)
     ok = err < 1e-6 and worst <= 1e-9
     verdict(
         4, ok,
@@ -150,24 +111,12 @@ def test_criterion_04_sharp_constant(rng):
 
 
 def test_criterion_05_embedding_margin(rng):
-    g = PeriodicGrid(256)
-    worst = np.inf
-    for _ in range(1000):
-        f = random_trig_field(g, rng, max_mode=10, rms=float(rng.uniform(0.1, 4.0)))
-        for eps in (0.1, 1.0, 10.0):
-            worst = min(worst, poincare_check(f, eps))
+    worst = poincare_margin(rng, draws=1000)
     verdict(5, worst >= -1e-9, f"minimum margin {worst:.3e} (>=-1e-9)")
 
 
 def test_criterion_06_riccati_bound(rng):
-    worst_ratio = 0.0
-    for _ in range(50):
-        c = float(rng.uniform(0.1, 2.0))
-        k = float(rng.uniform(0.0, 4.0))
-        y0 = -np.sqrt(k / c) * float(rng.uniform(1.2, 4.0)) - 0.1
-        bound = riccati_blowup_time(c, k, y0)
-        t_blow = _integrate_riccati(c, k, y0)
-        worst_ratio = max(worst_ratio, t_blow / bound)
+    worst_ratio = riccati_ratio(rng, draws=50)
     verdict(
         6, worst_ratio <= 1.01,
         f"worst numeric/bound time ratio {worst_ratio:.4f} (<=1.01)",
@@ -228,14 +177,8 @@ def test_criterion_09_global_existence(global_long_run):
 
 
 def test_criterion_10_transport_identity():
-    s0 = build_initial_data("global41", {"r0": 2.0, "ru": 1.0}, PeriodicGrid(256))
-    res = run(s0, GLOBAL_MODEL, SimConfig(n=256, t_end=1.0), seeds=default_seeds(64))
-    resid = verify_density_transport(res.ensemble, s0.rho)
-
-    z0 = build_initial_data("zero-mean", {"a": 1.0}, PeriodicGrid(256))
-    zres = run(z0, GLOBAL_MODEL, SimConfig(n=256, t_end=1.0), seeds=default_seeds(64))
-    zresid = verify_density_transport(zres.ensemble, z0.rho)
-
+    resid = transport_residual("global41", {"r0": 2.0, "ru": 1.0}, n=256, count=64)
+    zresid = transport_residual("zero-mean", {"a": 1.0}, n=256, count=64)
     ok = resid < 1e-5 and zresid < 1e-10
     verdict(
         10, ok,
@@ -245,28 +188,7 @@ def test_criterion_10_transport_identity():
 
 
 def test_criterion_11_threshold_algebra(rng):
-    worst_id = 0.0
-    worst_lim = 0.0
-    for _ in range(10_000):
-        e0 = float(rng.uniform(0.0, 50.0))
-        a0 = float(rng.uniform(-5.0, 5.0))
-        eps = float(rng.uniform(1e-3, 20.0))
-        gamma = float(rng.uniform(-3.0, 3.0))
-        a = float(rng.uniform(0.1, 3.0))
-        ts = threshold_sharp(e0, gamma, a)
-        tm = threshold_mean(e0, a0, eps, gamma, a)
-        worst_id = max(
-            worst_id,
-            abs(ts * ts - 2.0 * k_sharp(e0, gamma, a)) / max(1.0, ts * ts),
-            abs(tm * tm - 2.0 * k_mean(e0, a0, eps, gamma, a)) / max(1.0, tm * tm),
-        )
-        worst_lim = max(
-            worst_lim,
-            abs(
-                threshold_mean(e0, 0.0, 1e-8, gamma, a)
-                - threshold_zero_mean(e0, gamma, a)
-            ),
-        )
+    worst_id, worst_lim = threshold_algebra(rng, draws=10_000)
     ok = worst_id < 1e-12 and worst_lim < 1e-4
     verdict(
         11, ok,
@@ -276,21 +198,7 @@ def test_criterion_11_threshold_algebra(rng):
 
 
 def test_criterion_12_rk4_order():
-    g = PeriodicGrid(64)
-    u0 = Field.from_function(g, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x))
-    r0 = Field.from_function(g, lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x))
-    p = ModelParams(A=1.0, gamma=0.3)
-    t_end = 0.1
-
-    def integrate(steps):
-        s = State(u0, r0)
-        for _ in range(steps):
-            s = step_rk4(s, p, t_end / steps)
-        return s.u.values
-
-    ref = integrate(1024)
-    errs = [float(np.max(np.abs(integrate(k) - ref))) for k in (32, 64, 128)]
-    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
+    orders = rk4_orders()
     ok = min(orders) >= 3.9
     verdict(
         12, ok,

@@ -7,7 +7,6 @@ import pytest
 
 from dghsim.characteristics import (
     CharacteristicEnsemble,
-    advect,
     default_seeds,
     is_monotone,
     sign_preserved,
@@ -72,7 +71,8 @@ def test_uniform_flow_translates_seeds():
 
 def test_still_flow_keeps_seeds_fixed():
     s0 = build_state(64, lambda x: 0.0 * x, lambda x: 2.0 + 0.0 * x)
-    e = advect(default_seeds(8), s0, ModelParams(), SimConfig(n=64, t_end=1.0))
+    cfg = SimConfig(n=64, t_end=1.0)
+    e = run(s0, ModelParams(), cfg, seeds=default_seeds(8)).ensemble
     assert np.max(np.abs(e.q - e.seeds[None, :])) < 1e-12
     assert np.max(np.abs(e.rho_q - 2.0)) < 1e-12
 
@@ -145,12 +145,3 @@ def test_monotonicity_detects_crossing():
     e = CharacteristicEnsemble(seeds, times, q, np.zeros((2, 4)), np.ones((2, 4)))
     assert not is_monotone(e)
 
-
-def test_advect_matches_coupled_run():
-    s0 = build_state(64, lambda x: 0.1 * np.cos(2.0 * np.pi * x), lambda x: 1.0 + 0.0 * x)
-    cfg = SimConfig(n=64, t_end=0.4)
-    seeds = default_seeds(8)
-    via_wrapper = advect(seeds, s0, ModelParams(), cfg)
-    via_run = run(s0, ModelParams(), cfg, seeds=seeds).ensemble
-    assert np.array_equal(via_wrapper.q, via_run.q)
-    assert np.array_equal(via_wrapper.log_qx, via_run.log_qx)

@@ -5,17 +5,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dghsim import oracles, scenarios
 from dghsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
+    MAX_SWEEP_COUNT,
     _parse_sweep_param,
     _snapshot_name,
     main,
 )
+from dghsim.characteristics import default_seeds
+from dghsim.grid import Field
 from dghsim.scenarios import ConfigError
-from dghsim.stepping import SERIES_COLUMNS
+from dghsim.stepping import SERIES_COLUMNS, run
 
 SMOOTH_CONFIG = """\
 scenario.family = global41
@@ -98,6 +105,30 @@ def test_reruns_are_byte_identical(smooth_cfg, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
+    # reference: one repr(float(x)) per value, characteristics row by row
+    out = tmp_path / "out"
+    assert main(["run", str(smooth_cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    sc = scenarios.parse_config(SMOOTH_CONFIG)
+    res = run(sc.build_state(), sc.model, sc.sim, seeds=default_seeds(16))
+    ens = res.ensemble
+
+    def text(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    chars = [
+        (t, seed, ens.q[i, j], np.exp(ens.log_qx[i, j]), ens.rho_q[i, j])
+        for i, t in enumerate(ens.times)
+        for j, seed in enumerate(ens.seeds)
+    ]
+    assert (out / "series.csv").read_text() == text(SERIES_COLUMNS, res.series)
+    assert (out / "characteristics.csv").read_text() == text(
+        ("t", "seed", "q", "qx", "rho_q"), chars
+    )
+
+
 def test_run_quiet_suppresses_output(smooth_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", str(smooth_cfg), "--out-dir", str(out), "--quiet"])
@@ -127,6 +158,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "sim.dt_max" in capsys.readouterr().err
 
 
+def write_config(tmp_path, replaced: str):
+    """SMOOTH_CONFIG with one key's line replaced."""
+    key = replaced.split("=")[0].strip()
+    kept = [ln for ln in SMOOTH_CONFIG.splitlines() if ln.split("=")[0].strip() != key]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(kept + [replaced]) + "\n")
+    return cfg
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -139,12 +179,33 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ],
 )
 def test_non_finite_config_value_exits_2(line, tmp_path, capsys):
-    key = line.split("=")[0].strip()
-    kept = [ln for ln in SMOOTH_CONFIG.splitlines() if ln.split("=")[0].strip() != key]
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(kept + [line]) + "\n")
+    cfg = write_config(tmp_path, line)
     assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    assert line.split("=")[0].strip() in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["sim.n = 1e12", "characteristics.count = 1000000000"]
+)
+def test_oversized_config_value_exits_2(line, tmp_path, capsys):
+    cfg = write_config(tmp_path, line)
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert line.split("=")[0].strip() in err and "exceeds" in err
+
+
+def test_overflowing_energy_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "scenario.r0 = 1e308")
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "global41" in err and "r0 = 1e+308" in err and "Traceback" not in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(SMOOTH_CONFIG.replace("demo", "d\xe9mo").encode("latin-1"))
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -209,6 +270,20 @@ def test_sweep_rejects_bad_param(smooth_cfg, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_sweep_count_is_bounded(smooth_cfg, tmp_path, capsys):
+    # rejected before any value array is built
+    assert len(_parse_sweep_param(f"scenario.r0=2:3:{MAX_SWEEP_COUNT}")[1]) == (
+        MAX_SWEEP_COUNT
+    )
+    rc = main([
+        "sweep", str(smooth_cfg), "--param", "scenario.r0=2:3:10000000000",
+        "--out-dir", str(tmp_path / "s"), "--quiet",
+    ])
+    assert rc == EXIT_CONFIG
+    assert "--param" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 # ---------------------------------------------------------------------------
 # selftest command
 
@@ -217,6 +292,87 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok   ") == 8
     assert "all 8 selftests passed" in out
+
+
+def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):
+    convolve = oracles.helmholtz_convolve
+
+    def off_by_a_millionth(f):
+        return Field(f.grid, convolve(f).values * (1.0 + 1.0e-6))
+
+    monkeypatch.setattr(oracles, "helmholtz_convolve", off_by_a_millionth)
+    assert main(["selftest"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "FAIL helmholtz-oracle: measured" in captured.err
+    assert "1 selftest(s) failed" in captured.err
+    assert captured.out.count("ok   ") == 7
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: any config text or --param spec gives 0, 2, 3 or 4
+
+_CONFIG_KEYS = (
+    "scenario.name", "model.A", "model.gamma", "sim.n", "sim.t_end", "sim.cfl",
+    "sim.slope_dt_factor", "sim.dt_min", "sim.blowup_slope", "sim.record_every",
+    "sim.snapshot_times", "criteria.eps_list", "characteristics.enabled",
+    "characteristics.count", "no.such_key",
+)
+_VALUES = st.one_of(
+    st.floats().map(repr),  # includes nan, inf and values near the float limits
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from([
+        "1e12", "1e154", "1e308", "-1e308", "1e-320", "1e400", "nan", "-inf",
+        "auto", "true", "0", "8", "65538", "1, nan, 2", "0.1,,3",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.just(""),
+)
+
+
+@st.composite
+def _config_bytes(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    family = draw(st.sampled_from(scenarios.FAMILIES + ("no-such-family",)))
+    params = scenarios._FAMILY_PARAMS.get(family, {})
+    keys = [f"scenario.{p}" for p in params] + list(_CONFIG_KEYS)
+    entries = {"scenario.family": family, "sim.n": "32", "sim.t_end": "0.1"}
+    entries.update(draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=4)))
+    for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=1)):
+        del entries[key]
+    text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+    return text.encode("utf-8")
+
+
+@given(raw=_config_bytes())
+def test_any_config_gives_a_contract_exit_code(raw, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp() / "contract"
+    root.mkdir(exist_ok=True)
+    cfg = root / "any.cfg"
+    cfg.write_bytes(raw)
+    code = main(["criteria", str(cfg), "--out-dir", str(root / "out"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+
+
+_SPECS = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{}={}:{}:{}".format,
+        st.sampled_from(("scenario.r0", "sim.n", "", "x")),
+        _VALUES,
+        _VALUES,
+        st.one_of(st.integers(-3, 10**12).map(str), _VALUES),
+    ),
+)
+
+
+@given(spec=_SPECS)
+def test_any_sweep_param_parses_or_is_a_config_error(spec):
+    try:
+        key, values = _parse_sweep_param(spec)
+    except ConfigError:
+        return
+    assert key and 1 <= len(values) <= MAX_SWEEP_COUNT
 
 
 # ---------------------------------------------------------------------------

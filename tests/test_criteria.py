@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dghsim.criteria import (
     BLOWUP_PREDICTED,
     GLOBAL_PREDICTED,
-    KERNEL_MAX,
     NO_PREDICTION,
     SHARP_EMBEDDING_CONSTANT,
     CriterionReport,
@@ -33,7 +32,6 @@ from dghsim.criteria import (
     threshold_mean,
     threshold_sharp,
     threshold_zero_mean,
-    track_slope,
 )
 from dghsim.grid import (
     Field,
@@ -44,6 +42,7 @@ from dghsim.grid import (
     random_trig_field,
 )
 from dghsim.model import ModelParams, State
+from dghsim.stepping import SimConfig, run
 from helpers import dense_extremum
 
 
@@ -84,11 +83,17 @@ def test_refined_min_beats_node_minimum(rng):
         assert m <= np.min(v) + 1e-15
 
 
+def initial_slope(s: State) -> tuple[float, float, float]:
+    """(m, xi, alpha) that a run's slope trace records for its initial state."""
+    tr = run(s, ModelParams(), SimConfig(n=s.grid.n, t_end=1e-6)).slope_trace
+    return float(tr.m[0]), float(tr.xi[0]), float(tr.alpha[0])
+
+
 def test_track_slope_single_mode():
     g = PeriodicGrid(128)
     u = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x) / (2.0 * np.pi))
     rho = Field.constant(g, 2.0)
-    m, xi, alpha = track_slope(State(u, rho))
+    m, xi, alpha = initial_slope(State(u, rho))
     assert m == pytest.approx(-1.0, abs=1e-12)
     assert xi == pytest.approx(0.5, abs=1e-12)
     assert alpha == pytest.approx(2.0, abs=1e-12)
@@ -97,7 +102,7 @@ def test_track_slope_single_mode():
 def test_track_slope_flat_field_ties_to_first_node():
     g = PeriodicGrid(64)
     s = State(Field.constant(g, 3.0), Field.constant(g, 1.0))
-    m, xi, _ = track_slope(s)
+    m, xi, _ = initial_slope(s)
     assert m == 0.0 and xi == 0.0
 
 
@@ -111,7 +116,7 @@ def test_slope_trace_validation():
 
 def test_sharp_constant_value():
     assert SHARP_EMBEDDING_CONSTANT == pytest.approx(1.0819767068693265, abs=1e-15)
-    assert KERNEL_MAX == pytest.approx(SHARP_EMBEDDING_CONSTANT, abs=1e-15)
+    assert green_kernel(0.0) == pytest.approx(SHARP_EMBEDDING_CONSTANT, abs=1e-15)
 
 
 def test_threshold_closed_forms():
@@ -267,7 +272,7 @@ def test_lyapunov_initial_value():
     assert ly.w[0] == pytest.approx(6.0, abs=1e-12)  # 2*2 + (2/2)(1 + 1)
     assert ly.c2 == pytest.approx(6.0, abs=1e-6)  # sup rho0^2 + 1 + sup ux0^2
     c = SHARP_EMBEDDING_CONSTANT
-    expected_c1 = c * e0 + 2.0 * math.sqrt(c * e0) + KERNEL_MAX * e0
+    expected_c1 = c * e0 + 2.0 * math.sqrt(c * e0) + green_kernel(0.0) * e0
     assert ly.c1 == pytest.approx(expected_c1, rel=1e-12)
     assert ly.envelope[0] == pytest.approx(ly.c2 / (2.0 * ly.beta), rel=1e-12)
     assert ly.violations.size == 0

@@ -9,6 +9,8 @@ from dghsim.grid import PeriodicGrid
 from dghsim.model import ModelParams, energy_e0
 from dghsim.scenarios import (
     FAMILIES,
+    MAX_CHARACTERISTICS,
+    MAX_GRID_SIZE,
     ConfigError,
     Scenario,
     build_initial_data,
@@ -145,6 +147,16 @@ def test_amplitude_solver_rejects_unattainable_margin():
         solve_blowup_amplitude(b=1.0, margin=1.5, model=ModelParams(), n=256)
 
 
+def test_amplitude_solver_stops_at_adjacent_doubles():
+    # a shear of 4e16 puts the root near 3e17, where doubles lie 32 apart,
+    # far coarser than the 1e-9 tolerance
+    model = ModelParams(A=3.9151168861303496e16)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=model, n=32)
+    s = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(32))
+    th = threshold_sharp(energy_e0(s), model.gamma, model.A)
+    assert a == pytest.approx(1.05 * abs(th), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -213,6 +225,29 @@ def test_bad_values_are_config_errors():
         parse_config(BASE_CONFIG.replace("sim.t_end       = 1.5", "sim.t_end = -1"))
     with pytest.raises(ConfigError):
         parse_config(BASE_CONFIG + "criteria.eps_list = 0.0, 1.0\n")
+
+
+def test_size_limits_are_inclusive():
+    # parsing builds no arrays, so the limits are checked without allocating
+    base = BASE_CONFIG.replace("sim.n           = 128", "")
+    sc = parse_config(
+        base + f"sim.n = {MAX_GRID_SIZE}\n"
+        f"characteristics.count = {MAX_CHARACTERISTICS}\n"
+    )
+    assert (sc.sim.n, sc.characteristic_count) == (MAX_GRID_SIZE, MAX_CHARACTERISTICS)
+    with pytest.raises(ConfigError, match="'sim.n'.*exceeds"):
+        parse_config(base + f"sim.n = {MAX_GRID_SIZE + 2}\n")
+    with pytest.raises(ConfigError, match="'characteristics.count'.*exceeds"):
+        parse_config(
+            BASE_CONFIG + f"characteristics.count = {MAX_CHARACTERISTICS + 1}\n"
+        )
+
+
+def test_amplitude_solver_rejects_overflowing_energy():
+    # the solver builds states of its own, before any run or criteria check
+    text = "scenario.family = blowup31\nscenario.b = 1e200\nsim.n = 64\nsim.t_end = 1\n"
+    with pytest.raises(ConfigError, match="b = 1e\\+200"):
+        parse_config(text).resolve()
 
 
 def test_scenario_validation():
