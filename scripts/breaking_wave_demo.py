@@ -19,14 +19,14 @@ from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
 from dghsim.stepping import SimConfig, run
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=512, help="grid size")
     ap.add_argument("--margin", type=float, default=1.05,
                     help="initial slope as a multiple of the sharp threshold")
     ap.add_argument("--b", type=float, default=1.0, help="density amplitude")
     ap.add_argument("--t-end", type=float, default=5.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = ModelParams(A=1.0, gamma=0.0)
     a = solve_blowup_amplitude(b=args.b, margin=args.margin, model=p, n=args.n)

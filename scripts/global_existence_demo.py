@@ -22,18 +22,18 @@ from dghsim.characteristics import (
 )
 from dghsim.criteria import lyapunov_trace
 from dghsim.grid import PeriodicGrid
-from dghsim.model import ModelParams, energy_e0
+from dghsim.model import ModelParams
 from dghsim.scenarios import build_initial_data
 from dghsim.stepping import SimConfig, run
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=256)
     ap.add_argument("--t-end", type=float, default=10.0)
     ap.add_argument("--r0", type=float, default=2.0, help="density offset (> 1)")
     ap.add_argument("--seeds", type=int, default=64)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = ModelParams(A=1.0, gamma=0.0)
     s0 = build_initial_data("global41", {"r0": args.r0, "ru": 1.0},
@@ -41,15 +41,16 @@ def main() -> None:
     cfg = SimConfig(n=args.n, t_end=args.t_end)
     res = run(s0, p, cfg, seeds=default_seeds(args.seeds))
 
-    first, last = res.invariants[0], res.invariants[-1]
+    # columns E0, meanU, hamE, hamF of the first and the last record
+    first, last = res.series[[0, -1], 1:5]
     print(f"{res.termination.cause} at t = {res.termination.t:g} "
           f"({res.slope_trace.times.size - 1} steps)")
-    print(f"relative E0 drift  {abs(last.e0 - first.e0) / first.e0:.3e}")
-    print(f"mean-u drift       {abs(last.mean_u - first.mean_u):.3e}")
-    print(f"hamE / hamF drift  {abs(last.ham_e - first.ham_e):.3e} / "
-          f"{abs(last.ham_f - first.ham_f):.3e}")
+    print(f"relative E0 drift  {abs(last[0] - first[0]) / first[0]:.3e}")
+    print(f"mean-u drift       {abs(last[1] - first[1]):.3e}")
+    print(f"hamE / hamF drift  {abs(last[2] - first[2]):.3e} / "
+          f"{abs(last[3] - first[3]):.3e}")
 
-    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, energy_e0(s0), p)
+    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, first[0], p)
     m_peak = float(np.max(np.abs(res.slope_trace.m)))
     print(f"\nenvelope: beta = {lt.beta:.3f}, c1 = {lt.c1:.4f}, "
           f"c2 = {lt.c2:.4f}")

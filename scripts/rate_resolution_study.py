@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from dghsim.criteria import (
+    InsufficientWindowError,
     blowup_time_bound,
     estimate_blowup_rate,
     evaluate_criteria,
@@ -40,13 +41,13 @@ def first_dive_floor(m: np.ndarray) -> float:
     return float(peak)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--resolutions", type=int, nargs="+",
                     default=[512, 1024, 2048])
     ap.add_argument("--margin", type=float, default=1.05)
     ap.add_argument("--t-end", type=float, default=5.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = ModelParams(A=1.0, gamma=0.0)
     base_n = min(args.resolutions)
@@ -67,10 +68,12 @@ def main() -> None:
         dt_wall = time.perf_counter() - t0
         stall = first_dive_floor(res.slope_trace.m)
         ceiling = -0.65 * np.sqrt(n * rep.e0)
-        est = estimate_blowup_rate(res.slope_trace)
-        print(f"{n:>6} {stall:>10.1f} {ceiling:>15.1f} "
-              f"{est.rate:>9.4f} {est.t_blowup:>8.4f} "
-              f"{est.fit_quality:>9.6f} {dt_wall:>6.1f}")
+        try:
+            est = estimate_blowup_rate(res.slope_trace)
+            fit = f"{est.rate:>9.4f} {est.t_blowup:>8.4f} {est.fit_quality:>9.6f}"
+        except InsufficientWindowError:
+            fit = f"{'unavailable':>28}"
+        print(f"{n:>6} {stall:>10.1f} {ceiling:>15.1f} {fit} {dt_wall:>6.1f}")
 
     print("\nThe stall tracks the energy ceiling, not the grid spacing; the")
     print("fitted rate tightens toward -2 as the trusted window deepens.")

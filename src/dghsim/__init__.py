@@ -19,14 +19,13 @@ oracles, cli).
 """
 
 from .criteria import estimate_blowup_rate, evaluate_criteria
-from .grid import Field, PeriodicGrid
+from .grid import PeriodicGrid
 from .model import ModelParams, State
 from .scenarios import build_initial_data
 from .stepping import SimConfig, run
 
 __all__ = [
     "PeriodicGrid",
-    "Field",
     "ModelParams",
     "State",
     "SimConfig",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, interp_values
+from .grid import interp_values
 
 __all__ = [
     "CharacteristicEnsemble",
@@ -61,16 +61,16 @@ class CharacteristicEnsemble:
         return np.exp(self.log_qx)
 
 
-def default_seeds(count: int = 64) -> np.ndarray:
+def default_seeds(count: int) -> np.ndarray:
     """Equispaced seed positions on [0, 1)."""
     if count < 2:
         raise ValueError(f"need at least 2 seeds, got {count}")
     return np.arange(count) / count
 
 
-def verify_density_transport(e: CharacteristicEnsemble, rho0: Field) -> float:
+def verify_density_transport(e: CharacteristicEnsemble, rho0: np.ndarray) -> float:
     """sup |rho(t, q) q_x - rho0(x0)| over all recorded times and seeds."""
-    ref = interp_values(rho0.values, e.seeds)
+    ref = interp_values(rho0, e.seeds)
     return float(np.max(np.abs(e.rho_q * e.qx - ref[None, :])))
 
 
@@ -84,8 +84,8 @@ def is_monotone(e: CharacteristicEnsemble) -> bool:
     return bool(interior and wrap)
 
 
-def sign_preserved(e: CharacteristicEnsemble, rho0: Field) -> bool:
+def sign_preserved(e: CharacteristicEnsemble, rho0: np.ndarray) -> bool:
     """sign(rho(t, q)) matches sign(rho0(x0)) wherever rho0 is nonzero."""
-    ref = interp_values(rho0.values, e.seeds)
-    active = np.abs(ref) > 1.0e-12 * float(np.max(np.abs(rho0.values)))
+    ref = interp_values(rho0, e.seeds)
+    active = np.abs(ref) > 1.0e-12 * float(np.max(np.abs(rho0)))
     return bool(np.all(e.rho_q[:, active] * ref[None, active] > 0.0))

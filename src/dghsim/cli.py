@@ -40,7 +40,7 @@ from .criteria import (
     evaluate_criteria,
     lyapunov_trace,
 )
-from .grid import NonFiniteFieldError
+from .model import NonFiniteFieldError
 from .scenarios import (
     ConfigError,
     Scenario,
@@ -111,7 +111,8 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
     result = run(s0, sc.model, sc.sim, seeds=seeds)
 
     doc: dict = {"config": resolved_config(sc), "criteria": _report_criteria(report)}
-    first, last = result.invariants[0], result.invariants[-1]
+    # columns E0 and meanU of the first and the last record
+    (e0_first, mu_first), (e0_last, mu_last) = result.series[[0, -1], 1:3].tolist()
     doc["run"] = {
         "termination": {
             "cause": result.termination.cause,
@@ -119,14 +120,14 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
         },
         "t_sim": result.termination.t,
         "steps": len(result.slope_trace.times) - 1,
-        "records": len(result.invariants),
+        "records": len(result.series),
         "drift": {
-            "e0_rel": abs(last.e0 - first.e0) / max(abs(first.e0), 1.0e-300),
-            "mean_u_abs": abs(last.mean_u - first.mean_u),
+            "e0_rel": abs(e0_last - e0_first) / max(abs(e0_first), 1.0e-300),
+            "mean_u_abs": abs(mu_last - mu_first),
         },
         "final": {
-            "e0": last.e0,
-            "mean_u": last.mean_u,
+            "e0": e0_last,
+            "mean_u": mu_last,
             "min_ux": float(result.slope_trace.m[-1]),
         },
     }
@@ -175,7 +176,7 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
         x = s0.grid.nodes
         for t, st in result.snapshots:
             name = _snapshot_name(t, used)
-            rows = np.column_stack([x, st.u.values, st.rho.values])
+            rows = np.column_stack([x, st.u, st.rho])
             _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows)
     if result.ensemble is not None:
         ens = result.ensemble

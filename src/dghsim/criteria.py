@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, derivative, green_kernel, interp_values
-from .model import ModelParams, State, energy_e0, mean_u
+from .grid import deriv_values, green_kernel, interp_values
+from .model import ModelParams, energy_e0, mean_u
 
 __all__ = [
     "SHARP_EMBEDDING_CONSTANT",
+    "DEFAULT_EPS_LIST",
     "SlopeTrace",
     "RateEstimate",
     "LyapunovTrace",
@@ -55,6 +56,8 @@ SHARP_EMBEDDING_CONSTANT = (math.e + 1.0) / (2.0 * (math.e - 1.0))
 # separate because it enters the envelope bound through the kernel, not the
 # embedding
 _KERNEL_MAX = green_kernel(0.0)
+# eps values at which the mean-based route is evaluated unless told otherwise
+DEFAULT_EPS_LIST = (0.1, 1.0, 10.0)
 
 
 class InsufficientWindowError(ValueError):
@@ -255,17 +258,18 @@ class LyapunovTrace:
 
 
 def lyapunov_trace(
-    trace: SlopeTrace, rho0: Field, u0: Field, e0: float, p: ModelParams
+    trace: SlopeTrace, rho0: np.ndarray, u0: np.ndarray, e0: float, p: ModelParams
 ) -> LyapunovTrace:
     """Certificate w(t) and envelope for runs with density of one sign.
 
     w(t) = alpha(0) alpha(t) + (alpha(0)/alpha(t)) (1 + m(t)^2) grows at
     most like exp((c1 + 1/2) t), which caps |m(t)| by
-    (c2 / (2 beta)) exp((c1 + 1/2) t) with beta = min |rho0| > 0.
+    (c2 / (2 beta)) exp((c1 + 1/2) t) with beta = min |rho0| > 0; rho0 and
+    u0 are the initial samples.
     """
-    dx = rho0.grid.dx
-    lo, _ = refined_min(rho0.values, dx)
-    hi, _ = refined_max(rho0.values, dx)
+    dx = 1.0 / rho0.size
+    lo, _ = refined_min(rho0, dx)
+    hi, _ = refined_max(rho0, dx)
     if lo > 0.0:
         beta = lo
     elif hi < 0.0:
@@ -282,7 +286,7 @@ def lyapunov_trace(
 
     c = SHARP_EMBEDDING_CONSTANT
     c1 = c * e0 + 2.0 * abs(p.gamma - p.A) * math.sqrt(c * e0) + _KERNEL_MAX * e0
-    ux0 = derivative(u0, 1).values
+    ux0 = deriv_values(u0, 1)
     sup_ux0 = max(abs(refined_min(ux0, dx)[0]), abs(refined_max(ux0, dx)[0]))
     sup_rho0 = max(abs(lo), abs(hi))
     c2 = sup_rho0**2 + 1.0 + sup_ux0**2
@@ -310,35 +314,33 @@ def _corner_safe_mean(v: np.ndarray) -> float:
     return float((4.0 * np.mean(v) - np.mean(v[::2])) / 3.0)
 
 
-def sobolev_sharp_check(f: Field, fx: Field | None = None) -> float:
-    """max f^2 / integral(f^2 + f_x^2); never exceeds the sharp constant.
+def sobolev_sharp_check(f: np.ndarray, fx: np.ndarray | None = None) -> float:
+    """max f^2 / integral(f^2 + f_x^2) over samples f; never exceeds the
+    sharp constant.
 
     The derivative defaults to the spectral one; pass fx explicitly when
     the samples come from a function with corners.
     """
-    v = f.values
-    if float(np.max(np.abs(v))) == 0.0:
+    if float(np.max(np.abs(f))) == 0.0:
         raise ValueError("zero field has no embedding ratio")
     if fx is None:
-        dv = derivative(f, 1).values
-    else:
-        if fx.grid != f.grid:
-            raise ValueError("fx must live on the grid of f")
-        dv = fx.values
-    num, _ = refined_max(v * v, f.grid.dx)
-    den = _corner_safe_mean(v * v + dv * dv)
+        fx = deriv_values(f, 1)
+    elif np.shape(fx) != np.shape(f):
+        raise ValueError("fx must have the shape of f")
+    num, _ = refined_max(f * f, 1.0 / f.size)
+    den = _corner_safe_mean(f * f + fx * fx)
     return num / den
 
 
-def poincare_check(f: Field, eps: float) -> float:
-    """Margin of (eps+2)/24 int f_x^2 + (eps+2)/(4 eps) a0^2 - max f^2."""
+def poincare_check(f: np.ndarray, eps: float) -> float:
+    """Margin of (eps+2)/24 int f_x^2 + (eps+2)/(4 eps) a0^2 - max f^2
+    over samples f."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    v = f.values
-    dv = derivative(f, 1).values
-    a0 = 2.0 * float(np.mean(v))
-    lhs, _ = refined_max(v * v, f.grid.dx)
-    rhs = (eps + 2.0) / 24.0 * _corner_safe_mean(dv * dv) + (eps + 2.0) / (
+    fx = deriv_values(f, 1)
+    a0 = 2.0 * float(np.mean(f))
+    lhs, _ = refined_max(f * f, 1.0 / f.size)
+    rhs = (eps + 2.0) / 24.0 * _corner_safe_mean(fx * fx) + (eps + 2.0) / (
         4.0 * eps
     ) * a0**2
     return rhs - lhs
@@ -378,21 +380,20 @@ class CriterionReport:
 
 
 def evaluate_criteria(
-    u0: Field,
-    rho0: Field,
+    u0: np.ndarray,
+    rho0: np.ndarray,
     p: ModelParams,
-    eps_list: tuple[float, ...] = (0.1, 1.0, 10.0),
+    eps_list: tuple[float, ...] = DEFAULT_EPS_LIST,
 ) -> CriterionReport:
-    """Evaluate every breakdown/global criterion on the initial data."""
-    s0 = State(u0, rho0)
-    e0 = energy_e0(s0)
-    a0 = 2.0 * mean_u(s0)
-    dx = u0.grid.dx
+    """Evaluate every breakdown/global criterion on the initial samples."""
+    dx = 1.0 / u0.size
+    ux0 = deriv_values(u0, 1)
+    e0 = energy_e0(u0, ux0, rho0)
+    a0 = 2.0 * mean_u(u0)
 
-    ux0 = derivative(u0, 1).values
     m0, xi0 = refined_min(ux0, dx)
-    rho_at_xi = float(interp_values(rho0.values, np.asarray([xi0]))[0])
-    rho_hi, _ = refined_max(np.abs(rho0.values), dx)
+    rho_at_xi = float(interp_values(rho0, np.asarray([xi0]))[0])
+    rho_hi, _ = refined_max(np.abs(rho0), dx)
     rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * rho_hi
 
     thresholds = {"sharp": threshold_sharp(e0, p.gamma, p.A)}
@@ -422,8 +423,8 @@ def evaluate_criteria(
     met = rho_vanishes and zero_mean and m0 < thresholds["zero_mean"]
     verdicts["zero_mean"] = Verdict(met, BLOWUP_PREDICTED if met else NO_PREDICTION)
 
-    rho_lo, _ = refined_min(rho0.values, dx)
-    rho_top, _ = refined_max(rho0.values, dx)
+    rho_lo, _ = refined_min(rho0, dx)
+    rho_top, _ = refined_max(rho0, dx)
     nonvanishing = rho_lo > 0.0 or rho_top < 0.0
     verdicts["positive_density"] = Verdict(
         nonvanishing, GLOBAL_PREDICTED if nonvanishing else NO_PREDICTION

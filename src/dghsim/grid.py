@@ -17,7 +17,9 @@ which removes aliasing into the retained band.  Padding and projection are
 statements about coefficients (zero-fill above n/2, split or fold the
 Nyquist mode), so the dynamics apply them to coefficients directly, to
 several fields per batched transform; deriv_values, pad_values and
-interp_values likewise accept a leading batch axis.
+interp_values likewise accept a leading batch axis.  Every operation here
+takes and returns plain sample arrays; the grid object only carries the
+size and the cached symbol tables.
 
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
@@ -32,15 +34,12 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "NonFiniteFieldError",
+    "ParameterError",
     "PeriodicGrid",
-    "Field",
     "green_kernel",
     "dgreen_kernel",
-    "derivative",
     "helmholtz_convolve",
     "dgreen_convolve",
-    "integral",
     "random_trig_field",
     "pad_values",
     "project_values",
@@ -51,8 +50,13 @@ __all__ = [
 _TWO_SINH_HALF = 2.0 * np.sinh(0.5)
 
 
-class NonFiniteFieldError(ValueError):
-    """A field holds (or an operation produced) non-finite samples."""
+class ParameterError(ValueError):
+    """A parameter lies outside its range; `name` is its field name, so a
+    config reader can name the key that set it."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(message)
+        self.name = name
 
 
 def green_kernel(x):
@@ -90,9 +94,9 @@ class PeriodicGrid:
         if not isinstance(self.n, int):
             raise TypeError(f"grid size must be an int, got {type(self.n).__name__}")
         if self.n < 8:
-            raise ValueError(f"grid size must be at least 8, got n={self.n}")
+            raise ParameterError("n", f"grid size must be at least 8, got n={self.n}")
         if self.n % 2 != 0:
-            raise ValueError(f"grid size must be even, got n={self.n}")
+            raise ParameterError("n", f"grid size must be even, got n={self.n}")
 
     @cached_property
     def dx(self) -> float:
@@ -134,34 +138,8 @@ class PeriodicGrid:
         return s
 
 
-@dataclass(frozen=True)
-class Field:
-    """Real samples on a periodic grid.  Samples must be finite."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} samples, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteFieldError("field samples must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, value: float) -> "Field":
-        return cls(grid, np.full(grid.n, float(value)))
-
-
 # ---------------------------------------------------------------------------
-# array-level kernels; Field wrappers below
+# array-level kernels
 
 def deriv_values(v: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative of each row of v (shape (..., n))."""
@@ -245,29 +223,16 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape[:-1] + xs.shape)
 
 
-# ---------------------------------------------------------------------------
-# Field-level operations
-
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative of the given order (Nyquist zeroed when odd)."""
-    return Field(f.grid, deriv_values(f.values, order))
+def helmholtz_convolve(v: np.ndarray) -> np.ndarray:
+    """G * v for each row of v, the inverse of 1 - d^2/dx^2 as an exact symbol."""
+    g = PeriodicGrid(v.shape[-1])
+    return np.fft.irfft(np.fft.rfft(v) * g.helmholtz_symbol, g.n)
 
 
-def helmholtz_convolve(f: Field) -> Field:
-    """G * f, the inverse of 1 - d^2/dx^2, applied as an exact symbol."""
-    c = np.fft.rfft(f.values) * f.grid.helmholtz_symbol
-    return Field(f.grid, np.fft.irfft(c, f.grid.n))
-
-
-def dgreen_convolve(f: Field) -> Field:
-    """(G * f)', the smoothing gradient; output always has zero mean."""
-    c = np.fft.rfft(f.values) * f.grid.dgreen_symbol
-    return Field(f.grid, np.fft.irfft(c, f.grid.n))
-
-
-def integral(f: Field) -> float:
-    """Trapezoidal quadrature over one period (= the node mean)."""
-    return float(np.mean(f.values))
+def dgreen_convolve(v: np.ndarray) -> np.ndarray:
+    """(G * v)' for each row of v, the smoothing gradient; always mean zero."""
+    g = PeriodicGrid(v.shape[-1])
+    return np.fft.irfft(np.fft.rfft(v) * g.dgreen_symbol, g.n)
 
 
 def random_trig_field(
@@ -276,8 +241,9 @@ def random_trig_field(
     max_mode: int = 8,
     rms: float = 1.0,
     zero_mean: bool = False,
-) -> Field:
-    """Random band-limited field with mildly decaying mode amplitudes."""
+) -> np.ndarray:
+    """Samples of a random band-limited field with mildly decaying mode
+    amplitudes."""
     if max_mode < 1 or max_mode >= grid.n // 2:
         raise ValueError(f"max_mode must be in 1 .. {grid.n // 2 - 1}")
     x = grid.nodes
@@ -291,4 +257,4 @@ def random_trig_field(
     scale = np.sqrt(np.mean(v * v))
     if scale > 0.0:
         v *= rms / scale
-    return Field(grid, v)
+    return v

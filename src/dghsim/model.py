@@ -16,27 +16,34 @@ transform of (u, rho), zero-padding of the coefficients of u, u_x and rho,
 one batched inverse transform to 2n points, the three products, one
 batched forward transform at 2n, truncation back to the n-point band, and
 one batched inverse transform of (du, drho) -- four transforms in all.
+
+A State is the one container of (grid, u, rho) as float sample arrays; the
+invariant functionals take the arrays themselves, plus the slope u_x,
+which the caller computes once and shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, PeriodicGrid, deriv_values, pad_values
+from .grid import ParameterError, PeriodicGrid, pad_values
 
 __all__ = [
+    "NonFiniteFieldError",
     "ModelParams",
     "State",
-    "InvariantRecord",
     "rhs_values",
     "energy_e0",
     "mean_u",
     "hamiltonian_e",
     "hamiltonian_f",
 ]
+
+
+class NonFiniteFieldError(ValueError):
+    """A state holds non-finite samples."""
 
 
 @dataclass(frozen=True)
@@ -47,38 +54,33 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.A) and np.isfinite(self.gamma)):
-            raise ValueError("model parameters must be finite")
-        if self.A <= 0.0:
-            raise ValueError(f"shear strength A must be positive, got A={self.A}")
+        if not np.isfinite(self.gamma):
+            raise ParameterError("gamma", f"gamma must be finite, got {self.gamma}")
+        # written as not (inside) so that NaN fails
+        if not 0.0 < self.A < np.inf:
+            raise ParameterError(
+                "A", f"shear strength A must be positive and finite, got A={self.A}"
+            )
 
 
 @dataclass(frozen=True)
 class State:
-    u: Field
-    rho: Field
+    """Velocity and density samples on one grid; both finite, n samples each."""
+
+    grid: PeriodicGrid
+    u: np.ndarray
+    rho: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.u.grid != self.rho.grid:
-            raise ValueError("u and rho must share a grid")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.u.grid
-
-    @cached_property
-    def ux(self) -> np.ndarray:
-        """u_x, computed once per state and shared by the invariants."""
-        return deriv_values(self.u.values, 1)
-
-
-@dataclass(frozen=True)
-class InvariantRecord:
-    t: float
-    e0: float
-    mean_u: float
-    ham_e: float
-    ham_f: float
+        for name in ("u", "rho"):
+            v = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if v.shape != (self.grid.n,):
+                raise ValueError(
+                    f"{name}: expected {self.grid.n} samples, got shape {v.shape}"
+                )
+            if not np.isfinite(v).all():
+                raise NonFiniteFieldError("field samples must be finite")
+            object.__setattr__(self, name, v)
 
 
 def rhs_values(
@@ -119,30 +121,30 @@ def rhs_values(
     return du, drho
 
 
-def energy_e0(s: State) -> float:
+def energy_e0(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
     """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions."""
-    return float(np.mean(s.u.values**2 + s.ux**2 + s.rho.values**2))
+    return float(np.mean(u**2 + ux**2 + rho**2))
 
 
-def mean_u(s: State) -> float:
+def mean_u(u: np.ndarray) -> float:
     """integral(u), conserved exactly."""
-    return float(np.mean(s.u.values))
+    return float(np.mean(u))
 
 
-def hamiltonian_e(s: State) -> float:
+def hamiltonian_e(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
     """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2."""
-    return 0.5 * (energy_e0(s) - 2.0 * float(np.mean(s.rho.values)) + 1.0)
+    return 0.5 * (energy_e0(u, ux, rho) - 2.0 * float(np.mean(rho)) + 1.0)
 
 
-def hamiltonian_f(s: State, p: ModelParams) -> float:
+def hamiltonian_f(
+    u: np.ndarray, ux: np.ndarray, rho: np.ndarray, p: ModelParams
+) -> float:
     """Cubic invariant, evaluated on a 2n grid so the products are exact.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
     """
-    n = s.grid.n
-    m = 2 * n
-    uf, uxf, rf = pad_values(np.stack((s.u.values, s.ux, s.rho.values)), m)
+    uf, uxf, rf = pad_values(np.stack((u, ux, rho)), 2 * u.size)
     rf -= 1.0
     integrand = (
         uf**3

@@ -26,9 +26,8 @@ from .criteria import (
     threshold_zero_mean,
 )
 from .grid import (
-    Field,
     PeriodicGrid,
-    derivative,
+    deriv_values,
     dgreen_convolve,
     dgreen_kernel,
     green_kernel,
@@ -118,10 +117,10 @@ def sharp_kernel_ratio(rng: np.random.Generator, draws: int) -> tuple[float, flo
     """(distance of the kernel's embedding ratio from the sharp constant,
     worst excess of a random field's ratio over it)."""
     g = PeriodicGrid(512)
-    f = Field(g, green_kernel(g.nodes))
+    f = green_kernel(g.nodes)
     fx = dgreen_kernel(g.nodes)
     fx[0] = -0.5  # one-sided corner derivative, so fx^2 keeps its size there
-    err = abs(sobolev_sharp_check(f, Field(g, fx)) - SHARP_EMBEDDING_CONSTANT)
+    err = abs(sobolev_sharp_check(f, fx) - SHARP_EMBEDDING_CONSTANT)
     g2 = PeriodicGrid(256)
     worst = -np.inf
     for _ in range(draws):
@@ -150,13 +149,13 @@ def helmholtz_oracle(rng: np.random.Generator, draws: int) -> tuple[float, float
     worst_split = 0.0
     for _ in range(draws):
         f = random_trig_field(g, rng, max_mode=12, rms=float(rng.uniform(0.2, 2.0)))
-        direct = kernel_quadrature(f.values, g, green_kernel)
+        direct = kernel_quadrature(f, g, green_kernel)
         worst_quad = max(
-            worst_quad, float(np.max(np.abs(helmholtz_convolve(f).values - direct)))
+            worst_quad, float(np.max(np.abs(helmholtz_convolve(f) - direct)))
         )
-        split = derivative(helmholtz_convolve(f)).values
+        split = deriv_values(helmholtz_convolve(f), 1)
         worst_split = max(
-            worst_split, float(np.max(np.abs(dgreen_convolve(f).values - split)))
+            worst_split, float(np.max(np.abs(dgreen_convolve(f) - split)))
         )
     return worst_quad, worst_split
 
@@ -170,8 +169,8 @@ def steady_state_deviation(steps: int) -> float:
     for _ in range(steps):
         s = step_rk4(s, p, 1.0e-3)
     return max(
-        float(np.max(np.abs(s.u.values - s0.u.values))),
-        float(np.max(np.abs(s.rho.values - s0.rho.values))),
+        float(np.max(np.abs(s.u - s0.u))),
+        float(np.max(np.abs(s.rho - s0.rho))),
     )
 
 
@@ -179,16 +178,18 @@ def rk4_orders() -> list[float]:
     """Observed convergence orders of step_rk4 to t = 0.1 between 32, 64 and
     128 steps, against a 1024-step reference, on smooth data at n = 64."""
     g = PeriodicGrid(64)
-    u0 = Field.from_function(g, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x))
-    r0 = Field.from_function(g, lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x))
+    x = g.nodes
+    s0 = State(
+        g, 0.5 + 0.25 * np.sin(2.0 * np.pi * x), 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
+    )
     p = ModelParams(A=1.0, gamma=0.3)
     t_end = 0.1
 
     def integrate(count):
-        s = State(u0, r0)
+        s = s0
         for _ in range(count):
             s = step_rk4(s, p, t_end / count)
-        return s.u.values
+        return s.u
 
     ref = integrate(1024)
     errs = [float(np.max(np.abs(integrate(k) - ref))) for k in (32, 64, 128)]

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import threshold_sharp
-from .grid import Field, PeriodicGrid
+from .criteria import DEFAULT_EPS_LIST, threshold_sharp
+from .grid import ParameterError, PeriodicGrid, deriv_values
 from .model import ModelParams, State, energy_e0
 from .stepping import SimConfig
 
@@ -176,6 +176,36 @@ def _trig_series(
     return v
 
 
+def _initial_arrays(
+    family: str, params: dict, grid: PeriodicGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, rho) samples of one family; see build_initial_data."""
+    p = _merge_family_params(family, params)
+    x = grid.nodes
+    if family == "constant":
+        return np.full(grid.n, float(p["c"])), np.full(grid.n, float(p["r"]))
+    if family == "blowup31":
+        a = p["a"]
+        if a == "auto":
+            raise ConfigError(
+                "blowup31 amplitude is unresolved; use Scenario.resolve() or "
+                "pass a number for scenario.a"
+            )
+        u = (a / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
+        rho = p["b"] * np.sin(np.pi * (x - 0.5)) ** 2
+        return u, rho
+    if family == "global41":
+        u = p["ru"] * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
+        rho = p["r0"] + np.sin(2.0 * np.pi * x)
+        return u, rho
+    if family == "zero-mean":
+        u = (p["a"] / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
+        return u, np.zeros(grid.n)
+    u = _trig_series(grid, p["u_mean"], p["u_cos"], p["u_sin"])
+    rho = _trig_series(grid, p["rho_mean"], p["rho_cos"], p["rho_sin"])
+    return u, rho
+
+
 def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
     """Construct initial fields for one of the named families.
 
@@ -186,45 +216,25 @@ def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
     zero-mean(a)          u = (a/2pi) sin(2pi x) (mean zero), rho = 0
     custom-fourier(...)   truncated cosine/sine series for both fields
     """
-    p = _merge_family_params(family, params)
-    x = grid.nodes
-    if family == "constant":
-        return State(Field.constant(grid, p["c"]), Field.constant(grid, p["r"]))
-    if family == "blowup31":
-        a = p["a"]
-        if a == "auto":
-            raise ConfigError(
-                "blowup31 amplitude is unresolved; use Scenario.resolve() or "
-                "pass a number for scenario.a"
-            )
-        u = (a / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
-        rho = p["b"] * np.sin(np.pi * (x - 0.5)) ** 2
-        return State(Field(grid, u), Field(grid, rho))
-    if family == "global41":
-        u = p["ru"] * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
-        rho = p["r0"] + np.sin(2.0 * np.pi * x)
-        return State(Field(grid, u), Field(grid, rho))
-    if family == "zero-mean":
-        u = (p["a"] / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
-        return State(Field(grid, u), Field.constant(grid, 0.0))
-    u = _trig_series(grid, p["u_mean"], p["u_cos"], p["u_sin"])
-    rho = _trig_series(grid, p["rho_mean"], p["rho_cos"], p["rho_sin"])
-    return State(Field(grid, u), Field(grid, rho))
+    return State(grid, *_initial_arrays(family, params, grid))
 
 
-def _check_energy(e0: float, family: str, params: dict) -> float:
-    """Pass E0 of initial data through, or reject it as a config error.
+def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
+    """(u, rho, E0) of a family's initial data, or a config error naming
+    the family and its parameters when E0 is not finite or too large.
 
-    Callers compute e0 with numpy overflow warnings silenced, so data past
+    Callers run this with numpy overflow warnings silenced, so data past
     the range reports here and nowhere else.
     """
+    u, rho = _initial_arrays(family, params, grid)
+    e0 = energy_e0(u, deriv_values(u, 1), rho)
     if not e0 <= _MAX_ENERGY:
         shown = ", ".join(f"{k} = {v!r}" for k, v in params.items())
         raise ConfigError(
             f"{family} initial data ({shown}) has energy E0 = {e0!r}, "
             f"beyond {_MAX_ENERGY:.3g}"
         )
-    return e0
+    return u, rho, e0
 
 
 def solve_blowup_amplitude(
@@ -245,8 +255,7 @@ def solve_blowup_amplitude(
     grid = PeriodicGrid(n)
 
     def overshoot(a: float) -> float:
-        s = build_initial_data("blowup31", {"a": a, "b": b}, grid)
-        e0 = _check_energy(energy_e0(s), "blowup31", {"a": a, "b": b})
+        _, _, e0 = _checked_energy("blowup31", {"a": a, "b": b}, grid)
         th = threshold_sharp(e0, model.gamma, model.A)
         return a - margin * abs(th)
 
@@ -282,23 +291,26 @@ class Scenario:
     family_params: tuple[tuple[str, object], ...]
     model: ModelParams
     sim: SimConfig
-    eps_list: tuple[float, ...] = (0.1, 1.0, 10.0)
+    eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     characteristics: bool = False
     characteristic_count: int = 64
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("scenario name must be nonempty")
+            raise ConfigError("key 'scenario.name': the name must be nonempty")
         merged = _merge_family_params(self.family, dict(self.family_params))
         object.__setattr__(self, "family_params", tuple(merged.items()))
         object.__setattr__(
             self, "eps_list", tuple(float(e) for e in self.eps_list)
         )
         if not all(e > 0.0 for e in self.eps_list):
-            raise ConfigError(f"eps_list entries must be positive: {self.eps_list}")
+            raise ConfigError(
+                f"key 'criteria.eps_list': entries must be positive, got "
+                f"{self.eps_list}"
+            )
         if not self.characteristic_count >= 2:
             raise ConfigError(
-                f"characteristic count must be at least 2, got "
+                f"key 'characteristics.count': must be at least 2, got "
                 f"{self.characteristic_count}"
             )
 
@@ -316,10 +328,10 @@ class Scenario:
 
     def build_state(self) -> State:
         """Initial data on the run's grid; its energy must be finite."""
-        s = build_initial_data(self.family, self.params, PeriodicGrid(self.sim.n))
+        grid = PeriodicGrid(self.sim.n)
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_energy(energy_e0(s), self.family, self.params)
-        return s
+            u, rho, _ = _checked_energy(self.family, self.params, grid)
+        return State(grid, u, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +365,14 @@ _SIM_KEYS = {
     "sim.blowup_slope": _to_float,
     "sim.record_every": _to_int,
     "sim.snapshot_times": _to_float_tuple,
+}
+# key -> (Scenario field, converter); an absent key keeps the field's default
+_ANALYSIS_KEYS = {
+    "criteria.eps_list": ("eps_list", _to_float_tuple),
+    "characteristics.enabled": ("characteristics", _to_bool),
+    "characteristics.count": (
+        "characteristic_count", _to_int_at_most(MAX_CHARACTERISTICS)
+    ),
 }
 
 
@@ -401,30 +421,30 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
     if "t_end" not in sim_kwargs:
         raise ConfigError("missing required key 'sim.t_end'")
 
-    eps_list = take("criteria.eps_list", _to_float_tuple, default=(0.1, 1.0, 10.0))
-    chars_on = take("characteristics.enabled", _to_bool, default=False)
-    char_count = take(
-        "characteristics.count", _to_int_at_most(MAX_CHARACTERISTICS), default=64
-    )
+    analysis = {
+        field: take(key, conv)
+        for key, (field, conv) in _ANALYSIS_KEYS.items()
+        if key in entries
+    }
 
     if entries:
         stray = sorted(entries)[0]
         raise ConfigError(f"unknown key {stray!r}")
 
-    try:
-        model = ModelParams(**model_kwargs)
-        sim = SimConfig(**sim_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    def build(section: str, cls, kwargs: dict):
+        # the range checks live in the class; the config names the key
+        try:
+            return cls(**kwargs)
+        except ParameterError as exc:
+            raise ConfigError(f"key '{section}.{exc.name}': {exc}") from None
+
     return Scenario(
         name=name,
         family=family,
         family_params=tuple(fam_params.items()),
-        model=model,
-        sim=sim,
-        eps_list=eps_list,
-        characteristics=chars_on,
-        characteristic_count=char_count,
+        model=build("model", ModelParams, model_kwargs),
+        sim=build("sim", SimConfig, sim_kwargs),
+        **analysis,
     )
 
 

@@ -13,6 +13,10 @@ Runs terminate with one of four causes:
                   while the slope was negative and still falling
   DtUnderflow     dt fell below dt_min without a steepening slope
   NonFiniteState  an RK4 stage produced non-finite samples
+
+The loop carries (u, rho) as plain arrays.  A record reads the invariants
+straight off them, sharing the u_x that the step's slope tracking already
+took; only a snapshot builds a State.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ import numpy as np
 
 from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, refined_min
-from .grid import Field, PeriodicGrid, deriv_values, interp_values
+from .grid import ParameterError, PeriodicGrid, deriv_values, interp_values
 from .model import (
-    InvariantRecord,
     ModelParams,
     State,
     energy_e0,
@@ -77,23 +80,21 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         PeriodicGrid(self.n)  # validates n
-        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        # written as not (inside) so that NaN fails every test
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 < self.slope_dt_factor < math.inf:
-            raise ValueError(
-                f"slope_dt_factor must be positive and finite, got {self.slope_dt_factor}"
-            )
-        if not 0.0 < self.dt_min < math.inf:
-            raise ValueError(f"dt_min must be positive and finite, got {self.dt_min}")
-        if not -math.inf < self.blowup_slope < 0.0:
-            raise ValueError(
-                f"blowup_slope must be negative and finite, got {self.blowup_slope}"
-            )
-        if not self.record_every >= 1:
-            raise ValueError("record_every must be at least 1")
+        # each test is written as "inside the range", so NaN fails it
+        for name, inside, rule in (
+            ("t_end", 0.0 < self.t_end < math.inf, "positive and finite"),
+            ("cfl", 0.0 < self.cfl <= 1.0, "in (0, 1]"),
+            ("slope_dt_factor", 0.0 < self.slope_dt_factor < math.inf,
+             "positive and finite"),
+            ("dt_min", 0.0 < self.dt_min < math.inf, "positive and finite"),
+            ("blowup_slope", -math.inf < self.blowup_slope < 0.0,
+             "negative and finite"),
+            ("record_every", self.record_every >= 1, "at least 1"),
+        ):
+            if not inside:
+                raise ParameterError(
+                    name, f"{name} must be {rule}, got {getattr(self, name)}"
+                )
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
         )
@@ -107,7 +108,6 @@ class Termination:
 
 @dataclass(frozen=True)
 class SimResult:
-    invariants: list[InvariantRecord]
     slope_trace: SlopeTrace
     snapshots: list[tuple[float, State]]
     termination: Termination
@@ -194,8 +194,8 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     """Single classical RK4 step of the field equations."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, rho, _, _ = _advance(s.u.values, s.rho.values, s.grid, p, dt)
-    return State(Field(s.grid, u), Field(s.grid, rho))
+    u, rho, _, _ = _advance(s.u, s.rho, s.grid, p, dt)
+    return State(s.grid, u, rho)
 
 
 def run(
@@ -213,8 +213,8 @@ def run(
     grid = s0.grid
     if grid.n != c.n:
         raise ValueError(f"state lives on n={grid.n}, config says n={c.n}")
-    u = np.array(s0.u.values)
-    rho = np.array(s0.rho.values)
+    u = np.array(s0.u)
+    rho = np.array(s0.rho)
     track = seeds is not None
     if track:
         q = np.array(seeds, dtype=float)
@@ -235,14 +235,16 @@ def run(
     trace_xi: list[float] = []
     trace_alpha: list[float] = []
     rows: list[list[float]] = []
-    invariants: list[InvariantRecord] = []
     snapshots: list[tuple[float, State]] = []
     ens_t: list[float] = []
     ens_q: list[np.ndarray] = []
     ens_lq: list[np.ndarray] = []
     ens_rq: list[np.ndarray] = []
 
+    ux = None  # slope of the current u, taken by observe() and read by record()
+
     def observe() -> None:
+        nonlocal ux
         ux = deriv_values(u, 1)
         m, xi = refined_min(ux, grid.dx)
         alpha = float(interp_values(rho, np.asarray([xi]))[0])
@@ -256,15 +258,11 @@ def run(
         if step == last_recorded:
             return
         last_recorded = step
-        st = State(Field(grid, u), Field(grid, rho))
-        e0 = energy_e0(st)
-        mu = mean_u(st)
-        he = hamiltonian_e(st)
-        hf = hamiltonian_f(st, p)
-        invariants.append(InvariantRecord(t, e0, mu, he, hf))
-        rows.append(
-            [t, e0, mu, he, hf, trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next]
-        )
+        rows.append([
+            t, energy_e0(u, ux, rho), mean_u(u),
+            hamiltonian_e(u, ux, rho), hamiltonian_f(u, ux, rho, p),
+            trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
+        ])
         if track:
             ens_t.append(t)
             ens_q.append(q.copy())
@@ -272,7 +270,7 @@ def run(
             ens_rq.append(interp_values(rho, q))
 
     def take_snapshot() -> None:
-        snapshots.append((t, State(Field(grid, u), Field(grid, rho))))
+        snapshots.append((t, State(grid, u, rho)))
 
     observe()
     termination: Termination | None = None
@@ -348,7 +346,6 @@ def run(
             rho_q=np.vstack(ens_rq),
         )
     return SimResult(
-        invariants=invariants,
         slope_trace=trace,
         snapshots=snapshots,
         termination=termination,

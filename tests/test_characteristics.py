@@ -12,14 +12,14 @@ from dghsim.characteristics import (
     sign_preserved,
     verify_density_transport,
 )
-from dghsim.grid import Field, PeriodicGrid
+from dghsim.grid import PeriodicGrid
 from dghsim.model import ModelParams, State
 from dghsim.stepping import SimConfig, run
 
 
 def build_state(n, u_fn, rho_fn):
     g = PeriodicGrid(n)
-    return State(Field.from_function(g, u_fn), Field.from_function(g, rho_fn))
+    return State(g, u_fn(g.nodes), rho_fn(g.nodes))
 
 
 # ---------------------------------------------------------------------------

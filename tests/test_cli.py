@@ -20,7 +20,6 @@ from dghsim.cli import (
     main,
 )
 from dghsim.characteristics import default_seeds
-from dghsim.grid import Field
 from dghsim.scenarios import ConfigError
 from dghsim.stepping import SERIES_COLUMNS, run
 
@@ -201,6 +200,42 @@ def test_overflowing_energy_exits_2(tmp_path, capsys):
     assert "global41" in err and "r0 = 1e+308" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_custom_fourier_data_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "scenario.family = custom-fourier\nscenario.u_cos = 1e308, 1e308\n"
+        "sim.n = 32\nsim.t_end = 1.0\n"
+    )
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "custom-fourier initial data" in err and "u_cos = (1e+308, 1e+308)" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "model.A = -1",
+        "sim.n = 6",
+        "sim.n = 33",
+        "sim.t_end = 0",
+        "sim.cfl = 1.5",
+        "sim.slope_dt_factor = 0",
+        "sim.dt_min = -1",
+        "sim.blowup_slope = 10",
+        "sim.record_every = 0",
+        "scenario.name =",
+        "criteria.eps_list = 0.0, 1.0",
+        "characteristics.count = 1",
+    ],
+)
+def test_range_check_names_its_key(line, tmp_path, capsys):
+    cfg = write_config(tmp_path, line)
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    key = line.split("=")[0].strip()
+    assert f"config error: key '{key}': " in capsys.readouterr().err
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(SMOOTH_CONFIG.replace("demo", "d\xe9mo").encode("latin-1"))
@@ -298,7 +333,7 @@ def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):
     convolve = oracles.helmholtz_convolve
 
     def off_by_a_millionth(f):
-        return Field(f.grid, convolve(f).values * (1.0 + 1.0e-6))
+        return convolve(f) * (1.0 + 1.0e-6)
 
     monkeypatch.setattr(oracles, "helmholtz_convolve", off_by_a_millionth)
     assert main(["selftest"]) == EXIT_NUMERIC

@@ -34,7 +34,6 @@ from dghsim.criteria import (
     threshold_zero_mean,
 )
 from dghsim.grid import (
-    Field,
     PeriodicGrid,
     deriv_values,
     dgreen_kernel,
@@ -63,7 +62,7 @@ def test_refined_extrema_against_dense_grid(rng):
     g = PeriodicGrid(512)
     for _ in range(10):
         f = random_trig_field(g, rng, max_mode=4, rms=2.0)
-        ux = deriv_values(f.values, 1)
+        ux = deriv_values(f, 1)
         m, xi = refined_min(ux, g.dx)
         ref_v, ref_x = dense_extremum(ux, factor=64)
         assert m == pytest.approx(ref_v, abs=2e-4)
@@ -78,7 +77,7 @@ def test_refined_min_beats_node_minimum(rng):
     # the parabola vertex can only go below the winning node
     g = PeriodicGrid(64)
     for _ in range(20):
-        v = random_trig_field(g, rng, max_mode=5).values
+        v = random_trig_field(g, rng, max_mode=5)
         m, _ = refined_min(v, g.dx)
         assert m <= np.min(v) + 1e-15
 
@@ -91,17 +90,15 @@ def initial_slope(s: State) -> tuple[float, float, float]:
 
 def test_track_slope_single_mode():
     g = PeriodicGrid(128)
-    u = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x) / (2.0 * np.pi))
-    rho = Field.constant(g, 2.0)
-    m, xi, alpha = initial_slope(State(u, rho))
+    u = np.sin(2.0 * np.pi * g.nodes) / (2.0 * np.pi)
+    m, xi, alpha = initial_slope(State(g, u, np.full(128, 2.0)))
     assert m == pytest.approx(-1.0, abs=1e-12)
     assert xi == pytest.approx(0.5, abs=1e-12)
     assert alpha == pytest.approx(2.0, abs=1e-12)
 
 
 def test_track_slope_flat_field_ties_to_first_node():
-    g = PeriodicGrid(64)
-    s = State(Field.constant(g, 3.0), Field.constant(g, 1.0))
+    s = State(PeriodicGrid(64), np.full(64, 3.0), np.ones(64))
     m, xi, _ = initial_slope(s)
     assert m == 0.0 and xi == 0.0
 
@@ -263,8 +260,8 @@ def test_rate_estimator_rejects_relaxing_tail():
 
 def test_lyapunov_initial_value():
     g = PeriodicGrid(128)
-    u0 = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x) / (2.0 * np.pi))
-    rho0 = Field.constant(g, 2.0)
+    u0 = np.sin(2.0 * np.pi * g.nodes) / (2.0 * np.pi)
+    rho0 = np.full(128, 2.0)
     tr = make_trace([0.0], [-1.0], xi=[0.5], alpha=[2.0])
     e0 = 4.0
     ly = lyapunov_trace(tr, rho0, u0, e0, ModelParams(A=1.0, gamma=0.0))
@@ -279,9 +276,8 @@ def test_lyapunov_initial_value():
 
 
 def test_lyapunov_constant_state_flat_certificate():
-    g = PeriodicGrid(64)
-    u0 = Field.constant(g, 0.0)
-    rho0 = Field.constant(g, 1.5)
+    u0 = np.zeros(64)
+    rho0 = np.full(64, 1.5)
     t = np.linspace(0.0, 3.0, 40)
     tr = make_trace(t, np.zeros_like(t), alpha=np.full_like(t, 1.5))
     ly = lyapunov_trace(tr, rho0, u0, 2.25, ModelParams())
@@ -293,9 +289,8 @@ def test_lyapunov_constant_state_flat_certificate():
 
 
 def test_lyapunov_negative_density_branch():
-    g = PeriodicGrid(64)
-    u0 = Field.constant(g, 0.0)
-    rho0 = Field.constant(g, -2.0)
+    u0 = np.zeros(64)
+    rho0 = np.full(64, -2.0)
     tr = make_trace([0.0, 1.0], [0.0, -0.5], alpha=[-2.0, -1.8])
     ly = lyapunov_trace(tr, rho0, u0, 4.0, ModelParams())
     assert ly.beta == pytest.approx(2.0, abs=1e-12)
@@ -303,18 +298,16 @@ def test_lyapunov_negative_density_branch():
 
 
 def test_lyapunov_rejects_vanishing_density():
-    g = PeriodicGrid(64)
-    u0 = Field.constant(g, 0.0)
-    rho0 = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
+    u0 = np.zeros(64)
+    rho0 = np.sin(2.0 * np.pi * PeriodicGrid(64).nodes)
     tr = make_trace([0.0], [0.0], alpha=[1.0])
     with pytest.raises(ValueError, match="bounded away from zero"):
         lyapunov_trace(tr, rho0, u0, 0.5, ModelParams())
 
 
 def test_lyapunov_flags_tracked_sign_change():
-    g = PeriodicGrid(64)
-    u0 = Field.constant(g, 0.0)
-    rho0 = Field.constant(g, 2.0)
+    u0 = np.zeros(64)
+    rho0 = np.full(64, 2.0)
     tr = make_trace([0.0, 1.0], [0.0, -1.0], alpha=[2.0, -0.1])
     with pytest.raises(DensitySignChangeError):
         lyapunov_trace(tr, rho0, u0, 4.0, ModelParams())
@@ -324,36 +317,30 @@ def test_lyapunov_flags_tracked_sign_change():
 # embedding inequalities
 
 def test_sobolev_ratio_of_constant_is_one():
-    f = Field.constant(PeriodicGrid(64), 3.0)
-    assert sobolev_sharp_check(f) == pytest.approx(1.0, abs=1e-12)
+    assert sobolev_sharp_check(np.full(64, 3.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sobolev_ratio_attained_by_kernel():
     # translates of the smoothing kernel saturate the embedding; the corner
     # calls for the one-sided derivative sample and the corner-safe mean
     g = PeriodicGrid(512)
-    f = Field(g, green_kernel(g.nodes))
-    fx_vals = dgreen_kernel(g.nodes)
-    fx_vals[0] = -0.5  # one-sided value so fx^2 carries the corner's 1/4
-    ratio = sobolev_sharp_check(f, Field(g, fx_vals))
+    fx = dgreen_kernel(g.nodes)
+    fx[0] = -0.5  # one-sided value so fx^2 carries the corner's 1/4
+    ratio = sobolev_sharp_check(green_kernel(g.nodes), fx)
     assert ratio == pytest.approx(SHARP_EMBEDDING_CONSTANT, abs=1e-9)
 
 
 def test_sobolev_ratio_of_sinusoid_is_modest():
-    g = PeriodicGrid(128)
-    f = Field.from_function(g, lambda x: np.cos(2.0 * np.pi * x))
-    ratio = sobolev_sharp_check(f)
+    ratio = sobolev_sharp_check(np.cos(2.0 * np.pi * PeriodicGrid(128).nodes))
     assert ratio == pytest.approx(1.0 / (0.5 + 2.0 * np.pi**2), rel=1e-6)
     assert ratio < SHARP_EMBEDDING_CONSTANT
 
 
 def test_sobolev_check_validation():
-    g = PeriodicGrid(64)
     with pytest.raises(ValueError):
-        sobolev_sharp_check(Field.constant(g, 0.0))
-    f = Field.constant(g, 1.0)
+        sobolev_sharp_check(np.zeros(64))
     with pytest.raises(ValueError):
-        sobolev_sharp_check(f, Field.constant(PeriodicGrid(32), 0.0))
+        sobolev_sharp_check(np.ones(64), np.zeros(32))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -365,12 +352,11 @@ def test_sobolev_bound_never_exceeded(seed):
 
 
 def test_poincare_margin_closed_forms():
-    g = PeriodicGrid(64)
     c = 1.7
     eps = 0.3
-    f = Field.constant(g, c)
+    f = np.full(64, c)
     assert poincare_check(f, eps) == pytest.approx(2.0 * c * c / eps, rel=1e-12)
-    s = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
+    s = np.sin(2.0 * np.pi * PeriodicGrid(64).nodes)
     assert poincare_check(s, 1.0) == pytest.approx(np.pi**2 / 4.0 - 1.0, rel=1e-6)
     with pytest.raises(ValueError):
         poincare_check(f, 0.0)
@@ -405,20 +391,16 @@ def test_report_for_steep_data_with_vanishing_density():
 
 
 def test_report_for_positive_density():
-    g = PeriodicGrid(128)
-    u0 = Field.from_function(g, lambda x: 0.1 * np.sin(2.0 * np.pi * x))
-    rho0 = Field.constant(g, 2.0)
-    rep = evaluate_criteria(u0, rho0, ModelParams(A=1.0, gamma=0.0))
+    u0 = 0.1 * np.sin(2.0 * np.pi * PeriodicGrid(128).nodes)
+    rep = evaluate_criteria(u0, np.full(128, 2.0), ModelParams(A=1.0, gamma=0.0))
     assert rep.verdicts["positive_density"].predicted == GLOBAL_PREDICTED
     assert rep.verdicts["sharp"].predicted == NO_PREDICTION
     assert rep.riccati_t is None
 
 
 def test_report_with_no_applicable_route():
-    g = PeriodicGrid(128)
-    u0 = Field.constant(g, 0.0)
-    rho0 = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
-    rep = evaluate_criteria(u0, rho0, ModelParams(A=1.0, gamma=0.0))
+    rho0 = np.sin(2.0 * np.pi * PeriodicGrid(128).nodes)
+    rep = evaluate_criteria(np.zeros(128), rho0, ModelParams(A=1.0, gamma=0.0))
     assert all(v.predicted == NO_PREDICTION for v in rep.verdicts.values())
     assert rep.a0 == 0.0
 

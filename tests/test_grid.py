@@ -8,16 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dghsim.grid import (
-    Field,
-    NonFiniteFieldError,
     PeriodicGrid,
     deriv_values,
-    derivative,
     dgreen_convolve,
     dgreen_kernel,
     green_kernel,
     helmholtz_convolve,
-    integral,
     interp_values,
     pad_values,
     project_values,
@@ -71,7 +67,7 @@ def test_dgreen_matches_difference_quotient(rng):
 
 
 # ---------------------------------------------------------------------------
-# grid and field containers
+# grid
 
 def test_grid_basics():
     g = PeriodicGrid(16)
@@ -93,34 +89,16 @@ def test_grid_rejects_non_int():
         PeriodicGrid(16.0)
 
 
-def test_field_validation():
-    g = PeriodicGrid(8)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(7))
-    with pytest.raises(NonFiniteFieldError):
-        Field(g, np.full(8, np.nan))
-    with pytest.raises(NonFiniteFieldError):
-        Field(g, np.array([0.0, np.inf, 0, 0, 0, 0, 0, 0]))
-
-
-def test_field_constructors():
-    g = PeriodicGrid(32)
-    f = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
-    assert f.values[8] == pytest.approx(1.0, abs=1e-15)
-    c = Field.constant(g, 2.5)
-    assert np.all(c.values == 2.5)
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 
 def test_derivative_of_sine_exact():
     g = PeriodicGrid(64)
-    f = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
-    d1 = derivative(f)
-    assert np.max(np.abs(d1.values - 2.0 * np.pi * np.cos(2.0 * np.pi * g.nodes))) < 1e-12
-    d2 = derivative(f, order=2)
-    assert np.max(np.abs(d2.values + (2.0 * np.pi) ** 2 * f.values)) < 1e-10
+    f = np.sin(2.0 * np.pi * g.nodes)
+    d1 = deriv_values(f, 1)
+    assert np.max(np.abs(d1 - 2.0 * np.pi * np.cos(2.0 * np.pi * g.nodes))) < 1e-12
+    d2 = deriv_values(f, 2)
+    assert np.max(np.abs(d2 + (2.0 * np.pi) ** 2 * f)) < 1e-10
 
 
 def test_derivative_of_batch_is_row_by_row(rng):
@@ -133,14 +111,13 @@ def test_derivative_of_batch_is_row_by_row(rng):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_derivative_of_constant_vanishes(order):
-    f = Field.constant(PeriodicGrid(16), 3.7)
-    assert np.max(np.abs(derivative(f, order=order).values)) < 1e-12
+    f = np.full(16, 3.7)
+    assert np.max(np.abs(deriv_values(f, order))) < 1e-12
 
 
 def test_derivative_rejects_bad_order():
-    f = Field.constant(PeriodicGrid(16), 1.0)
     with pytest.raises(ValueError):
-        derivative(f, order=0)
+        deriv_values(np.ones(16), 0)
 
 
 def test_nyquist_mode_handling():
@@ -154,10 +131,10 @@ def test_nyquist_mode_handling():
 
 def test_derivative_against_finite_differences():
     g = PeriodicGrid(128)
-    f = Field.from_function(g, lambda x: np.exp(np.sin(2.0 * np.pi * x)))
+    f = np.exp(np.sin(2.0 * np.pi * g.nodes))
     for order in (1, 2):
-        spectral = derivative(f, order=order).values
-        stencil = fd_derivative(f.values, g.dx, order)
+        spectral = deriv_values(f, order)
+        stencil = fd_derivative(f, g.dx, order)
         assert np.max(np.abs(spectral - stencil)) < 1e-6
 
 
@@ -230,34 +207,33 @@ def test_interp_values_shapes(rng):
 # smoothing convolutions
 
 def test_helmholtz_fixes_constants():
-    f = Field.constant(PeriodicGrid(32), 4.2)
-    out = helmholtz_convolve(f)
-    assert np.max(np.abs(out.values - 4.2)) < 1e-13
+    out = helmholtz_convolve(np.full(32, 4.2))
+    assert np.max(np.abs(out - 4.2)) < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_helmholtz_eigenfunctions(k):
     g = PeriodicGrid(64)
-    f = Field.from_function(g, lambda x: np.cos(2.0 * np.pi * k * x))
+    f = np.cos(2.0 * np.pi * k * g.nodes)
     out = helmholtz_convolve(f)
     lam = 1.0 / (1.0 + 4.0 * np.pi**2 * k**2)
-    assert np.max(np.abs(out.values - lam * f.values)) < 1e-14
+    assert np.max(np.abs(out - lam * f)) < 1e-14
 
 
 def test_helmholtz_inverts_operator(rng):
     g = PeriodicGrid(128)
     f = random_trig_field(g, rng, max_mode=20)
     smooth = helmholtz_convolve(f)
-    recovered = smooth.values - deriv_values(smooth.values, 2)
-    assert np.max(np.abs(recovered - f.values)) < 1e-10
+    recovered = smooth - deriv_values(smooth, 2)
+    assert np.max(np.abs(recovered - f)) < 1e-10
 
 
 def test_helmholtz_against_quadrature(rng):
     g = PeriodicGrid(128)
     for _ in range(3):
         f = random_trig_field(g, rng, max_mode=10)
-        oracle = kernel_quadrature(f.values, g, green_kernel)
-        out = helmholtz_convolve(f).values
+        oracle = kernel_quadrature(f, g, green_kernel)
+        out = helmholtz_convolve(f)
         assert np.max(np.abs(out - oracle)) < 1e-6
 
 
@@ -270,7 +246,7 @@ def test_helmholtz_of_discrete_delta():
         g = PeriodicGrid(n)
         spike = np.zeros(n)
         spike[0] = n  # integrates to one
-        out = helmholtz_convolve(Field(g, spike)).values
+        out = helmholtz_convolve(spike)
         errs[n] = np.max(np.abs(out - green_kernel(g.nodes)))
         assert errs[n] == pytest.approx(1.0 / (np.pi**2 * n), rel=0.2)
         # away from the corner the agreement is much tighter
@@ -281,18 +257,18 @@ def test_helmholtz_of_discrete_delta():
 
 def test_dgreen_convolve_basics(rng):
     g = PeriodicGrid(64)
-    assert np.max(np.abs(dgreen_convolve(Field.constant(g, 5.0)).values)) < 1e-14
-    f = Field.from_function(g, lambda x: np.sin(2.0 * np.pi * x))
+    assert np.max(np.abs(dgreen_convolve(np.full(g.n, 5.0)))) < 1e-14
+    f = np.sin(2.0 * np.pi * g.nodes)
     lam = 2.0 * np.pi / (1.0 + 4.0 * np.pi**2)
     expected = lam * np.cos(2.0 * np.pi * g.nodes)
-    assert np.max(np.abs(dgreen_convolve(f).values - expected)) < 1e-14
+    assert np.max(np.abs(dgreen_convolve(f) - expected)) < 1e-14
 
 
 def test_dgreen_is_derivative_of_helmholtz(rng):
     g = PeriodicGrid(128)
     f = random_trig_field(g, rng, max_mode=30)
-    a = dgreen_convolve(f).values
-    b = derivative(helmholtz_convolve(f)).values
+    a = dgreen_convolve(f)
+    b = deriv_values(helmholtz_convolve(f), 1)
     assert np.max(np.abs(a - b)) < 1e-12
     assert abs(np.mean(a)) < 1e-13
 
@@ -302,11 +278,10 @@ def test_kernel_lower_bound_on_nonnegative_input(rng):
     # so the inequality holds for the interpolant, not just the samples
     g = PeriodicGrid(256)
     for _ in range(5):
-        p = random_trig_field(g, rng, max_mode=6).values
-        f = Field(g, dealiased_product(p, p))
-        out = helmholtz_convolve(f)
-        floor = integral(f) / TWO_SINH_HALF
-        assert np.min(out.values) >= floor - 1e-12
+        p = random_trig_field(g, rng, max_mode=6)
+        f = dealiased_product(p, p)
+        floor = np.mean(f) / TWO_SINH_HALF  # the node mean integrates f exactly
+        assert np.min(helmholtz_convolve(f)) >= floor - 1e-12
 
 
 def test_smoothing_dominates_square(rng):
@@ -315,12 +290,10 @@ def test_smoothing_dominates_square(rng):
     g = PeriodicGrid(256)
     for _ in range(5):
         f = random_trig_field(g, rng, max_mode=6, rms=2.0)
-        fx = derivative(f)
-        src = dealiased_product(f.values, f.values) + 0.5 * dealiased_product(
-            fx.values, fx.values
-        )
-        out = helmholtz_convolve(Field(g, src)).values
-        assert np.min(out - 0.5 * f.values * f.values) >= -1e-12
+        fx = deriv_values(f, 1)
+        src = dealiased_product(f, f) + 0.5 * dealiased_product(fx, fx)
+        out = helmholtz_convolve(src)
+        assert np.min(out - 0.5 * f * f) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +324,8 @@ def test_pad_project_validation():
 
 def test_dealiased_product_exact_when_band_fits(rng):
     g = PeriodicGrid(128)
-    f = random_trig_field(g, rng, max_mode=3).values
-    h = random_trig_field(g, rng, max_mode=4).values
+    f = random_trig_field(g, rng, max_mode=3)
+    h = random_trig_field(g, rng, max_mode=4)
     prod = dealiased_product(f, h)
     assert np.max(np.abs(prod - f * h)) < 1e-12
 
@@ -372,7 +345,7 @@ def test_dealiased_product_removes_aliasing():
 
 def test_resample_round_trip(rng):
     g = PeriodicGrid(32)
-    f = random_trig_field(g, rng, max_mode=10).values
+    f = random_trig_field(g, rng, max_mode=10)
     up = pad_values(f, 128)
     expected = interp_values(f, PeriodicGrid(128).nodes)
     assert np.max(np.abs(up - expected)) < 1e-12
@@ -383,9 +356,9 @@ def test_resample_round_trip(rng):
 def test_random_trig_field_contract(rng):
     g = PeriodicGrid(64)
     f = random_trig_field(g, rng, max_mode=5, rms=1.5, zero_mean=True)
-    assert abs(np.mean(f.values)) < 1e-12
-    assert np.sqrt(np.mean(f.values**2)) == pytest.approx(1.5, abs=1e-12)
-    c = np.abs(np.fft.rfft(f.values)) / g.n
+    assert abs(np.mean(f)) < 1e-12
+    assert np.sqrt(np.mean(f**2)) == pytest.approx(1.5, abs=1e-12)
+    c = np.abs(np.fft.rfft(f)) / g.n
     assert np.max(c[6:]) < 1e-12
     with pytest.raises(ValueError):
         random_trig_field(g, rng, max_mode=32)
@@ -414,7 +387,6 @@ def test_interpolation_matches_nodes_property(seed):
 def test_kernel_bound_property(seed):
     r = np.random.default_rng(seed)
     g = PeriodicGrid(64)
-    p = random_trig_field(g, r, max_mode=4, rms=r.uniform(0.1, 3.0)).values
-    f = Field(g, dealiased_product(p, p))
-    out = helmholtz_convolve(f)
-    assert np.min(out.values) >= integral(f) / TWO_SINH_HALF - 1e-10
+    p = random_trig_field(g, r, max_mode=4, rms=r.uniform(0.1, 3.0))
+    f = dealiased_product(p, p)
+    assert np.min(helmholtz_convolve(f)) >= np.mean(f) / TWO_SINH_HALF - 1e-10

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dghsim.grid import (
-    Field,
     PeriodicGrid,
     deriv_values,
     dgreen_kernel,
@@ -17,6 +16,7 @@ from dghsim.grid import (
 )
 from dghsim.model import (
     ModelParams,
+    NonFiniteFieldError,
     State,
     energy_e0,
     hamiltonian_e,
@@ -26,10 +26,6 @@ from dghsim.model import (
 )
 from dghsim.oracles import kernel_quadrature
 from helpers import dealiased_product, rhs_padded_reference
-
-
-def make_state(grid, u_fn, rho_fn):
-    return State(Field.from_function(grid, u_fn), Field.from_function(grid, rho_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +62,8 @@ def test_rhs_matches_local_form(rng):
     # unsmoothed momentum form; with the band at n/8 every product is exact
     g = PeriodicGrid(256)
     p = ModelParams(A=0.8, gamma=0.3)
-    u = random_trig_field(g, rng, max_mode=8).values
-    r = random_trig_field(g, rng, max_mode=8).values
+    u = random_trig_field(g, rng, max_mode=8)
+    r = random_trig_field(g, rng, max_mode=8)
 
     du, _ = rhs_values(u, r, g, p)
     lhs = du - deriv_values(du, 2)
@@ -91,8 +87,8 @@ def test_rhs_matches_local_form(rng):
 def test_rhs_translation_equivariance(rng):
     g = PeriodicGrid(64)
     p = ModelParams(A=1.0, gamma=0.2)
-    u = random_trig_field(g, rng, max_mode=10).values
-    r = random_trig_field(g, rng, max_mode=10, zero_mean=True).values + 2.0
+    u = random_trig_field(g, rng, max_mode=10)
+    r = random_trig_field(g, rng, max_mode=10, zero_mean=True) + 2.0
     du, drho = rhs_values(u, r, g, p)
     k = g.n // 2
     du_s, drho_s = rhs_values(np.roll(u, k), np.roll(r, k), g, p)
@@ -103,7 +99,7 @@ def test_rhs_translation_equivariance(rng):
 def test_vanishing_density_stays_exactly_zero(rng):
     g = PeriodicGrid(128)
     u = random_trig_field(g, rng, max_mode=12)
-    _, drho = rhs_values(u.values, np.zeros(g.n), g, ModelParams())
+    _, drho = rhs_values(u, np.zeros(g.n), g, ModelParams())
     assert np.all(drho == 0.0)
 
 
@@ -148,8 +144,8 @@ def test_semi_discrete_conservation(seed):
     r = np.random.default_rng(seed)
     g = PeriodicGrid(64)
     p = ModelParams(A=r.uniform(0.1, 3.0), gamma=r.uniform(-2.0, 2.0))
-    u = random_trig_field(g, r, max_mode=10, rms=r.uniform(0.5, 2.0)).values
-    rho = random_trig_field(g, r, max_mode=10, rms=r.uniform(0.5, 2.0)).values
+    u = random_trig_field(g, r, max_mode=10, rms=r.uniform(0.5, 2.0))
+    rho = random_trig_field(g, r, max_mode=10, rms=r.uniform(0.5, 2.0))
     du, drho = rhs_values(u, rho, g, p)
     ux = deriv_values(u, 1)
     dux = deriv_values(du, 1)
@@ -163,51 +159,52 @@ def test_semi_discrete_conservation(seed):
 # ---------------------------------------------------------------------------
 # invariant functionals
 
+SINE = np.sin(2.0 * np.pi * PeriodicGrid(64).nodes)
+SINE_X = deriv_values(SINE, 1)
+ZERO = np.zeros(64)  # also the exact slope of any constant
+
+
 def test_energy_closed_forms():
-    g = PeriodicGrid(64)
-    s = make_state(g, lambda x: np.sin(2.0 * np.pi * x), lambda x: 0.0 * x)
-    assert energy_e0(s) == pytest.approx(0.5 + 2.0 * np.pi**2, abs=1e-12)
-    s2 = State(Field.constant(g, 0.0), Field.constant(g, 2.0))
-    assert energy_e0(s2) == pytest.approx(4.0, abs=1e-14)
-    assert mean_u(s2) == 0.0
-    s3 = State(Field.constant(g, -1.25), Field.constant(g, 0.0))
-    assert mean_u(s3) == pytest.approx(-1.25, abs=1e-15)
+    assert energy_e0(SINE, SINE_X, ZERO) == pytest.approx(0.5 + 2.0 * np.pi**2, abs=1e-12)
+    assert energy_e0(ZERO, ZERO, np.full(64, 2.0)) == pytest.approx(4.0, abs=1e-14)
+    assert mean_u(ZERO) == 0.0
+    assert mean_u(np.full(64, -1.25)) == pytest.approx(-1.25, abs=1e-15)
 
 
 def test_hamiltonian_e_closed_forms():
-    g = PeriodicGrid(64)
-    rest = State(Field.constant(g, 0.0), Field.constant(g, 1.0))
-    assert hamiltonian_e(rest) == 0.0
-    dry = State(Field.constant(g, 0.0), Field.constant(g, 0.0))
-    assert hamiltonian_e(dry) == pytest.approx(0.5, abs=1e-15)
-    s = make_state(g, lambda x: np.sin(2.0 * np.pi * x), lambda x: 1.0 + 0.0 * x)
-    assert hamiltonian_e(s) == pytest.approx(0.5 * (0.5 + 2.0 * np.pi**2), abs=1e-12)
+    ones = np.ones(64)
+    assert hamiltonian_e(ZERO, ZERO, ones) == 0.0
+    assert hamiltonian_e(ZERO, ZERO, ZERO) == pytest.approx(0.5, abs=1e-15)
+    expected = 0.5 * (0.5 + 2.0 * np.pi**2)
+    assert hamiltonian_e(SINE, SINE_X, ones) == pytest.approx(expected, abs=1e-12)
 
 
 def test_hamiltonian_f_closed_forms():
-    g = PeriodicGrid(64)
-    s0 = State(Field.constant(g, 0.0), Field.constant(g, 3.0))
-    assert hamiltonian_f(s0, ModelParams(A=2.0, gamma=1.0)) == 0.0
-    s1 = State(Field.constant(g, 1.0), Field.constant(g, 1.0))
-    assert hamiltonian_f(s1, ModelParams(A=2.0, gamma=5.0)) == pytest.approx(-0.5, abs=1e-14)
-    s2 = make_state(g, lambda x: np.sin(2.0 * np.pi * x), lambda x: 1.0 + 0.0 * x)
-    assert hamiltonian_f(s2, ModelParams(A=1.0, gamma=0.0)) == pytest.approx(-0.25, abs=1e-12)
+    ones = np.ones(64)
+    p = ModelParams(A=2.0, gamma=1.0)
+    assert hamiltonian_f(ZERO, ZERO, np.full(64, 3.0), p) == 0.0
+    p = ModelParams(A=2.0, gamma=5.0)
+    assert hamiltonian_f(ones, ZERO, ones, p) == pytest.approx(-0.5, abs=1e-14)
+    p = ModelParams(A=1.0, gamma=0.0)
+    assert hamiltonian_f(SINE, SINE_X, ones, p) == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):
-    import dghsim.model as model
-
+    # the caller takes u_x once and passes it in; the invariants take none
     g = PeriodicGrid(64)
-    u = random_trig_field(g, rng, max_mode=12).values
-    rho = random_trig_field(g, rng, max_mode=12).values
-    direct = 0.5 * np.mean(u**2 + deriv_values(u, 1) ** 2 + (rho - 1.0) ** 2)
+    u = random_trig_field(g, rng, max_mode=12)
+    rho = random_trig_field(g, rng, max_mode=12)
+    ux = deriv_values(u, 1)
+    direct = 0.5 * np.mean(u**2 + ux**2 + (rho - 1.0) ** 2)
     calls = []
-    monkeypatch.setattr(model, "deriv_values", _counting(model.deriv_values, calls))
-    s = State(Field(g, u), Field(g, rho))
-    energy_e0(s)
-    hamiltonian_f(s, ModelParams(A=1.0, gamma=0.3))
-    assert hamiltonian_e(s) == pytest.approx(direct, rel=1e-13)
-    assert calls == ["deriv_values"]
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, _counting(getattr(np.fft, name), calls))
+    energy_e0(u, ux, rho)
+    mean_u(u)
+    assert hamiltonian_e(u, ux, rho) == pytest.approx(direct, rel=1e-13)
+    assert calls == []
+    hamiltonian_f(u, ux, rho, ModelParams(A=1.0, gamma=0.3))
+    assert calls == ["rfft", "irfft"]  # one batched padding of (u, u_x, rho)
 
 
 def test_momentum_density(rng):
@@ -217,9 +214,9 @@ def test_momentum_density(rng):
     expected = (1.0 + 4.0 * np.pi**2) * u
     assert np.max(np.abs(u - deriv_values(u, 2) - expected)) < 1e-10
     # smoothing inverts the momentum map
-    f = random_trig_field(g, rng, max_mode=15).values
-    back = helmholtz_convolve(Field(g, f - deriv_values(f, 2)))
-    assert np.max(np.abs(back.values - f)) < 1e-10
+    f = random_trig_field(g, rng, max_mode=15)
+    back = helmholtz_convolve(f - deriv_values(f, 2))
+    assert np.max(np.abs(back - f)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,16 @@ def test_model_params_require_positive_shear():
 
 def test_state_requires_shared_grid():
     with pytest.raises(ValueError):
-        State(
-            Field.constant(PeriodicGrid(16), 0.0),
-            Field.constant(PeriodicGrid(32), 0.0),
-        )
+        State(PeriodicGrid(16), np.zeros(16), np.zeros(32))
+
+
+def test_state_validation():
+    g = PeriodicGrid(8)
+    with pytest.raises(ValueError):
+        State(g, np.zeros(7), np.zeros(8))
+    with pytest.raises(NonFiniteFieldError):
+        State(g, np.zeros(8), np.full(8, np.nan))
+    with pytest.raises(NonFiniteFieldError):
+        State(g, np.array([0.0, np.inf, 0, 0, 0, 0, 0, 0]), np.zeros(8))
+    s = State(g, [0, 1, 2, 3, 4, 5, 6, 7], np.zeros(8))
+    assert s.u.dtype == float and s.u[7] == 7.0

@@ -4,8 +4,15 @@ placement, record cadence, determinism, and termination classification."""
 import numpy as np
 import pytest
 
-from dghsim.grid import Field, PeriodicGrid, random_trig_field
-from dghsim.model import ModelParams, State, energy_e0
+from dghsim.grid import PeriodicGrid, deriv_values
+from dghsim.model import (
+    ModelParams,
+    State,
+    energy_e0,
+    hamiltonian_e,
+    hamiltonian_f,
+    mean_u,
+)
 from dghsim.stepping import (
     SERIES_COLUMNS,
     TERM_BLOWUP,
@@ -22,9 +29,12 @@ from dghsim.stepping import (
 
 def smooth_state(n=64, amp=0.25):
     g = PeriodicGrid(n)
-    u = Field.from_function(g, lambda x: 0.5 + amp * np.sin(2.0 * np.pi * x))
-    rho = Field.from_function(g, lambda x: 1.0 + amp * np.cos(2.0 * np.pi * x))
-    return State(u, rho)
+    x = g.nodes
+    return State(g, 0.5 + amp * np.sin(2.0 * np.pi * x), 1.0 + amp * np.cos(2.0 * np.pi * x))
+
+
+def constant_state(n, u, rho):
+    return State(PeriodicGrid(n), np.full(n, u), np.full(n, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +79,23 @@ def test_config_coerces_snapshot_times():
 # step-size policy
 
 def test_adaptive_dt_slope_cap_for_quiescent_state():
-    g = PeriodicGrid(64)
-    s = State(Field.constant(g, 0.7), Field.constant(g, 1.0))
+    u = np.full(64, 0.7)
     p = ModelParams(A=1.0, gamma=0.7)  # u - gamma == 0: no advective limit
     c = SimConfig(n=64, t_end=10.0)
-    assert adaptive_dt(s.u.values, p, c, t_remaining=10.0) == pytest.approx(0.05)
-    assert adaptive_dt(s.u.values, p, c, t_remaining=0.01) == pytest.approx(0.01)
+    assert adaptive_dt(u, p, c, t_remaining=10.0) == pytest.approx(0.05)
+    assert adaptive_dt(u, p, c, t_remaining=0.01) == pytest.approx(0.01)
 
 
 def test_adaptive_dt_cfl_limit():
-    g = PeriodicGrid(256)
-    s = State(Field.constant(g, 0.5), Field.constant(g, 1.0))
     p = ModelParams(A=1.0, gamma=-0.5)  # |u - gamma| = 1
     c = SimConfig(n=256, t_end=10.0)
-    assert adaptive_dt(s.u.values, p, c, t_remaining=10.0) == pytest.approx(0.3 / 256)
+    assert adaptive_dt(np.full(256, 0.5), p, c, t_remaining=10.0) == pytest.approx(0.3 / 256)
 
 
 def test_adaptive_dt_tracks_steepness():
-    g = PeriodicGrid(64)
-    s = State(Field.constant(g, 0.0), Field.constant(g, 1.0))
     p = ModelParams(A=1.0, gamma=0.0)
     c = SimConfig(n=64, t_end=10.0)
-    dt = adaptive_dt(s.u.values, p, c, t_remaining=10.0, min_slope=-100.0)
+    dt = adaptive_dt(np.zeros(64), p, c, t_remaining=10.0, min_slope=-100.0)
     assert dt == pytest.approx(0.05 / 100.0)
 
 
@@ -153,7 +158,7 @@ def test_rk4_fourth_order():
         s = s0
         for _ in range(steps):
             s = step_rk4(s, p, t_end / steps)
-        return s.u.values
+        return s.u
 
     ref = integrate(256)
     errs = [np.max(np.abs(integrate(k) - ref)) for k in (8, 16)]
@@ -165,16 +170,14 @@ def test_rk4_fourth_order():
 # full runs
 
 def test_constant_state_stays_put():
-    g = PeriodicGrid(64)
-    s = State(Field.constant(g, 0.5), Field.constant(g, 1.5))
+    s = constant_state(64, 0.5, 1.5)
     p = ModelParams(A=1.0, gamma=0.0)
     res = run(s, p, SimConfig(n=64, t_end=10.0))
     assert res.termination.cause == TERM_REACHED_END
     assert res.termination.t == pytest.approx(10.0, abs=1e-9)
-    e0_first = res.invariants[0].e0
-    e0_last = res.invariants[-1].e0
+    e0_first, e0_last = res.series[[0, -1], 1]
     assert abs(e0_last - e0_first) < 1e-10 * e0_first
-    final_u = res.snapshots[-1][1].u.values if res.snapshots else None
+    final_u = res.snapshots[-1][1].u if res.snapshots else None
     assert final_u is None  # no snapshots were requested
     assert np.max(np.abs(res.slope_trace.m)) < 1e-10
 
@@ -187,7 +190,7 @@ def test_time_error_shrinks_with_cfl(rng):
         c = SimConfig(n=64, t_end=0.2, cfl=cfl, snapshot_times=(0.2,))
         res = run(s0, p, c)
         assert res.termination.cause == TERM_REACHED_END
-        return res.snapshots[-1][1].u.values
+        return res.snapshots[-1][1].u
 
     coarse = final_u(0.3)
     fine = final_u(0.15)
@@ -201,14 +204,15 @@ def test_snapshots_land_exactly():
     times = [t for t, _ in res.snapshots]
     assert times == [0.0, 0.03, 0.1]  # deduplicated, clipped, exact
     t0, state0 = res.snapshots[0]
-    assert np.array_equal(state0.u.values, s0.u.values)
-    assert np.array_equal(state0.rho.values, s0.rho.values)
+    assert np.array_equal(state0.u, s0.u)
+    assert np.array_equal(state0.rho, s0.rho)
 
 
 def test_series_layout_and_cadence():
     s0 = smooth_state()
-    c = SimConfig(n=64, t_end=0.2, record_every=1)
-    res = run(s0, ModelParams(), c)
+    p = ModelParams(A=1.0, gamma=0.3)
+    c = SimConfig(n=64, t_end=0.2, record_every=1, snapshot_times=(0.0, 0.05, 0.2))
+    res = run(s0, p, c)
     assert res.series.shape[1] == len(SERIES_COLUMNS)
     t = res.series[:, 0]
     assert t[0] == 0.0
@@ -216,7 +220,19 @@ def test_series_layout_and_cadence():
     assert np.all(np.diff(t) > 0.0)  # no duplicate records
     # record_every=1 records after every accepted step
     assert len(res.series) == len(res.slope_trace.times)
-    assert len(res.invariants) == len(res.series)
+    # the invariant columns at each snapshot are the model's functionals of
+    # that snapshot's arrays, bit for bit
+    assert len(res.snapshots) == 3
+    for ts, st in res.snapshots:
+        row = res.series[t == ts][0]
+        ux = deriv_values(st.u, 1)
+        expected = [
+            energy_e0(st.u, ux, st.rho),
+            mean_u(st.u),
+            hamiltonian_e(st.u, ux, st.rho),
+            hamiltonian_f(st.u, ux, st.rho, p),
+        ]
+        assert row[1:5].tolist() == expected
 
 
 def test_sparser_recording():
@@ -238,8 +254,7 @@ def test_runs_are_deterministic():
 
 
 def test_dt_underflow_without_steepening():
-    g = PeriodicGrid(64)
-    s = State(Field.constant(g, 0.0), Field.constant(g, 1.0))
+    s = constant_state(64, 0.0, 1.0)
     c = SimConfig(n=64, t_end=1.0, dt_min=1.0)  # impossible to satisfy
     res = run(s, ModelParams(), c)
     assert res.termination.cause == TERM_DT_UNDERFLOW
@@ -270,11 +285,11 @@ def test_energy_drift_is_time_integration_error():
     # halving cfl must shrink the energy drift by roughly 2^4
     s0 = smooth_state(n=64, amp=0.3)
     p = ModelParams(A=1.0, gamma=0.0)
-    e0 = energy_e0(s0)
+    e0 = energy_e0(s0.u, deriv_values(s0.u, 1), s0.rho)
 
     def drift(cfl):
         res = run(s0, p, SimConfig(n=64, t_end=0.5, cfl=cfl))
-        return abs(res.invariants[-1].e0 - e0) / e0
+        return abs(res.series[-1, 1] - e0) / e0
 
     d1, d2 = drift(0.6), drift(0.3)
     assert d2 < d1 / 8.0
