@@ -9,8 +9,10 @@ Subcommands:
     selftest            run the built-in oracle suites
 
 Exit codes: 0 success (a detected blow-up is a success), 2 config error,
-3 I/O error, 4 internal numerical fault (non-finite state outside a
-declared blow-up approach).
+3 I/O error, 4 numerical fault: a non-finite state outside a declared
+blow-up approach, a run the paper proves global that ends in
+BlowupDetected or ResolutionLost, or a run with a predicted blow-up that
+reaches its end after the Riccati time bound.
 
 All numeric output uses round-trip float formatting, and reports contain
 no timestamps, so identical inputs produce byte-identical artifacts.
@@ -34,6 +36,7 @@ from .characteristics import (
 )
 from .criteria import (
     BLOWUP_PREDICTED,
+    GLOBAL_PREDICTED,
     DensitySignChangeError,
     InsufficientWindowError,
     estimate_blowup_rate,
@@ -48,7 +51,14 @@ from .scenarios import (
     resolved_config,
     scenario_from_entries,
 )
-from .stepping import TERM_NONFINITE, SERIES_COLUMNS, run
+from .stepping import (
+    SERIES_COLUMNS,
+    TERM_BLOWUP,
+    TERM_NONFINITE,
+    TERM_REACHED_END,
+    TERM_RESOLUTION_LOST,
+    run,
+)
 
 __all__ = ["main", "run_scenario", "EXIT_OK", "EXIT_CONFIG", "EXIT_IO", "EXIT_NUMERIC"]
 
@@ -97,6 +107,29 @@ def _snapshot_name(t: float, used: set) -> str:
         k += 1
     used.add(name)
     return name
+
+
+def _numerical_fault(report, result) -> str | None:
+    """Why a finished run contradicts its own criteria, or None if it does not."""
+    predictions = {v.predicted for v in report.verdicts.values()}
+    cause, t = result.termination.cause, result.termination.t
+    if cause == TERM_NONFINITE:
+        m = result.slope_trace.m
+        diving = float(m[-1]) <= -10.0 * max(1.0, abs(float(m[0])))
+        if not (BLOWUP_PREDICTED in predictions or diving):
+            return "non-finite state without a declared blow-up approach"
+    if GLOBAL_PREDICTED in predictions and cause in (TERM_BLOWUP, TERM_RESOLUTION_LOST):
+        return (
+            f"{cause} at t={t:.6g}: the grid could not resolve a solution "
+            f"the paper proves smooth"
+        )
+    bound = report.riccati_t
+    if cause == TERM_REACHED_END and bound is not None and t > bound:
+        return (
+            f"reached t={t:.6g} past the Riccati blow-up bound {bound:.6g} "
+            f"without breaking"
+        )
+    return None
 
 
 def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int, dict]:
@@ -200,20 +233,11 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
             f"({doc['run']['steps']} steps), artifacts in {out_dir}"
         )
 
-    if result.termination.cause == TERM_NONFINITE:
-        predicted = any(
-            v.predicted == BLOWUP_PREDICTED for v in report.verdicts.values()
-        )
-        m = result.slope_trace.m
-        diving = float(m[-1]) <= -10.0 * max(1.0, abs(float(m[0])))
-        if not (predicted or diving):
-            if not quiet:
-                print(
-                    f"{sc.name}: non-finite state without a declared blow-up "
-                    f"approach",
-                    file=sys.stderr,
-                )
-            return EXIT_NUMERIC, doc
+    fault = _numerical_fault(report, result)
+    if fault is not None:
+        if not quiet:
+            print(f"{sc.name}: {fault}", file=sys.stderr)
+        return EXIT_NUMERIC, doc
     return EXIT_OK, doc
 
 

@@ -6,17 +6,24 @@ time remaining).  As the minimal slope dives, steps shrink in proportion,
 so a genuine blow-up walks down to the detection threshold in a controlled
 geometric cascade instead of going non-finite.
 
-Runs terminate with one of four causes:
+Runs terminate with one of five causes:
 
   ReachedEnd      integrated to t_end
   BlowupDetected  min u_x fell through blowup_slope, or dt underflowed
-                  while the slope was negative and still falling
+                  while the slope was negative and still falling, or E0
+                  stopped being conserved after min u_x had dived past
+                  the rate fit's cutoff, -3 max(1, |m(0)|)
+  ResolutionLost  E0 stopped being conserved before such a dive
   DtUnderflow     dt fell below dt_min without a steepening slope
   NonFiniteState  an RK4 stage produced non-finite samples
 
-The loop carries (u, rho) as plain arrays.  A record reads the invariants
-straight off them, sharing the u_x that the step's slope tracking already
-took; only a snapshot builds a State.
+The semi-discrete flow conserves E0 exactly, so once its relative drift
+passes E0_DRIFT_TOL the grid no longer follows the solution, and every
+later step would only describe the numerics.  The run stops at that step.
+
+The loop carries (u, rho) as plain arrays.  Each step's u_x feeds the
+slope tracking, the E0 check and any record, which reads the invariants
+straight off the arrays; only a snapshot builds a State.
 """
 
 from __future__ import annotations
@@ -51,14 +58,25 @@ __all__ = [
     "run",
     "TERM_REACHED_END",
     "TERM_BLOWUP",
+    "TERM_RESOLUTION_LOST",
     "TERM_DT_UNDERFLOW",
     "TERM_NONFINITE",
+    "E0_DRIFT_TOL",
 ]
 
 TERM_REACHED_END = "ReachedEnd"
 TERM_BLOWUP = "BlowupDetected"
+TERM_RESOLUTION_LOST = "ResolutionLost"
 TERM_DT_UNDERFLOW = "DtUnderflow"
 TERM_NONFINITE = "NonFiniteState"
+
+# Relative E0 drift past which a run stops.  On smooth global41 data at
+# cfl 0.3, RK4 time error peaks an order of magnitude below it (8.9e-6 for
+# r0 = 2, ru = 1 at n = 128), while a grid that has lost a steepening front
+# drives E0 up by orders of magnitude within a few hundred steps.  A step
+# coarse enough can still pass it on smooth data; that run then ends in
+# ResolutionLost.
+E0_DRIFT_TOL = 1.0e-4
 
 SERIES_COLUMNS = ("t", "E0", "meanU", "hamE", "hamF", "minUx", "xi", "alpha", "dt")
 
@@ -241,11 +259,14 @@ def run(
     ens_lq: list[np.ndarray] = []
     ens_rq: list[np.ndarray] = []
 
-    ux = None  # slope of the current u, taken by observe() and read by record()
+    # slope and E0 of the current (u, rho), taken by observe() and read by record()
+    ux = None
+    e0 = 0.0
 
     def observe() -> None:
-        nonlocal ux
+        nonlocal ux, e0
         ux = deriv_values(u, 1)
+        e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
         alpha = float(interp_values(rho, np.asarray([xi]))[0])
         trace_t.append(t)
@@ -259,7 +280,7 @@ def run(
             return
         last_recorded = step
         rows.append([
-            t, energy_e0(u, ux, rho), mean_u(u),
+            t, e0, mean_u(u),
             hamiltonian_e(u, ux, rho), hamiltonian_f(u, ux, rho, p),
             trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
@@ -273,6 +294,8 @@ def run(
         snapshots.append((t, State(grid, u, rho)))
 
     observe()
+    e0_first = e0
+    dive_cutoff = -3.0 * max(1.0, abs(trace_m[0]))
     termination: Termination | None = None
     while True:
         t_remaining = c.t_end - t
@@ -323,6 +346,13 @@ def run(
         if trace_m[-1] <= c.blowup_slope:
             record(dt)
             termination = Termination(TERM_BLOWUP, t)
+            break
+        # written so that a NaN drift also stops the run
+        if not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
+            record(dt)
+            dived = trace_m[-1] <= dive_cutoff
+            cause = TERM_BLOWUP if dived else TERM_RESOLUTION_LOST
+            termination = Termination(cause, t)
             break
         if hit_snapshot:
             take_snapshot()

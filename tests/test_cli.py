@@ -50,6 +50,32 @@ sim.blowup_slope = -50.0
 """
 
 
+# blowup31 below the sharp threshold, where only the mean and zero-mean
+# routes predict a blow-up (riccati_t = 2.057)
+BELOW_SHARP_CONFIG = """\
+scenario.family = blowup31
+scenario.name = below_sharp
+scenario.a = 2.0
+model.A = 1.0
+model.gamma = 0.0
+sim.n = {n}
+sim.t_end = 3.0
+"""
+
+# global41 with a slope steep enough that no grid tried resolves its
+# transient, though the density stays positive
+STEEP_GLOBAL_CONFIG = """\
+scenario.family = global41
+scenario.name = steep_global
+scenario.r0 = 1.05
+scenario.ru = 8.0
+model.A = 1.0
+model.gamma = 0.0
+sim.n = 256
+sim.t_end = 3.0
+"""
+
+
 @pytest.fixture
 def smooth_cfg(tmp_path):
     path = tmp_path / "smooth.cfg"
@@ -148,6 +174,51 @@ def test_detected_blowup_is_success(tmp_path, capsys):
     assert "unavailable" in report["lyapunov"]
     assert report["characteristics"] is None
     assert "BlowupDetected" in capsys.readouterr().out
+
+
+def test_predicted_blowup_below_sharp_threshold_breaks_before_its_bound(tmp_path):
+    cfg = tmp_path / "below.cfg"
+    cfg.write_text(BELOW_SHARP_CONFIG.format(n=512))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["criteria"]["verdicts"]["sharp"]["predicted"] == "NoPrediction"
+    term = report["run"]["termination"]
+    assert term["cause"] == "BlowupDetected"
+    assert term["t"] == pytest.approx(0.745, abs=0.005)
+    assert term["t"] < report["criteria"]["riccati_t"]
+
+
+def test_run_past_riccati_bound_exits_4(monkeypatch, tmp_path, capsys):
+    # with the E0 guard off, the under-resolved run coasts to t_end past
+    # its own blow-up bound; that outcome contradicts the criteria
+    import dghsim.stepping as stepping
+
+    monkeypatch.setattr(stepping, "E0_DRIFT_TOL", float("inf"))
+    cfg = tmp_path / "below.cfg"
+    cfg.write_text(BELOW_SHARP_CONFIG.format(n=128))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text())
+    assert report["run"]["termination"] == {"cause": "ReachedEnd", "t": 3.0}
+    assert "past the Riccati blow-up bound" in capsys.readouterr().err
+
+
+def test_unresolved_global_run_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(STEEP_GLOBAL_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text())
+    assert report["criteria"]["verdicts"]["positive_density"]["predicted"] == (
+        "GlobalPredicted"
+    )
+    term = report["run"]["termination"]
+    assert term["cause"] in ("BlowupDetected", "ResolutionLost")
+    assert term["t"] == pytest.approx(0.188, abs=0.005)
+    assert "could not resolve a solution the paper proves smooth" in (
+        capsys.readouterr().err
+    )
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

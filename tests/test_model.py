@@ -171,6 +171,13 @@ def test_energy_closed_forms():
     assert mean_u(np.full(64, -1.25)) == pytest.approx(-1.25, abs=1e-15)
 
 
+def test_energy_e0_matches_mean_of_squares_bit_for_bit(rng):
+    for n in (8, 64, 1000, 1024, 4096):
+        for scale in (1.0e-5, 1.0, 1.0e5):
+            u, ux, rho = scale * rng.standard_normal((3, n))
+            assert energy_e0(u, ux, rho) == float(np.mean(u**2 + ux**2 + rho**2))
+
+
 def test_hamiltonian_e_closed_forms():
     ones = np.ones(64)
     assert hamiltonian_e(ZERO, ZERO, ones) == 0.0

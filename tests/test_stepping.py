@@ -14,11 +14,13 @@ from dghsim.model import (
     mean_u,
 )
 from dghsim.stepping import (
+    E0_DRIFT_TOL,
     SERIES_COLUMNS,
     TERM_BLOWUP,
     TERM_DT_UNDERFLOW,
     TERM_NONFINITE,
     TERM_REACHED_END,
+    TERM_RESOLUTION_LOST,
     NonFiniteStateError,
     SimConfig,
     adaptive_dt,
@@ -273,6 +275,41 @@ def test_blowup_threshold_detection():
     assert res.termination.cause == TERM_BLOWUP
     assert res.termination.t < 1.0
     assert res.slope_trace.m[-1] <= -50.0
+
+
+def test_e0_guard_stops_a_breaking_run_before_its_bound():
+    # past the sharp threshold at n = 128, E0 stops being conserved once
+    # the front outruns the grid: the run ends there, its slope already
+    # past the rate fit's cutoff, and long before the Riccati bound
+    from dghsim.criteria import evaluate_criteria
+    from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
+
+    p = ModelParams(A=1.0, gamma=0.0)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=128)
+    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(128))
+    res = run(s0, p, SimConfig(n=128, t_end=5.0))
+    assert res.termination.cause == TERM_BLOWUP
+    assert res.termination.t < evaluate_criteria(s0.u, s0.rho, p).riccati_t
+    assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
+    # the stop is recorded, with a drift just past the tolerance
+    last = res.series[-1]
+    assert last[0] == res.termination.t
+    drift = abs(last[1] - res.series[0, 1]) / res.series[0, 1]
+    assert E0_DRIFT_TOL < drift <= 1.0e-2
+
+
+def test_e0_guard_reports_lost_resolution_without_a_dive():
+    # at n = 64 and cfl 0.3 the steps are coarse enough that RK4 error
+    # alone (it shrinks about 20x when cfl halves) carries E0 drift past the
+    # tolerance at t ~ 0.926, while min u_x is still near m(0): the run has
+    # stopped following the solution, but it has not met a blow-up
+    res = run(smooth_state(n=64), ModelParams(), SimConfig(n=64, t_end=1.0))
+    assert res.termination.cause == TERM_RESOLUTION_LOST
+    assert res.termination.t == pytest.approx(0.926, abs=0.002)
+    m = res.slope_trace.m
+    assert m[-1] == pytest.approx(m[0], rel=0.05)
+    drift = abs(res.series[-1, 1] - res.series[0, 1]) / res.series[0, 1]
+    assert drift > E0_DRIFT_TOL
 
 
 def test_run_checks_grid_against_config():
