@@ -203,7 +203,10 @@ def estimate_blowup_rate(
     start_factor |m(0)| (past the threshold scale, where the asymptote has
     set in) down to peak_fraction times the deepest slope of the first
     sustained dive; the dive ends where m recovers to half its running
-    minimum, which the true solution cannot do below the threshold.
+    minimum, which the true solution cannot do below the threshold.  A
+    trace that the E0 guard of stepping.run ends before the dive reaches
+    twice the cutoff has its floor above the cutoff; every sample past the
+    cutoff is then trusted and fitted.
     """
     m = trace.m
     t = trace.times
@@ -220,12 +223,15 @@ def estimate_blowup_rate(
         if m[i] >= 0.5 * peak:
             end = i
             break
-    mask = (m[start:end] <= cutoff) & (m[start:end] >= peak_fraction * peak)
+    floor = peak_fraction * peak
+    if floor > cutoff:
+        floor = peak
+    mask = (m[start:end] <= cutoff) & (m[start:end] >= floor)
     count = int(np.count_nonzero(mask))
     if count < min_samples:
         raise InsufficientWindowError(
             f"only {count} samples between the cutoff {cutoff:.3g} and the "
-            f"dive floor {peak_fraction * peak:.3g} (need {min_samples})"
+            f"dive floor {floor:.3g} (need {min_samples})"
         )
     tt = t[start:end][mask]
     y = -1.0 / m[start:end][mask]

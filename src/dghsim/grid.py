@@ -11,19 +11,23 @@ is the 1-periodic fundamental solution of f - f'' = delta, so convolving
 with G inverts 1 - d^2/dx^2.  Both G* and (G*)' are applied as exact
 Fourier symbols, 1/(1 + 4 pi^2 k^2) and 2 pi i k/(1 + 4 pi^2 k^2).
 
-Products of fields are never formed on the native grid: quadratic and
-cubic nonlinearities are evaluated on a 2n-point grid and projected back,
-which removes aliasing into the retained band.  Padding and projection are
-statements about coefficients (zero-fill above n/2, split or fold the
-Nyquist mode), so the dynamics apply them to coefficients directly, to
-several fields per batched transform; deriv_values, pad_values and
-interp_values likewise accept a leading batch axis.  Every operation here
-takes and returns plain sample arrays; the grid object only carries the
-size and the cached symbol tables.
+Products of fields are never formed on the native grid.  A product of
+two band-limited fields is exact on 3n/2 points for every mode the n-point
+band keeps (Orszag's 3/2 rule), so the quadratic right-hand side of the
+dynamics pads to 3n/2; a cubic needs 2n, so hamiltonian_f pads there
+with pad_values.  Padding and projection are statements about coefficients
+(zero-fill above n/2, split or fold the Nyquist mode), so the dynamics
+apply them to coefficients directly, to several fields per batched
+transform; deriv_values, pad_values and interp_values likewise accept a
+leading batch axis.  The operations here take and return plain sample
+arrays, except interp_coeffs, which reads rfft coefficients; the grid
+object only carries the size and the cached symbol tables.
 
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
 exponential per entry, and shares it across every field in the batch.
+interp_values is one forward transform followed by interp_coeffs, so a
+caller that already holds coefficients makes no transform at all.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "project_values",
     "deriv_values",
     "interp_values",
+    "interp_coeffs",
 ]
 
 _TWO_SINH_HALF = 2.0 * np.sinh(0.5)
@@ -209,18 +214,26 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the interpolating trig polynomial of each row of v at xs.
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
-    Every row is evaluated with one shared phase matrix.
     """
     v = np.asarray(v, dtype=float)
+    return interp_coeffs(np.fft.rfft(v, norm="forward"), xs)
+
+
+def interp_coeffs(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the trig polynomial of each row of rfft coefficients c at xs.
+
+    c has shape (..., n/2 + 1) in "forward" normalisation (c_k is the
+    amplitude of e^{2 pi i k x}, the Nyquist entry that of cos(pi n x)); the
+    result has shape c.shape[:-1] + xs.shape.  Every row is evaluated with
+    one shared phase matrix, and no transform is made.
+    """
     xs = np.asarray(xs, dtype=float)
-    n = v.shape[-1]
-    half = n // 2
-    c = np.fft.rfft(v, norm="forward")
+    half = c.shape[-1] - 1
     x = xs.reshape(-1)
     out = 2.0 * (c[..., 1:half] @ _phase_powers(x, half - 1)).real
     out += c[..., :1].real
-    out += c[..., half : half + 1].real * np.cos(np.pi * n * x)
-    return out.reshape(v.shape[:-1] + xs.shape)
+    out += c[..., half : half + 1].real * np.cos(np.pi * (2 * half) * x)
+    return out.reshape(c.shape[:-1] + xs.shape)
 
 
 def helmholtz_convolve(v: np.ndarray) -> np.ndarray:

@@ -7,15 +7,20 @@ unit interval, evolving as
     drho/dt = -(u rho)_x
 
 where A > 0 is the linear-shear strength and gamma the dispersion speed.
-All products are dealiased (formed on a 2n grid, projected back), so the
-semi-discrete flow conserves integral(u^2 + u_x^2 + rho^2) and integral(u)
-exactly; observed drift measures the time integrator alone.
+All products are dealiased (formed on a finer grid, projected back), so
+the semi-discrete flow conserves integral(u^2 + u_x^2 + rho^2) and
+integral(u) exactly; observed drift measures the time integrator alone.
 
-The right-hand side works on Fourier coefficients: one batched forward
-transform of (u, rho), zero-padding of the coefficients of u, u_x and rho,
-one batched inverse transform to 2n points, the three products, one
-batched forward transform at 2n, truncation back to the n-point band, and
-one batched inverse transform of (du, drho) -- four transforms in all.
+The right-hand side works on Fourier coefficients, the state the time
+integrator carries: zero-padding of the coefficients of u, u_x and rho,
+one batched inverse transform to 3n/2 points, the three products, one
+batched forward transform at 3n/2, and truncation back to the n-point
+band -- two transforms in all.  The products are quadratic, so 3n/2
+points alias nothing into the band they keep (Orszag's 3/2 rule).  Only
+the folded Nyquist mode of a product picks up a Nyquist-times-Nyquist
+term, and nothing reads it: (G*)' and d/dx vanish there, and u_x has no
+Nyquist mode, so u u_x has no such term.  hamiltonian_f has cubic
+products and stays on a 2n grid.
 
 A State is the one container of (grid, u, rho) as float sample arrays; the
 invariant functionals take the arrays themselves, plus the slope u_x,
@@ -34,6 +39,7 @@ __all__ = [
     "NonFiniteFieldError",
     "ModelParams",
     "State",
+    "rhs_coeffs",
     "rhs_values",
     "energy_e0",
     "mean_u",
@@ -83,28 +89,26 @@ class State:
             object.__setattr__(self, name, v)
 
 
-def rhs_values(
-    u: np.ndarray, rho: np.ndarray, grid: PeriodicGrid, p: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives of (u, rho) as raw arrays; products dealiased.
+def rhs_coeffs(c: np.ndarray, grid: PeriodicGrid, p: ModelParams) -> np.ndarray:
+    """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
-    Coefficients are kept in "forward" normalisation (c_k is the amplitude
-    of e^{2 pi i k x}), so padding to 2n and truncating back need no
-    rescaling: the Nyquist mode is split in half on the way up, as in
-    pad_values, and folded back (doubled real part) on the way down, as in
-    project_values.
+    c and the result have shape (2, n/2 + 1).  In "forward" normalisation
+    c_k is the amplitude of e^{2 pi i k x}, so padding to 3n/2 and
+    truncating back need no rescaling: the Nyquist mode is split in half on
+    the way up, as in pad_values, and folded back (doubled real part) on
+    the way down, as in project_values.
     """
     n = grid.n
     half = n // 2
-    c = np.fft.rfft(np.stack((u, rho)), norm="forward")
+    m = 3 * n // 2
     cu = c[0]
     cux = grid.ik * cu
 
-    padded = np.zeros((3, n + 1), dtype=complex)  # u, u_x, rho
+    padded = np.zeros((3, m // 2 + 1), dtype=complex)  # u, u_x, rho
     padded[::2, : half + 1] = c
     padded[1, : half + 1] = cux
     padded[:, half] *= 0.5
-    fine = np.fft.irfft(padded, 2 * n, norm="forward")
+    fine = np.fft.irfft(padded, m, norm="forward")
 
     # u^2 + u_x^2/2 + rho^2/2 (the convolution argument), u u_x, u rho
     prods = fine[0] * fine
@@ -117,7 +121,16 @@ def rhs_values(
     c_arg = c_quad + (p.gamma - p.A) * cu
     out[0] = p.gamma * cux - c_adv - grid.dgreen_symbol * c_arg
     out[1] = -grid.ik * c_flux
-    du, drho = np.fft.irfft(out, n, norm="forward")
+    return out
+
+
+def rhs_values(
+    u: np.ndarray, rho: np.ndarray, grid: PeriodicGrid, p: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
+    one forward and one inverse transform."""
+    c = np.fft.rfft(np.stack((u, rho)), norm="forward")
+    du, drho = np.fft.irfft(rhs_coeffs(c, grid, p), grid.n, norm="forward")
     return du, drho
 
 

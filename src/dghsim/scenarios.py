@@ -33,7 +33,6 @@ __all__ = [
     "FAMILIES",
     "build_initial_data",
     "solve_blowup_amplitude",
-    "parse_config",
     "parse_config_entries",
     "scenario_from_entries",
     "resolved_config",
@@ -446,10 +445,6 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         sim=build("sim", SimConfig, sim_kwargs),
         **analysis,
     )
-
-
-def parse_config(text: str) -> Scenario:
-    return scenario_from_entries(parse_config_entries(text))
 
 
 def resolved_config(sc: Scenario) -> dict:

@@ -15,15 +15,22 @@ Runs terminate with one of five causes:
                   the rate fit's cutoff, -3 max(1, |m(0)|)
   ResolutionLost  E0 stopped being conserved before such a dive
   DtUnderflow     dt fell below dt_min without a steepening slope
-  NonFiniteState  an RK4 stage produced non-finite samples
+  NonFiniteState  an RK4 stage produced non-finite values
 
 The semi-discrete flow conserves E0 exactly, so once its relative drift
 passes E0_DRIFT_TOL the grid no longer follows the solution, and every
 later step would only describe the numerics.  The run stops at that step.
 
-The loop carries (u, rho) as plain arrays.  Each step's u_x feeds the
-slope tracking, the E0 check and any record, which reads the invariants
-straight off the arrays; only a snapshot builds a State.
+The RK4 state is the pair of Fourier coefficients c = rfft((u, rho)) in
+"forward" normalisation: every stage, and the final sum, is a linear
+combination of coefficient arrays, and model.rhs_coeffs takes and returns
+coefficients, so a right-hand side makes only its two transforms at 3n/2
+points.  Characteristic stages and the density at the slope minimum read
+the coefficients through grid.interp_coeffs, with no transform.  Once per
+step one batched inverse transform gives the samples (u, rho); the step's
+u_x feeds the slope tracking, the E0 check and any record, which reads the
+invariants straight off the arrays; only a snapshot builds a State.  At
+step 0 the samples are the initial arrays themselves.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, refined_min
-from .grid import ParameterError, PeriodicGrid, deriv_values, interp_values
+from .grid import ParameterError, PeriodicGrid, deriv_values, interp_coeffs
 from .model import (
     ModelParams,
     State,
@@ -44,7 +51,7 @@ from .model import (
     hamiltonian_e,
     hamiltonian_f,
     mean_u,
-    rhs_values,
+    rhs_coeffs,
 )
 
 __all__ = [
@@ -82,7 +89,7 @@ SERIES_COLUMNS = ("t", "E0", "meanU", "hamE", "hamF", "minUx", "xi", "alpha", "d
 
 
 class NonFiniteStateError(RuntimeError):
-    """An RK4 stage produced non-finite samples."""
+    """An RK4 stage produced non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -154,65 +161,73 @@ def adaptive_dt(
 def _require_finite(*arrays: np.ndarray | None) -> None:
     for a in arrays:
         if a is not None and not np.isfinite(a).all():
-            raise NonFiniteStateError("non-finite samples in an RK4 stage")
+            raise NonFiniteStateError("non-finite values in an RK4 stage")
+
+
+def _coeffs(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(np.stack((u, rho)), norm="forward")
+
+
+def _values(c: np.ndarray, n: int) -> np.ndarray:
+    return np.fft.irfft(c, n, norm="forward")
 
 
 def _advance(
-    u: np.ndarray,
-    rho: np.ndarray,
+    c: np.ndarray,
     grid: PeriodicGrid,
     p: ModelParams,
     dt: float,
     q: np.ndarray | None = None,
     lq: np.ndarray | None = None,
 ):
-    """One classical RK4 step; optionally carries characteristics along.
+    """One classical RK4 step of the coefficients c = rfft((u, rho));
+    optionally carries characteristics along.
 
     Trajectories use the same stage structure: stage positions advance with
-    interpolated stage velocities, and the log-Jacobian integrates the
-    interpolated stage slopes.  Each stage evaluates u and u_x with one
+    stage velocities, and the log-Jacobian integrates the stage slopes,
+    both evaluated from the stage coefficients of u and u_x with one
     shared phase matrix.
 
     Finiteness is checked once, on the outputs: every stage enters the
-    final RK4 sum, so a non-finite sample in any stage leaves one in u_new
-    or rho_new, and no stage needs a check of its own.
+    final RK4 sum, so a non-finite coefficient in any stage leaves one in
+    c_new, and no stage needs a check of its own.
     """
     half = 0.5 * dt
     q_new = lq_new = None
     with np.errstate(over="ignore", invalid="ignore"):
-        k1u, k1r = rhs_values(u, rho, grid, p)
-        u2, r2 = u + half * k1u, rho + half * k1r
-        k2u, k2r = rhs_values(u2, r2, grid, p)
-        u3, r3 = u + half * k2u, rho + half * k2r
-        k3u, k3r = rhs_values(u3, r3, grid, p)
-        u4, r4 = u + dt * k3u, rho + dt * k3r
-        k4u, k4r = rhs_values(u4, r4, grid, p)
-        u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        rho_new = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        k1 = rhs_coeffs(c, grid, p)
+        c2 = c + half * k1
+        k2 = rhs_coeffs(c2, grid, p)
+        c3 = c + half * k2
+        k3 = rhs_coeffs(c3, grid, p)
+        c4 = c + dt * k3
+        k4 = rhs_coeffs(c4, grid, p)
+        c_new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         if q is not None:
-            # rows (stage, its slope) for each of the four stages
-            pairs = np.empty((4, 2, grid.n))
-            pairs[:, 0] = (u, u2, u3, u4)
-            pairs[:, 1] = deriv_values(pairs[:, 0], 1)
-            qk1, lk1 = interp_values(pairs[0], q)
+            # rows (stage u, its slope) for each of the four stages
+            pairs = np.empty((4, 2, grid.n // 2 + 1), dtype=complex)
+            pairs[:, 0] = (c[0], c2[0], c3[0], c4[0])
+            pairs[:, 1] = grid.ik * pairs[:, 0]
+            qk1, lk1 = interp_coeffs(pairs[0], q)
             qa = q + half * qk1
-            qk2, lk2 = interp_values(pairs[1], qa)
+            qk2, lk2 = interp_coeffs(pairs[1], qa)
             qb = q + half * qk2
-            qk3, lk3 = interp_values(pairs[2], qb)
+            qk3, lk3 = interp_coeffs(pairs[2], qb)
             qc = q + dt * qk3
-            qk4, lk4 = interp_values(pairs[3], qc)
+            qk4, lk4 = interp_coeffs(pairs[3], qc)
             q_new = q + (dt / 6.0) * (qk1 + 2.0 * qk2 + 2.0 * qk3 + qk4)
             lq_new = lq + (dt / 6.0) * (lk1 + 2.0 * lk2 + 2.0 * lk3 + lk4)
-    _require_finite(u_new, rho_new, q_new, lq_new)
-    return u_new, rho_new, q_new, lq_new
+    _require_finite(c_new, q_new, lq_new)
+    return c_new, q_new, lq_new
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     """Single classical RK4 step of the field equations."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, rho, _, _ = _advance(s.u, s.rho, s.grid, p, dt)
+    c, _, _ = _advance(_coeffs(s.u, s.rho), s.grid, p, dt)
+    u, rho = _values(c, s.grid.n)
     return State(s.grid, u, rho)
 
 
@@ -233,6 +248,7 @@ def run(
         raise ValueError(f"state lives on n={grid.n}, config says n={c.n}")
     u = np.array(s0.u)
     rho = np.array(s0.rho)
+    coef = _coeffs(u, rho)
     track = seeds is not None
     if track:
         q = np.array(seeds, dtype=float)
@@ -268,7 +284,7 @@ def run(
         ux = deriv_values(u, 1)
         e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
-        alpha = float(interp_values(rho, np.asarray([xi]))[0])
+        alpha = float(interp_coeffs(coef[1], np.asarray([xi]))[0])
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
@@ -288,7 +304,7 @@ def run(
             ens_t.append(t)
             ens_q.append(q.copy())
             ens_lq.append(lq.copy())
-            ens_rq.append(interp_values(rho, q))
+            ens_rq.append(interp_coeffs(coef[1], q))
 
     def take_snapshot() -> None:
         snapshots.append((t, State(grid, u, rho)))
@@ -330,11 +346,12 @@ def run(
             break
 
         try:
-            u, rho, q, lq = _advance(u, rho, grid, p, dt, q, lq)
+            coef, q, lq = _advance(coef, grid, p, dt, q, lq)
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
+        u, rho = _values(coef, grid.n)
 
         if hit_snapshot:
             t = snaps_due.popleft()

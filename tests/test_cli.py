@@ -134,7 +134,7 @@ def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
     # reference: one repr(float(x)) per value, characteristics row by row
     out = tmp_path / "out"
     assert main(["run", str(smooth_cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
-    sc = scenarios.parse_config(SMOOTH_CONFIG)
+    sc = scenarios.scenario_from_entries(scenarios.parse_config_entries(SMOOTH_CONFIG))
     res = run(sc.build_state(), sc.model, sc.sim, seeds=default_seeds(16))
     ens = res.ensemble
 

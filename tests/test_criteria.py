@@ -41,6 +41,7 @@ from dghsim.grid import (
     random_trig_field,
 )
 from dghsim.model import ModelParams, State
+from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
 from dghsim.stepping import SimConfig, run
 from helpers import dense_extremum
 
@@ -246,6 +247,33 @@ def test_rate_estimator_needs_enough_samples():
     # only a handful of samples lie past 3 |m(0)|
     with pytest.raises(InsufficientWindowError):
         estimate_blowup_rate(tr, min_samples=25)
+
+
+def test_rate_estimator_fits_past_the_cutoff_when_the_floor_lies_above_it():
+    # a dive cut short at -10 puts half its floor (-5) above the cutoff
+    # 3 |m(0)| = 6: every sample past the cutoff is fitted, none dropped
+    tr = hyperbola_trace(t_star=1.0, depth=10.0)
+    cutoff = -3.0 * abs(tr.m[0])
+    assert 0.5 * tr.m.min() > cutoff
+    est = estimate_blowup_rate(tr)
+    assert est.samples == np.count_nonzero(tr.m <= cutoff)
+    assert est.rate == pytest.approx(-2.0, abs=1e-8)
+    assert est.t_blowup == pytest.approx(1.0, abs=1e-8)
+
+
+def test_rate_estimator_fits_the_guard_ended_breaking_run_at_n128():
+    # the E0 guard ends the blowup31 dive at n = 128 near m = -40, above
+    # twice the cutoff; the window keeps the samples past the cutoff
+    p = ModelParams(A=1.0, gamma=0.0)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=128)
+    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(128))
+    tr = run(s0, p, SimConfig(n=128, t_end=5.0)).slope_trace
+    cutoff = -3.0 * abs(tr.m[0])
+    assert 0.5 * tr.m.min() > cutoff
+    est = estimate_blowup_rate(tr)
+    assert est.samples == np.count_nonzero(tr.m <= cutoff) >= 10
+    assert -2.4 <= est.rate <= -1.6
+    assert tr.times[-1] < est.t_blowup < evaluate_criteria(s0.u, s0.rho, p).riccati_t
 
 
 def test_rate_estimator_rejects_relaxing_tail():

@@ -1,0 +1,87 @@
+"""Golden runs: artifacts must match a stored reference to a roundoff
+tolerance, not byte for byte.
+
+Each case under tests/data/golden holds a config, and the `series.csv`,
+`characteristics.csv` and the `run` block of `report.json` that
+`dghsim run` (or, for sweep_small, each member of
+`dghsim sweep --param scenario.r0=2.0:3.5:2`) wrote for it with the
+sample-state RK4 whose products were padded to 2n points (commit 9211e5d).
+A change that only moves roundoff keeps the step count, the termination
+cause, the termination time to 1e-12 relative, every column to 1e-10 of
+its largest magnitude, and meanU, which sits at roundoff itself, to 1e-15
+absolute.  Regenerate a case only for a change meant to move results.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dghsim.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+COLUMN_TOL = 1e-10
+MEAN_U_TOL = 1e-15
+TIME_TOL = 1e-12
+
+
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    header = path.read_text(encoding="ascii").split("\n", 1)[0].split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _compare_run(got_dir: Path, want_dir: Path) -> None:
+    got = json.loads((got_dir / "report.json").read_text())["run"]
+    want = json.loads((want_dir / "run.json").read_text())
+    assert got["termination"]["cause"] == want["termination"]["cause"]
+    assert (got["steps"], got["records"]) == (want["steps"], want["records"])
+    t_want = want["termination"]["t"]
+    assert got["termination"]["t"] == pytest.approx(t_want, rel=TIME_TOL, abs=0.0)
+    assert got["t_sim"] == pytest.approx(want["t_sim"], rel=TIME_TOL, abs=0.0)
+    assert got["final"]["e0"] == pytest.approx(want["final"]["e0"], rel=COLUMN_TOL)
+    assert got["final"]["min_ux"] == pytest.approx(
+        want["final"]["min_ux"], rel=COLUMN_TOL
+    )
+    assert got["drift"]["e0_rel"] == pytest.approx(
+        want["drift"]["e0_rel"], rel=0.0, abs=COLUMN_TOL
+    )
+    for section, key in (("final", "mean_u"), ("drift", "mean_u_abs")):
+        assert abs(got[section][key] - want[section][key]) <= MEAN_U_TOL
+
+    for name in ("series.csv", "characteristics.csv"):
+        if not (want_dir / name).exists():
+            assert not (got_dir / name).exists()
+            continue
+        header, w = _read_csv(want_dir / name)
+        got_header, g = _read_csv(got_dir / name)
+        assert got_header == header
+        assert g.shape == w.shape
+        for j, column in enumerate(header):
+            off = float(np.max(np.abs(g[:, j] - w[:, j])))
+            if column == "meanU":
+                assert off <= MEAN_U_TOL, (name, column, off)
+            else:
+                scale = float(np.max(np.abs(w[:, j])))
+                assert off <= COLUMN_TOL * scale, (name, column, off, scale)
+
+
+@pytest.mark.parametrize("case", ["breaking_wave", "smooth_density"])
+def test_run_matches_golden(case, tmp_path):
+    cfg = GOLDEN / case / "config.cfg"
+    code = main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"])
+    assert code == EXIT_OK
+    _compare_run(tmp_path, GOLDEN / case)
+
+
+def test_sweep_matches_golden(tmp_path):
+    cfg = GOLDEN / "sweep_small" / "config.cfg"
+    code = main([
+        "sweep", str(cfg), "--param", "scenario.r0=2.0:3.5:2",
+        "--out-dir", str(tmp_path), "--quiet",
+    ])
+    assert code == EXIT_OK
+    members = sorted(p.name for p in (GOLDEN / "sweep_small").iterdir() if p.is_dir())
+    assert members == ["sweep_small__000", "sweep_small__001"]
+    for member in members:
+        _compare_run(tmp_path / member, GOLDEN / "sweep_small" / member)

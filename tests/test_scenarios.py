@@ -14,9 +14,9 @@ from dghsim.scenarios import (
     ConfigError,
     Scenario,
     build_initial_data,
-    parse_config,
     parse_config_entries,
     resolved_config,
+    scenario_from_entries,
     solve_blowup_amplitude,
 )
 from dghsim.stepping import SimConfig
@@ -160,8 +160,12 @@ def test_amplitude_solver_stops_at_adjacent_doubles():
 # ---------------------------------------------------------------------------
 # config parsing
 
+def parse(text: str) -> Scenario:
+    return scenario_from_entries(parse_config_entries(text))
+
+
 def test_parse_full_config():
-    sc = parse_config(BASE_CONFIG)
+    sc = parse(BASE_CONFIG)
     assert sc.name == "demo"
     assert sc.family == "global41"
     assert sc.params == {"r0": 2.0, "ru": 1.0}  # defaults merged in
@@ -179,7 +183,7 @@ criteria.eps_list = 0.5, 2.0
 characteristics.enabled = true
 characteristics.count = 32
 """
-    sc = parse_config(text)
+    sc = parse(text)
     assert sc.sim.cfl == 0.2
     assert sc.sim.snapshot_times == (0.0, 0.5, 1.5)
     assert sc.eps_list == (0.5, 2.0)
@@ -197,48 +201,48 @@ def test_parse_entries_rejects_malformed_lines():
 
 def test_unknown_keys_are_named():
     with pytest.raises(ConfigError, match="sim.dt_max"):
-        parse_config(BASE_CONFIG + "sim.dt_max = 0.1\n")
+        parse(BASE_CONFIG + "sim.dt_max = 0.1\n")
     with pytest.raises(ConfigError, match="scenario.amplitude"):
-        parse_config(BASE_CONFIG + "scenario.amplitude = 2\n")
+        parse(BASE_CONFIG + "scenario.amplitude = 2\n")
     with pytest.raises(ConfigError, match="model.B"):
-        parse_config(BASE_CONFIG + "model.B = 2\n")
+        parse(BASE_CONFIG + "model.B = 2\n")
 
 
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="scenario.family"):
-        parse_config("sim.n = 64\nsim.t_end = 1.0")
+        parse("sim.n = 64\nsim.t_end = 1.0")
     with pytest.raises(ConfigError, match="sim.n"):
-        parse_config("scenario.family = constant\nsim.t_end = 1.0")
+        parse("scenario.family = constant\nsim.t_end = 1.0")
     with pytest.raises(ConfigError, match="sim.t_end"):
-        parse_config("scenario.family = constant\nsim.n = 64")
+        parse("scenario.family = constant\nsim.n = 64")
 
 
 def test_bad_values_are_config_errors():
     with pytest.raises(ConfigError, match="sim.n"):
-        parse_config(BASE_CONFIG.replace("sim.n           = 128", "sim.n = many"))
+        parse(BASE_CONFIG.replace("sim.n           = 128", "sim.n = many"))
     with pytest.raises(ConfigError, match="expected an integer"):
-        parse_config(BASE_CONFIG.replace("sim.n           = 128", "sim.n = 128.5"))
+        parse(BASE_CONFIG.replace("sim.n           = 128", "sim.n = 128.5"))
     with pytest.raises(ConfigError, match="boolean"):
-        parse_config(BASE_CONFIG + "characteristics.enabled = maybe\n")
+        parse(BASE_CONFIG + "characteristics.enabled = maybe\n")
     # constraint violations surface as ConfigError too, not bare ValueError
     with pytest.raises(ConfigError):
-        parse_config(BASE_CONFIG.replace("sim.t_end       = 1.5", "sim.t_end = -1"))
+        parse(BASE_CONFIG.replace("sim.t_end       = 1.5", "sim.t_end = -1"))
     with pytest.raises(ConfigError):
-        parse_config(BASE_CONFIG + "criteria.eps_list = 0.0, 1.0\n")
+        parse(BASE_CONFIG + "criteria.eps_list = 0.0, 1.0\n")
 
 
 def test_size_limits_are_inclusive():
     # parsing builds no arrays, so the limits are checked without allocating
     base = BASE_CONFIG.replace("sim.n           = 128", "")
-    sc = parse_config(
+    sc = parse(
         base + f"sim.n = {MAX_GRID_SIZE}\n"
         f"characteristics.count = {MAX_CHARACTERISTICS}\n"
     )
     assert (sc.sim.n, sc.characteristic_count) == (MAX_GRID_SIZE, MAX_CHARACTERISTICS)
     with pytest.raises(ConfigError, match="'sim.n'.*exceeds"):
-        parse_config(base + f"sim.n = {MAX_GRID_SIZE + 2}\n")
+        parse(base + f"sim.n = {MAX_GRID_SIZE + 2}\n")
     with pytest.raises(ConfigError, match="'characteristics.count'.*exceeds"):
-        parse_config(
+        parse(
             BASE_CONFIG + f"characteristics.count = {MAX_CHARACTERISTICS + 1}\n"
         )
 
@@ -247,7 +251,7 @@ def test_amplitude_solver_rejects_overflowing_energy():
     # the solver builds states of its own, before any run or criteria check
     text = "scenario.family = blowup31\nscenario.b = 1e200\nsim.n = 64\nsim.t_end = 1\n"
     with pytest.raises(ConfigError, match="b = 1e\\+200"):
-        parse_config(text).resolve()
+        parse(text).resolve()
 
 
 def test_scenario_validation():
@@ -270,7 +274,7 @@ scenario.family = blowup31
 sim.n = 256
 sim.t_end = 1.0
 """
-    sc = parse_config(text)
+    sc = parse(text)
     assert sc.params["a"] == "auto"
     resolved = sc.resolve()
     assert isinstance(resolved.params["a"], float)
@@ -282,7 +286,7 @@ sim.t_end = 1.0
 
 
 def test_resolved_config_echo():
-    sc = parse_config(BASE_CONFIG + "sim.snapshot_times = 0.5, 1.0\n")
+    sc = parse(BASE_CONFIG + "sim.snapshot_times = 0.5, 1.0\n")
     doc = resolved_config(sc)
     assert doc["scenario"] == {
         "name": "demo", "family": "global41", "r0": 2.0, "ru": 1.0,

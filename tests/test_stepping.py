@@ -135,7 +135,7 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
     seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
     ref = run(s0, p, c, seeds=seeds)
     calls = []
-    real = stepping.rhs_values
+    real = stepping.rhs_coeffs
 
     def poisoned(*args):
         out = real(*args)
@@ -144,11 +144,56 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
         calls.append(1)
         return out
 
-    monkeypatch.setattr(stepping, "rhs_values", poisoned)
+    monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
     res = run(s0, p, c, seeds=seeds)
     assert res.termination.cause == TERM_NONFINITE
     assert res.termination.t == ref.slope_trace.times[2]
     assert np.all(np.isfinite(res.series))
+
+
+def _log_transforms(monkeypatch, log):
+    # every FFT as (name, transform length); an inverse real transform's
+    # length is that of its output
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def logged(a, n=None, *args, _real=real, _name=name, **kwargs):
+            length = n
+            if length is None:
+                m = np.shape(a)[-1]
+                length = 2 * (m - 1) if _name == "irfft" else m
+            log.append((_name, length))
+            return _real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, logged)
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_rk4_stages_make_eight_transforms_at_three_halves_n(monkeypatch, track):
+    # the state is coefficients: each of a step's four right-hand sides is
+    # one inverse and one forward transform at 3n/2 points, none at n or
+    # 2n, and characteristic stages read the coefficients with none at all
+    import dghsim.stepping as stepping
+
+    n = 64
+    log = []
+    per_step = []
+    real_advance = stepping._advance
+
+    def advance(*args, **kwargs):
+        start = len(log)
+        out = real_advance(*args, **kwargs)
+        per_step.append(log[start:])
+        return out
+
+    monkeypatch.setattr(stepping, "_advance", advance)
+    _log_transforms(monkeypatch, log)
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
+    res = run(smooth_state(n), ModelParams(A=1.0, gamma=0.3),
+              SimConfig(n=n, t_end=0.2), seeds=seeds)
+    assert len(per_step) == len(res.slope_trace.times) - 1 > 0
+    for made in per_step:
+        assert made == [("irfft", 3 * n // 2), ("rfft", 3 * n // 2)] * 4
 
 
 def test_rk4_fourth_order():
