@@ -9,8 +9,8 @@ Subcommands:
     selftest            run the built-in oracle suites
 
 Exit codes: 0 success (a detected blow-up is a success), 2 config error,
-3 I/O error, 4 numerical fault: a non-finite state outside a declared
-blow-up approach, a run the paper proves global that ends in
+3 I/O error, 4 numerical fault: a non-finite state without a
+BlowupPredicted verdict, a run the paper proves global that ends in
 BlowupDetected or ResolutionLost, or a run with a predicted blow-up that
 reaches its end after the Riccati time bound.
 
@@ -113,11 +113,8 @@ def _numerical_fault(report, result) -> str | None:
     """Why a finished run contradicts its own criteria, or None if it does not."""
     predictions = {v.predicted for v in report.verdicts.values()}
     cause, t = result.termination.cause, result.termination.t
-    if cause == TERM_NONFINITE:
-        m = result.slope_trace.m
-        diving = float(m[-1]) <= -10.0 * max(1.0, abs(float(m[0])))
-        if not (BLOWUP_PREDICTED in predictions or diving):
-            return "non-finite state without a declared blow-up approach"
+    if cause == TERM_NONFINITE and BLOWUP_PREDICTED not in predictions:
+        return "non-finite state without a declared blow-up approach"
     if GLOBAL_PREDICTED in predictions and cause in (TERM_BLOWUP, TERM_RESOLUTION_LOST):
         return (
             f"{cause} at t={t:.6g}: the grid could not resolve a solution "

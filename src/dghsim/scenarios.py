@@ -360,8 +360,6 @@ _SIM_KEYS = {
     "sim.t_end": _to_float,
     "sim.cfl": _to_float,
     "sim.slope_dt_factor": _to_float,
-    "sim.dt_min": _to_float,
-    "sim.blowup_slope": _to_float,
     "sim.record_every": _to_int,
     "sim.snapshot_times": _to_float_tuple,
 }
@@ -460,8 +458,6 @@ def resolved_config(sc: Scenario) -> dict:
             "t_end": sc.sim.t_end,
             "cfl": sc.sim.cfl,
             "slope_dt_factor": sc.sim.slope_dt_factor,
-            "dt_min": sc.sim.dt_min,
-            "blowup_slope": sc.sim.blowup_slope,
             "record_every": sc.sim.record_every,
             "snapshot_times": list(sc.sim.snapshot_times),
         },

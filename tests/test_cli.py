@@ -2,6 +2,7 @@
 codes, the sweep driver, and the built-in selftest suites."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dghsim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_SWEEP_COUNT,
+    _numerical_fault,
     _parse_sweep_param,
     _snapshot_name,
     main,
@@ -46,7 +48,6 @@ model.A = 1.0
 model.gamma = 0.0
 sim.n = 256
 sim.t_end = 5.0
-sim.blowup_slope = -50.0
 """
 
 
@@ -221,6 +222,40 @@ def test_unresolved_global_run_exits_4(tmp_path, capsys):
     )
 
 
+def test_step_below_time_resolution_exits_4(tmp_path, capsys):
+    # at u = 1e12 the CFL step cannot advance t, so the run ends at t = 0;
+    # the density stays positive, so that is a smooth solution left unresolved
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(
+        "scenario.family = constant\nscenario.c = 1e12\nscenario.r = 1.0\n"
+        "sim.n = 64\nsim.t_end = 1.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_NUMERIC
+    report = json.loads((out / "report.json").read_text())
+    assert report["run"]["termination"] == {"cause": "ResolutionLost", "t": 0.0}
+    assert report["run"]["steps"] == 0
+    assert "could not resolve" in capsys.readouterr().err
+
+
+def test_non_finite_state_without_predicted_blowup_is_a_fault():
+    # a slope dive, however deep, is no verdict: only BlowupPredicted
+    # excuses a non-finite state
+    report = SimpleNamespace(
+        verdicts={"sharp": SimpleNamespace(predicted="NoPrediction")},
+        riccati_t=None,
+    )
+    result = SimpleNamespace(
+        termination=SimpleNamespace(cause="NonFiniteState", t=0.2),
+        slope_trace=SimpleNamespace(m=np.array([-3.0, -40.0, -400.0])),
+    )
+    assert _numerical_fault(report, result) == (
+        "non-finite state without a declared blow-up approach"
+    )
+    report.verdicts["sharp"].predicted = "BlowupPredicted"
+    assert _numerical_fault(report, result) is None
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMOOTH_CONFIG + "sim.dt_max = 1.0\n")
@@ -244,6 +279,7 @@ def write_config(tmp_path, replaced: str):
         "characteristics.count = 1e400",
         "sim.n = nan",
         "sim.slope_dt_factor = nan",
+        # removed keys: any value of them is an unknown key, which exits 2 too
         "sim.dt_min = nan",
         "sim.blowup_slope = nan",
     ],
@@ -292,8 +328,6 @@ def test_overflowing_custom_fourier_data_exits_2(tmp_path, capsys):
         "sim.t_end = 0",
         "sim.cfl = 1.5",
         "sim.slope_dt_factor = 0",
-        "sim.dt_min = -1",
-        "sim.blowup_slope = 10",
         "sim.record_every = 0",
         "scenario.name =",
         "criteria.eps_list = 0.0, 1.0",
@@ -305,6 +339,14 @@ def test_range_check_names_its_key(line, tmp_path, capsys):
     assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     key = line.split("=")[0].strip()
     assert f"config error: key '{key}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["sim.dt_min = -1", "sim.blowup_slope = 10"])
+def test_removed_sim_keys_exit_2(line, tmp_path, capsys):
+    cfg = write_config(tmp_path, line)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    key = line.split("=")[0].strip()
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -419,9 +461,9 @@ def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):
 
 _CONFIG_KEYS = (
     "scenario.name", "model.A", "model.gamma", "sim.n", "sim.t_end", "sim.cfl",
-    "sim.slope_dt_factor", "sim.dt_min", "sim.blowup_slope", "sim.record_every",
-    "sim.snapshot_times", "criteria.eps_list", "characteristics.enabled",
-    "characteristics.count", "no.such_key",
+    "sim.slope_dt_factor", "sim.record_every", "sim.snapshot_times",
+    "criteria.eps_list", "characteristics.enabled", "characteristics.count",
+    "no.such_key",
 )
 _VALUES = st.one_of(
     st.floats().map(repr),  # includes nan, inf and values near the float limits

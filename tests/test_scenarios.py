@@ -18,6 +18,7 @@ from dghsim.scenarios import (
     resolved_config,
     scenario_from_entries,
     solve_blowup_amplitude,
+    _SIM_KEYS,
 )
 from dghsim.stepping import SimConfig
 
@@ -295,3 +296,6 @@ def test_resolved_config_echo():
     assert doc["sim"]["snapshot_times"] == [0.5, 1.0]
     assert doc["criteria"]["eps_list"] == [0.1, 1.0, 10.0]
     assert doc["characteristics"] == {"enabled": False, "count": 64}
+    # the echo names exactly the sim keys a config may set, so a retired
+    # key cannot linger in report.json
+    assert {f"sim.{k}" for k in doc["sim"]} == set(_SIM_KEYS)
