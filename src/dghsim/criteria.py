@@ -196,17 +196,15 @@ def estimate_blowup_rate(
     the line's root estimates the blow-up time and a clean breaking wave
     reports a rate near -2.
 
-    On a fixed grid the dive is only trustworthy down to the resolution
-    ceiling: the truncated expansion cannot steepen past |m| ~ sqrt(n e0)
-    with the energy it conserves, so m stalls there and any later descent
-    rides on spurious energy growth.  The fit window therefore runs from
-    start_factor |m(0)| (past the threshold scale, where the asymptote has
-    set in) down to peak_fraction times the deepest slope of the first
-    sustained dive; the dive ends where m recovers to half its running
-    minimum, which the true solution cannot do below the threshold.  A
-    trace that the E0 guard of stepping.run ends before the dive reaches
-    twice the cutoff has its floor above the cutoff; every sample past the
-    cutoff is then trusted and fitted.
+    The window is the first sustained dive, which ends where m recovers to
+    half its running minimum (the true solution cannot do that below the
+    threshold).  Within it the fit takes the samples from start_factor
+    |m(0)|, past the threshold scale where the asymptote has set in, down
+    to peak_fraction of the dive's deepest slope.  stepping.run stops at
+    the first step whose E0 drift shows the grid losing the front, so the
+    trace holds resolved steps only.  When fewer than min_samples lie in
+    that window, as on a short dive at small n whose floor lies near or
+    above the cutoff, every sample of the dive past the cutoff is fitted.
     """
     m = trace.m
     t = trace.times
@@ -223,18 +221,19 @@ def estimate_blowup_rate(
         if m[i] >= 0.5 * peak:
             end = i
             break
-    floor = peak_fraction * peak
-    if floor > cutoff:
-        floor = peak
-    mask = (m[start:end] <= cutoff) & (m[start:end] >= floor)
+    dive = m[start:end]
+    mask = (dive <= cutoff) & (dive >= peak_fraction * peak)
     count = int(np.count_nonzero(mask))
     if count < min_samples:
+        mask = dive <= cutoff
+        count = int(np.count_nonzero(mask))
+    if count < min_samples:
         raise InsufficientWindowError(
-            f"only {count} samples between the cutoff {cutoff:.3g} and the "
-            f"dive floor {floor:.3g} (need {min_samples})"
+            f"only {count} samples past the cutoff {cutoff:.3g} "
+            f"(need {min_samples})"
         )
     tt = t[start:end][mask]
-    y = -1.0 / m[start:end][mask]
+    y = -1.0 / dive[mask]
     slope, intercept = np.polyfit(tt, y, 1)
     if slope >= 0.0:
         raise InsufficientWindowError("trace tail is not steepening")

@@ -14,20 +14,23 @@ Fourier symbols, 1/(1 + 4 pi^2 k^2) and 2 pi i k/(1 + 4 pi^2 k^2).
 Products of fields are never formed on the native grid.  A product of
 two band-limited fields is exact on 3n/2 points for every mode the n-point
 band keeps (Orszag's 3/2 rule), so the quadratic right-hand side of the
-dynamics pads to 3n/2; a cubic needs 2n, so hamiltonian_f pads there
-with pad_values.  Padding and projection are statements about coefficients
-(zero-fill above n/2, split or fold the Nyquist mode), so the dynamics
-apply them to coefficients directly, to several fields per batched
-transform; deriv_values, pad_values and interp_values likewise accept a
-leading batch axis.  The operations here take and return plain sample
+dynamics pads to 3n/2; a cubic needs 2n, so hamiltonian_f pads there.
+Padding and projection are statements about coefficients (zero-fill
+above n/2, split or fold the Nyquist mode), so the model applies them to
+coefficients directly, to several fields per batched transform;
+deriv_values, pad_values and interp_values likewise accept a leading
+batch axis.  The operations here take and return plain sample
 arrays, except interp_coeffs, which reads rfft coefficients; the grid
 object only carries the size and the cached symbol tables.
 
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
 exponential per entry, and shares it across every field in the batch.
-interp_values is one forward transform followed by interp_coeffs, so a
-caller that already holds coefficients makes no transform at all.
+The matrix carries weight 1/2 on its mean and Nyquist rows, so one
+product with the coefficients reads every mode, the Nyquist cosine
+included.  interp_values is one forward transform followed by
+interp_coeffs, so a caller that already holds coefficients makes no
+transform at all.
 """
 
 from __future__ import annotations
@@ -191,22 +194,27 @@ def project_values(v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(c, n) * (n / m)
 
 
-def _phase_powers(x: np.ndarray, top: int) -> np.ndarray:
-    """z^k for z = e^{2 pi i x}, k = 1 .. top: shape (top, x.size).
+def _phase_matrix(x: np.ndarray, half: int) -> np.ndarray:
+    """Weighted phases w_k z^k for z = e^{2 pi i x}, k = 0 .. half: shape
+    (half + 1, x.size), with w_k = 1/2 at k = 0 and k = half, 1 between.
 
-    Each doubling multiplies the known rows z^1 .. z^j by z^j, so the
-    matrix costs log2(top) vectorised products and one exp per point, and
-    the rounding error of z^k grows like log2(k), not like k.
+    For the rfft coefficients c of real samples, whose mean and Nyquist
+    entries are real, 2 Re(c @ P) is then the trig interpolant at x: the
+    weights read the mean and the Nyquist cosine through the same product
+    as every other mode.  Each doubling multiplies the known rows
+    z^1 .. z^j by z^j, so the matrix costs log2(half) vectorised products
+    and one exp per point, and the rounding error of z^k grows like
+    log2(k), not like k.
     """
-    out = np.empty((top, x.size), dtype=complex)
-    if top == 0:
-        return out
-    out[0] = np.exp((2j * np.pi) * x)
+    out = np.empty((half + 1, x.size), dtype=complex)
+    out[0] = 0.5
+    out[1] = np.exp((2j * np.pi) * x)
     j = 1
-    while j < top:
-        step = min(j, top - j)
-        np.multiply(out[:step], out[j - 1], out=out[j : j + step])
+    while j < half:
+        step = min(j, half - j)
+        np.multiply(out[1 : step + 1], out[j], out=out[j + 1 : j + 1 + step])
         j += step
+    out[half] *= 0.5
     return out
 
 
@@ -223,16 +231,14 @@ def interp_coeffs(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the trig polynomial of each row of rfft coefficients c at xs.
 
     c has shape (..., n/2 + 1) in "forward" normalisation (c_k is the
-    amplitude of e^{2 pi i k x}, the Nyquist entry that of cos(pi n x)); the
-    result has shape c.shape[:-1] + xs.shape.  Every row is evaluated with
-    one shared phase matrix, and no transform is made.
+    amplitude of e^{2 pi i k x}, the Nyquist entry that of cos(pi n x)),
+    with real mean and Nyquist entries, as the rfft of real samples has
+    them; the result has shape c.shape[:-1] + xs.shape.  Every row is
+    evaluated with one product against one shared weighted phase matrix,
+    and no transform is made.
     """
     xs = np.asarray(xs, dtype=float)
-    half = c.shape[-1] - 1
-    x = xs.reshape(-1)
-    out = 2.0 * (c[..., 1:half] @ _phase_powers(x, half - 1)).real
-    out += c[..., :1].real
-    out += c[..., half : half + 1].real * np.cos(np.pi * (2 * half) * x)
+    out = 2.0 * (c @ _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)).real
     return out.reshape(c.shape[:-1] + xs.shape)
 
 

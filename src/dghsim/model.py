@@ -18,22 +18,27 @@ batched forward transform at 3n/2, and truncation back to the n-point
 band -- two transforms in all.  The products are quadratic, so 3n/2
 points alias nothing into the band they keep (Orszag's 3/2 rule).  Only
 the folded Nyquist mode of a product picks up a Nyquist-times-Nyquist
-term, and nothing reads it: (G*)' and d/dx vanish there, and u_x has no
-Nyquist mode, so u u_x has no such term.  hamiltonian_f has cubic
-products and stays on a 2n grid.
+term.  (G*)' and d/dx vanish there, so only the Nyquist mode of u u_x is
+read, and folded, and u_x has no Nyquist mode, so u u_x has no such
+term.  The linear symbol gamma ik - (gamma - A)(G*)' is looked up once
+per grid and parameters, not once per right-hand side.
 
 A State is the one container of (grid, u, rho) as float sample arrays; the
 invariant functionals take the arrays themselves, plus the slope u_x,
-which the caller computes once and shares.
+which the caller computes once and shares.  The cubic hamiltonian_f needs
+a 2n grid; hamiltonian_f_coeffs pads the coefficients of (u, u_x, rho)
+there with one inverse transform, so a caller that holds them, as the
+integrator does, makes no forward transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import ParameterError, PeriodicGrid, pad_values
+from .grid import ParameterError, PeriodicGrid
 
 __all__ = [
     "NonFiniteFieldError",
@@ -45,6 +50,7 @@ __all__ = [
     "mean_u",
     "hamiltonian_e",
     "hamiltonian_f",
+    "hamiltonian_f_coeffs",
 ]
 
 
@@ -89,38 +95,54 @@ class State:
             object.__setattr__(self, name, v)
 
 
+@lru_cache(maxsize=8)
+def _rhs_symbols(
+    grid: PeriodicGrid, p: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear symbol gamma ik - (gamma - A)(G*)' of du/dt, the symbol
+    -(G*)'/2 of the doubled convolution argument, and -ik."""
+    symbols = (
+        p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol,
+        -0.5 * grid.dgreen_symbol,
+        -grid.ik,
+    )
+    for s in symbols:
+        s.flags.writeable = False
+    return symbols
+
+
 def rhs_coeffs(c: np.ndarray, grid: PeriodicGrid, p: ModelParams) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (2, n/2 + 1).  In "forward" normalisation
     c_k is the amplitude of e^{2 pi i k x}, so padding to 3n/2 and
     truncating back need no rescaling: the Nyquist mode is split in half on
-    the way up, as in pad_values, and folded back (doubled real part) on
-    the way down, as in project_values.
+    the way up, as in pad_values.  On the way down only the u u_x product
+    has its Nyquist mode read, so only it is folded (doubled real part), as
+    in project_values; (G*)' and d/dx vanish on the other two.
     """
     n = grid.n
     half = n // 2
     m = 3 * n // 2
-    cu = c[0]
-    cux = grid.ik * cu
+    lin, neg_half_dgreen, neg_ik = _rhs_symbols(grid, p)
 
     padded = np.zeros((3, m // 2 + 1), dtype=complex)  # u, u_x, rho
     padded[::2, : half + 1] = c
-    padded[1, : half + 1] = cux
-    padded[:, half] *= 0.5
+    padded[::2, half] *= 0.5
+    np.multiply(grid.ik, c[0], out=padded[1, : half + 1])
     fine = np.fft.irfft(padded, m, norm="forward")
 
-    # u^2 + u_x^2/2 + rho^2/2 (the convolution argument), u u_x, u rho
+    # 2 u^2 + u_x^2 + rho^2 (twice the convolution argument), u u_x, u rho
     prods = fine[0] * fine
-    prods[0] += 0.5 * (fine[1] * fine[1] + fine[2] * fine[2])
-    band = np.fft.rfft(prods, norm="forward")[:, : half + 1]
-    band[:, half] = 2.0 * band[:, half].real
-    c_quad, c_adv, c_flux = band
+    prods[0] += np.add.reduce(fine * fine)
+    c_arg2, c_adv, c_flux = np.fft.rfft(prods, norm="forward")[:, : half + 1]
+    c_adv[half] = 2.0 * c_adv[half].real
 
     out = np.empty((2, half + 1), dtype=complex)
-    c_arg = c_quad + (p.gamma - p.A) * cu
-    out[0] = p.gamma * cux - c_adv - grid.dgreen_symbol * c_arg
-    out[1] = -grid.ik * c_flux
+    np.multiply(lin, c[0], out=out[0])
+    out[0] -= c_adv
+    out[0] += neg_half_dgreen * c_arg2
+    np.multiply(neg_ik, c_flux, out=out[1])
     return out
 
 
@@ -156,20 +178,29 @@ def hamiltonian_e(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
 def hamiltonian_f(
     u: np.ndarray, ux: np.ndarray, rho: np.ndarray, p: ModelParams
 ) -> float:
-    """Cubic invariant, evaluated on a 2n grid so the products are exact.
+    """Cubic invariant of the sample arrays: hamiltonian_f_coeffs of their
+    rfft coefficients.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
     """
-    uf, uxf, rf = pad_values(np.stack((u, ux, rho)), 2 * u.size)
-    rf -= 1.0
-    integrand = (
-        uf**3
-        + uf * uxf**2
-        - p.A * uf**2
-        - p.gamma * uxf**2
-        + 2.0 * uf * rf
-        + uf * rf**2
-    )
-    return 0.5 * float(np.mean(integrand))
+    c = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
+    return hamiltonian_f_coeffs(c, p)
 
+
+def hamiltonian_f_coeffs(c: np.ndarray, p: ModelParams) -> float:
+    """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
+    norm="forward"), shape (3, n/2 + 1), evaluated on a 2n grid so the
+    products are exact: one inverse transform and no forward one.
+
+    The integrand is regrouped as u (u (u - A) + u_x^2 + rho^2 - 1)
+    - gamma u_x^2, since 2 (rho - 1) + (rho - 1)^2 = rho^2 - 1.
+    """
+    half = c.shape[-1] - 1
+    padded = np.zeros((3, 2 * half + 1), dtype=complex)
+    padded[:, : half + 1] = c
+    padded[:, half] *= 0.5
+    uf, uxf, rf = np.fft.irfft(padded, 4 * half, norm="forward")
+    ux2 = uxf * uxf
+    integrand = uf * (uf * (uf - p.A) + ux2 + rf * rf - 1.0) - p.gamma * ux2
+    return 0.5 * float(np.add.reduce(integrand) / integrand.size)

@@ -26,10 +26,13 @@ combination of coefficient arrays, and model.rhs_coeffs takes and returns
 coefficients, so a right-hand side makes only its two transforms at 3n/2
 points.  Characteristic stages and the density at the slope minimum read
 the coefficients through grid.interp_coeffs, with no transform.  Once per
-step one batched inverse transform gives the samples (u, rho); the step's
-u_x feeds the slope tracking, the E0 check and any record, which reads the
-invariants straight off the arrays; only a snapshot builds a State.  At
-step 0 the samples are the initial arrays themselves.
+step one batched inverse transform of the rows (c_u, ik c_u, c_rho) gives
+the samples u, u_x and rho in a single pass; that u_x feeds the slope
+tracking, the step size and the E0 check, and any record reads the
+invariants straight off the arrays, except the cubic one, which pads the
+same rows to 2n with one more inverse transform.  No sample is transformed
+forward again, and only a snapshot builds a State.  At step 0 the samples
+are the initial arrays themselves and u_x is their spectral derivative.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .model import (
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
+    hamiltonian_f_coeffs,
     mean_u,
     rhs_coeffs,
 )
@@ -240,7 +244,11 @@ def run(
         raise ValueError(f"state lives on n={grid.n}, config says n={c.n}")
     u = np.array(s0.u)
     rho = np.array(s0.rho)
+    ux = deriv_values(u, 1)
     coef = _coeffs(u, rho)
+    # coefficients of (u, u_x, rho), the rows of each step's one inverse
+    # transform to samples; a record pads them for the cubic invariant
+    rows = np.empty((3, grid.n // 2 + 1), dtype=complex)
     track = seeds is not None
     if track:
         q = np.array(seeds, dtype=float)
@@ -260,20 +268,18 @@ def run(
     trace_m: list[float] = []
     trace_xi: list[float] = []
     trace_alpha: list[float] = []
-    rows: list[list[float]] = []
+    series: list[list[float]] = []
     snapshots: list[tuple[float, State]] = []
     ens_t: list[float] = []
     ens_q: list[np.ndarray] = []
     ens_lq: list[np.ndarray] = []
     ens_rq: list[np.ndarray] = []
 
-    # slope and E0 of the current (u, rho), taken by observe() and read by record()
-    ux = None
+    # E0 of the current (u, u_x, rho), taken by observe() and read by record()
     e0 = 0.0
 
     def observe() -> None:
-        nonlocal ux, e0
-        ux = deriv_values(u, 1)
+        nonlocal e0
         e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
         alpha = float(interp_coeffs(coef[1], np.asarray([xi]))[0])
@@ -287,9 +293,10 @@ def run(
         if step == last_recorded:
             return
         last_recorded = step
-        rows.append([
-            t, e0, mean_u(u),
-            hamiltonian_e(u, ux, rho), hamiltonian_f(u, ux, rho, p),
+        # step 0 holds the given arrays, every later step the rows
+        ham_f = hamiltonian_f_coeffs(rows, p) if step else hamiltonian_f(u, ux, rho, p)
+        series.append([
+            t, e0, mean_u(u), hamiltonian_e(u, ux, rho), ham_f,
             trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
         if track:
@@ -338,7 +345,9 @@ def run(
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
-        u, rho = _values(coef, grid.n)
+        rows[::2] = coef
+        np.multiply(grid.ik, coef[0], out=rows[1])
+        u, ux, rho = _values(rows, grid.n)
 
         if hit_snapshot:
             t = snaps_due.popleft()
@@ -379,6 +388,6 @@ def run(
         slope_trace=trace,
         snapshots=snapshots,
         termination=termination,
-        series=np.asarray(rows, dtype=float),
+        series=np.asarray(series, dtype=float),
         ensemble=ensemble,
     )

@@ -70,6 +70,17 @@ def rhs_padded_reference(u, rho, grid, p):
     return du, drho
 
 
+def hamiltonian_f_padded_reference(u, ux, rho, p):
+    """Cubic invariant with each field padded to 2n in physical space and
+    the integrand summed term by term, with its term-wise magnitude."""
+    m = 2 * np.shape(u)[-1]
+    uf, uxf, rf = pad_values(u, m), pad_values(ux, m), pad_values(rho, m) - 1.0
+    terms = (uf**3, uf * uxf**2, -p.A * uf**2, -p.gamma * uxf**2, 2.0 * uf * rf, uf * rf**2)
+    value = 0.5 * float(np.mean(sum(terms)))
+    scale = 0.5 * float(np.mean(sum(np.abs(t) for t in terms)))
+    return value, scale
+
+
 def interp_exp_reference(values, xs):
     """Trig interpolant of one field at xs, one complex exponential per
     (point, mode) pair."""

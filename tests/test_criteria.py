@@ -261,19 +261,38 @@ def test_rate_estimator_fits_past_the_cutoff_when_the_floor_lies_above_it():
     assert est.t_blowup == pytest.approx(1.0, abs=1e-8)
 
 
+def guard_ended_breaking_run(n):
+    # the breaking wave, run until the E0 guard ends its dive
+    p = ModelParams(A=1.0, gamma=0.0)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
+    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n))
+    return s0, p, run(s0, p, SimConfig(n=n, t_end=5.0)).slope_trace
+
+
 def test_rate_estimator_fits_the_guard_ended_breaking_run_at_n128():
     # the E0 guard ends the blowup31 dive at n = 128 near m = -40, above
     # twice the cutoff; the window keeps the samples past the cutoff
-    p = ModelParams(A=1.0, gamma=0.0)
-    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=128)
-    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(128))
-    tr = run(s0, p, SimConfig(n=128, t_end=5.0)).slope_trace
+    s0, p, tr = guard_ended_breaking_run(128)
     cutoff = -3.0 * abs(tr.m[0])
     assert 0.5 * tr.m.min() > cutoff
     est = estimate_blowup_rate(tr)
     assert est.samples == np.count_nonzero(tr.m <= cutoff) >= 10
     assert -2.4 <= est.rate <= -1.6
     assert tr.times[-1] < est.t_blowup < evaluate_criteria(s0.u, s0.rho, p).riccati_t
+
+
+def test_rate_estimator_fits_the_guard_ended_breaking_run_at_n256():
+    # at n = 256 the guard ends the dive near m = -52.7: half its deepest
+    # slope lies just below the cutoff, with a single sample between them.
+    # Too few to fit, so every sample past the cutoff is fitted instead
+    _, _, tr = guard_ended_breaking_run(256)
+    cutoff = -3.0 * abs(tr.m[0])
+    floor = 0.5 * tr.m.min()
+    assert floor < cutoff
+    assert np.count_nonzero((tr.m <= cutoff) & (tr.m >= floor)) < 10
+    est = estimate_blowup_rate(tr)
+    assert est.samples == np.count_nonzero(tr.m <= cutoff) == 36
+    assert est.rate == pytest.approx(-2.0934, abs=1e-4)
 
 
 def test_rate_estimator_rejects_relaxing_tail():

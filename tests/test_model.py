@@ -21,12 +21,17 @@ from dghsim.model import (
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
+    hamiltonian_f_coeffs,
     mean_u,
     rhs_coeffs,
     rhs_values,
 )
 from dghsim.oracles import kernel_quadrature
-from helpers import dealiased_product, rhs_padded_reference
+from helpers import (
+    dealiased_product,
+    hamiltonian_f_padded_reference,
+    rhs_padded_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +216,20 @@ def test_hamiltonian_f_closed_forms():
     assert hamiltonian_f(ones, ZERO, ones, p) == pytest.approx(-0.5, abs=1e-14)
     p = ModelParams(A=1.0, gamma=0.0)
     assert hamiltonian_f(SINE, SINE_X, ones, p) == pytest.approx(-0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 10, 64, 1024])
+def test_hamiltonian_f_matches_padded_reference(n):
+    # the 2n padding is made on coefficients, the integrand regrouped; a
+    # heavy Nyquist mode weighs on the split, in every field
+    r = np.random.default_rng(n)
+    alt = (-1.0) ** np.arange(n)
+    u, ux, rho = r.normal(size=(3, n)) + np.array([[3.0], [-2.0], [1.5]]) * alt
+    p = ModelParams(A=0.9, gamma=-1.7)
+    want, scale = hamiltonian_f_padded_reference(u, ux, rho, p)
+    assert abs(hamiltonian_f(u, ux, rho, p) - want) <= 1e-13 * scale
+    c = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
+    assert hamiltonian_f_coeffs(c, p) == hamiltonian_f(u, ux, rho, p)
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):

@@ -189,6 +189,45 @@ def test_rk4_stages_make_eight_transforms_at_three_halves_n(monkeypatch, track):
         assert made == [("irfft", 3 * n // 2), ("rfft", 3 * n // 2)] * 4
 
 
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_whole_step_transform_count(monkeypatch, record_every, track):
+    # past step 0 a step makes its eight stage transforms at 3n/2 and one
+    # batched inverse transform to samples at n, and a recorded step one
+    # more at 2n for the cubic invariant: nothing is transformed forward at
+    # n again, neither for u_x nor for the invariants
+    import dghsim.stepping as stepping
+
+    n = 64
+    log = []
+    real_advance = stepping._advance
+
+    def advance(*args, **kwargs):
+        log.append("step")
+        return real_advance(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_advance", advance)
+    _log_transforms(monkeypatch, log)
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
+    c = SimConfig(n=n, t_end=0.2, record_every=record_every, snapshot_times=(0.0, 0.05))
+    res = run(smooth_state(n), ModelParams(A=1.0, gamma=0.3), c, seeds=seeds)
+    monkeypatch.undo()
+
+    steps = []
+    for entry in log:
+        if entry == "step":
+            steps.append([])
+        elif steps:
+            steps[-1].append(entry)
+    recorded = np.isin(res.slope_trace.times[1:], res.series[:, 0])
+    assert len(steps) == len(recorded) > 10
+    assert recorded.all() if record_every == 1 else 0 < recorded.sum() < len(steps)
+    stages = [("irfft", 3 * n // 2), ("rfft", 3 * n // 2)] * 4
+    for made, rec in zip(steps, recorded.tolist()):
+        assert ("rfft", n) not in made
+        assert made == stages + [("irfft", n)] + [("irfft", 2 * n)] * rec
+
+
 def test_rk4_fourth_order():
     s0 = smooth_state()
     p = ModelParams(A=1.0, gamma=0.3)
@@ -261,7 +300,10 @@ def test_series_layout_and_cadence():
     # record_every=1 records after every accepted step
     assert len(res.series) == len(res.slope_trace.times)
     # the invariant columns at each snapshot are the model's functionals of
-    # that snapshot's arrays, bit for bit
+    # that snapshot's arrays.  At t = 0 they are bit for bit, as is meanU
+    # everywhere; later, the run takes u_x and the cubic invariant's samples
+    # from the state's coefficients rather than re-transforming u, so E0,
+    # hamE and hamF agree to roundoff
     assert len(res.snapshots) == 3
     for ts, st in res.snapshots:
         row = res.series[t == ts][0]
@@ -272,7 +314,12 @@ def test_series_layout_and_cadence():
             hamiltonian_e(st.u, ux, st.rho),
             hamiltonian_f(st.u, ux, st.rho, p),
         ]
-        assert row[1:5].tolist() == expected
+        e0, mean, ham_e, ham_f = expected
+        assert row[2] == mean
+        if ts == 0.0:
+            assert row[1:5].tolist() == expected
+        else:
+            assert row[[1, 3, 4]] == pytest.approx([e0, ham_e, ham_f], rel=1e-13, abs=0.0)
 
 
 def test_sparser_recording():
