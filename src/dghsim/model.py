@@ -23,12 +23,13 @@ read, and folded, and u_x has no Nyquist mode, so u u_x has no such
 term.  The linear symbol gamma ik - (gamma - A)(G*)' is looked up once
 per grid and parameters, not once per right-hand side.
 
-A State is the one container of (grid, u, rho) as float sample arrays; the
-invariant functionals take the arrays themselves, plus the slope u_x,
-which the caller computes once and shares.  The cubic hamiltonian_f needs
-a 2n grid; hamiltonian_f_coeffs pads the coefficients of (u, u_x, rho)
-there with one inverse transform, so a caller that holds them, as the
-integrator does, makes no forward transform.
+A State is the one container of (grid, u, rho) as float sample arrays.
+energy_e0 takes the arrays themselves, plus the slope u_x, which the
+caller computes once and shares; hamiltonian_e is read off E0 and rho,
+so a caller that has taken E0 does not take it again.  The one cubic
+invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
+the integrator holds, and pads them to a 2n grid with one inverse
+transform and no forward one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "mean_u",
     "hamiltonian_e",
     "hamiltonian_f",
-    "hamiltonian_f_coeffs",
 ]
 
 
@@ -170,28 +170,19 @@ def mean_u(u: np.ndarray) -> float:
     return float(np.mean(u))
 
 
-def hamiltonian_e(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
-    """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2."""
-    return 0.5 * (energy_e0(u, ux, rho) - 2.0 * float(np.mean(rho)) + 1.0)
+def hamiltonian_e(e0: float, rho: np.ndarray) -> float:
+    """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2
+    from e0 = energy_e0(u, u_x, rho) and the density samples rho."""
+    return 0.5 * (e0 - 2.0 * float(np.mean(rho)) + 1.0)
 
 
-def hamiltonian_f(
-    u: np.ndarray, ux: np.ndarray, rho: np.ndarray, p: ModelParams
-) -> float:
-    """Cubic invariant of the sample arrays: hamiltonian_f_coeffs of their
-    rfft coefficients.
-
-    (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
-                   + u (rho-1)^2)
-    """
-    c = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
-    return hamiltonian_f_coeffs(c, p)
-
-
-def hamiltonian_f_coeffs(c: np.ndarray, p: ModelParams) -> float:
+def hamiltonian_f(c: np.ndarray, p: ModelParams) -> float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
     norm="forward"), shape (3, n/2 + 1), evaluated on a 2n grid so the
     products are exact: one inverse transform and no forward one.
+
+    (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
+                   + u (rho-1)^2)
 
     The integrand is regrouped as u (u (u - A) + u_x^2 + rho^2 - 1)
     - gamma u_x^2, since 2 (rho - 1) + (rho - 1)^2 = rho^2 - 1.

@@ -1,10 +1,16 @@
 """Adaptive RK4 time integration with slope-based breakdown detection.
 
 The step size tracks both the advective CFL limit and the steepness of
-the solution: dt = min(cfl dx / max|u - gamma|, slope_dt_factor / |min u_x|,
-time remaining).  As the minimal slope dives, steps shrink in proportion,
-so a genuine blow-up is followed in a controlled geometric cascade until
-the grid can no longer resolve it.
+the solution:
+
+    dt = min(cfl dx / max(max|u - gamma|, 1e-8),
+             slope_dt_factor / max(|min u_x|, 1),  time remaining)
+
+where min u_x is the refined slope minimum the run has just traced.  As
+the minimal slope dives, steps shrink in proportion, so a genuine blow-up
+is followed in a controlled geometric cascade until the grid can no
+longer resolve it; the two floors keep a quiescent or slowly varying
+state from asking for an unbounded step.
 
 Runs terminate with one of four causes:
 
@@ -24,15 +30,21 @@ The RK4 state is the pair of Fourier coefficients c = rfft((u, rho)) in
 "forward" normalisation: every stage, and the final sum, is a linear
 combination of coefficient arrays, and model.rhs_coeffs takes and returns
 coefficients, so a right-hand side makes only its two transforms at 3n/2
-points.  Characteristic stages and the density at the slope minimum read
-the coefficients through grid.interp_coeffs, with no transform.  Once per
-step one batched inverse transform of the rows (c_u, ik c_u, c_rho) gives
-the samples u, u_x and rho in a single pass; that u_x feeds the slope
-tracking, the step size and the E0 check, and any record reads the
-invariants straight off the arrays, except the cubic one, which pads the
-same rows to 2n with one more inverse transform.  No sample is transformed
-forward again, and only a snapshot builds a State.  At step 0 the samples
-are the initial arrays themselves and u_x is their spectral derivative.
+points.  A characteristic ensemble rides in the same RK4 sum: one stage
+function returns the coefficient rates together with u and u_x at the
+stage positions, read off the stage coefficients by one
+grid.interp_coeffs call with no transform.  Once per step one batched
+inverse transform of the rows (c_u, ik c_u, c_rho) gives the samples u,
+u_x and rho in a single pass; that u_x feeds the slope tracking, the step
+size and the E0 check, and any record reads the invariants straight off
+the arrays and E0, except the cubic one, which pads the same rows to 2n
+with one more inverse transform.  No sample is transformed forward again,
+and only a snapshot builds a State.
+
+Step 0 starts from the given samples: u_x is their spectral derivative,
+and one batched forward transform of (u, u_x, rho) gives the rows, whose
+first and last make the initial RK4 state.  From there on every record
+computes its invariants the same way.
 """
 
 from __future__ import annotations
@@ -52,7 +64,6 @@ from .model import (
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
-    hamiltonian_f_coeffs,
     mean_u,
     rhs_coeffs,
 )
@@ -141,27 +152,21 @@ def adaptive_dt(
     p: ModelParams,
     c: SimConfig,
     t_remaining: float,
-    min_slope: float | None = None,
+    min_slope: float,
 ) -> float:
-    """Advective-CFL / slope-limited step for velocity samples u, clipped
-    to the time remaining."""
+    """Advective-CFL / slope-limited step for velocity samples u and their
+    slope minimum min_slope, clipped to the time remaining."""
     dx = 1.0 / u.size
     speed = float(np.max(np.abs(u - p.gamma)))
-    if min_slope is None:
-        min_slope, _ = refined_min(deriv_values(u, 1), dx)
     dt_advect = c.cfl * dx / max(speed, 1.0e-8)
     dt_slope = c.slope_dt_factor / max(abs(min_slope), 1.0)
     return min(dt_advect, dt_slope, t_remaining)
 
 
-def _require_finite(*arrays: np.ndarray | None) -> None:
+def _require_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
-        if a is not None and not np.isfinite(a).all():
+        if not np.isfinite(a).all():
             raise NonFiniteStateError("non-finite values in an RK4 stage")
-
-
-def _coeffs(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(np.stack((u, rho)), norm="forward")
 
 
 def _values(c: np.ndarray, n: int) -> np.ndarray:
@@ -179,50 +184,53 @@ def _advance(
     """One classical RK4 step of the coefficients c = rfft((u, rho));
     optionally carries characteristics along.
 
-    Trajectories use the same stage structure: stage positions advance with
-    stage velocities, and the log-Jacobian integrates the stage slopes,
-    both evaluated from the stage coefficients of u and u_x with one
-    shared phase matrix.
+    The state is the tuple (c,) or (c, q, lq).  Its one stage function
+    returns the coefficient rates and, for trajectories, the stage
+    velocity and slope at the stage positions, both read off the stage
+    coefficients of u and u_x with one shared phase matrix: positions
+    advance with the velocity, and the log-Jacobian integrates the slope.
 
     Finiteness is checked once, on the outputs: every stage enters the
     final RK4 sum, so a non-finite coefficient in any stage leaves one in
     c_new, and no stage needs a check of its own.
     """
-    half = 0.5 * dt
-    q_new = lq_new = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs_coeffs(c, grid, p)
-        c2 = c + half * k1
-        k2 = rhs_coeffs(c2, grid, p)
-        c3 = c + half * k2
-        k3 = rhs_coeffs(c3, grid, p)
-        c4 = c + dt * k3
-        k4 = rhs_coeffs(c4, grid, p)
-        c_new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        if q is not None:
-            # rows (stage u, its slope) for each of the four stages
-            pairs = np.empty((4, 2, grid.n // 2 + 1), dtype=complex)
-            pairs[:, 0] = (c[0], c2[0], c3[0], c4[0])
-            pairs[:, 1] = grid.ik * pairs[:, 0]
-            qk1, lk1 = interp_coeffs(pairs[0], q)
-            qa = q + half * qk1
-            qk2, lk2 = interp_coeffs(pairs[1], qa)
-            qb = q + half * qk2
-            qk3, lk3 = interp_coeffs(pairs[2], qb)
-            qc = q + dt * qk3
-            qk4, lk4 = interp_coeffs(pairs[3], qc)
-            q_new = q + (dt / 6.0) * (qk1 + 2.0 * qk2 + 2.0 * qk3 + qk4)
-            lq_new = lq + (dt / 6.0) * (lk1 + 2.0 * lk2 + 2.0 * lk3 + lk4)
-    _require_finite(c_new, q_new, lq_new)
-    return c_new, q_new, lq_new
+    def rates(y):
+        k = rhs_coeffs(y[0], grid, p)
+        if q is None:
+            return (k,)
+        uux[0] = y[0][0]
+        np.multiply(grid.ik, uux[0], out=uux[1])
+        return (k, *interp_coeffs(uux, y[1]))
+
+    def shift(y, h, k):
+        # no rate reads lq, so a stage carries (c, q) only
+        return [a + h * b for a, b in zip(y[:2], k)]
+
+    half = 0.5 * dt
+    y = (c,) if q is None else (c, q, lq)
+    uux = np.empty((2, grid.n // 2 + 1), dtype=complex)  # stage (u, u_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rates(y)
+        k2 = rates(shift(y, half, k1))
+        k3 = rates(shift(y, half, k2))
+        k4 = rates(shift(y, dt, k3))
+        out = [
+            a + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)
+        ]
+    _require_finite(*out)
+    if q is None:
+        return out[0], None, None
+    return tuple(out)
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     """Single classical RK4 step of the field equations."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    c, _, _ = _advance(_coeffs(s.u, s.rho), s.grid, p, dt)
+    c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
+    c, _, _ = _advance(c0, s.grid, p, dt)
     u, rho = _values(c, s.grid.n)
     return State(s.grid, u, rho)
 
@@ -245,10 +253,11 @@ def run(
     u = np.array(s0.u)
     rho = np.array(s0.rho)
     ux = deriv_values(u, 1)
-    coef = _coeffs(u, rho)
     # coefficients of (u, u_x, rho), the rows of each step's one inverse
-    # transform to samples; a record pads them for the cubic invariant
-    rows = np.empty((3, grid.n // 2 + 1), dtype=complex)
+    # transform to samples; a record pads them for the cubic invariant, and
+    # the RK4 state is a copy of the u and rho rows
+    rows = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
+    coef = rows[::2].copy()
     track = seeds is not None
     if track:
         q = np.array(seeds, dtype=float)
@@ -293,10 +302,8 @@ def run(
         if step == last_recorded:
             return
         last_recorded = step
-        # step 0 holds the given arrays, every later step the rows
-        ham_f = hamiltonian_f_coeffs(rows, p) if step else hamiltonian_f(u, ux, rho, p)
         series.append([
-            t, e0, mean_u(u), hamiltonian_e(u, ux, rho), ham_f,
+            t, e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(rows, p),
             trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
         if track:

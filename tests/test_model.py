@@ -21,7 +21,6 @@ from dghsim.model import (
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
-    hamiltonian_f_coeffs,
     mean_u,
     rhs_coeffs,
     rhs_values,
@@ -200,22 +199,27 @@ def test_energy_e0_matches_mean_of_squares_bit_for_bit(rng):
             assert energy_e0(u, ux, rho) == float(np.mean(u**2 + ux**2 + rho**2))
 
 
+def _coeffs(*rows):
+    return np.fft.rfft(np.stack(rows), norm="forward")
+
+
 def test_hamiltonian_e_closed_forms():
     ones = np.ones(64)
-    assert hamiltonian_e(ZERO, ZERO, ones) == 0.0
-    assert hamiltonian_e(ZERO, ZERO, ZERO) == pytest.approx(0.5, abs=1e-15)
+    assert hamiltonian_e(energy_e0(ZERO, ZERO, ones), ones) == 0.0
+    assert hamiltonian_e(energy_e0(ZERO, ZERO, ZERO), ZERO) == pytest.approx(0.5, abs=1e-15)
     expected = 0.5 * (0.5 + 2.0 * np.pi**2)
-    assert hamiltonian_e(SINE, SINE_X, ones) == pytest.approx(expected, abs=1e-12)
+    e0 = energy_e0(SINE, SINE_X, ones)
+    assert hamiltonian_e(e0, ones) == pytest.approx(expected, abs=1e-12)
 
 
 def test_hamiltonian_f_closed_forms():
     ones = np.ones(64)
     p = ModelParams(A=2.0, gamma=1.0)
-    assert hamiltonian_f(ZERO, ZERO, np.full(64, 3.0), p) == 0.0
+    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), p) == 0.0
     p = ModelParams(A=2.0, gamma=5.0)
-    assert hamiltonian_f(ones, ZERO, ones, p) == pytest.approx(-0.5, abs=1e-14)
+    assert hamiltonian_f(_coeffs(ones, ZERO, ones), p) == pytest.approx(-0.5, abs=1e-14)
     p = ModelParams(A=1.0, gamma=0.0)
-    assert hamiltonian_f(SINE, SINE_X, ones, p) == pytest.approx(-0.25, abs=1e-12)
+    assert hamiltonian_f(_coeffs(SINE, SINE_X, ones), p) == pytest.approx(-0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 1024])
@@ -227,27 +231,27 @@ def test_hamiltonian_f_matches_padded_reference(n):
     u, ux, rho = r.normal(size=(3, n)) + np.array([[3.0], [-2.0], [1.5]]) * alt
     p = ModelParams(A=0.9, gamma=-1.7)
     want, scale = hamiltonian_f_padded_reference(u, ux, rho, p)
-    assert abs(hamiltonian_f(u, ux, rho, p) - want) <= 1e-13 * scale
-    c = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
-    assert hamiltonian_f_coeffs(c, p) == hamiltonian_f(u, ux, rho, p)
+    assert abs(hamiltonian_f(_coeffs(u, ux, rho), p) - want) <= 1e-13 * scale
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):
-    # the caller takes u_x once and passes it in; the invariants take none
+    # the caller takes u_x once and passes it in, and E0 once for hamE;
+    # the invariants take none, and the cubic one reads coefficients
     g = PeriodicGrid(64)
     u = random_trig_field(g, rng, max_mode=12)
     rho = random_trig_field(g, rng, max_mode=12)
     ux = deriv_values(u, 1)
+    c = _coeffs(u, ux, rho)
     direct = 0.5 * np.mean(u**2 + ux**2 + (rho - 1.0) ** 2)
     calls = []
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, _counting(getattr(np.fft, name), calls))
-    energy_e0(u, ux, rho)
+    e0 = energy_e0(u, ux, rho)
     mean_u(u)
-    assert hamiltonian_e(u, ux, rho) == pytest.approx(direct, rel=1e-13)
+    assert hamiltonian_e(e0, rho) == pytest.approx(direct, rel=1e-13)
     assert calls == []
-    hamiltonian_f(u, ux, rho, ModelParams(A=1.0, gamma=0.3))
-    assert calls == ["rfft", "irfft"]  # one batched padding of (u, u_x, rho)
+    hamiltonian_f(c, ModelParams(A=1.0, gamma=0.3))
+    assert calls == ["irfft"]  # one batched padding of (u, u_x, rho) to 2n
 
 
 def test_momentum_density(rng):

@@ -77,14 +77,15 @@ def test_adaptive_dt_slope_cap_for_quiescent_state():
     u = np.full(64, 0.7)
     p = ModelParams(A=1.0, gamma=0.7)  # u - gamma == 0: no advective limit
     c = SimConfig(n=64, t_end=10.0)
-    assert adaptive_dt(u, p, c, t_remaining=10.0) == pytest.approx(0.05)
-    assert adaptive_dt(u, p, c, t_remaining=0.01) == pytest.approx(0.01)
+    assert adaptive_dt(u, p, c, t_remaining=10.0, min_slope=0.0) == pytest.approx(0.05)
+    assert adaptive_dt(u, p, c, t_remaining=0.01, min_slope=0.0) == pytest.approx(0.01)
 
 
 def test_adaptive_dt_cfl_limit():
     p = ModelParams(A=1.0, gamma=-0.5)  # |u - gamma| = 1
     c = SimConfig(n=256, t_end=10.0)
-    assert adaptive_dt(np.full(256, 0.5), p, c, t_remaining=10.0) == pytest.approx(0.3 / 256)
+    dt = adaptive_dt(np.full(256, 0.5), p, c, t_remaining=10.0, min_slope=0.0)
+    assert dt == pytest.approx(0.3 / 256)
 
 
 def test_adaptive_dt_tracks_steepness():
@@ -228,6 +229,47 @@ def test_whole_step_transform_count(monkeypatch, record_every, track):
         assert made == stages + [("irfft", n)] + [("irfft", 2 * n)] * rec
 
 
+def test_step_zero_transforms(monkeypatch):
+    # before the first step: the derivative's pair at n, one batched forward
+    # transform of (u, u_x, rho) for the rows and the RK4 state, and the
+    # step-0 record's padding of the rows to 2n
+    import dghsim.stepping as stepping
+
+    class FirstStep(Exception):
+        pass
+
+    def advance(*args, **kwargs):
+        raise FirstStep
+
+    n = 64
+    log = []
+    monkeypatch.setattr(stepping, "_advance", advance)
+    _log_transforms(monkeypatch, log)
+    with pytest.raises(FirstStep):
+        run(smooth_state(n), ModelParams(A=1.0, gamma=0.3), SimConfig(n=n, t_end=0.2))
+    assert log == [("rfft", n), ("irfft", n), ("rfft", n), ("irfft", 2 * n)]
+
+
+def test_characteristics_do_not_perturb_the_fields():
+    # the characteristics share the fields' stage function and RK4 sum, but
+    # only read the field coefficients: every field output is bit for bit
+    # that of a run without them
+    s0 = smooth_state()
+    p = ModelParams(A=1.0, gamma=0.3)
+    c = SimConfig(n=64, t_end=0.3, record_every=3, snapshot_times=(0.1, 0.2))
+    plain = run(s0, p, c)
+    tracked = run(s0, p, c, seeds=np.linspace(0.0, 1.0, 8, endpoint=False))
+    assert tracked.ensemble is not None
+    assert np.array_equal(plain.series, tracked.series)
+    for name in ("times", "m", "xi", "alpha"):
+        assert np.array_equal(getattr(plain.slope_trace, name),
+                              getattr(tracked.slope_trace, name))
+    assert plain.termination == tracked.termination
+    assert [t for t, _ in plain.snapshots] == [t for t, _ in tracked.snapshots] == [0.1, 0.2]
+    for (_, a), (_, b) in zip(plain.snapshots, tracked.snapshots):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho)
+
+
 def test_rk4_fourth_order():
     s0 = smooth_state()
     p = ModelParams(A=1.0, gamma=0.3)
@@ -308,11 +350,12 @@ def test_series_layout_and_cadence():
     for ts, st in res.snapshots:
         row = res.series[t == ts][0]
         ux = deriv_values(st.u, 1)
+        e0 = energy_e0(st.u, ux, st.rho)
         expected = [
-            energy_e0(st.u, ux, st.rho),
+            e0,
             mean_u(st.u),
-            hamiltonian_e(st.u, ux, st.rho),
-            hamiltonian_f(st.u, ux, st.rho, p),
+            hamiltonian_e(e0, st.rho),
+            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), p),
         ]
         e0, mean, ham_e, ham_f = expected
         assert row[2] == mean
