@@ -11,7 +11,7 @@ against the bound.
 
 import argparse
 
-from dghsim.criteria import blowup_time_bound, estimate_blowup_rate, evaluate_criteria
+from dghsim.criteria import estimate_blowup_rate, evaluate_criteria
 from dghsim.criteria import InsufficientWindowError
 from dghsim.grid import PeriodicGrid
 from dghsim.model import ModelParams
@@ -38,7 +38,7 @@ def main(argv=None) -> None:
     for name, th in rep.thresholds.items():
         met = rep.verdicts[name].hypothesis_met
         print(f"  threshold {name:<13} {th:9.4f}  hypothesis met: {met}")
-    bound = blowup_time_bound(rep.m0, rep.k_values["sharp"])
+    bound = rep.riccati_t
     print(f"Riccati blow-up time bound: {bound:.4f}")
 
     res = run(s0, p, SimConfig(n=args.n, t_end=args.t_end))

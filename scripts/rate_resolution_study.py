@@ -19,7 +19,6 @@ import time
 
 from dghsim.criteria import (
     InsufficientWindowError,
-    blowup_time_bound,
     estimate_blowup_rate,
     evaluate_criteria,
 )
@@ -43,7 +42,7 @@ def main(argv=None) -> None:
     s_probe = build_initial_data("blowup31", {"a": a, "b": 1.0},
                                  PeriodicGrid(base_n))
     rep = evaluate_criteria(s_probe.u, s_probe.rho, p)
-    bound = blowup_time_bound(rep.m0, rep.k_values["sharp"])
+    bound = rep.riccati_t
     print(f"amplitude a = {a:.6f}, E0 = {rep.e0:.4f}, m0 = {rep.m0:.4f}, "
           f"Riccati bound T <= {bound:.4f}\n")
 

@@ -12,7 +12,12 @@ Exit codes: 0 success (a detected blow-up is a success), 2 config error,
 3 I/O error, 4 numerical fault: a non-finite state without a
 BlowupPredicted verdict, a run the paper proves global that ends in
 BlowupDetected or ResolutionLost, or a run with a predicted blow-up that
-reaches its end after the Riccati time bound.
+reaches its end after the Riccati time bound.  A rejected config value
+prints ``config error: key '<key>': ...``.
+
+run and criteria open report.json with the same two sections: "config",
+the resolved config echoed key by key, and "criteria", the criterion
+report echoed field by field.
 
 All numeric output uses round-trip float formatting, and reports contain
 no timestamps, so identical inputs produce byte-identical artifacts.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -82,20 +88,23 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="ascii")
 
 
-def _report_criteria(rep) -> dict:
-    return {
-        "e0": rep.e0,
-        "a0": rep.a0,
-        "m0": rep.m0,
-        "xi0": rep.xi0,
-        "thresholds": dict(rep.thresholds),
-        "k_values": dict(rep.k_values),
-        "riccati_t": rep.riccati_t,
-        "verdicts": {
-            name: {"hypothesis_met": v.hypothesis_met, "predicted": v.predicted}
-            for name, v in rep.verdicts.items()
-        },
-    }
+def _fields_of(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _assess(sc: Scenario):
+    """Resolve a scenario and evaluate its criteria on the initial state.
+
+    Returns the resolved scenario, the state, the criterion report, and the
+    report document's first two sections: the config echo and the criteria,
+    field by field.
+    """
+    sc = sc.resolve()
+    s0 = sc.build_state()
+    report = evaluate_criteria(s0.u, s0.rho, sc.model, sc.eps_list)
+    criteria = _fields_of(report)
+    criteria["verdicts"] = {name: _fields_of(v) for name, v in report.verdicts.items()}
+    return sc, s0, report, {"config": resolved_config(sc), "criteria": criteria}
 
 
 def _snapshot_name(t: float, used: set) -> str:
@@ -134,13 +143,10 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
 
     Returns the exit code and the report document written to report.json.
     """
-    sc = sc.resolve()
-    s0 = sc.build_state()
-    report = evaluate_criteria(s0.u, s0.rho, sc.model, sc.eps_list)
+    sc, s0, report, doc = _assess(sc)
     seeds = default_seeds(sc.characteristic_count) if sc.characteristics else None
     result = run(s0, sc.model, sc.sim, seeds=seeds)
 
-    doc: dict = {"config": resolved_config(sc), "criteria": _report_criteria(report)}
     # columns E0 and meanU of the first and the last record
     (e0_first, mu_first), (e0_last, mu_last) = result.series[[0, -1], 1:3].tolist()
     doc["run"] = {
@@ -260,10 +266,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    sc = _load_scenario(args.config).resolve()
-    s0 = sc.build_state()
-    report = evaluate_criteria(s0.u, s0.rho, sc.model, sc.eps_list)
-    doc = {"config": resolved_config(sc), "criteria": _report_criteria(report)}
+    sc, _, report, doc = _assess(_load_scenario(args.config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", doc)
@@ -414,10 +417,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFiniteFieldError as exc:
+    except (ConfigError, NonFiniteFieldError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

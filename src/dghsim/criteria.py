@@ -369,12 +369,12 @@ class Verdict:
 class CriterionReport:
     e0: float
     a0: float
+    m0: float
+    xi0: float
     thresholds: dict[str, float]
     k_values: dict[str, float]
     riccati_t: float | None
     verdicts: dict[str, Verdict]
-    m0: float = 0.0
-    xi0: float = 0.0
 
     def __post_init__(self) -> None:
         for name, value in self.thresholds.items():
@@ -438,10 +438,10 @@ def evaluate_criteria(
     return CriterionReport(
         e0=e0,
         a0=a0,
+        m0=m0,
+        xi0=xi0,
         thresholds=thresholds,
         k_values=k_values,
         riccati_t=min(bounds) if bounds else None,
         verdicts=verdicts,
-        m0=m0,
-        xi0=xi0,
     )

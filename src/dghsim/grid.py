@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "ParameterError",
+    "ConfigError",
     "PeriodicGrid",
     "green_kernel",
     "dgreen_kernel",
@@ -58,11 +58,14 @@ __all__ = [
 _TWO_SINH_HALF = 2.0 * np.sinh(0.5)
 
 
-class ParameterError(ValueError):
-    """A parameter lies outside its range; `name` is its field name, so a
-    config reader can name the key that set it."""
+class ConfigError(ValueError):
+    """Malformed configuration: unknown key, bad value, or missing field.
 
-    def __init__(self, name: str, message: str) -> None:
+    A range check on a field passes the field's name as `name`, so the
+    config reader can name the key that set it.
+    """
+
+    def __init__(self, message: str, name: str | None = None) -> None:
         super().__init__(message)
         self.name = name
 
@@ -102,9 +105,9 @@ class PeriodicGrid:
         if not isinstance(self.n, int):
             raise TypeError(f"grid size must be an int, got {type(self.n).__name__}")
         if self.n < 8:
-            raise ParameterError("n", f"grid size must be at least 8, got n={self.n}")
+            raise ConfigError(f"grid size must be at least 8, got n={self.n}", "n")
         if self.n % 2 != 0:
-            raise ParameterError("n", f"grid size must be even, got n={self.n}")
+            raise ConfigError(f"grid size must be even, got n={self.n}", "n")
 
     @cached_property
     def dx(self) -> float:

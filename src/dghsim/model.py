@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ParameterError, PeriodicGrid
+from .grid import ConfigError, PeriodicGrid
 
 __all__ = [
     "NonFiniteFieldError",
@@ -67,11 +67,11 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.gamma):
-            raise ParameterError("gamma", f"gamma must be finite, got {self.gamma}")
+            raise ConfigError(f"gamma must be finite, got {self.gamma}", "gamma")
         # written as not (inside) so that NaN fails
         if not 0.0 < self.A < np.inf:
-            raise ParameterError(
-                "A", f"shear strength A must be positive and finite, got A={self.A}"
+            raise ConfigError(
+                f"shear strength A must be positive and finite, got A={self.A}", "A"
             )
 
 

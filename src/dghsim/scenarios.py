@@ -10,20 +10,26 @@ section prefixes::
     sim.n           = 256
     sim.t_end       = 10.0
 
-Unknown keys are rejected by name so typos fail loudly instead of being
-silently ignored.
+Each key is stated once: a family's parameters in that family's table,
+every other key in one table of key -> converter (and, for the keys that
+set a Scenario field directly, that field).  The reader converts every
+value by its key; ModelParams, SimConfig, Scenario and the family rules
+then check the ranges and raise ConfigError with the field's name.  So
+every rejected value is reported as ``key '<key>': ...``, and unknown
+keys are rejected by name so typos fail loudly instead of being silently
+ignored.  resolved_config echoes the same keys back for the run report.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .criteria import DEFAULT_EPS_LIST, threshold_sharp
-from .grid import ParameterError, PeriodicGrid, deriv_values
+from .grid import ConfigError, PeriodicGrid, deriv_values
 from .model import ModelParams, State, energy_e0
 from .stepping import SimConfig
 
@@ -39,10 +45,6 @@ __all__ = [
     "MAX_GRID_SIZE",
     "MAX_CHARACTERISTICS",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed configuration: unknown key, bad value, or missing field."""
 
 
 _MAX_EXACT_INT = 2.0**53  # larger integers do not survive the float parse
@@ -144,17 +146,20 @@ def _merge_family_params(family: str, params: dict) -> dict:
 
 def _check_family_constraints(family: str, p: dict) -> None:
     if family == "global41" and not p["r0"] > 1.0:
-        raise ConfigError(f"global41 requires r0 > 1, got r0 = {p['r0']}")
+        raise ConfigError(f"global41 requires r0 > 1, got r0 = {p['r0']}", "r0")
     if family == "blowup31":
         if not p["margin"] > 1.0:
             raise ConfigError(
                 f"blowup31 margin must exceed 1 (slope beyond threshold), "
-                f"got {p['margin']}"
+                f"got {p['margin']}",
+                "margin",
             )
         if p["a"] != "auto" and not p["a"] > 0.0:
-            raise ConfigError(f"blowup31 amplitude must be positive, got {p['a']}")
+            raise ConfigError(
+                f"blowup31 amplitude must be positive, got {p['a']}", "a"
+            )
     if family == "zero-mean" and p["a"] == 0.0:
-        raise ConfigError("zero-mean amplitude must be nonzero")
+        raise ConfigError("zero-mean amplitude must be nonzero", "a")
 
 
 def _trig_series(
@@ -296,7 +301,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("key 'scenario.name': the name must be nonempty")
+            raise ConfigError("the name must be nonempty", "name")
         merged = _merge_family_params(self.family, dict(self.family_params))
         object.__setattr__(self, "family_params", tuple(merged.items()))
         object.__setattr__(
@@ -304,13 +309,12 @@ class Scenario:
         )
         if not all(e > 0.0 for e in self.eps_list):
             raise ConfigError(
-                f"key 'criteria.eps_list': entries must be positive, got "
-                f"{self.eps_list}"
+                f"entries must be positive, got {self.eps_list}", "eps_list"
             )
         if not self.characteristic_count >= 2:
             raise ConfigError(
-                f"key 'characteristics.count': must be at least 2, got "
-                f"{self.characteristic_count}"
+                f"must be at least 2, got {self.characteristic_count}",
+                "characteristic_count",
             )
 
     @property
@@ -354,116 +358,87 @@ def parse_config_entries(text: str) -> dict[str, str]:
     return entries
 
 
-_MODEL_KEYS = {"model.A": _to_float, "model.gamma": _to_float}
-_SIM_KEYS = {
-    "sim.n": _to_int_at_most(MAX_GRID_SIZE),
-    "sim.t_end": _to_float,
-    "sim.cfl": _to_float,
-    "sim.slope_dt_factor": _to_float,
-    "sim.record_every": _to_int,
-    "sim.snapshot_times": _to_float_tuple,
-}
-# key -> (Scenario field, converter); an absent key keeps the field's default
-_ANALYSIS_KEYS = {
-    "criteria.eps_list": ("eps_list", _to_float_tuple),
-    "characteristics.enabled": ("characteristics", _to_bool),
+# Every key outside a family's parameters, in report.json's order:
+# key -> (converter, the Scenario field it sets).  A model.* or sim.* key
+# sets the ModelParams or SimConfig field named after its dot.
+_KEYS: dict[str, tuple] = {
+    "scenario.name": (str, "name"),
+    "scenario.family": (str, "family"),
+    "model.A": (_to_float, None),
+    "model.gamma": (_to_float, None),
+    "sim.n": (_to_int_at_most(MAX_GRID_SIZE), None),
+    "sim.t_end": (_to_float, None),
+    "sim.cfl": (_to_float, None),
+    "sim.slope_dt_factor": (_to_float, None),
+    "sim.record_every": (_to_int, None),
+    "sim.snapshot_times": (_to_float_tuple, None),
+    "criteria.eps_list": (_to_float_tuple, "eps_list"),
+    "characteristics.enabled": (_to_bool, "characteristics"),
     "characteristics.count": (
-        "characteristic_count", _to_int_at_most(MAX_CHARACTERISTICS)
+        _to_int_at_most(MAX_CHARACTERISTICS), "characteristic_count"
     ),
 }
+_REQUIRED_KEYS = ("scenario.family", "sim.n", "sim.t_end")
+# the field a range check names -> its key; any other name is a family
+# parameter's, so no parameter may reuse one of these names
+_FIELD_KEYS = {field or key.split(".")[1]: key for key, (_, field) in _KEYS.items()}
 
 
 def scenario_from_entries(entries: dict[str, str]) -> Scenario:
-    entries = dict(entries)
+    """Convert a key -> raw-value map into a Scenario.
 
-    def take(key: str, conv, default=None, required: bool = False):
+    A value is converted by its key's entry in _KEYS or, for any other
+    scenario.* key, by its family's parameter table; the classes then check
+    the ranges.  Every rejected value is reported as "key '<key>': ...".
+    """
+    for key in _REQUIRED_KEYS:
         if key not in entries:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        raw = entries.pop(key)
-        try:
-            return conv(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    family = take("scenario.family", str, required=True)
-    if family not in _FAMILY_PARAMS:
-        known = ", ".join(FAMILIES)
-        raise ConfigError(f"unknown family {family!r} (known: {known})")
-    name = take("scenario.name", str, default=family)
-
-    fam_params: dict[str, object] = {}
-    for key in [k for k in entries if k.startswith("scenario.")]:
-        pname = key[len("scenario."):]
-        if pname not in _FAMILY_PARAMS[family]:
-            raise ConfigError(f"unknown key {key!r} for family {family!r}")
-        conv = _FAMILY_PARAMS[family][pname][0]
-        raw = entries.pop(key)
-        try:
-            fam_params[pname] = conv(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    model_kwargs = {}
-    for key, conv in _MODEL_KEYS.items():
-        if key in entries:
-            model_kwargs[key.split(".", 1)[1]] = take(key, conv)
-    sim_kwargs = {}
-    for key, conv in _SIM_KEYS.items():
-        if key in entries:
-            sim_kwargs[key.split(".", 1)[1]] = take(key, conv)
-    if "n" not in sim_kwargs:
-        raise ConfigError("missing required key 'sim.n'")
-    if "t_end" not in sim_kwargs:
-        raise ConfigError("missing required key 'sim.t_end'")
-
-    analysis = {
-        field: take(key, conv)
-        for key, (field, conv) in _ANALYSIS_KEYS.items()
-        if key in entries
-    }
-
-    if entries:
-        stray = sorted(entries)[0]
-        raise ConfigError(f"unknown key {stray!r}")
-
-    def build(section: str, cls, kwargs: dict):
-        # the range checks live in the class; the config names the key
-        try:
-            return cls(**kwargs)
-        except ParameterError as exc:
-            raise ConfigError(f"key '{section}.{exc.name}': {exc}") from None
-
-    return Scenario(
-        name=name,
-        family=family,
-        family_params=tuple(fam_params.items()),
-        model=build("model", ModelParams, model_kwargs),
-        sim=build("sim", SimConfig, sim_kwargs),
-        **analysis,
-    )
+            raise ConfigError(f"missing required key {key!r}")
+    for key in entries:
+        if key not in _KEYS and not key.startswith("scenario."):
+            raise ConfigError(f"unknown key {key!r}")
+    # an unknown family or family key passes as text to _merge_family_params
+    family_spec = _FAMILY_PARAMS.get(entries["scenario.family"], {})
+    chosen: dict = {}
+    sections: dict = {"scenario": {}, "model": {}, "sim": {}}
+    key = None
+    try:
+        for key, raw in entries.items():
+            section, _, name = key.partition(".")
+            conv, field = _KEYS.get(key) or (family_spec.get(name, (str,))[0], None)
+            if field:
+                chosen[field] = conv(raw)
+            else:
+                sections[section][name] = conv(raw)
+        key = None  # from here on an error names its field, or no key
+        chosen.setdefault("name", chosen["family"])
+        return Scenario(
+            family_params=tuple(sections["scenario"].items()),
+            model=ModelParams(**sections["model"]),
+            sim=SimConfig(**sections["sim"]),
+            **chosen,
+        )
+    except ConfigError as exc:
+        if exc.name is not None:
+            key = _FIELD_KEYS.get(exc.name, f"scenario.{exc.name}")
+        if key is None:
+            raise
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def resolved_config(sc: Scenario) -> dict:
-    """Full configuration echo for the run report, resolved and typed."""
-    fam = {}
-    for key, value in sc.family_params:
-        fam[key] = list(value) if isinstance(value, tuple) else value
+    """Full configuration echo for the run report, resolved and typed: every
+    key a config may set, by section, with tuples as lists."""
+    doc: dict = {"scenario": {}}
+    for section in ("model", "sim"):
+        obj = getattr(sc, section)
+        doc[section] = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for key, (_, field) in _KEYS.items():
+        if field is not None:
+            section, _, name = key.partition(".")
+            doc.setdefault(section, {})[name] = getattr(sc, field)
+    doc["scenario"].update(sc.family_params)
     return {
-        "scenario": {"name": sc.name, "family": sc.family, **fam},
-        "model": {"A": sc.model.A, "gamma": sc.model.gamma},
-        "sim": {
-            "n": sc.sim.n,
-            "t_end": sc.sim.t_end,
-            "cfl": sc.sim.cfl,
-            "slope_dt_factor": sc.sim.slope_dt_factor,
-            "record_every": sc.sim.record_every,
-            "snapshot_times": list(sc.sim.snapshot_times),
-        },
-        "criteria": {"eps_list": list(sc.eps_list)},
-        "characteristics": {
-            "enabled": sc.characteristics,
-            "count": sc.characteristic_count,
-        },
+        section: {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+        for section, values in doc.items()
     }

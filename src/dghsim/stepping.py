@@ -57,7 +57,7 @@ import numpy as np
 
 from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, refined_min
-from .grid import ParameterError, PeriodicGrid, deriv_values, interp_coeffs
+from .grid import ConfigError, PeriodicGrid, deriv_values, interp_coeffs
 from .model import (
     ModelParams,
     State,
@@ -124,8 +124,8 @@ class SimConfig:
             ("record_every", self.record_every >= 1, "at least 1"),
         ):
             if not inside:
-                raise ParameterError(
-                    name, f"{name} must be {rule}, got {getattr(self, name)}"
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)}", name
                 )
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)

@@ -2,6 +2,7 @@
 codes, the sweep driver, and the built-in selftest suites."""
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +76,13 @@ model.gamma = 0.0
 sim.n = 256
 sim.t_end = 3.0
 """
+
+
+REPO = Path(__file__).resolve().parent.parent
+# the configs that ship with the repository and the golden cases' configs
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(
+    REPO.glob("tests/data/golden/*/config.cfg")
+)
 
 
 @pytest.fixture
@@ -332,10 +340,28 @@ def test_overflowing_custom_fourier_data_exits_2(tmp_path, capsys):
         "scenario.name =",
         "criteria.eps_list = 0.0, 1.0",
         "characteristics.count = 1",
+        # a family rule: SMOOTH_CONFIG is global41
+        "scenario.r0 = 1.0",
     ],
 )
 def test_range_check_names_its_key(line, tmp_path, capsys):
     cfg = write_config(tmp_path, line)
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    key = line.split("=")[0].strip()
+    assert f"config error: key '{key}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, line",
+    [
+        ("blowup31", "scenario.margin = 0.9"),
+        ("blowup31", "scenario.a = -2"),
+        ("zero-mean", "scenario.a = 0"),
+    ],
+)
+def test_family_rule_names_its_key(family, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario.family = {family}\n{line}\nsim.n = 32\nsim.t_end = 1\n")
     assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     key = line.split("=")[0].strip()
     assert f"config error: key '{key}': " in capsys.readouterr().err
@@ -376,6 +402,26 @@ def test_criteria_command(smooth_cfg, tmp_path, capsys):
     }
     text = capsys.readouterr().out
     assert "positive_density" in text and "GlobalPredicted" in text
+
+
+@pytest.mark.parametrize(
+    "cfg", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO))
+)
+def test_config_echo_round_trips(cfg, tmp_path):
+    # report.json's config section, read back as config text, is the
+    # resolved scenario
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    text = "".join(
+        f"{section}.{key} = "
+        f"{', '.join(map(repr, v)) if isinstance(v, list) else v}\n"
+        for section, values in echo.items()
+        for key, v in values.items()
+    )
+    want = scenarios.scenario_from_entries(
+        scenarios.parse_config_entries(cfg.read_text())
+    ).resolve()
+    assert scenarios.scenario_from_entries(scenarios.parse_config_entries(text)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +505,8 @@ def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # exit-code contract: any config text or --param spec gives 0, 2, 3 or 4
 
-_CONFIG_KEYS = (
-    "scenario.name", "model.A", "model.gamma", "sim.n", "sim.t_end", "sim.cfl",
-    "sim.slope_dt_factor", "sim.record_every", "sim.snapshot_times",
-    "criteria.eps_list", "characteristics.enabled", "characteristics.count",
-    "no.such_key",
-)
+# every key outside the family's own, and one that no config may set
+_CONFIG_KEYS = (*scenarios._KEYS, "no.such_key")
 _VALUES = st.one_of(
     st.floats().map(repr),  # includes nan, inf and values near the float limits
     st.integers(-(2**70), 2**70).map(str),

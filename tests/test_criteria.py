@@ -455,11 +455,11 @@ def test_report_with_no_applicable_route():
 def test_report_container_validation():
     with pytest.raises(ValueError):
         CriterionReport(
-            e0=1.0, a0=0.0, thresholds={"sharp": 0.5}, k_values={},
-            riccati_t=None, verdicts={},
+            e0=1.0, a0=0.0, m0=0.0, xi0=0.0, thresholds={"sharp": 0.5},
+            k_values={}, riccati_t=None, verdicts={},
         )
     with pytest.raises(ValueError):
         CriterionReport(
-            e0=1.0, a0=0.0, thresholds={}, k_values={},
+            e0=1.0, a0=0.0, m0=0.0, xi0=0.0, thresholds={}, k_values={},
             riccati_t=-1.0, verdicts={},
         )

@@ -18,7 +18,9 @@ from dghsim.scenarios import (
     resolved_config,
     scenario_from_entries,
     solve_blowup_amplitude,
-    _SIM_KEYS,
+    _FAMILY_PARAMS,
+    _FIELD_KEYS,
+    _KEYS,
 )
 from dghsim.stepping import SimConfig
 
@@ -41,6 +43,11 @@ def test_family_registry():
     assert FAMILIES == (
         "constant", "blowup31", "global41", "zero-mean", "custom-fourier",
     )
+    # a range check reports a field name, and the reader turns it into
+    # one key, so no two fields, family parameters included, share a name
+    assert len(_FIELD_KEYS) == len(_KEYS)
+    params = {name for spec in _FAMILY_PARAMS.values() for name in spec}
+    assert not params & set(_FIELD_KEYS)
 
 
 def test_constant_family():
@@ -207,6 +214,9 @@ def test_unknown_keys_are_named():
         parse(BASE_CONFIG + "scenario.amplitude = 2\n")
     with pytest.raises(ConfigError, match="model.B"):
         parse(BASE_CONFIG + "model.B = 2\n")
+    # family keys are judged against the family, so an unknown one is named
+    with pytest.raises(ConfigError, match="unknown family 'nope'"):
+        parse("scenario.family = nope\nscenario.a = 1\nsim.n = 32\nsim.t_end = 1\n")
 
 
 def test_missing_required_keys():
@@ -298,4 +308,4 @@ def test_resolved_config_echo():
     assert doc["characteristics"] == {"enabled": False, "count": 64}
     # the echo names exactly the sim keys a config may set, so a retired
     # key cannot linger in report.json
-    assert {f"sim.{k}" for k in doc["sim"]} == set(_SIM_KEYS)
+    assert {f"sim.{k}" for k in doc["sim"]} == {k for k in _KEYS if k[:4] == "sim."}

@@ -6,17 +6,42 @@ from pathlib import Path
 
 import pytest
 
+from dghsim.criteria import evaluate_criteria
+from dghsim.grid import PeriodicGrid
+from dghsim.model import ModelParams
+from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# script -> (arguments, a line fragment its output must contain)
+
+def _riccati_t(n: int) -> float:
+    """The bound the CLI reports for the scripts' breaking wave on n points."""
+    p = ModelParams()
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
+    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n))
+    return evaluate_criteria(s0.u, s0.rho, p).riccati_t
+
+
+BOUND_64 = f"{_riccati_t(64):.4f}"
+
+# script -> (arguments, line fragments its output must contain)
 RUNS = {
     "global_existence_demo": (
-        ["--n", "32", "--t-end", "0.2", "--seeds", "4"], "ReachedEnd at t = 0.2"
+        ["--n", "32", "--t-end", "0.2", "--seeds", "4"], ["ReachedEnd at t = 0.2"]
     ),
-    "breaking_wave_demo": (["--n", "64"], "BlowupDetected"),
+    "breaking_wave_demo": (
+        ["--n", "64"],
+        [
+            "BlowupDetected",
+            f"Riccati blow-up time bound: {BOUND_64}",
+            "within bound: True",
+        ],
+    ),
     # the E0 guard ends the n = 64 dive above twice the fit cutoff; the
     # window then holds every sample past the cutoff, and the row a rate
-    "rate_resolution_study": (["--resolutions", "64"], "-2.5240"),
+    "rate_resolution_study": (
+        ["--resolutions", "64"], ["-2.5240", f"Riccati bound T <= {BOUND_64}"]
+    ),
 }
 
 
@@ -25,4 +50,6 @@ def test_script_runs(name, capsys):
     argv, expected = RUNS[name]
     main = runpy.run_path(str(SCRIPTS / f"{name}.py"))["main"]
     main(argv)
-    assert expected in capsys.readouterr().out
+    out = capsys.readouterr().out
+    for fragment in expected:
+        assert fragment in out
