@@ -30,7 +30,9 @@ The matrix carries weight 1/2 on its mean and Nyquist rows, so one
 product with the coefficients reads every mode, the Nyquist cosine
 included.  interp_values is one forward transform followed by
 interp_coeffs, so a caller that already holds coefficients makes no
-transform at all.
+transform at all.  A single point needs no doubling: interp_point forms
+its one weighted exponential row directly, from each mode's phase reduced
+to under one turn without rounding error that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "deriv_values",
     "interp_values",
     "interp_coeffs",
+    "interp_point",
 ]
 
 _TWO_SINH_HALF = 2.0 * np.sinh(0.5)
@@ -61,11 +64,14 @@ _TWO_SINH_HALF = 2.0 * np.sinh(0.5)
 class ConfigError(ValueError):
     """Malformed configuration: unknown key, bad value, or missing field.
 
-    A range check on a field passes the field's name as `name`, so the
-    config reader can name the key that set it.
+    A range check on a field passes the field's name as `name`, or a
+    tuple of names when a value of several fields fails together, so the
+    config reader can name the keys that set them.
     """
 
-    def __init__(self, message: str, name: str | None = None) -> None:
+    def __init__(
+        self, message: str, name: str | tuple[str, ...] | None = None
+    ) -> None:
         super().__init__(message)
         self.name = name
 
@@ -243,6 +249,31 @@ def interp_coeffs(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = 2.0 * (c @ _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)).real
     return out.reshape(c.shape[:-1] + xs.shape)
+
+
+def interp_point(c: np.ndarray, x: float) -> float:
+    """Evaluate the trig polynomial of one row of rfft coefficients c (in
+    the layout interp_coeffs reads) at one point x: one weighted
+    exponential row and one dot product.
+
+    Mode k's phase is k x in turns less its nearest integer.  x splits into
+    a head of at most 26 significant bits and the tail x - head, so k times
+    either part is exact for every k < 2^26; the head's product loses its
+    integer part exactly, and adding the tail's product is the one rounding
+    before the exponential.  No phase error grows with k or |x|, so the
+    result is as accurate as the sum itself allows.
+    """
+    half = c.shape[-1] - 1
+    t = 134217729.0 * x  # 2^27 + 1: Veltkamp's split
+    head = t - (t - x)
+    k = np.arange(half + 1, dtype=float)
+    turns = k * head
+    turns -= np.rint(turns)
+    turns += k * (x - head)
+    row = np.exp((2j * np.pi) * turns)
+    row[0] = 0.5
+    row[half] *= 0.5
+    return 2.0 * float((c @ row).real)
 
 
 def helmholtz_convolve(v: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ __all__ = [
     "NonFiniteFieldError",
     "ModelParams",
     "State",
+    "rhs_buffer",
     "rhs_coeffs",
     "rhs_values",
     "energy_e0",
@@ -111,7 +112,19 @@ def _rhs_symbols(
     return symbols
 
 
-def rhs_coeffs(c: np.ndarray, grid: PeriodicGrid, p: ModelParams) -> np.ndarray:
+def rhs_buffer(grid: PeriodicGrid) -> np.ndarray:
+    """A zero-filled pad buffer for rhs_coeffs on this grid, shape
+    (3, 3n/4 + 1): the coefficients of (u, u_x, rho) zero-filled to 3n/2
+    points."""
+    return np.zeros((3, 3 * grid.n // 4 + 1), dtype=complex)
+
+
+def rhs_coeffs(
+    c: np.ndarray,
+    grid: PeriodicGrid,
+    p: ModelParams,
+    padded: np.ndarray | None = None,
+) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (2, n/2 + 1).  In "forward" normalisation
@@ -120,13 +133,19 @@ def rhs_coeffs(c: np.ndarray, grid: PeriodicGrid, p: ModelParams) -> np.ndarray:
     the way up, as in pad_values.  On the way down only the u u_x product
     has its Nyquist mode read, so only it is folded (doubled real part), as
     in project_values; (G*)' and d/dx vanish on the other two.
+
+    padded, if given, is a buffer from rhs_buffer(grid) that the caller
+    passes to every call on this grid: a call writes only its first
+    n/2 + 1 columns, so the zeros above them stay, and the result never
+    depends on what an earlier call left there.
     """
     n = grid.n
     half = n // 2
     m = 3 * n // 2
     lin, neg_half_dgreen, neg_ik = _rhs_symbols(grid, p)
 
-    padded = np.zeros((3, m // 2 + 1), dtype=complex)  # u, u_x, rho
+    if padded is None:
+        padded = rhs_buffer(grid)  # u, u_x, rho
     padded[::2, : half + 1] = c
     padded[::2, half] *= 0.5
     np.multiply(grid.ik, c[0], out=padded[1, : half + 1])
@@ -134,7 +153,8 @@ def rhs_coeffs(c: np.ndarray, grid: PeriodicGrid, p: ModelParams) -> np.ndarray:
 
     # 2 u^2 + u_x^2 + rho^2 (twice the convolution argument), u u_x, u rho
     prods = fine[0] * fine
-    prods[0] += np.add.reduce(fine * fine)
+    np.multiply(fine, fine, out=fine)
+    prods[0] += np.add.reduce(fine)
     c_arg2, c_adv, c_flux = np.fft.rfft(prods, norm="forward")[:, : half + 1]
     c_adv[half] = 2.0 * c_adv[half].real
 

@@ -50,8 +50,8 @@ __all__ = [
 _MAX_EXACT_INT = 2.0**53  # larger integers do not survive the float parse
 
 # Size limits.  A coupled run evaluates every characteristic against a
-# phase matrix of count x (n/2 - 1) complex entries per RK4 stage; at the
-# largest allowed pair that is 1024 x 32767 x 16 B, about 0.54 GB.
+# phase matrix of (n/2 + 1) x count complex entries per RK4 stage; at the
+# largest allowed pair that is 32769 x 1024 x 16 B, about 0.54 GB.
 MAX_GRID_SIZE = 2**16
 MAX_CHARACTERISTICS = 1024
 # The thresholds square a0 = 2 integral(u), and a0^2 <= 4 E0, so initial
@@ -162,14 +162,16 @@ def _check_family_constraints(family: str, p: dict) -> None:
         raise ConfigError("zero-mean amplitude must be nonzero", "a")
 
 
-def _trig_series(
-    grid: PeriodicGrid, mean: float, cos_c: tuple, sin_c: tuple
-) -> np.ndarray:
+def _trig_series(grid: PeriodicGrid, p: dict, field: str) -> np.ndarray:
+    """Samples of one custom-fourier field, field = "u" or "rho"."""
+    mean, cos_c, sin_c = (p[f"{field}_{part}"] for part in ("mean", "cos", "sin"))
     top = max(len(cos_c), len(sin_c))
     if top > grid.n // 2 - 1:
+        longer = "cos" if len(cos_c) == top else "sin"
         raise ConfigError(
             f"custom-fourier mode {top} does not fit on an n={grid.n} grid "
-            f"(need n >= {2 * top + 2})"
+            f"(need n >= {2 * top + 2})",
+            f"{field}_{longer}",
         )
     x = grid.nodes
     v = np.full(grid.n, float(mean))
@@ -205,9 +207,7 @@ def _initial_arrays(
     if family == "zero-mean":
         u = (p["a"] / (2.0 * np.pi)) * np.sin(2.0 * np.pi * x)
         return u, np.zeros(grid.n)
-    u = _trig_series(grid, p["u_mean"], p["u_cos"], p["u_sin"])
-    rho = _trig_series(grid, p["rho_mean"], p["rho_cos"], p["rho_sin"])
-    return u, rho
+    return _trig_series(grid, p, "u"), _trig_series(grid, p, "rho")
 
 
 def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
@@ -225,7 +225,8 @@ def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
 
 def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
     """(u, rho, E0) of a family's initial data, or a config error naming
-    the family and its parameters when E0 is not finite or too large.
+    the family and its parameters, by value and as its keys, when E0 is
+    not finite or too large.
 
     Callers run this with numpy overflow warnings silenced, so data past
     the range reports here and nowhere else.
@@ -236,7 +237,8 @@ def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
         shown = ", ".join(f"{k} = {v!r}" for k, v in params.items())
         raise ConfigError(
             f"{family} initial data ({shown}) has energy E0 = {e0!r}, "
-            f"beyond {_MAX_ENERGY:.3g}"
+            f"beyond {_MAX_ENERGY:.3g}",
+            tuple(params),
         )
     return u, rho, e0
 
@@ -272,7 +274,8 @@ def solve_blowup_amplitude(
         else:
             raise ConfigError(
                 f"blowup31 margin {margin} admits no amplitude: the threshold "
-                f"outgrows the slope at every scale"
+                f"outgrows the slope at every scale",
+                "margin",
             )
         lo = 0.0
         while hi - lo > tol:
@@ -326,14 +329,22 @@ class Scenario:
         p = self.params
         if self.family != "blowup31" or p["a"] != "auto":
             return self
-        p["a"] = solve_blowup_amplitude(p["b"], p["margin"], self.model, self.sim.n)
+        try:
+            p["a"] = solve_blowup_amplitude(
+                p["b"], p["margin"], self.model, self.sim.n
+            )
+        except ConfigError as exc:
+            raise _keyed(exc) from None
         return replace(self, family_params=tuple(p.items()))
 
     def build_state(self) -> State:
         """Initial data on the run's grid; its energy must be finite."""
         grid = PeriodicGrid(self.sim.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, rho, _ = _checked_energy(self.family, self.params, grid)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, rho, _ = _checked_energy(self.family, self.params, grid)
+        except ConfigError as exc:
+            raise _keyed(exc) from None
         return State(grid, u, rho)
 
 
@@ -419,11 +430,18 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
             **chosen,
         )
     except ConfigError as exc:
-        if exc.name is not None:
-            key = _FIELD_KEYS.get(exc.name, f"scenario.{exc.name}")
-        if key is None:
-            raise
-        raise ConfigError(f"key '{key}': {exc}") from None
+        raise _keyed(exc, key) from None
+
+
+def _keyed(exc: ConfigError, key: str | None = None) -> ConfigError:
+    """exc reworded as "key '<key>': ...", naming the key of each field the
+    check names, or else the given key; exc itself when neither names one."""
+    names = (exc.name,) if isinstance(exc.name, str) else exc.name or ()
+    keys = [_FIELD_KEYS.get(name, f"scenario.{name}") for name in names]
+    if not keys and key is None:
+        return exc
+    quoted = ", ".join(f"'{k}'" for k in keys or [key])
+    return ConfigError(f"{'keys' if len(keys) > 1 else 'key'} {quoted}: {exc}")
 
 
 def resolved_config(sc: Scenario) -> dict:

@@ -26,20 +26,30 @@ The semi-discrete flow conserves E0 exactly, so once its relative drift
 passes E0_DRIFT_TOL the grid no longer follows the solution, and every
 later step would only describe the numerics.  The run stops at that step.
 
-The RK4 state is the pair of Fourier coefficients c = rfft((u, rho)) in
-"forward" normalisation: every stage, and the final sum, is a linear
-combination of coefficient arrays, and model.rhs_coeffs takes and returns
-coefficients, so a right-hand side makes only its two transforms at 3n/2
-points.  A characteristic ensemble rides in the same RK4 sum: one stage
-function returns the coefficient rates together with u and u_x at the
-stage positions, read off the stage coefficients by one
-grid.interp_coeffs call with no transform.  Once per step one batched
-inverse transform of the rows (c_u, ik c_u, c_rho) gives the samples u,
-u_x and rho in a single pass; that u_x feeds the slope tracking, the step
-size and the E0 check, and any record reads the invariants straight off
-the arrays and E0, except the cubic one, which pads the same rows to 2n
-with one more inverse transform.  No sample is transformed forward again,
-and only a snapshot builds a State.
+The RK4 state is one flat float array: the pair of Fourier coefficients
+c = rfft((u, rho)) in "forward" normalisation, viewed as floats, followed,
+when a characteristic ensemble rides along, by its positions q and
+log-Jacobians lq.  Every stage shift, the final RK4 sum and the
+finiteness check are one array expression each, and model.rhs_coeffs
+takes and returns coefficients, so a right-hand side makes only its two
+transforms at 3n/2 points, padding into one buffer that the step's four
+stages share.  Once per step one batched inverse transform of the rows
+(c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a single pass;
+that u_x feeds the slope tracking, the step size and the E0 check, and
+any record reads the invariants straight off the arrays and E0, except
+the cubic one, which pads the same rows to 2n with one more inverse
+transform.  No sample is transformed forward again, and only a snapshot
+builds a State.
+
+Off-grid values cost one phase matrix per RK4 stage and nothing besides.
+The observation after a step evaluates the same rows at q with one
+grid.interp_coeffs call: its u and u_x are the next step's stage-1
+characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
+each read u and u_x at their stage positions off the stage coefficients
+with one more call, so a step with characteristics builds four phase
+matrices and a record none.  alpha = rho(xi) at the slope minimum comes
+from grid.interp_point, one exponential row, with or without
+characteristics.
 
 Step 0 starts from the given samples: u_x is their spectral derivative,
 and one batched forward transform of (u, u_x, rho) gives the rows, whose
@@ -57,7 +67,7 @@ import numpy as np
 
 from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, refined_min
-from .grid import ConfigError, PeriodicGrid, deriv_values, interp_coeffs
+from .grid import ConfigError, PeriodicGrid, deriv_values, interp_coeffs, interp_point
 from .model import (
     ModelParams,
     State,
@@ -65,6 +75,7 @@ from .model import (
     hamiltonian_e,
     hamiltonian_f,
     mean_u,
+    rhs_buffer,
     rhs_coeffs,
 )
 
@@ -163,66 +174,66 @@ def adaptive_dt(
     return min(dt_advect, dt_slope, t_remaining)
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NonFiniteStateError("non-finite values in an RK4 stage")
-
-
 def _values(c: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(c, n, norm="forward")
 
 
+def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
+    """The coefficients c = rfft((u, rho)) at the head of a flat RK4 state
+    y, as a (2, n/2 + 1) complex view."""
+    return y[: 2 * n + 4].view(complex).reshape(2, -1)
+
+
 def _advance(
-    c: np.ndarray,
+    y: np.ndarray,
     grid: PeriodicGrid,
     p: ModelParams,
     dt: float,
-    q: np.ndarray | None = None,
-    lq: np.ndarray | None = None,
-):
-    """One classical RK4 step of the coefficients c = rfft((u, rho));
-    optionally carries characteristics along.
+    at_q: np.ndarray | None = None,
+) -> np.ndarray:
+    """One classical RK4 step of the flat state y = (c viewed as floats,
+    q, lq); returns the new state, a new array.
 
-    The state is the tuple (c,) or (c, q, lq).  Its one stage function
-    returns the coefficient rates and, for trajectories, the stage
-    velocity and slope at the stage positions, both read off the stage
-    coefficients of u and u_x with one shared phase matrix: positions
-    advance with the velocity, and the log-Jacobian integrates the slope.
+    Without characteristics y holds c alone and at_q is None.  With K of
+    them, at_q holds u and u_x at q at the step's start, shape (2, K),
+    which the caller has already evaluated: they are stage 1's rates of q
+    and lq, since positions advance with the velocity and the log-Jacobian
+    integrates the slope.  Stages 2 to 4 each read u and u_x at their stage
+    positions off their stage coefficients with one interp_coeffs call.  No
+    rate reads lq.
 
-    Finiteness is checked once, on the outputs: every stage enters the
-    final RK4 sum, so a non-finite coefficient in any stage leaves one in
-    c_new, and no stage needs a check of its own.
+    Finiteness is checked once, on the output: every stage enters the
+    final RK4 sum, so a non-finite entry in any stage leaves one in it, and
+    no stage needs a check of its own.
     """
+    n = grid.n
+    head = 2 * n + 4  # floats in c
+    track = at_q is not None
+    padded = rhs_buffer(grid)
+    if track:
+        value_and_slope = np.ones((2, n // 2 + 1), dtype=complex)
+        value_and_slope[1] = grid.ik
+        q_end = head + at_q.shape[1]
 
-    def rates(y):
-        k = rhs_coeffs(y[0], grid, p)
-        if q is None:
-            return (k,)
-        uux[0] = y[0][0]
-        np.multiply(grid.ik, uux[0], out=uux[1])
-        return (k, *interp_coeffs(uux, y[1]))
-
-    def shift(y, h, k):
-        # no rate reads lq, so a stage carries (c, q) only
-        return [a + h * b for a, b in zip(y[:2], k)]
+    def rates(y, at_q=None):
+        c = _coefficients(y, n)
+        k = rhs_coeffs(c, grid, p, padded).reshape(-1).view(float)
+        if not track:
+            return k
+        if at_q is None:
+            at_q = interp_coeffs(c[0] * value_and_slope, y[head:q_end])
+        return np.concatenate((k, at_q.ravel()))
 
     half = 0.5 * dt
-    y = (c,) if q is None else (c, q, lq)
-    uux = np.empty((2, grid.n // 2 + 1), dtype=complex)  # stage (u, u_x)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rates(y)
-        k2 = rates(shift(y, half, k1))
-        k3 = rates(shift(y, half, k2))
-        k4 = rates(shift(y, dt, k3))
-        out = [
-            a + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)
-        ]
-    _require_finite(*out)
-    if q is None:
-        return out[0], None, None
-    return tuple(out)
+        k1 = rates(y, at_q)
+        k2 = rates(y + half * k1)
+        k3 = rates(y + half * k2)
+        k4 = rates(y + dt * k3)
+        out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise NonFiniteStateError("non-finite values in an RK4 stage")
+    return out
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
@@ -230,8 +241,8 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
-    c, _, _ = _advance(c0, s.grid, p, dt)
-    u, rho = _values(c, s.grid.n)
+    y = _advance(c0.reshape(-1).view(float), s.grid, p, dt)
+    u, rho = _values(_coefficients(y, s.grid.n), s.grid.n)
     return State(s.grid, u, rho)
 
 
@@ -255,15 +266,19 @@ def run(
     ux = deriv_values(u, 1)
     # coefficients of (u, u_x, rho), the rows of each step's one inverse
     # transform to samples; a record pads them for the cubic invariant, and
-    # the RK4 state is a copy of the u and rho rows
+    # the RK4 state starts from a copy of the u and rho rows, followed by
+    # the positions q and log-Jacobians lq of any characteristics
     rows = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
-    coef = rows[::2].copy()
     track = seeds is not None
+    count = 0 if seeds is None else len(seeds)
+    head = 2 * grid.n + 4  # floats in the coefficients
+    y = np.zeros(head + 2 * count)
+    _coefficients(y, grid.n)[:] = rows[::2]
     if track:
-        q = np.array(seeds, dtype=float)
-        lq = np.zeros_like(q)
-    else:
-        q = lq = None
+        y[head : head + count] = seeds
+    # u, u_x and rho at q, taken by observe(): the next step's stage-1
+    # characteristic rates and the record's rho(q)
+    at_q = None
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
@@ -288,14 +303,15 @@ def run(
     e0 = 0.0
 
     def observe() -> None:
-        nonlocal e0
+        nonlocal e0, at_q
         e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
-        alpha = float(interp_coeffs(coef[1], np.asarray([xi]))[0])
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
-        trace_alpha.append(alpha)
+        trace_alpha.append(interp_point(rows[2], xi))
+        if track:
+            at_q = interp_coeffs(rows, y[head : head + count])
 
     def record(dt_next: float) -> None:
         nonlocal last_recorded
@@ -308,9 +324,9 @@ def run(
         ])
         if track:
             ens_t.append(t)
-            ens_q.append(q.copy())
-            ens_lq.append(lq.copy())
-            ens_rq.append(interp_coeffs(coef[1], q))
+            ens_q.append(y[head : head + count].copy())
+            ens_lq.append(y[head + count :].copy())
+            ens_rq.append(at_q[2].copy())
 
     def take_snapshot() -> None:
         snapshots.append((t, State(grid, u, rho)))
@@ -347,11 +363,12 @@ def run(
             break
 
         try:
-            coef, q, lq = _advance(coef, grid, p, dt, q, lq)
+            y = _advance(y, grid, p, dt, None if at_q is None else at_q[:2])
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
+        coef = _coefficients(y, grid.n)
         rows[::2] = coef
         np.multiply(grid.ik, coef[0], out=rows[1])
         u, ux, rho = _values(rows, grid.n)

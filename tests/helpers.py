@@ -3,6 +3,9 @@ trig-polynomial builders, and the physical-space reference forms of the
 spectral kernels used across the suite.  The quadrature convolution lives
 in dghsim.oracles, which the selftest shares."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from dghsim.grid import PeriodicGrid, interp_values, pad_values, project_values
@@ -91,3 +94,18 @@ def interp_exp_reference(values, xs):
     phases = np.exp((2j * np.pi) * np.asarray(xs, dtype=float)[..., None] * k)
     out = c[0].real + 2.0 * (phases @ c[1 : n // 2]).real
     return out + c[n // 2].real * np.cos(np.pi * n * np.asarray(xs))
+
+
+def trig_sum_exact(c, x):
+    """2 Re sum_k w_k c_k e^{2 pi i k x} for one row of rfft coefficients c
+    (w_k = 1/2 at the mean and Nyquist entries), each phase k x reduced to
+    one turn in exact rational arithmetic and the terms added by math.fsum:
+    accurate to a few ulps of each term, whatever k and |x|."""
+    half = len(c) - 1
+    x = Fraction(float(x))
+    terms = []
+    for k, ck in enumerate(c):
+        phase = 2.0 * math.pi * float(k * x % 1)
+        w = 1.0 if k in (0, half) else 2.0
+        terms += [w * ck.real * math.cos(phase), -w * ck.imag * math.sin(phase)]
+    return math.fsum(terms)

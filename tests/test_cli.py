@@ -367,6 +367,26 @@ def test_family_rule_names_its_key(family, line, tmp_path, capsys):
     assert f"config error: key '{key}': " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # E0 overflows: the family's keys
+        ("scenario.family = global41\nscenario.r0 = 1e308\n", "scenario.r0"),
+        # 17 terms need n >= 36
+        ("scenario.family = custom-fourier\nscenario.u_cos = "
+         + ", ".join(["0.1"] * 17) + "\n", "scenario.u_cos"),
+        # no amplitude reaches 1.5 times the threshold
+        ("scenario.family = blowup31\nscenario.margin = 1.5\n", "scenario.margin"),
+    ],
+)
+def test_resolve_and_build_errors_name_their_key(text, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{text}sim.n = 32\nsim.t_end = 1\n")
+    assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key") and f"'{key}'" in err.split(": ")[1]
+
+
 @pytest.mark.parametrize("line", ["sim.dt_min = -1", "sim.blowup_slope = 10"])
 def test_removed_sim_keys_exit_2(line, tmp_path, capsys):
     cfg = write_config(tmp_path, line)

@@ -14,13 +14,21 @@ from dghsim.grid import (
     dgreen_kernel,
     green_kernel,
     helmholtz_convolve,
+    interp_coeffs,
+    interp_point,
     interp_values,
     pad_values,
     project_values,
     random_trig_field,
 )
 from dghsim.oracles import kernel_quadrature
-from helpers import dealiased_product, fd_derivative, interp_exp_reference, trig_poly
+from helpers import (
+    dealiased_product,
+    fd_derivative,
+    interp_exp_reference,
+    trig_poly,
+    trig_sum_exact,
+)
 
 TWO_SINH_HALF = 2.0 * np.sinh(0.5)
 
@@ -193,6 +201,26 @@ def test_interp_values_batched_matches_exp_form(n):
         ref = interp_exp_reference(row, xs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(row))
         assert np.max(np.abs(interp_values(row, xs) - out)) <= 1e-13 * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("x", [-0.7, 0.0, 0.5, 1.3])
+@pytest.mark.parametrize("n", [8, 128, 1024])
+def test_interp_point_matches_interp_coeffs(n, x):
+    # unit-scale random coefficients on every mode and a real Nyquist entry
+    # far from zero; x unwrapped.  The single point reduces each phase to
+    # one turn, so it holds 1e-13 of max|c| against the exact sum at every
+    # n.  The doubling's phase error grows like k |x| (1.4e-12 of max|c|
+    # on the n = 1024 row), so against interp_coeffs the bound is 1e-13 of
+    # the sum's own bound, 2 sum|c_k|.
+    r = np.random.default_rng(n)
+    c = r.normal(size=n // 2 + 1) + 1j * r.normal(size=n // 2 + 1)
+    c[0] = c[0].real
+    c[-1] = 2.0 + abs(c[-1].real)
+    got = interp_point(c, x)
+    assert isinstance(got, float)
+    assert abs(got - trig_sum_exact(c, x)) <= 1e-13 * np.max(np.abs(c))
+    batch = interp_coeffs(c, np.asarray([x]))[0]
+    assert abs(got - batch) <= 1e-13 * np.sum(np.abs(c))
 
 
 def test_interp_values_shapes(rng):

@@ -22,6 +22,7 @@ from dghsim.model import (
     hamiltonian_e,
     hamiltonian_f,
     mean_u,
+    rhs_buffer,
     rhs_coeffs,
     rhs_values,
 )
@@ -136,6 +137,22 @@ def test_rhs_coeffs_matches_padded_reference(n):
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_rhs_buffer_reuse_is_invisible(rng):
+    # one buffer per grid, passed to every call: alternating grids, and two
+    # states on one grid, give bit for bit what fresh buffers give
+    p = ModelParams(A=0.9, gamma=-1.7)
+    grids = (PeriodicGrid(64), PeriodicGrid(90))
+    buffers = {g: rhs_buffer(g) for g in grids}
+    states = [
+        (g, np.fft.rfft(rng.normal(size=(2, g.n)), norm="forward"))
+        for _ in range(2) for g in grids
+    ]
+    for g, c in states + states[::-1] + [states[0], states[2], states[0]]:
+        got = rhs_coeffs(c, g, p, buffers[g])
+        assert np.array_equal(got, rhs_coeffs(c, g, p))
+        assert np.array_equal(got, rhs_coeffs(c, g, p, rhs_buffer(g)))
 
 
 def _counting(fn, calls):

@@ -229,6 +229,50 @@ def test_whole_step_transform_count(monkeypatch, record_every, track):
         assert made == stages + [("irfft", n)] + [("irfft", 2 * n)] * rec
 
 
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_four_phase_matrices_per_step(monkeypatch, record_every, track):
+    # one phase matrix per RK4 stage and none besides: the observation after
+    # a step evaluates (u, u_x, rho) at q once, which serves the next step's
+    # first stage and any record's rho(q); alpha takes none
+    import dghsim.grid as grid
+    import dghsim.stepping as stepping
+
+    n = 64
+    log = []
+    real_advance = stepping._advance
+    real_phases = grid._phase_matrix
+
+    def advance(*args, **kwargs):
+        log.append("step")
+        return real_advance(*args, **kwargs)
+
+    def phases(*args, **kwargs):
+        log.append("phases")
+        return real_phases(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_advance", advance)
+    monkeypatch.setattr(grid, "_phase_matrix", phases)
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
+    c = SimConfig(n=n, t_end=0.2, record_every=record_every, snapshot_times=(0.0, 0.05))
+    res = run(smooth_state(n), ModelParams(A=1.0, gamma=0.3), c, seeds=seeds)
+    monkeypatch.undo()
+
+    steps = [[]]
+    for entry in log:
+        if entry == "step":
+            steps.append([])
+        else:
+            steps[-1].append(entry)
+    before_first, steps = steps[0], steps[1:]
+    recorded = np.isin(res.slope_trace.times[1:], res.series[:, 0])
+    assert len(steps) == len(recorded) > 10
+    assert recorded.all() if record_every == 1 else 0 < recorded.sum() < len(steps)
+    # a step's three later stages, then the observation of its result
+    assert before_first == ["phases"] * track
+    assert all(made == ["phases"] * 4 * track for made in steps)
+
+
 def test_step_zero_transforms(monkeypatch):
     # before the first step: the derivative's pair at n, one batched forward
     # transform of (u, u_x, rho) for the rows and the RK4 state, and the
