@@ -51,6 +51,8 @@ from .criteria import (
 )
 from .model import NonFiniteFieldError
 from .scenarios import (
+    MAX_CHARACTERISTICS,
+    MAX_GRID_SIZE,
     ConfigError,
     Scenario,
     parse_config_entries,
@@ -77,10 +79,17 @@ EXIT_NUMERIC = 4
 MAX_SWEEP_COUNT = 1000
 
 
-def _write_csv(path: Path, header, rows: np.ndarray) -> None:
+def _write_csv(path: Path, header, rows: np.ndarray, lead=None) -> None:
+    """Write rows under header; lead, if given, yields each line's first
+    columns as formatted text."""
     # tolist() gives Python floats, whose repr is the round-trip form
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    body = (",".join(map(repr, row)) for row in rows.tolist())
+    if lead is not None:
+        body = map(str.__add__, lead, body)
+    lines = [",".join(header), *body]
+    # map stops on lead and leaves the row generator, and the floats it
+    # holds, unfinished: let them go before the join
+    del body
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -138,15 +147,23 @@ def _numerical_fault(report, result) -> str | None:
     return None
 
 
+def _seeds(sc: Scenario):
+    return default_seeds(sc.characteristic_count) if sc.characteristics else None
+
+
 def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int, dict]:
     """Execute one scenario and write its artifacts under out_dir.
 
     Returns the exit code and the report document written to report.json.
     """
     sc, s0, report, doc = _assess(sc)
-    seeds = default_seeds(sc.characteristic_count) if sc.characteristics else None
-    result = run(s0, sc.model, sc.sim, seeds=seeds)
+    result = run(s0, sc.model, sc.sim, seeds=_seeds(sc))
+    return _finish(sc, s0, report, doc, result, out_dir, quiet)
 
+
+def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[int, dict]:
+    """The post-run half of run_scenario: complete the report document of
+    an assessed scenario from its run's result, and write the artifacts."""
     # columns E0 and meanU of the first and the last record
     (e0_first, mu_first), (e0_last, mu_last) = result.series[[0, -1], 1:3].tolist()
     doc["run"] = {
@@ -216,18 +233,16 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
             _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows)
     if result.ensemble is not None:
         ens = result.ensemble
-        # long format: one row per (record time, seed), times outermost
-        rows = np.column_stack([
-            np.repeat(ens.times, ens.seeds.size),
-            np.tile(ens.seeds, ens.times.size),
-            ens.q.ravel(),
-            ens.qx.ravel(),
-            ens.rho_q.ravel(),
-        ])
+        # long format: one row per (record time, seed), times outermost;
+        # each time and each seed is formatted once
+        seeds = [f"{s!r}," for s in ens.seeds.tolist()]
+        lead = (f"{t!r},{s}" for t in ens.times.tolist() for s in seeds)
+        rows = np.column_stack([ens.q.ravel(), ens.qx.ravel(), ens.rho_q.ravel()])
         _write_csv(
             out_dir / "characteristics.csv",
             ("t", "seed", "q", "qx", "rho_q"),
             rows,
+            lead,
         )
 
     if not quiet:
@@ -299,29 +314,68 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
     return key, np.linspace(lo, hi, count)
 
 
+def _sweep_chunks(sizes: list[tuple[int, int]]) -> list[slice]:
+    """Split members, given as (grid size, seed count) pairs, into runs of
+    consecutive members whose grid sizes sum to at most MAX_GRID_SIZE and
+    whose seed counts sum to at most MAX_CHARACTERISTICS, so that no
+    chunk's stacked arrays outgrow the largest single run the config
+    limits allow."""
+    chunks = []
+    start = total_n = total_count = 0
+    for i, (n, count) in enumerate(sizes):
+        if total_n + n > MAX_GRID_SIZE or total_count + count > MAX_CHARACTERISTICS:
+            chunks.append(slice(start, i))
+            start, total_n, total_count = i, 0, 0
+        total_n += n
+        total_count += count
+    chunks.append(slice(start, len(sizes)))
+    return chunks
+
+
 def _cmd_sweep(args) -> int:
     key, values = _parse_sweep_param(args.param)
     entries = _read_config(args.config)
     base_name = entries.get("scenario.name", entries.get("scenario.family", "sweep"))
     out_root = Path(args.out_dir)
-    summary = []
-    worst = EXIT_OK
+    # every member is resolved and assessed before any of them runs; the
+    # initial states are kept while they fit one grid of MAX_GRID_SIZE
+    # points, and any later ones are built again when their chunk runs
+    members = []
+    held = 0
     for i, value in enumerate(values.tolist()):
         sub = dict(entries)
         sub[key] = repr(value)
         sub["scenario.name"] = f"{base_name}__{i:03d}"
-        sc = scenario_from_entries(sub)
-        code, report = run_scenario(sc, out_root / sc.name, quiet=args.quiet)
-        worst = max(worst, code)
-        summary.append(
-            {
-                "name": sc.name,
-                key: value,
-                "termination": report["run"]["termination"]["cause"],
-                "t_sim": report["run"]["t_sim"],
-                "exit_code": code,
-            }
+        sc, s0, report, doc = _assess(scenario_from_entries(sub))
+        held += sc.sim.n
+        members.append((sc, s0 if held <= MAX_GRID_SIZE else None, report, doc))
+    sizes = [(sc.sim.n, sc.characteristic_count if sc.characteristics else 0)
+             for sc, *_ in members]
+    summary = []
+    worst = EXIT_OK
+    for chunk in _sweep_chunks(sizes):
+        batch = members[chunk]
+        states = [sc.build_state() if s0 is None else s0 for sc, s0, *_ in batch]
+        results = run(
+            states,
+            [sc.model for sc, *_ in batch],
+            [sc.sim for sc, *_ in batch],
+            seeds=[_seeds(sc) for sc, *_ in batch],
         )
+        for (sc, _, report, doc), s0, result, value in zip(
+            batch, states, results, values[chunk].tolist()
+        ):
+            code, doc = _finish(sc, s0, report, doc, result, out_root / sc.name, args.quiet)
+            worst = max(worst, code)
+            summary.append(
+                {
+                    "name": sc.name,
+                    key: value,
+                    "termination": doc["run"]["termination"]["cause"],
+                    "t_sim": doc["run"]["t_sim"],
+                    "exit_code": code,
+                }
+            )
     out_root.mkdir(parents=True, exist_ok=True)
     _write_json(out_root / "sweep.json", {"param": key, "runs": summary})
     if not args.quiet:

@@ -75,7 +75,7 @@ def refined_min(values: np.ndarray, dx: float) -> tuple[float, float]:
     vertex never lies further than half a spacing from the winning node.
     """
     values = np.asarray(values)
-    j = int(np.argmin(values))
+    j = int(values.argmin())
     n = values.size
     vm = float(values[(j - 1) % n])
     v0 = float(values[j])

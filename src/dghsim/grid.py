@@ -20,7 +20,8 @@ above n/2, split or fold the Nyquist mode), so the model applies them to
 coefficients directly, to several fields per batched transform;
 deriv_values, pad_values and interp_values likewise accept a leading
 batch axis.  The operations here take and return plain sample
-arrays, except interp_coeffs, which reads rfft coefficients; the grid
+arrays, except interp_coeffs and interp_blocks, which read rfft
+coefficients; the grid
 object only carries the size and the cached symbol tables.
 
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
@@ -30,7 +31,9 @@ The matrix carries weight 1/2 on its mean and Nyquist rows, so one
 product with the coefficients reads every mode, the Nyquist cosine
 included.  interp_values is one forward transform followed by
 interp_coeffs, so a caller that already holds coefficients makes no
-transform at all.  A single point needs no doubling: interp_point forms
+transform at all.  interp_blocks evaluates several coefficient blocks,
+each at its own points, with one phase matrix for all the points and one
+product per block.  A single point needs no doubling: interp_point forms
 its one weighted exponential row directly, from each mode's phase reduced
 to under one turn without rounding error that grows with k or |x|.
 """
@@ -38,7 +41,7 @@ to under one turn without rounding error that grows with k or |x|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +58,7 @@ __all__ = [
     "deriv_values",
     "interp_values",
     "interp_coeffs",
+    "interp_blocks",
     "interp_point",
 ]
 
@@ -251,6 +255,38 @@ def interp_coeffs(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
+def interp_blocks(
+    c: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate block i of rfft coefficients c at the points xs[i].
+
+    c has shape (blocks, rows, n/2 + 1), in the layout interp_coeffs reads,
+    and xs has shape (blocks, K); the result, written to out if given, has
+    shape (blocks, rows, K).  One weighted phase matrix serves the points
+    of every block, and each block makes one product with its own columns
+    of it, the product interp_coeffs(c[i], xs[i]) makes.  For K >= 2 those
+    columns are bit for bit the block's own phase matrix; for K = 1 numpy
+    forms a one-column matrix with another inner loop, which can differ in
+    the last bit.
+    """
+    blocks, count = xs.shape
+    phases = _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)
+    if out is None:
+        out = np.empty(c.shape[:-1] + (count,))
+    for i in range(blocks):
+        block = phases[:, i * count : (i + 1) * count]
+        np.multiply((c[i] @ block).real, 2.0, out=out[i])
+    return out
+
+
+@lru_cache(maxsize=8)
+def _mode_numbers(half: int) -> np.ndarray:
+    """0, 1, .., half as floats, read-only."""
+    k = np.arange(half + 1, dtype=float)
+    k.flags.writeable = False
+    return k
+
+
 def interp_point(c: np.ndarray, x: float) -> float:
     """Evaluate the trig polynomial of one row of rfft coefficients c (in
     the layout interp_coeffs reads) at one point x: one weighted
@@ -266,7 +302,7 @@ def interp_point(c: np.ndarray, x: float) -> float:
     half = c.shape[-1] - 1
     t = 134217729.0 * x  # 2^27 + 1: Veltkamp's split
     head = t - (t - x)
-    k = np.arange(half + 1, dtype=float)
+    k = _mode_numbers(half)
     turns = k * head
     turns -= np.rint(turns)
     turns += k * (x - head)

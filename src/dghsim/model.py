@@ -23,6 +23,14 @@ read, and folded, and u_x has no Nyquist mode, so u u_x has no such
 term.  The linear symbol gamma ik - (gamma - A)(G*)' is looked up once
 per grid and parameters, not once per right-hand side.
 
+rhs_coeffs takes a leading member axis: several runs on one grid with one
+set of parameters share each transform call, one row block per member,
+and every member's arithmetic is the one it gets alone.  The symbols are
+tiled to one row per member, so that their products pair arrays of one
+shape, and the work arrays of rhs_buffer let a caller reuse the pad
+buffer, the samples at 3n/2 points and their products from one call to
+the next.
+
 A State is the one container of (grid, u, rho) as float sample arrays.
 energy_e0 takes the arrays themselves, plus the slope u_x, which the
 caller computes once and shares; hamiltonian_e is read off E0 and rho,
@@ -98,71 +106,99 @@ class State:
 
 @lru_cache(maxsize=8)
 def _rhs_symbols(
-    grid: PeriodicGrid, p: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grid: PeriodicGrid, p: ModelParams, members: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The linear symbol gamma ik - (gamma - A)(G*)' of du/dt, the symbol
-    -(G*)'/2 of the doubled convolution argument, and -ik."""
-    symbols = (
-        p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol,
-        -0.5 * grid.dgreen_symbol,
-        -grid.ik,
+    -(G*)'/2 of the doubled convolution argument, -ik and ik, each tiled to
+    one row per member: a product of a symbol with a member-major array
+    then pairs arrays of one shape, which numpy loops over without
+    broadcasting."""
+    symbols = tuple(
+        np.tile(s, (members, 1))
+        for s in (
+            p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol,
+            -0.5 * grid.dgreen_symbol,
+            -grid.ik,
+            grid.ik,
+        )
     )
     for s in symbols:
         s.flags.writeable = False
     return symbols
 
 
-def rhs_buffer(grid: PeriodicGrid) -> np.ndarray:
-    """A zero-filled pad buffer for rhs_coeffs on this grid, shape
-    (3, 3n/4 + 1): the coefficients of (u, u_x, rho) zero-filled to 3n/2
-    points."""
-    return np.zeros((3, 3 * grid.n // 4 + 1), dtype=complex)
+def rhs_buffer(grid: PeriodicGrid, members: int = 1) -> tuple[np.ndarray, ...]:
+    """Work arrays for rhs_coeffs on this grid, each with one row block per
+    member: the pad buffer, zero-filled, of shape (members, 3, 3n/4 + 1),
+    which holds the coefficients of (u, u_x, rho) zero-filled to 3n/2
+    points; their samples and the three products at 3n/2 points; and the
+    products' coefficients."""
+    m = 3 * grid.n // 2
+    return (
+        np.zeros((members, 3, m // 2 + 1), dtype=complex),
+        np.empty((members, 3, m)),
+        np.empty((members, 3, m)),
+        np.empty((members, 3, m // 2 + 1), dtype=complex),
+    )
 
 
 def rhs_coeffs(
     c: np.ndarray,
     grid: PeriodicGrid,
     p: ModelParams,
-    padded: np.ndarray | None = None,
+    work: tuple[np.ndarray, ...] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
-    c and the result have shape (2, n/2 + 1).  In "forward" normalisation
-    c_k is the amplitude of e^{2 pi i k x}, so padding to 3n/2 and
-    truncating back need no rescaling: the Nyquist mode is split in half on
-    the way up, as in pad_values.  On the way down only the u u_x product
-    has its Nyquist mode read, so only it is folded (doubled real part), as
-    in project_values; (G*)' and d/dx vanish on the other two.
+    c and the result have shape (members, 2, n/2 + 1), or (2, n/2 + 1) for
+    one member without its axis.  Each member is evaluated by itself
+    through the same batched transforms, so a member's derivative is bit
+    for bit the one it gets alone.  In "forward" normalisation c_k is the
+    amplitude of e^{2 pi i k x}, so padding to 3n/2 and truncating back
+    need no rescaling: the Nyquist mode is split in half on the way up, as
+    in pad_values.  On the way down only the u u_x product has its Nyquist
+    mode read, so only it is folded (doubled real part), as in
+    project_values; (G*)' and d/dx vanish on the other two.
 
-    padded, if given, is a buffer from rhs_buffer(grid) that the caller
-    passes to every call on this grid: a call writes only its first
-    n/2 + 1 columns, so the zeros above them stay, and the result never
-    depends on what an earlier call left there.
+    work, if given, holds the arrays of rhs_buffer(grid, members), one
+    member per block of rows of c, and the caller passes it to every call
+    on this grid: a call writes only the first n/2 + 1 columns of the pad
+    buffer, so the zeros above them stay, and overwrites the rest whole, so
+    the result never depends on what an earlier call left there.  out, if
+    given, receives the result, which is then returned.
     """
+    if c.ndim == 2:
+        lone = None if out is None else out[None]
+        return rhs_coeffs(c[None], grid, p, work, lone)[0]
     n = grid.n
     half = n // 2
-    m = 3 * n // 2
-    lin, neg_half_dgreen, neg_ik = _rhs_symbols(grid, p)
+    members = len(c)
+    lin, neg_half_dgreen, neg_ik, ik = _rhs_symbols(grid, p, members)
+    padded, fine, prods, spectra = work or rhs_buffer(grid, members)
+    if out is None:
+        out = np.empty(c.shape, dtype=complex)
 
-    if padded is None:
-        padded = rhs_buffer(grid)  # u, u_x, rho
-    padded[::2, : half + 1] = c
-    padded[::2, half] *= 0.5
-    np.multiply(grid.ik, c[0], out=padded[1, : half + 1])
-    fine = np.fft.irfft(padded, m, norm="forward")
+    padded[:, ::2, : half + 1] = c  # u and rho; u_x is row 1
+    np.multiply(ik, c[:, 0], out=padded[:, 1, : half + 1])
+    # split the Nyquist mode of every row, in one pass down the contiguous
+    # buffer; u_x has none, and halving its zero changes no bit
+    padded.reshape(-1)[half :: padded.shape[-1]] *= 0.5
+    np.fft.irfft(padded, 3 * n // 2, norm="forward", out=fine)
 
     # 2 u^2 + u_x^2 + rho^2 (twice the convolution argument), u u_x, u rho
-    prods = fine[0] * fine
+    np.multiply(fine[:, :1], fine, out=prods)
     np.multiply(fine, fine, out=fine)
-    prods[0] += np.add.reduce(fine)
-    c_arg2, c_adv, c_flux = np.fft.rfft(prods, norm="forward")[:, : half + 1]
-    c_adv[half] = 2.0 * c_adv[half].real
+    prods[:, 0] += np.add.reduce(fine, axis=1)
+    np.fft.rfft(prods, norm="forward", out=spectra)
+    fold = spectra[:, 1, half]
+    fold[:] = 2.0 * fold.real
 
-    out = np.empty((2, half + 1), dtype=complex)
-    np.multiply(lin, c[0], out=out[0])
-    out[0] -= c_adv
-    out[0] += neg_half_dgreen * c_arg2
-    np.multiply(neg_ik, c_flux, out=out[1])
+    du = out[:, 0]
+    np.multiply(lin, c[:, 0], out=du)
+    du -= spectra[:, 1, : half + 1]
+    du += neg_half_dgreen * spectra[:, 0, : half + 1]
+    np.multiply(neg_ik, spectra[:, 2, : half + 1], out=out[:, 1])
     return out
 
 
@@ -186,14 +222,14 @@ def energy_e0(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
 
 
 def mean_u(u: np.ndarray) -> float:
-    """integral(u), conserved exactly."""
-    return float(np.mean(u))
+    """integral(u), conserved exactly; summed and divided as energy_e0 is."""
+    return float(np.add.reduce(u) / u.size)
 
 
 def hamiltonian_e(e0: float, rho: np.ndarray) -> float:
     """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2
     from e0 = energy_e0(u, u_x, rho) and the density samples rho."""
-    return 0.5 * (e0 - 2.0 * float(np.mean(rho)) + 1.0)
+    return 0.5 * (e0 - 2.0 * float(np.add.reduce(rho) / rho.size) + 1.0)
 
 
 def hamiltonian_f(c: np.ndarray, p: ModelParams) -> float:

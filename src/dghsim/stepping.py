@@ -32,8 +32,8 @@ when a characteristic ensemble rides along, by its positions q and
 log-Jacobians lq.  Every stage shift, the final RK4 sum and the
 finiteness check are one array expression each, and model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
-transforms at 3n/2 points, padding into one buffer that the step's four
-stages share.  Once per step one batched inverse transform of the rows
+transforms at 3n/2 points, padding into work arrays that every stage of
+every step shares.  Once per step one batched inverse transform of the rows
 (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a single pass;
 that u_x feeds the slope tracking, the step size and the E0 check, and
 any record reads the invariants straight off the arrays and E0, except
@@ -46,8 +46,8 @@ The observation after a step evaluates the same rows at q with one
 grid.interp_coeffs call: its u and u_x are the next step's stage-1
 characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
 each read u and u_x at their stage positions off the stage coefficients
-with one more call, so a step with characteristics builds four phase
-matrices and a record none.  alpha = rho(xi) at the slope minimum comes
+with one grid.interp_blocks call, so a step with characteristics builds
+four phase matrices and a record none.  alpha = rho(xi) at the slope minimum comes
 from grid.interp_point, one exponential row, with or without
 characteristics.
 
@@ -55,6 +55,19 @@ Step 0 starts from the given samples: u_x is their spectral derivative,
 and one batched forward transform of (u, u_x, rho) gives the rows, whose
 first and last make the initial RK4 state.  From there on every record
 computes its invariants the same way.
+
+run takes one member or a list of members, and a single run is a list of
+one.  Each member is a generator: it yields its step request (y, dt, at_q)
+and is sent the new state, or has NonFiniteStateError thrown into it, so
+observation, records, snapshots, the E0 guard and termination stay one
+scalar code path per member.  Members that share a grid, model
+parameters and seed count form a group, and a group advances in
+lockstep: one _advance call per step on the members' states stacked on a
+leading axis, with one dt per member.  Its transforms, products and sums
+are the ones each member makes alone, so a member's result is bit for
+bit its single run's; stages 2 to 4 build one phase matrix for the whole
+group.  Finiteness is checked per member, so a member that fails leaves
+the group and the others run on.
 """
 
 from __future__ import annotations
@@ -62,12 +75,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, refined_min
-from .grid import ConfigError, PeriodicGrid, deriv_values, interp_coeffs, interp_point
+from .grid import (
+    ConfigError,
+    PeriodicGrid,
+    deriv_values,
+    interp_blocks,
+    interp_coeffs,
+    interp_point,
+)
 from .model import (
     ModelParams,
     State,
@@ -168,7 +189,11 @@ def adaptive_dt(
     """Advective-CFL / slope-limited step for velocity samples u and their
     slope minimum min_slope, clipped to the time remaining."""
     dx = 1.0 / u.size
-    speed = float(np.max(np.abs(u - p.gamma)))
+    # max|u - gamma| from the extremes of u: rounding is monotone, so this
+    # is the same float as the maximum over the differences
+    speed = max(
+        float(np.maximum.reduce(u)) - p.gamma, p.gamma - float(np.minimum.reduce(u))
+    )
     dt_advect = c.cfl * dx / max(speed, 1.0e-8)
     dt_slope = c.slope_dt_factor / max(abs(min_slope), 1.0)
     return min(dt_advect, dt_slope, t_remaining)
@@ -179,50 +204,72 @@ def _values(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
-    """The coefficients c = rfft((u, rho)) at the head of a flat RK4 state
-    y, as a (2, n/2 + 1) complex view."""
-    return y[: 2 * n + 4].view(complex).reshape(2, -1)
+    """The coefficients c = rfft((u, rho)) at the head of each row of a
+    flat RK4 state y, shape (members, L), as a (members, 2, n/2 + 1)
+    complex view."""
+    return y[:, : 2 * n + 4].view(complex).reshape(len(y), 2, -1)
+
+
+@lru_cache(maxsize=8)
+def _value_and_slope(grid: PeriodicGrid) -> np.ndarray:
+    """The rows (1, ik) that turn the coefficients of u into those of u and
+    u_x."""
+    rows = np.ones((2, grid.n // 2 + 1), dtype=complex)
+    rows[1] = grid.ik
+    rows.flags.writeable = False
+    return rows
 
 
 def _advance(
     y: np.ndarray,
     grid: PeriodicGrid,
     p: ModelParams,
-    dt: float,
+    dt: float | np.ndarray,
     at_q: np.ndarray | None = None,
-) -> np.ndarray:
-    """One classical RK4 step of the flat state y = (c viewed as floats,
-    q, lq); returns the new state, a new array.
+    work: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step of each row of the flat state y, shape
+    (members, L), each row (c viewed as floats, q, lq); returns the new
+    state, a new array, and whether each of its rows is finite.
 
-    Without characteristics y holds c alone and at_q is None.  With K of
-    them, at_q holds u and u_x at q at the step's start, shape (2, K),
-    which the caller has already evaluated: they are stage 1's rates of q
-    and lq, since positions advance with the velocity and the log-Jacobian
-    integrates the slope.  Stages 2 to 4 each read u and u_x at their stage
-    positions off their stage coefficients with one interp_coeffs call.  No
-    rate reads lq.
+    dt is one float for every row or a column of shape (members, 1), and
+    work, if given, is rhs_buffer(grid, members), which a caller may pass
+    to every step.  Without characteristics y holds c alone and at_q is None.  With K of
+    them per row, at_q holds u and u_x at q at the step's start, shape
+    (members, 2, K), which the caller has already evaluated: they are
+    stage 1's rates of q and lq, since positions advance with the velocity
+    and the log-Jacobian integrates the slope.  Stages 2 to 4 each read u
+    and u_x at their stage positions off their stage coefficients with one
+    interp_blocks call: one phase matrix for the positions of every row,
+    one product per row.  No rate reads lq.
 
-    Finiteness is checked once, on the output: every stage enters the
-    final RK4 sum, so a non-finite entry in any stage leaves one in it, and
-    no stage needs a check of its own.
+    Rows never mix: each transform, product and sum that a row goes
+    through is the one it goes through alone, so a row's result does not
+    depend on the rows beside it.  Finiteness is checked once per row, on
+    the output: every stage enters the final RK4 sum, so a non-finite
+    entry in any stage of a row leaves one in that row, and no stage needs
+    a check of its own.
     """
     n = grid.n
     head = 2 * n + 4  # floats in c
+    members = len(y)
     track = at_q is not None
-    padded = rhs_buffer(grid)
+    if work is None:
+        work = rhs_buffer(grid, members)
     if track:
-        value_and_slope = np.ones((2, n // 2 + 1), dtype=complex)
-        value_and_slope[1] = grid.ik
-        q_end = head + at_q.shape[1]
+        value_and_slope = _value_and_slope(grid)
+        q_end = head + at_q.shape[-1]
 
     def rates(y, at_q=None):
         c = _coefficients(y, n)
-        k = rhs_coeffs(c, grid, p, padded).reshape(-1).view(float)
-        if not track:
-            return k
-        if at_q is None:
-            at_q = interp_coeffs(c[0] * value_and_slope, y[head:q_end])
-        return np.concatenate((k, at_q.ravel()))
+        k = np.empty_like(y)
+        rhs_coeffs(c, grid, p, work, _coefficients(k, n))
+        if track and at_q is None:
+            at_k = k[:, head:].reshape(members, 2, -1)
+            interp_blocks(c[:, :1] * value_and_slope, y[:, head:q_end], at_k)
+        elif track:
+            k[:, head:] = at_q.reshape(members, -1)
+        return k
 
     half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,9 +278,7 @@ def _advance(
         k3 = rates(y + half * k2)
         k4 = rates(y + dt * k3)
         out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise NonFiniteStateError("non-finite values in an RK4 stage")
-    return out
+    return out, np.isfinite(out).all(axis=1)
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
@@ -241,22 +286,23 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
-    y = _advance(c0.reshape(-1).view(float), s.grid, p, dt)
-    u, rho = _values(_coefficients(y, s.grid.n), s.grid.n)
+    y, finite = _advance(c0.reshape(1, -1).view(float), s.grid, p, dt)
+    if not finite[0]:
+        raise NonFiniteStateError("non-finite values in an RK4 stage")
+    u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
     return State(s.grid, u, rho)
 
 
-def run(
+def _member(
     s0: State,
     p: ModelParams,
     c: SimConfig,
-    seeds: np.ndarray | None = None,
-) -> SimResult:
-    """Integrate from t = 0 until t_end or breakdown.
-
-    Invariants are recorded every `record_every` steps, at snapshot times
-    and at termination; the slope trace records every step.  Passing seed
-    positions couples a characteristic ensemble into the same RK4 stages.
+    seeds: np.ndarray | None,
+):
+    """One run as a generator: it yields each step's request (y, dt, at_q)
+    for _advance, with y and at_q on a leading axis of one member, and is
+    sent the new state y, or has NonFiniteStateError thrown into it.  It
+    returns the run's SimResult.
     """
     grid = s0.grid
     if grid.n != c.n:
@@ -272,10 +318,10 @@ def run(
     track = seeds is not None
     count = 0 if seeds is None else len(seeds)
     head = 2 * grid.n + 4  # floats in the coefficients
-    y = np.zeros(head + 2 * count)
-    _coefficients(y, grid.n)[:] = rows[::2]
+    y = np.zeros((1, head + 2 * count))
+    _coefficients(y, grid.n)[0] = rows[::2]
     if track:
-        y[head : head + count] = seeds
+        y[0, head : head + count] = seeds
     # u, u_x and rho at q, taken by observe(): the next step's stage-1
     # characteristic rates and the record's rho(q)
     at_q = None
@@ -311,7 +357,7 @@ def run(
         trace_xi.append(xi)
         trace_alpha.append(interp_point(rows[2], xi))
         if track:
-            at_q = interp_coeffs(rows, y[head : head + count])
+            at_q = interp_coeffs(rows, y[0, head : head + count])
 
     def record(dt_next: float) -> None:
         nonlocal last_recorded
@@ -324,8 +370,8 @@ def run(
         ])
         if track:
             ens_t.append(t)
-            ens_q.append(y[head : head + count].copy())
-            ens_lq.append(y[head + count :].copy())
+            ens_q.append(y[0, head : head + count].copy())
+            ens_lq.append(y[0, head + count :].copy())
             ens_rq.append(at_q[2].copy())
 
     def take_snapshot() -> None:
@@ -363,12 +409,12 @@ def run(
             break
 
         try:
-            y = _advance(y, grid, p, dt, None if at_q is None else at_q[:2])
+            y = yield y, dt, None if at_q is None else at_q[None, :2]
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
-        coef = _coefficients(y, grid.n)
+        coef = _coefficients(y, grid.n)[0]
         rows[::2] = coef
         np.multiply(grid.ik, coef[0], out=rows[1])
         u, ux, rho = _values(rows, grid.n)
@@ -415,3 +461,84 @@ def run(
         series=np.asarray(series, dtype=float),
         ensemble=ensemble,
     )
+
+
+def run(
+    s0: State | list[State],
+    p: ModelParams | list[ModelParams],
+    c: SimConfig | list[SimConfig],
+    seeds: np.ndarray | list[np.ndarray | None] | None = None,
+) -> SimResult | list[SimResult]:
+    """Integrate from t = 0 until t_end or breakdown.
+
+    Invariants are recorded every `record_every` steps, at snapshot times
+    and at termination; the slope trace records every step.  Passing seed
+    positions couples a characteristic ensemble into the same RK4 stages.
+
+    Given a State, a ModelParams, a SimConfig and seeds (an array or None),
+    returns the run's SimResult.  Given equally long lists of them, one
+    entry per member, with seeds None or a list whose entries may be None,
+    returns one SimResult per member, in order, each bit for bit the one
+    its member gets alone when it has no seeds or at least two (see
+    grid.interp_blocks).
+    """
+    if isinstance(s0, State):
+        return _lockstep([(s0, p, c, seeds)])[0]
+    if seeds is None:
+        seeds = [None] * len(s0)
+    return _lockstep(list(zip(s0, p, c, seeds, strict=True)))
+
+
+def _lockstep(members: list[tuple]) -> list[SimResult]:
+    """Run each (state, params, config, seeds) member to its end.
+
+    Members that share a grid, model parameters and seed count form a
+    group, and a group advances in lockstep: each step stacks its members'
+    requests on a leading axis and makes one _advance call, with a column
+    of one dt per member (a group of one passes its dt as it is).  The
+    stacked state is kept from one step to the next, since a member sends
+    back the row it was given, and is stacked anew only when a member has
+    left the group.
+    """
+    results: list = [None] * len(members)
+    groups: dict = {}
+    for i, (s0, p, c, seeds) in enumerate(members):
+        key = (s0.grid, p, 0 if seeds is None else len(seeds))
+        groups.setdefault(key, []).append((i, _member(s0, p, c, seeds)))
+    for (grid, p, _), group in groups.items():
+        live, requests = [], []  # (index, member) and its pending request
+        for i, member in group:
+            try:
+                requests.append(next(member))
+            except StopIteration as end:
+                results[i] = end.value
+                continue
+            live.append((i, member))
+        y = None
+        while live:
+            if y is None:
+                y = np.concatenate([request[0] for request in requests])
+                work = rhs_buffer(grid, len(live))
+            _, dt, at_q = requests[0]
+            if len(live) > 1:
+                dt = np.array([request[1] for request in requests])[:, None]
+                if at_q is not None:
+                    at_q = np.concatenate([request[2] for request in requests])
+            y, finite = _advance(y, grid, p, dt, at_q, work)
+            staying, requests = [], []
+            for row, (i, member) in enumerate(live):
+                try:
+                    if finite[row]:
+                        requests.append(member.send(y[row : row + 1]))
+                    else:
+                        requests.append(member.throw(
+                            NonFiniteStateError("non-finite values in an RK4 stage")
+                        ))
+                except StopIteration as end:
+                    results[i] = end.value
+                    continue
+                staying.append((i, member))
+            if len(staying) < len(live):
+                y = None
+            live = staying
+    return results

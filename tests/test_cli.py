@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dghsim import oracles, scenarios
+from dghsim import cli, oracles, scenarios, stepping
 from dghsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -20,6 +20,7 @@ from dghsim.cli import (
     _numerical_fault,
     _parse_sweep_param,
     _snapshot_name,
+    _sweep_chunks,
     main,
 )
 from dghsim.characteristics import default_seeds
@@ -496,6 +497,150 @@ def test_sweep_count_is_bounded(smooth_cfg, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "--param" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_sweep_checks_every_member_before_running_any(tmp_path, capsys, monkeypatch):
+    # r0 = 1.0, the third member, breaks global41's rule r0 > 1: the sweep
+    # must say so before it integrates or writes anything
+    def no_run(*args, **kwargs):
+        raise AssertionError("a member ran before every member was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "sweep"
+    rc = main([
+        "sweep", str(REPO / "configs" / "smooth_density.cfg"),
+        "--param", "scenario.r0=2.0:1.0:3", "--out-dir", str(out), "--quiet",
+    ])
+    assert rc == EXIT_CONFIG
+    assert "key 'scenario.r0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A small coupled case that records every step and takes snapshots, so that
+# each artifact a member writes is compared
+LOCKSTEP_CONFIG = """\
+scenario.family = global41
+scenario.name = lock
+scenario.r0 = 2.0
+scenario.ru = 1.0
+sim.n = 64
+sim.t_end = 0.3
+sim.record_every = 1
+sim.snapshot_times = 0.0, 0.1, 0.3
+characteristics.enabled = true
+characteristics.count = 8
+"""
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def _assert_sweep_matches_runs(tmp_path, key, spec, count):
+    """Each member of `dghsim sweep` writes the bytes `dghsim run` writes
+    on that member's own config."""
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    sweep_code = main(["sweep", str(cfg), "--param", spec, "--out-dir", str(out), "--quiet"])
+    summary = json.loads((out / "sweep.json").read_text())["runs"]
+    assert len(summary) == count
+    assert sweep_code == max(r["exit_code"] for r in summary)
+    for i, member in enumerate(summary):
+        entries = scenarios.parse_config_entries(LOCKSTEP_CONFIG)
+        entries[key] = repr(member[key])
+        entries["scenario.name"] = member["name"]
+        single_cfg = tmp_path / f"{member['name']}.cfg"
+        single_cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        single = tmp_path / "single" / member["name"]
+        code = main(["run", str(single_cfg), "--out-dir", str(single), "--quiet"])
+        assert code == member["exit_code"]
+        got, want = _tree_bytes(out / member["name"]), _tree_bytes(single)
+        assert "characteristics.csv" in want and "snapshots/t_0.1.csv" in want
+        assert got == want, member["name"]
+
+
+def test_sweep_members_match_their_single_runs(tmp_path):
+    _assert_sweep_matches_runs(tmp_path, "scenario.r0", "scenario.r0=2.0:3.0:3", 3)
+
+
+def test_sweep_over_grid_sizes_matches_separate_runs(tmp_path):
+    # each grid size is a group of its own
+    _assert_sweep_matches_runs(tmp_path, "sim.n", "sim.n=32:64:3", 3)
+
+
+def test_sweep_advances_its_members_in_lockstep(tmp_path, monkeypatch):
+    # one RK4 call per lockstep step: as many as the longest member takes,
+    # not the sum over members
+    calls = []
+    real = stepping._advance
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_advance", counted)
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", str(cfg), "--param", "scenario.ru=0.5:2.0:4",
+        "--out-dir", str(out), "--quiet",
+    ]) == EXIT_OK
+    steps = [
+        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
+        for i in range(4)
+    ]
+    assert len(set(steps)) > 1
+    assert len(calls) == max(steps) < sum(steps)
+    # a step carries every member that still runs
+    assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
+
+
+def test_sweep_chunks_respect_the_size_limits():
+    big = scenarios.MAX_GRID_SIZE
+    most = scenarios.MAX_CHARACTERISTICS
+    cases = [
+        ([(128, 16)] * 4, [slice(0, 4)]),
+        ([(big, 0)] * 3, [slice(0, 1), slice(1, 2), slice(2, 3)]),
+        ([(big // 2, 0)] * 2 + [(8, 0)], [slice(0, 2), slice(2, 3)]),
+        ([(64, most // 2)] * 2 + [(64, 2)], [slice(0, 2), slice(2, 3)]),
+        ([(64, most)] + [(64, 0)] * 2, [slice(0, 3)]),
+        ([(8, 0)], [slice(0, 1)]),
+    ]
+    for sizes, want in cases:
+        chunks = _sweep_chunks(sizes)
+        assert chunks == want
+        for chunk in chunks:
+            assert sum(n for n, _ in sizes[chunk]) <= big
+            assert sum(k for _, k in sizes[chunk]) <= most
+
+
+def test_sweep_runs_one_call_per_chunk(tmp_path, monkeypatch):
+    # with the grid limit lowered to two members' worth, three members run
+    # as two chunks, each through one call of the run that cli imports, and
+    # write what one chunk writes
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    spec = "scenario.r0=2.0:3.0:3"
+    whole = tmp_path / "whole"
+    assert main(["sweep", str(cfg), "--param", spec, "--out-dir", str(whole), "--quiet"]) == 0
+    members = []
+    real = cli.run
+
+    def counted(states, *args, **kwargs):
+        members.append(len(states))
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(cli, "MAX_GRID_SIZE", 128)
+    split = tmp_path / "split"
+    assert main(["sweep", str(cfg), "--param", spec, "--out-dir", str(split), "--quiet"]) == 0
+    assert members == [2, 1]
+    assert _tree_bytes(split) == _tree_bytes(whole)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,15 @@ def test_energy_e0_matches_mean_of_squares_bit_for_bit(rng):
             assert energy_e0(u, ux, rho) == float(np.mean(u**2 + ux**2 + rho**2))
 
 
+def test_means_match_np_mean_bit_for_bit(rng):
+    # mean_u and hamiltonian_e sum and divide as energy_e0 does
+    for n in (8, 64, 1000, 1024, 4096):
+        for scale in (1.0e-5, 1.0, 1.0e5):
+            u, rho = scale * rng.standard_normal((2, n))
+            assert mean_u(u) == float(np.mean(u))
+            assert hamiltonian_e(1.5, rho) == 0.5 * (1.5 - 2.0 * float(np.mean(rho)) + 1.0)
+
+
 def _coeffs(*rows):
     return np.fft.rfft(np.stack(rows), norm="forward")
 

@@ -134,7 +134,7 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
     def poisoned(*args):
         out = real(*args)
         if len(calls) == 4 * 2 + stage:
-            out[field][5] = np.nan
+            out[0, field, 5] = np.nan  # the run's one member
         calls.append(1)
         return out
 
@@ -292,6 +292,112 @@ def test_step_zero_transforms(monkeypatch):
     with pytest.raises(FirstStep):
         run(smooth_state(n), ModelParams(A=1.0, gamma=0.3), SimConfig(n=n, t_end=0.2))
     assert log == [("rfft", n), ("irfft", n), ("rfft", n), ("irfft", 2 * n)]
+
+
+# ---------------------------------------------------------------------------
+# members in lockstep
+
+def _lockstep_members():
+    # three coupled members of one group that end at different steps
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False)
+    states = [smooth_state(amp=a) for a in (0.1, 0.25, 0.4)]
+    configs = [
+        SimConfig(n=64, t_end=t, record_every=1, snapshot_times=(0.05,))
+        for t in (0.2, 0.1, 0.15)
+    ]
+    return states, [ModelParams(A=1.0, gamma=0.3)] * 3, configs, [seeds] * 3
+
+
+def _assert_same_result(a, b):
+    assert a.termination == b.termination
+    assert np.array_equal(a.series, b.series)
+    for name in ("times", "m", "xi", "alpha"):
+        assert np.array_equal(getattr(a.slope_trace, name), getattr(b.slope_trace, name))
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, sa), (_, sb) in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.rho, sb.rho)
+    for name in ("times", "q", "log_qx", "rho_q"):
+        assert np.array_equal(getattr(a.ensemble, name), getattr(b.ensemble, name))
+
+
+def test_lockstep_members_equal_their_single_runs():
+    states, params, configs, seeds = _lockstep_members()
+    together = run(states, params, configs, seeds=seeds)
+    assert len(together) == 3
+    for got, args in zip(together, zip(states, params, configs, seeds)):
+        _assert_same_result(got, run(*args))
+
+
+def test_lockstep_step_builds_three_phase_matrices_for_the_group(monkeypatch):
+    # stages 2 to 4 each build one phase matrix for every member's points;
+    # then each member that took the step observes its result with one more
+    import dghsim.grid as grid
+    import dghsim.stepping as stepping
+
+    log = []
+    real_advance = stepping._advance
+    real_phases = grid._phase_matrix
+
+    def advance(*args, **kwargs):
+        log.append("step")
+        return real_advance(*args, **kwargs)
+
+    def phases(*args, **kwargs):
+        log.append("phases")
+        return real_phases(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_advance", advance)
+    monkeypatch.setattr(grid, "_phase_matrix", phases)
+    states, params, configs, seeds = _lockstep_members()
+    results = run(states, params, configs, seeds=seeds)
+    monkeypatch.undo()
+
+    steps = [[]]
+    for entry in log:
+        if entry == "step":
+            steps.append([])
+        else:
+            steps[-1].append(entry)
+    before_first, steps = steps[0], steps[1:]
+    taken = [len(r.slope_trace.times) - 1 for r in results]
+    assert len(set(taken)) == 3
+    assert len(steps) == max(taken)
+    assert before_first == ["phases"] * 3
+    for j, made in enumerate(steps):
+        assert made == ["phases"] * (3 + sum(k > j for k in taken))
+
+
+@pytest.mark.parametrize("stage", [0, 3])
+def test_nonfinite_member_leaves_its_group_alone(monkeypatch, stage):
+    # a NaN in the middle member's row of the third lockstep step ends that
+    # member where it would end alone; the others run on as if alone
+    import dghsim.stepping as stepping
+
+    states, params, configs, seeds = _lockstep_members()
+    clean = [run(*args) for args in zip(states, params, configs, seeds)]
+    real = stepping.rhs_coeffs
+
+    def poisoning(row):
+        calls = []
+
+        def poisoned(*args):
+            out = real(*args)
+            if len(calls) == 4 * 2 + stage:
+                out[row, 1, 5] = np.nan
+            calls.append(1)
+            return out
+
+        return poisoned
+
+    monkeypatch.setattr(stepping, "rhs_coeffs", poisoning(0))
+    alone = run(states[1], params[1], configs[1], seeds=seeds[1])
+    monkeypatch.setattr(stepping, "rhs_coeffs", poisoning(1))
+    together = run(states, params, configs, seeds=seeds)
+    assert alone.termination.cause == TERM_NONFINITE
+    assert alone.termination.t == clean[1].slope_trace.times[2]
+    _assert_same_result(together[1], alone)
+    _assert_same_result(together[0], clean[0])
+    _assert_same_result(together[2], clean[2])
 
 
 def test_characteristics_do_not_perturb_the_fields():
