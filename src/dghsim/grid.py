@@ -19,23 +19,22 @@ Padding and projection are statements about coefficients (zero-fill
 above n/2, split or fold the Nyquist mode), so the model applies them to
 coefficients directly, to several fields per batched transform;
 deriv_values, pad_values and interp_values likewise accept a leading
-batch axis.  The operations here take and return plain sample
-arrays, except interp_coeffs and interp_blocks, which read rfft
-coefficients; the grid
-object only carries the size and the cached symbol tables.
+batch axis.  The operations here take and return plain sample arrays,
+except interp_blocks and interp_point, which read rfft coefficients; the
+grid object only carries the size and the cached symbol tables.
 
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
 exponential per entry, and shares it across every field in the batch.
 The matrix carries weight 1/2 on its mean and Nyquist rows, so one
 product with the coefficients reads every mode, the Nyquist cosine
-included.  interp_values is one forward transform followed by
-interp_coeffs, so a caller that already holds coefficients makes no
-transform at all.  interp_blocks evaluates several coefficient blocks,
-each at its own points, with one phase matrix for all the points and one
-product per block.  A single point needs no doubling: interp_point forms
-its one weighted exponential row directly, from each mode's phase reduced
-to under one turn without rounding error that grows with k or |x|.
+included.  interp_values is one forward transform followed by that
+product.  interp_blocks reads coefficients, so it makes no transform at
+all: it evaluates several coefficient blocks, each at its own points,
+with one phase matrix for all the points and one product per block.  A
+single point needs no doubling: interp_point forms its one weighted
+exponential row directly, from each mode's phase reduced to under one
+turn without rounding error that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "project_values",
     "deriv_values",
     "interp_values",
-    "interp_coeffs",
     "interp_blocks",
     "interp_point",
 ]
@@ -216,12 +214,15 @@ def _phase_matrix(x: np.ndarray, half: int) -> np.ndarray:
     weights read the mean and the Nyquist cosine through the same product
     as every other mode.  Each doubling multiplies the known rows
     z^1 .. z^j by z^j, so the matrix costs log2(half) vectorised products
-    and one exp per point, and the rounding error of z^k grows like
-    log2(k), not like k.
+    and one exp per point, and the rounding error the products add to z^k
+    grows like log2(k), not like k.  z's own phase error z^k carries k
+    times over, so z is taken from x less its nearest integer, which is
+    exact: that error is then the rounding of a phase of at most half a
+    turn, whatever |x|.
     """
     out = np.empty((half + 1, x.size), dtype=complex)
     out[0] = 0.5
-    out[1] = np.exp((2j * np.pi) * x)
+    out[1] = np.exp((2j * np.pi) * (x - np.rint(x)))
     j = 1
     while j < half:
         step = min(j, half - j)
@@ -235,21 +236,10 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the interpolating trig polynomial of each row of v at xs.
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
+    One forward transform, then one product of every row's coefficients
+    with one shared weighted phase matrix.
     """
-    v = np.asarray(v, dtype=float)
-    return interp_coeffs(np.fft.rfft(v, norm="forward"), xs)
-
-
-def interp_coeffs(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the trig polynomial of each row of rfft coefficients c at xs.
-
-    c has shape (..., n/2 + 1) in "forward" normalisation (c_k is the
-    amplitude of e^{2 pi i k x}, the Nyquist entry that of cos(pi n x)),
-    with real mean and Nyquist entries, as the rfft of real samples has
-    them; the result has shape c.shape[:-1] + xs.shape.  Every row is
-    evaluated with one product against one shared weighted phase matrix,
-    and no transform is made.
-    """
+    c = np.fft.rfft(np.asarray(v, dtype=float), norm="forward")
     xs = np.asarray(xs, dtype=float)
     out = 2.0 * (c @ _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)).real
     return out.reshape(c.shape[:-1] + xs.shape)
@@ -260,11 +250,13 @@ def interp_blocks(
 ) -> np.ndarray:
     """Evaluate block i of rfft coefficients c at the points xs[i].
 
-    c has shape (blocks, rows, n/2 + 1), in the layout interp_coeffs reads,
-    and xs has shape (blocks, K); the result, written to out if given, has
-    shape (blocks, rows, K).  One weighted phase matrix serves the points
-    of every block, and each block makes one product with its own columns
-    of it, the product interp_coeffs(c[i], xs[i]) makes.  For K >= 2 those
+    c has shape (blocks, rows, n/2 + 1) in "forward" normalisation (c_k is
+    the amplitude of e^{2 pi i k x}, the Nyquist entry that of
+    cos(pi n x)), with real mean and Nyquist entries, as the rfft of real
+    samples has them.  xs has shape (blocks, K); the result, written to
+    out if given, has shape (blocks, rows, K).  One weighted phase matrix
+    serves the points of every block, and each block makes one product
+    with its own columns of it, so no transform is made.  For K >= 2 those
     columns are bit for bit the block's own phase matrix; for K = 1 numpy
     forms a one-column matrix with another inner loop, which can differ in
     the last bit.
@@ -289,7 +281,7 @@ def _mode_numbers(half: int) -> np.ndarray:
 
 def interp_point(c: np.ndarray, x: float) -> float:
     """Evaluate the trig polynomial of one row of rfft coefficients c (in
-    the layout interp_coeffs reads) at one point x: one weighted
+    the layout interp_blocks reads) at one point x: one weighted
     exponential row and one dot product.
 
     Mode k's phase is k x in turns less its nearest integer.  x splits into

@@ -151,10 +151,10 @@ def rhs_coeffs(
 ) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
-    c and the result have shape (members, 2, n/2 + 1), or (2, n/2 + 1) for
-    one member without its axis.  Each member is evaluated by itself
-    through the same batched transforms, so a member's derivative is bit
-    for bit the one it gets alone.  In "forward" normalisation c_k is the
+    c and the result have shape (members, 2, n/2 + 1); one member keeps
+    its axis.  Each member is evaluated by itself through the same batched
+    transforms, so a member's derivative is bit for bit the one it gets
+    alone.  In "forward" normalisation c_k is the
     amplitude of e^{2 pi i k x}, so padding to 3n/2 and truncating back
     need no rescaling: the Nyquist mode is split in half on the way up, as
     in pad_values.  On the way down only the u u_x product has its Nyquist
@@ -168,9 +168,6 @@ def rhs_coeffs(
     the result never depends on what an earlier call left there.  out, if
     given, receives the result, which is then returned.
     """
-    if c.ndim == 2:
-        lone = None if out is None else out[None]
-        return rhs_coeffs(c[None], grid, p, work, lone)[0]
     n = grid.n
     half = n // 2
     members = len(c)
@@ -208,7 +205,7 @@ def rhs_values(
     """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
     one forward and one inverse transform."""
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")
-    du, drho = np.fft.irfft(rhs_coeffs(c, grid, p), grid.n, norm="forward")
+    du, drho = np.fft.irfft(rhs_coeffs(c[None], grid, p)[0], grid.n, norm="forward")
     return du, drho
 
 

@@ -32,24 +32,24 @@ when a characteristic ensemble rides along, by its positions q and
 log-Jacobians lq.  Every stage shift, the final RK4 sum and the
 finiteness check are one array expression each, and model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
-transforms at 3n/2 points, padding into work arrays that every stage of
-every step shares.  Once per step one batched inverse transform of the rows
-(c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a single pass;
-that u_x feeds the slope tracking, the step size and the E0 check, and
-any record reads the invariants straight off the arrays and E0, except
-the cubic one, which pads the same rows to 2n with one more inverse
-transform.  No sample is transformed forward again, and only a snapshot
-builds a State.
+transforms at 3n/2 points, padding into work arrays that the four
+stages of a step share.  Once per step one batched inverse transform of
+the rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a
+single pass; that u_x feeds the slope tracking, the step size and the E0
+check, and any record reads the invariants straight off the arrays and
+E0, except the cubic one, which pads the same rows to 2n with one more
+inverse transform.  No sample is transformed forward again, and only a
+snapshot builds a State.
 
 Off-grid values cost one phase matrix per RK4 stage and nothing besides.
 The observation after a step evaluates the same rows at q with one
-grid.interp_coeffs call: its u and u_x are the next step's stage-1
+grid.interp_blocks call: its u and u_x are the next step's stage-1
 characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
 each read u and u_x at their stage positions off the stage coefficients
-with one grid.interp_blocks call, so a step with characteristics builds
-four phase matrices and a record none.  alpha = rho(xi) at the slope minimum comes
-from grid.interp_point, one exponential row, with or without
-characteristics.
+with one more interp_blocks call, so a step with characteristics builds
+four phase matrices and a record none.  alpha = rho(xi) at the slope
+minimum comes from grid.interp_point, one exponential row, with or
+without characteristics.
 
 Step 0 starts from the given samples: u_x is their spectral derivative,
 and one batched forward transform of (u, u_x, rho) gives the rows, whose
@@ -57,17 +57,20 @@ first and last make the initial RK4 state.  From there on every record
 computes its invariants the same way.
 
 run takes one member or a list of members, and a single run is a list of
-one.  Each member is a generator: it yields its step request (y, dt, at_q)
-and is sent the new state, or has NonFiniteStateError thrown into it, so
+one.  Members that share a grid, model parameters and seed count form a
+group, and a group's arrays have one owner, the lockstep driver: it
+holds the group's RK4 states stacked on a leading axis, advances them
+with one _advance call per step and one dt per member, and observes them
+with one inverse transform and, with characteristics, one interp_blocks
+call for the whole group.  Only the driver and _advance know the flat
+layout of the state.  Each member is a generator that keeps its run's
+scalars: it is sent views of its own slice of the group's arrays and
+yields its next dt, or has NonFiniteStateError thrown into it, so
 observation, records, snapshots, the E0 guard and termination stay one
-scalar code path per member.  Members that share a grid, model
-parameters and seed count form a group, and a group advances in
-lockstep: one _advance call per step on the members' states stacked on a
-leading axis, with one dt per member.  Its transforms, products and sums
+scalar code path per member.  The group's transforms, products and sums
 are the ones each member makes alone, so a member's result is bit for
-bit its single run's; stages 2 to 4 build one phase matrix for the whole
-group.  Finiteness is checked per member, so a member that fails leaves
-the group and the others run on.
+bit its single run's.  Finiteness is checked per member, so a member
+that fails leaves the group and the others run on.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ from .grid import (
     PeriodicGrid,
     deriv_values,
     interp_blocks,
-    interp_coeffs,
     interp_point,
 )
 from .model import (
@@ -224,17 +226,15 @@ def _advance(
     y: np.ndarray,
     grid: PeriodicGrid,
     p: ModelParams,
-    dt: float | np.ndarray,
+    dt: np.ndarray,
     at_q: np.ndarray | None = None,
-    work: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of each row of the flat state y, shape
-    (members, L), each row (c viewed as floats, q, lq); returns the new
-    state, a new array, and whether each of its rows is finite.
+    (members, L), each row (c viewed as floats, q, lq), with the step sizes
+    dt, a column of shape (members, 1); returns the new state, a new
+    array, and whether each of its rows is finite.
 
-    dt is one float for every row or a column of shape (members, 1), and
-    work, if given, is rhs_buffer(grid, members), which a caller may pass
-    to every step.  Without characteristics y holds c alone and at_q is None.  With K of
+    Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
     (members, 2, K), which the caller has already evaluated: they are
     stage 1's rates of q and lq, since positions advance with the velocity
@@ -254,8 +254,7 @@ def _advance(
     head = 2 * n + 4  # floats in c
     members = len(y)
     track = at_q is not None
-    if work is None:
-        work = rhs_buffer(grid, members)
+    work = rhs_buffer(grid, members)
     if track:
         value_and_slope = _value_and_slope(grid)
         q_end = head + at_q.shape[-1]
@@ -286,7 +285,8 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
-    y, finite = _advance(c0.reshape(1, -1).view(float), s.grid, p, dt)
+    y = c0.reshape(1, -1).view(float)
+    y, finite = _advance(y, s.grid, p, np.full((1, 1), dt))
     if not finite[0]:
         raise NonFiniteStateError("non-finite values in an RK4 stage")
     u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
@@ -294,37 +294,24 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
 
 
 def _member(
-    s0: State,
+    grid: PeriodicGrid,
     p: ModelParams,
     c: SimConfig,
     seeds: np.ndarray | None,
 ):
-    """One run as a generator: it yields each step's request (y, dt, at_q)
-    for _advance, with y and at_q on a leading axis of one member, and is
-    sent the new state y, or has NonFiniteStateError thrown into it.  It
-    returns the run's SimResult.
+    """One run as a generator over its slice of its group's arrays.
+
+    It is sent the views (samples, rows, chars) of each state its run
+    reaches, step 0 first: the samples of (u, u_x, rho), shape (3, n),
+    their coefficient rows, shape (3, n/2 + 1), and with seeds the
+    positions q, the log-Jacobians lq and rho(q), each of shape (K,), or
+    None without.  It yields each step's dt and is sent the state that
+    step reached, or has NonFiniteStateError thrown into it.  It returns
+    the run's SimResult.  It makes no transform but the 2n one of a
+    record's cubic invariant, and reads off-grid only alpha.
     """
-    grid = s0.grid
-    if grid.n != c.n:
-        raise ValueError(f"state lives on n={grid.n}, config says n={c.n}")
-    u = np.array(s0.u)
-    rho = np.array(s0.rho)
-    ux = deriv_values(u, 1)
-    # coefficients of (u, u_x, rho), the rows of each step's one inverse
-    # transform to samples; a record pads them for the cubic invariant, and
-    # the RK4 state starts from a copy of the u and rho rows, followed by
-    # the positions q and log-Jacobians lq of any characteristics
-    rows = np.fft.rfft(np.stack((u, ux, rho)), norm="forward")
-    track = seeds is not None
-    count = 0 if seeds is None else len(seeds)
-    head = 2 * grid.n + 4  # floats in the coefficients
-    y = np.zeros((1, head + 2 * count))
-    _coefficients(y, grid.n)[0] = rows[::2]
-    if track:
-        y[0, head : head + count] = seeds
-    # u, u_x and rho at q, taken by observe(): the next step's stage-1
-    # characteristic rates and the record's rho(q)
-    at_q = None
+    samples, rows, chars = yield
+    u, ux, rho = samples
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
@@ -341,23 +328,19 @@ def _member(
     series: list[list[float]] = []
     snapshots: list[tuple[float, State]] = []
     ens_t: list[float] = []
-    ens_q: list[np.ndarray] = []
-    ens_lq: list[np.ndarray] = []
-    ens_rq: list[np.ndarray] = []
+    ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
     # E0 of the current (u, u_x, rho), taken by observe() and read by record()
     e0 = 0.0
 
     def observe() -> None:
-        nonlocal e0, at_q
+        nonlocal e0
         e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
         trace_alpha.append(interp_point(rows[2], xi))
-        if track:
-            at_q = interp_coeffs(rows, y[0, head : head + count])
 
     def record(dt_next: float) -> None:
         nonlocal last_recorded
@@ -368,14 +351,13 @@ def _member(
             t, e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(rows, p),
             trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
-        if track:
+        if chars is not None:
             ens_t.append(t)
-            ens_q.append(y[0, head : head + count].copy())
-            ens_lq.append(y[0, head + count :].copy())
-            ens_rq.append(at_q[2].copy())
+            ens_chars.append(np.array(chars))
 
     def take_snapshot() -> None:
-        snapshots.append((t, State(grid, u, rho)))
+        # copies, since u and rho are views of the group's samples
+        snapshots.append((t, State(grid, u.copy(), rho.copy())))
 
     observe()
     e0_first = e0
@@ -409,15 +391,12 @@ def _member(
             break
 
         try:
-            y = yield y, dt, None if at_q is None else at_q[None, :2]
+            samples, rows, chars = yield dt
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
-        coef = _coefficients(y, grid.n)[0]
-        rows[::2] = coef
-        np.multiply(grid.ik, coef[0], out=rows[1])
-        u, ux, rho = _values(rows, grid.n)
+        u, ux, rho = samples
 
         if hit_snapshot:
             t = snaps_due.popleft()
@@ -446,13 +425,14 @@ def _member(
         alpha=np.asarray(trace_alpha),
     )
     ensemble = None
-    if track:
+    if seeds is not None:
+        q, lq, rho_q = np.stack(ens_chars, axis=1)
         ensemble = CharacteristicEnsemble(
             seeds=np.asarray(seeds, dtype=float),
             times=np.asarray(ens_t),
-            q=np.vstack(ens_q),
-            log_qx=np.vstack(ens_lq),
-            rho_q=np.vstack(ens_rq),
+            q=q,
+            log_qx=lq,
+            rho_q=rho_q,
         )
     return SimResult(
         slope_trace=trace,
@@ -493,52 +473,77 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     """Run each (state, params, config, seeds) member to its end.
 
     Members that share a grid, model parameters and seed count form a
-    group, and a group advances in lockstep: each step stacks its members'
-    requests on a leading axis and makes one _advance call, with a column
-    of one dt per member (a group of one passes its dt as it is).  The
-    stacked state is kept from one step to the next, since a member sends
-    back the row it was given, and is stacked anew only when a member has
-    left the group.
+    group, and this driver is the one owner of a group's arrays.  It
+    holds the flat RK4 states (c, q, lq) stacked on a leading axis and
+    makes one _advance call per step, with a column of one dt per member.
+    After each step it makes one batched inverse transform of the rows
+    (c_u, ik c_u, c_rho) to the samples of (u, u_x, rho), and with
+    characteristics one interp_blocks call for (u, u_x, rho) at q.  Each
+    member is sent views of its own slice of these arrays, which are new
+    each step; a member that ends, or whose row is not finite, leaves the
+    group, and its row is dropped.
     """
     results: list = [None] * len(members)
     groups: dict = {}
     for i, (s0, p, c, seeds) in enumerate(members):
-        key = (s0.grid, p, 0 if seeds is None else len(seeds))
-        groups.setdefault(key, []).append((i, _member(s0, p, c, seeds)))
-    for (grid, p, _), group in groups.items():
-        live, requests = [], []  # (index, member) and its pending request
-        for i, member in group:
-            try:
-                requests.append(next(member))
-            except StopIteration as end:
-                results[i] = end.value
-                continue
-            live.append((i, member))
-        y = None
-        while live:
-            if y is None:
-                y = np.concatenate([request[0] for request in requests])
-                work = rhs_buffer(grid, len(live))
-            _, dt, at_q = requests[0]
-            if len(live) > 1:
-                dt = np.array([request[1] for request in requests])[:, None]
-                if at_q is not None:
-                    at_q = np.concatenate([request[2] for request in requests])
-            y, finite = _advance(y, grid, p, dt, at_q, work)
-            staying, requests = [], []
-            for row, (i, member) in enumerate(live):
+        if s0.grid.n != c.n:
+            raise ValueError(f"state lives on n={s0.grid.n}, config says n={c.n}")
+        key = (s0.grid, p, None if seeds is None else len(seeds))
+        groups.setdefault(key, []).append(i)
+    for (grid, p, count), group in groups.items():
+        n = grid.n
+        head = 2 * n + 4  # floats in the coefficients
+        live = [(i, _member(grid, *members[i][1:])) for i in group]
+        for _, member in live:
+            next(member)  # to the yield that takes the step-0 views
+        # step 0 from the given samples: u_x is their spectral derivative,
+        # and the rows' first and last start the RK4 state, followed by the
+        # seeds and lq = 0
+        u = np.stack([members[i][0].u for i in group])
+        rho = np.stack([members[i][0].rho for i in group])
+        samples = np.stack((u, deriv_values(u, 1), rho), axis=1)
+        rows = np.fft.rfft(samples, norm="forward")
+        y = np.zeros((len(group), head + 2 * (count or 0)))
+        _coefficients(y, n)[:] = rows[:, ::2]
+        if count is not None:
+            y[:, head : head + count] = [members[i][3] for i in group]
+        finite = np.ones(len(group), dtype=bool)
+        at_q = None
+        while True:
+            if count is not None:
+                at_q = interp_blocks(rows, y[:, head : head + count])
+            staying, dts = [], []
+            for j, (i, member) in enumerate(live):
+                chars = None if count is None else (
+                    y[j, head : head + count], y[j, head + count :], at_q[j, 2]
+                )
                 try:
-                    if finite[row]:
-                        requests.append(member.send(y[row : row + 1]))
+                    if finite[j]:
+                        dts.append(member.send((samples[j], rows[j], chars)))
                     else:
-                        requests.append(member.throw(
+                        member.throw(
                             NonFiniteStateError("non-finite values in an RK4 stage")
-                        ))
+                        )
                 except StopIteration as end:
                     results[i] = end.value
                     continue
-                staying.append((i, member))
+                staying.append(j)
+            if not staying:
+                break
             if len(staying) < len(live):
-                y = None
-            live = staying
+                live = [live[j] for j in staying]
+                y = y[staying]
+                at_q = None if at_q is None else at_q[staying]
+            y, finite = _advance(
+                y, grid, p, np.array(dts)[:, None], None if at_q is None else at_q[:, :2]
+            )
+            if not finite.all():
+                # its member only has NonFiniteStateError thrown into it;
+                # zeros keep an inf from warning in the observation below
+                y[~finite] = 0.0
+            c = _coefficients(y, n)
+            rows = np.empty((len(y), 3, n // 2 + 1), dtype=complex)
+            rows[:, ::2] = c
+            np.multiply(grid.ik, c[:, 0], out=rows[:, 1])
+            samples = _values(rows, n)
     return results

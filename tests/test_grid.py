@@ -14,7 +14,7 @@ from dghsim.grid import (
     dgreen_kernel,
     green_kernel,
     helmholtz_convolve,
-    interp_coeffs,
+    interp_blocks,
     interp_point,
     interp_values,
     pad_values,
@@ -203,24 +203,28 @@ def test_interp_values_batched_matches_exp_form(n):
         assert np.max(np.abs(interp_values(row, xs) - out)) <= 1e-13 * np.max(np.abs(row))
 
 
-@pytest.mark.parametrize("x", [-0.7, 0.0, 0.5, 1.3])
+@pytest.mark.parametrize("x", [-0.7, 0.0, 0.5, 1.3, 7.3, 15.3])
 @pytest.mark.parametrize("n", [8, 128, 1024])
 def test_interp_point_matches_interp_coeffs(n, x):
     # unit-scale random coefficients on every mode and a real Nyquist entry
     # far from zero; x unwrapped.  The single point reduces each phase to
     # one turn, so it holds 1e-13 of max|c| against the exact sum at every
-    # n.  The doubling's phase error grows like k |x| (1.4e-12 of max|c|
-    # on the n = 1024 row), so against interp_coeffs the bound is 1e-13 of
-    # the sum's own bound, 2 sum|c_k|.
+    # n.  interp_blocks' phase matrix starts its doubling from x less its
+    # nearest integer, so its error does not grow with |x|.  What is left
+    # is z's own rounding, which z^k carries k times over: largest at a
+    # reduced x of 1/2, where fl(2 pi) / 2 misses pi by 1.2e-16, and
+    # 1.4e-12 of max|c| there at n = 1024.  Doubling from x itself, the
+    # error reaches 6.0e-12 at x = 7.3 and 6.7e-12 at x = 15.3.
     r = np.random.default_rng(n)
     c = r.normal(size=n // 2 + 1) + 1j * r.normal(size=n // 2 + 1)
     c[0] = c[0].real
     c[-1] = 2.0 + abs(c[-1].real)
     got = interp_point(c, x)
     assert isinstance(got, float)
-    assert abs(got - trig_sum_exact(c, x)) <= 1e-13 * np.max(np.abs(c))
-    batch = interp_coeffs(c, np.asarray([x]))[0]
-    assert abs(got - batch) <= 1e-13 * np.sum(np.abs(c))
+    exact = trig_sum_exact(c, x)
+    assert abs(got - exact) <= 1e-13 * np.max(np.abs(c))
+    block = interp_blocks(c[None, None], np.asarray([[x]]))[0, 0, 0]
+    assert abs(block - exact) <= 2e-12 * np.max(np.abs(c))
 
 
 def test_interp_values_shapes(rng):

@@ -133,7 +133,7 @@ def test_rhs_coeffs_matches_padded_reference(n):
     p = ModelParams(A=0.9, gamma=-1.7)
     alt = (-1.0) ** np.arange(n)
     u, rho = r.normal(size=n) + 4.0 * alt, r.normal(size=n) - 3.0 * alt
-    got = rhs_coeffs(np.fft.rfft(np.stack((u, rho)), norm="forward"), g, p)
+    got = rhs_coeffs(np.fft.rfft(np.stack((u, rho)), norm="forward")[None], g, p)[0]
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -146,7 +146,7 @@ def test_rhs_buffer_reuse_is_invisible(rng):
     grids = (PeriodicGrid(64), PeriodicGrid(90))
     buffers = {g: rhs_buffer(g) for g in grids}
     states = [
-        (g, np.fft.rfft(rng.normal(size=(2, g.n)), norm="forward"))
+        (g, np.fft.rfft(rng.normal(size=(1, 2, g.n)), norm="forward"))
         for _ in range(2) for g in grids
     ]
     for g, c in states + states[::-1] + [states[0], states[2], states[0]]:

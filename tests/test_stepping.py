@@ -328,12 +328,17 @@ def test_lockstep_members_equal_their_single_runs():
         _assert_same_result(got, run(*args))
 
 
-def test_lockstep_step_builds_three_phase_matrices_for_the_group(monkeypatch):
-    # stages 2 to 4 each build one phase matrix for every member's points;
-    # then each member that took the step observes its result with one more
+def test_lockstep_step_builds_four_phase_matrices_and_one_transform_for_the_group(
+    monkeypatch,
+):
+    # the group observes at q with one phase matrix before its first step;
+    # then each lockstep step builds one for each of stages 2 to 4 and one
+    # for the observation of its result, and makes one inverse transform
+    # to samples at n, however many members take it
     import dghsim.grid as grid
     import dghsim.stepping as stepping
 
+    n = 64
     log = []
     real_advance = stepping._advance
     real_phases = grid._phase_matrix
@@ -348,6 +353,7 @@ def test_lockstep_step_builds_three_phase_matrices_for_the_group(monkeypatch):
 
     monkeypatch.setattr(stepping, "_advance", advance)
     monkeypatch.setattr(grid, "_phase_matrix", phases)
+    _log_transforms(monkeypatch, log)
     states, params, configs, seeds = _lockstep_members()
     results = run(states, params, configs, seeds=seeds)
     monkeypatch.undo()
@@ -362,9 +368,10 @@ def test_lockstep_step_builds_three_phase_matrices_for_the_group(monkeypatch):
     taken = [len(r.slope_trace.times) - 1 for r in results]
     assert len(set(taken)) == 3
     assert len(steps) == max(taken)
-    assert before_first == ["phases"] * 3
-    for j, made in enumerate(steps):
-        assert made == ["phases"] * (3 + sum(k > j for k in taken))
+    assert before_first.count("phases") == 1
+    for made in steps:
+        assert made.count("phases") == 4
+        assert made.count(("irfft", n)) == 1
 
 
 @pytest.mark.parametrize("stage", [0, 3])
