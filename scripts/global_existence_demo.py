@@ -50,7 +50,7 @@ def main(argv=None) -> None:
     print(f"hamE / hamF drift  {abs(last[2] - first[2]):.3e} / "
           f"{abs(last[3] - first[3]):.3e}")
 
-    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, first[0], p)
+    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, p)
     m_peak = float(np.max(np.abs(res.slope_trace.m)))
     print(f"\nenvelope: beta = {lt.beta:.3f}, c1 = {lt.c1:.4f}, "
           f"c2 = {lt.c2:.4f}")

@@ -43,7 +43,6 @@ from .characteristics import (
 from .criteria import (
     BLOWUP_PREDICTED,
     GLOBAL_PREDICTED,
-    DensitySignChangeError,
     InsufficientWindowError,
     estimate_blowup_rate,
     evaluate_criteria,
@@ -197,7 +196,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         doc["rate_estimate"] = {"unavailable": str(exc)}
 
     try:
-        lt = lyapunov_trace(result.slope_trace, s0.rho, s0.u, report.e0, sc.model)
+        lt = lyapunov_trace(result.slope_trace, s0.rho, s0.u, sc.model)
         doc["lyapunov"] = {
             "beta": lt.beta,
             "c1": lt.c1,
@@ -205,7 +204,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
             "violations": int(lt.violations.size),
             "bound_satisfied": lt.violations.size == 0,
         }
-    except (ValueError, DensitySignChangeError) as exc:
+    except ValueError as exc:
         doc["lyapunov"] = {"unavailable": str(exc)}
 
     if result.ensemble is not None:
@@ -437,32 +436,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out-dir", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for random checks")
-        p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    # each flag goes only to the subcommands that read it
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    writes = argparse.ArgumentParser(add_help=False, parents=[quiet])
+    writes.add_argument("--out-dir", default="out", help="artifact directory")
 
-    p_run = sub.add_parser("run", help="integrate a scenario")
+    p_run = sub.add_parser("run", parents=[writes], help="integrate a scenario")
     p_run.add_argument("config", help="flat key=value config file")
-    common(p_run)
     p_run.set_defaults(handler=_cmd_run)
 
-    p_cr = sub.add_parser("criteria", help="evaluate thresholds only")
+    p_cr = sub.add_parser("criteria", parents=[writes], help="evaluate thresholds only")
     p_cr.add_argument("config")
-    common(p_cr)
     p_cr.set_defaults(handler=_cmd_criteria)
 
-    p_sw = sub.add_parser("sweep", help="run a scenario across a parameter range")
+    p_sw = sub.add_parser(
+        "sweep", parents=[writes], help="run a scenario across a parameter range"
+    )
     p_sw.add_argument("config")
     p_sw.add_argument(
         "--param", required=True, metavar="key=lo:hi:count",
         help="config key and inclusive range to sweep",
     )
-    common(p_sw)
     p_sw.set_defaults(handler=_cmd_sweep)
 
-    p_st = sub.add_parser("selftest", help="run the built-in oracle suites")
-    common(p_st)
+    p_st = sub.add_parser(
+        "selftest", parents=[quiet], help="run the built-in oracle suites"
+    )
+    p_st.add_argument("--seed", type=int, default=0, help="seed for random checks")
     p_st.set_defaults(handler=_cmd_selftest)
     return parser
 

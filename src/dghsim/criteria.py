@@ -8,6 +8,12 @@ a Riccati inequality m' <= -m^2/2 + K into a finite-time slope blow-up;
 a density bounded away from zero instead yields an exponential envelope
 that rules blow-up out.
 
+Each rule of the breakdown analysis is stated here once.  dive_cutoff
+says where a slope trace has dived: the rate fit starts its window there,
+and stepping.run labels an E0 stop past it BlowupDetected.  _density_floor
+says whether the initial density keeps one sign: the positive_density
+verdict and the envelope's beta both read it.
+
 The embedding constant (e+1)/(2(e-1)) is sharp for max f^2 <= C |f|_H1^2
 on the unit circle and is attained by translates of the smoothing kernel;
 the mean-based route max f^2 <= (eps+2)/24 int f_x^2 + (eps+2)/(4 eps) a0^2
@@ -17,7 +23,7 @@ holds for every eps > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +49,7 @@ __all__ = [
     "threshold_zero_mean",
     "riccati_blowup_time",
     "blowup_time_bound",
+    "dive_cutoff",
     "estimate_blowup_rate",
     "lyapunov_trace",
     "sobolev_sharp_check",
@@ -58,13 +65,15 @@ SHARP_EMBEDDING_CONSTANT = (math.e + 1.0) / (2.0 * (math.e - 1.0))
 _KERNEL_MAX = green_kernel(0.0)
 # eps values at which the mean-based route is evaluated unless told otherwise
 DEFAULT_EPS_LIST = (0.1, 1.0, 10.0)
+# fewest samples the blow-up rate fit takes
+_MIN_FIT_SAMPLES = 10
 
 
 class InsufficientWindowError(ValueError):
     """Too few trace samples qualify for the blow-up rate fit."""
 
 
-class DensitySignChangeError(RuntimeError):
+class DensitySignChangeError(ValueError):
     """rho(t, xi(t)) changed sign or vanished: resolution failure."""
 
 
@@ -184,12 +193,17 @@ class RateEstimate:
     samples: int
 
 
-def estimate_blowup_rate(
-    trace: SlopeTrace,
-    min_samples: int = 10,
-    start_factor: float = 3.0,
-    peak_fraction: float = 0.5,
-) -> RateEstimate:
+def dive_cutoff(m0: float) -> float:
+    """Slope past which a trace that starts at m0 has dived: -3 max(1, |m0|).
+
+    Three times the starting slope lies past the threshold scale, where the
+    blow-up asymptote has set in; the floor of 1 keeps a trace that starts
+    nearly flat from counting a mild steepening as a dive.
+    """
+    return -3.0 * max(1.0, abs(m0))
+
+
+def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
     """Fit y(t) = -1/m(t) linearly over the trusted part of the slope dive.
 
     Near a slope blow-up, y decays linearly to zero with slope 1/rate, so
@@ -198,17 +212,17 @@ def estimate_blowup_rate(
 
     The window is the first sustained dive, which ends where m recovers to
     half its running minimum (the true solution cannot do that below the
-    threshold).  Within it the fit takes the samples from start_factor
-    |m(0)|, past the threshold scale where the asymptote has set in, down
-    to peak_fraction of the dive's deepest slope.  stepping.run stops at
-    the first step whose E0 drift shows the grid losing the front, so the
-    trace holds resolved steps only.  When fewer than min_samples lie in
-    that window, as on a short dive at small n whose floor lies near or
-    above the cutoff, every sample of the dive past the cutoff is fitted.
+    threshold).  Within it the fit takes the samples from dive_cutoff(m(0))
+    down to half the dive's deepest slope.  stepping.run stops at the first
+    step whose E0 drift shows the grid losing the front, so the trace holds
+    resolved steps only, and it labels that stop BlowupDetected exactly
+    when this window has begun.  When fewer than ten samples lie in the
+    window, as on a short dive at small n whose floor lies near or above
+    the cutoff, every sample of the dive past the cutoff is fitted.
     """
     m = trace.m
     t = trace.times
-    cutoff = -start_factor * abs(float(m[0]))
+    cutoff = dive_cutoff(float(m[0]))
     start = int(np.argmax(m <= cutoff))
     if m[start] > cutoff:
         raise InsufficientWindowError(
@@ -222,15 +236,15 @@ def estimate_blowup_rate(
             end = i
             break
     dive = m[start:end]
-    mask = (dive <= cutoff) & (dive >= peak_fraction * peak)
+    mask = (dive <= cutoff) & (dive >= 0.5 * peak)
     count = int(np.count_nonzero(mask))
-    if count < min_samples:
+    if count < _MIN_FIT_SAMPLES:
         mask = dive <= cutoff
         count = int(np.count_nonzero(mask))
-    if count < min_samples:
+    if count < _MIN_FIT_SAMPLES:
         raise InsufficientWindowError(
             f"only {count} samples past the cutoff {cutoff:.3g} "
-            f"(need {min_samples})"
+            f"(need {_MIN_FIT_SAMPLES})"
         )
     tt = t[start:end][mask]
     y = -1.0 / dive[mask]
@@ -262,24 +276,29 @@ class LyapunovTrace:
     violations: np.ndarray
 
 
+def _density_floor(rho0: np.ndarray) -> tuple[float, float]:
+    """(beta, sup |rho0|) of density samples, with beta = min |rho0| when
+    rho0 keeps one sign and beta = 0 when it vanishes or changes sign."""
+    dx = 1.0 / rho0.size
+    lo, _ = refined_min(rho0, dx)
+    hi, _ = refined_max(rho0, dx)
+    beta = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0
+    return beta, max(abs(lo), abs(hi))
+
+
 def lyapunov_trace(
-    trace: SlopeTrace, rho0: np.ndarray, u0: np.ndarray, e0: float, p: ModelParams
+    trace: SlopeTrace, rho0: np.ndarray, u0: np.ndarray, p: ModelParams
 ) -> LyapunovTrace:
     """Certificate w(t) and envelope for runs with density of one sign.
 
     w(t) = alpha(0) alpha(t) + (alpha(0)/alpha(t)) (1 + m(t)^2) grows at
     most like exp((c1 + 1/2) t), which caps |m(t)| by
     (c2 / (2 beta)) exp((c1 + 1/2) t) with beta = min |rho0| > 0; rho0 and
-    u0 are the initial samples.
+    u0 are the initial samples, and c1 and c2 come from their energy E0
+    and their suprema.
     """
-    dx = 1.0 / rho0.size
-    lo, _ = refined_min(rho0, dx)
-    hi, _ = refined_max(rho0, dx)
-    if lo > 0.0:
-        beta = lo
-    elif hi < 0.0:
-        beta = -hi
-    else:
+    beta, sup_rho0 = _density_floor(rho0)
+    if beta == 0.0:
         raise ValueError("density must be bounded away from zero")
 
     alpha = trace.alpha
@@ -289,11 +308,12 @@ def lyapunov_trace(
         )
     w = alpha[0] * alpha + (alpha[0] / alpha) * (1.0 + trace.m**2)
 
+    ux0 = deriv_values(u0, 1)
+    e0 = energy_e0(u0, ux0, rho0)
     c = SHARP_EMBEDDING_CONSTANT
     c1 = c * e0 + 2.0 * abs(p.gamma - p.A) * math.sqrt(c * e0) + _KERNEL_MAX * e0
-    ux0 = deriv_values(u0, 1)
+    dx = 1.0 / u0.size
     sup_ux0 = max(abs(refined_min(ux0, dx)[0]), abs(refined_max(ux0, dx)[0]))
-    sup_rho0 = max(abs(lo), abs(hi))
     c2 = sup_rho0**2 + 1.0 + sup_ux0**2
 
     envelope = (c2 / (2.0 * beta)) * np.exp((c1 + 0.5) * trace.times)
@@ -398,8 +418,9 @@ def evaluate_criteria(
 
     m0, xi0 = refined_min(ux0, dx)
     rho_at_xi = float(interp_values(rho0, np.asarray([xi0]))[0])
-    rho_hi, _ = refined_max(np.abs(rho0), dx)
-    rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * rho_hi
+    beta, sup_rho0 = _density_floor(rho0)
+    rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * sup_rho0
+    zero_mean = abs(a0) <= 1.0e-12 * max(1.0, math.sqrt(e0))
 
     thresholds = {"sharp": threshold_sharp(e0, p.gamma, p.A)}
     k_values = {"sharp": k_sharp(e0, p.gamma, p.A)}
@@ -409,30 +430,17 @@ def evaluate_criteria(
         k_values[key] = k_mean(e0, a0, eps, p.gamma, p.A)
     thresholds["zero_mean"] = threshold_zero_mean(e0, p.gamma, p.A)
 
+    # the zero-mean route also needs a0 = 0; it has no Riccati bound of its own
     verdicts: dict[str, Verdict] = {}
-    bounds: list[float] = []
-
-    met = rho_vanishes and m0 < thresholds["sharp"]
-    verdicts["sharp"] = Verdict(met, BLOWUP_PREDICTED if met else NO_PREDICTION)
-    if met:
-        bounds.append(blowup_time_bound(m0, k_values["sharp"]))
-
-    for eps in eps_list:
-        key = f"mean_eps_{eps:g}"
-        met = rho_vanishes and m0 < thresholds[key]
+    for key, threshold in thresholds.items():
+        met = rho_vanishes and m0 < threshold and (key != "zero_mean" or zero_mean)
         verdicts[key] = Verdict(met, BLOWUP_PREDICTED if met else NO_PREDICTION)
-        if met:
-            bounds.append(blowup_time_bound(m0, k_values[key]))
-
-    zero_mean = abs(a0) <= 1.0e-12 * max(1.0, math.sqrt(e0))
-    met = rho_vanishes and zero_mean and m0 < thresholds["zero_mean"]
-    verdicts["zero_mean"] = Verdict(met, BLOWUP_PREDICTED if met else NO_PREDICTION)
-
-    rho_lo, _ = refined_min(rho0, dx)
-    rho_top, _ = refined_max(rho0, dx)
-    nonvanishing = rho_lo > 0.0 or rho_top < 0.0
+    bounds = [
+        blowup_time_bound(m0, k) for key, k in k_values.items()
+        if verdicts[key].hypothesis_met
+    ]
     verdicts["positive_density"] = Verdict(
-        nonvanishing, GLOBAL_PREDICTED if nonvanishing else NO_PREDICTION
+        beta > 0.0, GLOBAL_PREDICTED if beta > 0.0 else NO_PREDICTION
     )
 
     return CriterionReport(

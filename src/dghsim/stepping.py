@@ -16,7 +16,8 @@ Runs terminate with one of four causes:
 
   ReachedEnd      integrated to t_end
   BlowupDetected  E0 stopped being conserved after min u_x had dived past
-                  the rate fit's cutoff, -3 max(1, |m(0)|)
+                  criteria.dive_cutoff(m(0)) = -3 max(1, |m(0)|), where
+                  the rate fit's window starts
   ResolutionLost  E0 stopped being conserved before such a dive, or the
                   step fell below the time resolution 1e-12 max(1, t_end)
                   and could not advance t
@@ -83,7 +84,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characteristics import CharacteristicEnsemble
-from .criteria import SlopeTrace, refined_min
+from .criteria import SlopeTrace, dive_cutoff, refined_min
 from .grid import (
     ConfigError,
     PeriodicGrid,
@@ -361,7 +362,7 @@ def _member(
 
     observe()
     e0_first = e0
-    dive_cutoff = -3.0 * max(1.0, abs(trace_m[0]))
+    cutoff = dive_cutoff(trace_m[0])
     termination: Termination | None = None
     while True:
         t_remaining = c.t_end - t
@@ -408,7 +409,7 @@ def _member(
         # written so that a NaN drift also stops the run
         if not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
             record(dt)
-            dived = trace_m[-1] <= dive_cutoff
+            dived = trace_m[-1] <= cutoff
             cause = TERM_BLOWUP if dived else TERM_RESOLUTION_LOST
             termination = Termination(cause, t)
             break

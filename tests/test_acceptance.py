@@ -17,8 +17,8 @@ from dghsim.criteria import (
     evaluate_criteria,
     lyapunov_trace,
 )
-from dghsim.grid import PeriodicGrid, deriv_values
-from dghsim.model import ModelParams, energy_e0
+from dghsim.grid import PeriodicGrid
+from dghsim.model import ModelParams
 from dghsim.oracles import (
     helmholtz_oracle,
     poincare_margin,
@@ -159,8 +159,7 @@ def test_criterion_08_blowup_rate(blowup_runs):
 
 def test_criterion_09_global_existence(global_long_run):
     s0, res = global_long_run
-    e0 = energy_e0(s0.u, deriv_values(s0.u, 1), s0.rho)
-    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, e0, GLOBAL_MODEL)
+    lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, GLOBAL_MODEL)
     signs_ok = sign_preserved(res.ensemble, s0.rho)
     ok = (
         res.termination.cause == "ReachedEnd"

@@ -199,6 +199,32 @@ def test_predicted_blowup_below_sharp_threshold_breaks_before_its_bound(tmp_path
     assert term["t"] < report["criteria"]["riccati_t"]
 
 
+# blowup31 whose slope starts at m(0) = -0.54: the dive cutoff is -3, not
+# 3 |m(0)|, for the run's label and for the rate fit alike
+SHALLOW_START_CONFIG = """\
+scenario.family = blowup31
+scenario.a = auto
+scenario.b = 0.5
+scenario.margin = 1.05
+model.gamma = 1.0
+sim.n = 64
+sim.t_end = 5.0
+"""
+
+
+def test_run_label_and_rate_fit_share_the_dive_cutoff(tmp_path):
+    cfg = tmp_path / "shallow.cfg"
+    cfg.write_text(SHALLOW_START_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert -1.0 < report["criteria"]["m0"] < 0.0
+    assert report["run"]["termination"]["cause"] == "ResolutionLost"
+    assert report["rate_estimate"] == {
+        "unavailable": "slope never fell past the fit cutoff -3"
+    }
+
+
 def test_run_past_riccati_bound_exits_4(monkeypatch, tmp_path, capsys):
     # with the E0 guard off, the under-resolved run coasts to t_end past
     # its own blow-up bound; that outcome contradicts the criteria
@@ -651,6 +677,23 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok   ") == 8
     assert "all 8 selftests passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "x.cfg", "--seed", "1"],
+    ["selftest", "--out-dir", "x"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    # argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dghsim") and "unrecognized arguments" in err
+
+
+def test_selftest_takes_a_seed(capsys):
+    assert main(["selftest", "--seed", "5", "--quiet"]) == EXIT_OK
 
 
 def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from dghsim.criteria import (
     InsufficientWindowError,
     SlopeTrace,
     blowup_time_bound,
+    dive_cutoff,
     estimate_blowup_rate,
     evaluate_criteria,
     k_mean,
@@ -242,11 +243,17 @@ def test_rate_estimator_needs_a_dive():
         estimate_blowup_rate(flat)
 
 
+def test_dive_cutoff_is_three_times_the_starting_slope_or_three():
+    assert dive_cutoff(-0.5) == -3.0
+    assert dive_cutoff(-8.0) == -24.0
+
+
 def test_rate_estimator_needs_enough_samples():
-    tr = hyperbola_trace(t_star=1.0, depth=100.0, points=30)
-    # only a handful of samples lie past 3 |m(0)|
-    with pytest.raises(InsufficientWindowError):
-        estimate_blowup_rate(tr, min_samples=25)
+    tr = hyperbola_trace(t_star=1.0, depth=100.0, points=25)
+    # fewer than ten samples lie past 3 |m(0)| = 6
+    assert np.count_nonzero(tr.m <= -6.0) < 10
+    with pytest.raises(InsufficientWindowError, match="need 10"):
+        estimate_blowup_rate(tr)
 
 
 def test_rate_estimator_fits_past_the_cutoff_when_the_floor_lies_above_it():
@@ -296,10 +303,13 @@ def test_rate_estimator_fits_the_guard_ended_breaking_run_at_n256():
 
 
 def test_rate_estimator_rejects_relaxing_tail():
+    # the slope passes the cutoff -3 at once and relaxes from -20 to -11,
+    # never back to half its minimum: every sample past the cutoff is
+    # fitted, and y = -1/m rises
     t = np.linspace(0.0, 1.0, 60)
-    m = np.linspace(-10.0, -5.0, 60)  # everything below cutoff, but relaxing
-    with pytest.raises(InsufficientWindowError):
-        estimate_blowup_rate(make_trace(t, m), min_samples=5)
+    m = np.concatenate([[-1.0], np.linspace(-20.0, -11.0, 59)])
+    with pytest.raises(InsufficientWindowError, match="not steepening"):
+        estimate_blowup_rate(make_trace(t, m))
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +320,12 @@ def test_lyapunov_initial_value():
     u0 = np.sin(2.0 * np.pi * g.nodes) / (2.0 * np.pi)
     rho0 = np.full(128, 2.0)
     tr = make_trace([0.0], [-1.0], xi=[0.5], alpha=[2.0])
-    e0 = 4.0
-    ly = lyapunov_trace(tr, rho0, u0, e0, ModelParams(A=1.0, gamma=0.0))
+    ly = lyapunov_trace(tr, rho0, u0, ModelParams(A=1.0, gamma=0.0))
     assert ly.beta == pytest.approx(2.0, abs=1e-12)
     assert ly.w[0] == pytest.approx(6.0, abs=1e-12)  # 2*2 + (2/2)(1 + 1)
     assert ly.c2 == pytest.approx(6.0, abs=1e-6)  # sup rho0^2 + 1 + sup ux0^2
+    # E0 = int(u^2 + u_x^2 + rho^2) = 1/(8 pi^2) + 1/2 + 4
+    e0 = 1.0 / (8.0 * math.pi**2) + 0.5 + 4.0
     c = SHARP_EMBEDDING_CONSTANT
     expected_c1 = c * e0 + 2.0 * math.sqrt(c * e0) + green_kernel(0.0) * e0
     assert ly.c1 == pytest.approx(expected_c1, rel=1e-12)
@@ -327,7 +338,7 @@ def test_lyapunov_constant_state_flat_certificate():
     rho0 = np.full(64, 1.5)
     t = np.linspace(0.0, 3.0, 40)
     tr = make_trace(t, np.zeros_like(t), alpha=np.full_like(t, 1.5))
-    ly = lyapunov_trace(tr, rho0, u0, 2.25, ModelParams())
+    ly = lyapunov_trace(tr, rho0, u0, ModelParams())
     assert np.allclose(ly.w, 1.5**2 + 1.0, atol=1e-12)
     assert ly.violations.size == 0
     # envelope grows exactly like exp((c1 + 1/2) t)
@@ -339,7 +350,7 @@ def test_lyapunov_negative_density_branch():
     u0 = np.zeros(64)
     rho0 = np.full(64, -2.0)
     tr = make_trace([0.0, 1.0], [0.0, -0.5], alpha=[-2.0, -1.8])
-    ly = lyapunov_trace(tr, rho0, u0, 4.0, ModelParams())
+    ly = lyapunov_trace(tr, rho0, u0, ModelParams())
     assert ly.beta == pytest.approx(2.0, abs=1e-12)
     assert np.all(ly.w > 0.0)
 
@@ -349,7 +360,7 @@ def test_lyapunov_rejects_vanishing_density():
     rho0 = np.sin(2.0 * np.pi * PeriodicGrid(64).nodes)
     tr = make_trace([0.0], [0.0], alpha=[1.0])
     with pytest.raises(ValueError, match="bounded away from zero"):
-        lyapunov_trace(tr, rho0, u0, 0.5, ModelParams())
+        lyapunov_trace(tr, rho0, u0, ModelParams())
 
 
 def test_lyapunov_flags_tracked_sign_change():
@@ -357,7 +368,7 @@ def test_lyapunov_flags_tracked_sign_change():
     rho0 = np.full(64, 2.0)
     tr = make_trace([0.0, 1.0], [0.0, -1.0], alpha=[2.0, -0.1])
     with pytest.raises(DensitySignChangeError):
-        lyapunov_trace(tr, rho0, u0, 4.0, ModelParams())
+        lyapunov_trace(tr, rho0, u0, ModelParams())
 
 
 # ---------------------------------------------------------------------------
