@@ -26,15 +26,20 @@ grid object only carries the size and the cached symbol tables.
 Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
 exponential per entry, and shares it across every field in the batch.
-The matrix carries weight 1/2 on its mean and Nyquist rows, so one
-product with the coefficients reads every mode, the Nyquist cosine
-included.  interp_values is one forward transform followed by that
-product.  interp_blocks reads coefficients, so it makes no transform at
-all: it evaluates several coefficient blocks, each at its own points,
-with one phase matrix for all the points and one product per block.  A
-single point needs no doubling: interp_point forms its one weighted
-exponential row directly, from each mode's phase reduced to under one
-turn without rounding error that grows with k or |x|.
+The matrix holds the plain powers; the weights 1/2 of the mean and
+Nyquist modes and the factor 2 of the real part sit on the coefficient
+side, which one multiply turns into the real rows (2 w Re c, -2 w Im c).
+Their product with the matrix's float view, whose adjacent columns are
+cos and sin of one point, is real, and the interpolant is the cos
+columns of the first half plus the sin columns of the second, so every
+mode, the Nyquist cosine included, is read through one real product.
+interp_blocks reads coefficients, so it makes no transform at all: it
+evaluates several coefficient blocks, each at its own points, with one
+phase matrix for all the points and one real product per block.
+interp_values is one forward transform followed by interp_blocks with
+one block.  A single point needs no doubling: interp_point forms its
+one weighted exponential row directly, from each mode's phase reduced to
+under one turn without rounding error that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -206,42 +211,48 @@ def project_values(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _phase_matrix(x: np.ndarray, half: int) -> np.ndarray:
-    """Weighted phases w_k z^k for z = e^{2 pi i x}, k = 0 .. half: shape
-    (half + 1, x.size), with w_k = 1/2 at k = 0 and k = half, 1 between.
+    """The phases z^k for z = e^{2 pi i x}, k = 0 .. half: shape
+    (half + 1, x.size).
 
-    For the rfft coefficients c of real samples, whose mean and Nyquist
-    entries are real, 2 Re(c @ P) is then the trig interpolant at x: the
-    weights read the mean and the Nyquist cosine through the same product
-    as every other mode.  Each doubling multiplies the known rows
-    z^1 .. z^j by z^j, so the matrix costs log2(half) vectorised products
-    and one exp per point, and the rounding error the products add to z^k
-    grows like log2(k), not like k.  z's own phase error z^k carries k
-    times over, so z is taken from x less its nearest integer, which is
-    exact: that error is then the rounding of a phase of at most half a
-    turn, whatever |x|.
+    Each doubling multiplies the known rows z^1 .. z^j by z^j, so the
+    matrix costs log2(half) vectorised products and one exp per point, and
+    the rounding error the products add to z^k grows like log2(k), not
+    like k.  z's own phase error z^k carries k times over, so z is taken
+    from x less its nearest integer, which is exact: that error is then
+    the rounding of a phase of at most half a turn, whatever |x|.
     """
     out = np.empty((half + 1, x.size), dtype=complex)
-    out[0] = 0.5
+    out[0] = 1.0
     out[1] = np.exp((2j * np.pi) * (x - np.rint(x)))
     j = 1
     while j < half:
         step = min(j, half - j)
         np.multiply(out[1 : step + 1], out[j], out=out[j + 1 : j + 1 + step])
         j += step
-    out[half] *= 0.5
     return out
+
+
+@lru_cache(maxsize=8)
+def _part_weights(half: int) -> np.ndarray:
+    """The factors (2 w_k, -2 w_k) of Re c_k and Im c_k, k = 0 .. half,
+    shape (2, 1, half + 1), with w_k = 1/2 at k = 0 and k = half and 1
+    between; read-only."""
+    w = np.full((2, 1, half + 1), 2.0)
+    w[:, :, 0] = w[:, :, half] = 1.0
+    w[1] *= -1.0
+    w.flags.writeable = False
+    return w
 
 
 def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the interpolating trig polynomial of each row of v at xs.
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
-    One forward transform, then one product of every row's coefficients
-    with one shared weighted phase matrix.
+    One forward transform, then interp_blocks with every row in one block.
     """
     c = np.fft.rfft(np.asarray(v, dtype=float), norm="forward")
     xs = np.asarray(xs, dtype=float)
-    out = 2.0 * (c @ _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)).real
+    out = interp_blocks(c.reshape(1, -1, c.shape[-1]), xs.reshape(1, -1))
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
@@ -250,24 +261,37 @@ def interp_blocks(
 ) -> np.ndarray:
     """Evaluate block i of rfft coefficients c at the points xs[i].
 
-    c has shape (blocks, rows, n/2 + 1) in "forward" normalisation (c_k is
-    the amplitude of e^{2 pi i k x}, the Nyquist entry that of
-    cos(pi n x)), with real mean and Nyquist entries, as the rfft of real
-    samples has them.  xs has shape (blocks, K); the result, written to
-    out if given, has shape (blocks, rows, K).  One weighted phase matrix
-    serves the points of every block, and each block makes one product
-    with its own columns of it, so no transform is made.  For K >= 2 those
-    columns are bit for bit the block's own phase matrix; for K = 1 numpy
-    forms a one-column matrix with another inner loop, which can differ in
-    the last bit.
+    c has shape (blocks, rows, n/2 + 1), contiguous in its last axis, in
+    "forward" normalisation (c_k is the amplitude of e^{2 pi i k x}, the
+    Nyquist entry that of cos(pi n x)), with real mean and Nyquist entries,
+    as the rfft of real samples has them.  xs has shape (blocks, K); the
+    result, written to out if given, has shape (blocks, rows, K).
+
+    The interpolant at x is sum_k 2 w_k (Re c_k cos(2 pi k x) - Im c_k
+    sin(2 pi k x)), with w_k = 1/2 on the mean and Nyquist modes and 1
+    between, so every mode, the Nyquist cosine included, is read through
+    one real product.  One phase matrix serves the points of every block;
+    its float view holds cos and sin of each point in adjacent columns.
+    One multiply forms (2 w Re c, -2 w Im c) of every block, one stacked
+    matmul gives each block the real product of these with its own
+    columns of that view, and one add sums the cos columns of the real
+    parts and the sin columns of the imaginary parts, so no transform is
+    made.  For K >= 2 a block's product is bit for bit the one it gets
+    alone; for K = 1 numpy forms the narrower product with another inner
+    loop, which can differ in the last bit.
     """
     blocks, count = xs.shape
-    phases = _phase_matrix(xs.reshape(-1), c.shape[-1] - 1)
+    rows, half = c.shape[1], c.shape[-1] - 1
+    phases = _phase_matrix(xs.reshape(-1), half).view(float)
+    parts = np.multiply(
+        c.view(float).reshape(blocks, rows, half + 1, 2).transpose(0, 3, 1, 2),
+        _part_weights(half),
+    ).reshape(blocks, 2 * rows, half + 1)
+    # block i's columns of the float view, stacked on a leading axis
+    prods = parts @ phases.reshape(half + 1, blocks, 2 * count).transpose(1, 0, 2)
     if out is None:
-        out = np.empty(c.shape[:-1] + (count,))
-    for i in range(blocks):
-        block = phases[:, i * count : (i + 1) * count]
-        np.multiply((c[i] @ block).real, 2.0, out=out[i])
+        out = np.empty((blocks, rows, count))
+    np.add(prods[:, :rows, ::2], prods[:, rows:, 1::2], out=out)
     return out
 
 

@@ -37,7 +37,11 @@ caller computes once and shares; hamiltonian_e is read off E0 and rho,
 so a caller that has taken E0 does not take it again.  The one cubic
 invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
 the integrator holds, and pads them to a 2n grid with one inverse
-transform and no forward one.
+transform and no forward one.  Like rhs_coeffs, the invariants take a
+leading member axis and reduce over the last axis only: given one row
+they return a float, given a stack of rows an array with each row's
+float, bit for bit, so the integrator evaluates a group of runs with one
+expression, one reduction and, for the cubic one, one transform.
 """
 
 from __future__ import annotations
@@ -209,30 +213,40 @@ def rhs_values(
     return du, drho
 
 
-def energy_e0(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> float:
-    """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions.
-
-    The same sum and division as np.mean, bit for bit, without its Python
-    overhead: a run evaluates this once per step.
-    """
-    return float(np.add.reduce(u * u + ux * ux + rho * rho) / u.size)
-
-
-def mean_u(u: np.ndarray) -> float:
-    """integral(u), conserved exactly; summed and divided as energy_e0 is."""
-    return float(np.add.reduce(u) / u.size)
+def _mean(v: np.ndarray) -> np.ndarray | float:
+    """The mean over the last axis of v, summed and divided as np.mean
+    does, bit for bit, without its Python overhead; a float for 1-D v.
+    numpy sums each contiguous row pairwise, as it sums a 1-D array, so a
+    row of a stack gets the float it gets alone."""
+    m = np.add.reduce(v, axis=-1) / v.shape[-1]
+    return m if v.ndim > 1 else float(m)
 
 
-def hamiltonian_e(e0: float, rho: np.ndarray) -> float:
+def energy_e0(u: np.ndarray, ux: np.ndarray, rho: np.ndarray) -> np.ndarray | float:
+    """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions,
+    for each row of samples of shape (..., n): one expression and one
+    reduction however many rows."""
+    return _mean(u * u + ux * ux + rho * rho)
+
+
+def mean_u(u: np.ndarray) -> np.ndarray | float:
+    """integral(u) of each row, conserved exactly; summed and divided as
+    energy_e0 is."""
+    return _mean(u)
+
+
+def hamiltonian_e(e0: np.ndarray | float, rho: np.ndarray) -> np.ndarray | float:
     """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2
-    from e0 = energy_e0(u, u_x, rho) and the density samples rho."""
-    return 0.5 * (e0 - 2.0 * float(np.add.reduce(rho) / rho.size) + 1.0)
+    from e0 = energy_e0(u, u_x, rho) and the density samples rho, row by
+    row."""
+    return 0.5 * (e0 - 2.0 * _mean(rho) + 1.0)
 
 
-def hamiltonian_f(c: np.ndarray, p: ModelParams) -> float:
+def hamiltonian_f(c: np.ndarray, p: ModelParams) -> np.ndarray | float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
-    norm="forward"), shape (3, n/2 + 1), evaluated on a 2n grid so the
-    products are exact: one inverse transform and no forward one.
+    norm="forward"), shape (..., 3, n/2 + 1), evaluated on a 2n grid so
+    the products are exact: one inverse transform of every row and no
+    forward one.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
@@ -241,10 +255,11 @@ def hamiltonian_f(c: np.ndarray, p: ModelParams) -> float:
     - gamma u_x^2, since 2 (rho - 1) + (rho - 1)^2 = rho^2 - 1.
     """
     half = c.shape[-1] - 1
-    padded = np.zeros((3, 2 * half + 1), dtype=complex)
-    padded[:, : half + 1] = c
-    padded[:, half] *= 0.5
-    uf, uxf, rf = np.fft.irfft(padded, 4 * half, norm="forward")
+    padded = np.zeros(c.shape[:-1] + (2 * half + 1,), dtype=complex)
+    padded[..., : half + 1] = c
+    padded[..., half] *= 0.5
+    samples = np.fft.irfft(padded, 4 * half, norm="forward")
+    uf, uxf, rf = (samples[..., i, :] for i in range(3))
     ux2 = uxf * uxf
     integrand = uf * (uf * (uf - p.A) + ux2 + rf * rf - 1.0) - p.gamma * ux2
-    return 0.5 * float(np.add.reduce(integrand) / integrand.size)
+    return 0.5 * _mean(integrand)

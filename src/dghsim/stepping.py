@@ -37,14 +37,16 @@ transforms at 3n/2 points, padding into work arrays that the four
 stages of a step share.  Once per step one batched inverse transform of
 the rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a
 single pass; that u_x feeds the slope tracking, the step size and the E0
-check, and any record reads the invariants straight off the arrays and
+check, and a record reads the invariants straight off the arrays and
 E0, except the cubic one, which pads the same rows to 2n with one more
 inverse transform.  No sample is transformed forward again, and only a
 snapshot builds a State.
 
-Off-grid values cost one phase matrix per RK4 stage and nothing besides.
-The observation after a step evaluates the same rows at q with one
-grid.interp_blocks call: its u and u_x are the next step's stage-1
+Off-grid values cost one phase matrix per RK4 stage and nothing besides,
+and every product with one is real: grid.interp_blocks puts the mode
+weights on the coefficients and multiplies them with the matrix's float
+view.  The observation after a step evaluates the same rows at q with
+one interp_blocks call: its u and u_x are the next step's stage-1
 characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
 each read u and u_x at their stage positions off the stage coefficients
 with one more interp_blocks call, so a step with characteristics builds
@@ -62,12 +64,18 @@ one.  Members that share a grid, model parameters and seed count form a
 group, and a group's arrays have one owner, the lockstep driver: it
 holds the group's RK4 states stacked on a leading axis, advances them
 with one _advance call per step and one dt per member, and observes them
-with one inverse transform and, with characteristics, one interp_blocks
-call for the whole group.  Only the driver and _advance know the flat
-layout of the state.  Each member is a generator that keeps its run's
-scalars: it is sent views of its own slice of the group's arrays and
-yields its next dt, or has NonFiniteStateError thrown into it, so
-observation, records, snapshots, the E0 guard and termination stay one
+with one inverse transform, one E0 expression and reduction and, with
+characteristics, one interp_blocks call for the whole group.  The
+record invariants (meanU, hamE, hamF) are one pass over the stacked
+arrays as well, with one 2n inverse transform for the cubic one: the
+first member that records on a step makes it for every member, and the
+others read their entries, so a single run, a group of one, makes it
+only on the steps it records.  Only the driver and _advance know the
+flat layout of the state.  Each member is a generator that keeps its
+run's scalars: it is sent views of its own slice of the group's arrays,
+its E0 and its record entries, and yields its next dt, or has
+NonFiniteStateError thrown into it, so the slope minimum, alpha, the
+step size, records, snapshots, the E0 guard and termination stay one
 scalar code path per member.  The group's transforms, products and sums
 are the ones each member makes alone, so a member's result is bit for
 bit its single run's.  Finiteness is checked per member, so a member
@@ -79,7 +87,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -302,16 +310,18 @@ def _member(
 ):
     """One run as a generator over its slice of its group's arrays.
 
-    It is sent the views (samples, rows, chars) of each state its run
-    reaches, step 0 first: the samples of (u, u_x, rho), shape (3, n),
-    their coefficient rows, shape (3, n/2 + 1), and with seeds the
-    positions q, the log-Jacobians lq and rho(q), each of shape (K,), or
-    None without.  It yields each step's dt and is sent the state that
-    step reached, or has NonFiniteStateError thrown into it.  It returns
-    the run's SimResult.  It makes no transform but the 2n one of a
-    record's cubic invariant, and reads off-grid only alpha.
+    It is sent (samples, rows, chars, e0, invariants) for each state its
+    run reaches, step 0 first: views of the samples of (u, u_x, rho),
+    shape (3, n), and of their coefficient rows, shape (3, n/2 + 1), with
+    seeds the positions q, the log-Jacobians lq and rho(q), each of shape
+    (K,), or None without, the state's E0, and a callable that returns
+    the record invariants (meanU, hamE, hamF) of that state.  It yields
+    each step's dt and is sent the state that step reached, or has
+    NonFiniteStateError thrown into it.  It returns the run's SimResult.
+    It makes no transform, computes no invariant, and reads off-grid only
+    alpha.
     """
-    samples, rows, chars = yield
+    samples, rows, chars, e0, invariants = yield
     u, ux, rho = samples
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
@@ -331,12 +341,7 @@ def _member(
     ens_t: list[float] = []
     ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
-    # E0 of the current (u, u_x, rho), taken by observe() and read by record()
-    e0 = 0.0
-
     def observe() -> None:
-        nonlocal e0
-        e0 = energy_e0(u, ux, rho)
         m, xi = refined_min(ux, grid.dx)
         trace_t.append(t)
         trace_m.append(m)
@@ -349,8 +354,7 @@ def _member(
             return
         last_recorded = step
         series.append([
-            t, e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(rows, p),
-            trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
+            t, e0, *invariants(), trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
         if chars is not None:
             ens_t.append(t)
@@ -392,7 +396,7 @@ def _member(
             break
 
         try:
-            samples, rows, chars = yield dt
+            samples, rows, chars, e0, invariants = yield dt
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
@@ -470,6 +474,34 @@ def run(
     return _lockstep(list(zip(s0, p, c, seeds, strict=True)))
 
 
+def _record_pass(
+    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, p: ModelParams
+):
+    """The record invariants of a group's state on one step, computed once.
+
+    samples and rows are the group's stacked (u, u_x, rho) samples and
+    coefficient rows and e0 their E0, one row per member.  The returned
+    function takes a member's row index and gives that member's
+    (meanU, hamE, hamF).  Its first call computes them for every row, with
+    one reduction each and one 2n inverse transform of the stacked rows
+    for the cubic invariant, and later calls read that table, so a group
+    step on which any member records pays for one pass and a step on
+    which none records for none.
+    """
+    table = []
+
+    def invariants(j: int) -> tuple[float, float, float]:
+        if not table:
+            table.extend(zip(
+                mean_u(samples[:, 0]).tolist(),
+                hamiltonian_e(e0, samples[:, 2]).tolist(),
+                hamiltonian_f(rows, p).tolist(),
+            ))
+        return table[j]
+
+    return invariants
+
+
 def _lockstep(members: list[tuple]) -> list[SimResult]:
     """Run each (state, params, config, seeds) member to its end.
 
@@ -478,11 +510,12 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     holds the flat RK4 states (c, q, lq) stacked on a leading axis and
     makes one _advance call per step, with a column of one dt per member.
     After each step it makes one batched inverse transform of the rows
-    (c_u, ik c_u, c_rho) to the samples of (u, u_x, rho), and with
-    characteristics one interp_blocks call for (u, u_x, rho) at q.  Each
-    member is sent views of its own slice of these arrays, which are new
-    each step; a member that ends, or whose row is not finite, leaves the
-    group, and its row is dropped.
+    (c_u, ik c_u, c_rho) to the samples of (u, u_x, rho), takes every
+    member's E0 with one energy_e0 call, and with characteristics makes
+    one interp_blocks call for (u, u_x, rho) at q.  Each member is sent
+    views of its own slice of these arrays, which are new each step, its
+    E0 and its entry of the step's _record_pass; a member that ends, or
+    whose row is not finite, leaves the group, and its row is dropped.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -513,6 +546,9 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         while True:
             if count is not None:
                 at_q = interp_blocks(rows, y[:, head : head + count])
+            e0 = energy_e0(*samples.transpose(1, 0, 2))
+            invariants = _record_pass(samples, rows, e0, p)
+            e0s = e0.tolist()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
                 chars = None if count is None else (
@@ -520,7 +556,9 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                 )
                 try:
                     if finite[j]:
-                        dts.append(member.send((samples[j], rows[j], chars)))
+                        dts.append(member.send(
+                            (samples[j], rows[j], chars, e0s[j], partial(invariants, j))
+                        ))
                     else:
                         member.throw(
                             NonFiniteStateError("non-finite values in an RK4 stage")

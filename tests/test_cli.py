@@ -565,18 +565,18 @@ def _tree_bytes(root: Path) -> dict:
     }
 
 
-def _assert_sweep_matches_runs(tmp_path, key, spec, count):
+def _assert_sweep_matches_runs(tmp_path, key, spec, count, config=LOCKSTEP_CONFIG):
     """Each member of `dghsim sweep` writes the bytes `dghsim run` writes
     on that member's own config."""
     cfg = tmp_path / "lock.cfg"
-    cfg.write_text(LOCKSTEP_CONFIG)
+    cfg.write_text(config)
     out = tmp_path / "sweep"
     sweep_code = main(["sweep", str(cfg), "--param", spec, "--out-dir", str(out), "--quiet"])
     summary = json.loads((out / "sweep.json").read_text())["runs"]
     assert len(summary) == count
     assert sweep_code == max(r["exit_code"] for r in summary)
     for i, member in enumerate(summary):
-        entries = scenarios.parse_config_entries(LOCKSTEP_CONFIG)
+        entries = scenarios.parse_config_entries(config)
         entries[key] = repr(member[key])
         entries["scenario.name"] = member["name"]
         single_cfg = tmp_path / f"{member['name']}.cfg"
@@ -624,6 +624,45 @@ def test_sweep_advances_its_members_in_lockstep(tmp_path, monkeypatch):
     assert len(calls) == max(steps) < sum(steps)
     # a step carries every member that still runs
     assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
+
+
+def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
+    # every member records every step, and the group computes the cubic
+    # invariant once per step for every member still running, not once
+    # per member record
+    calls = []
+    real = stepping.hamiltonian_f
+
+    def counted(c, p):
+        calls.append(len(c))
+        return real(c, p)
+
+    monkeypatch.setattr(stepping, "hamiltonian_f", counted)
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", str(cfg), "--param", "scenario.ru=0.5:2.0:4",
+        "--out-dir", str(out), "--quiet",
+    ]) == EXIT_OK
+    steps = [
+        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
+        for i in range(4)
+    ]
+    assert len(set(steps)) > 1
+    # step 0 and the state after each lockstep step, one pass each
+    assert calls == [sum(s >= j for s in steps) for j in range(max(steps) + 1)]
+
+
+def test_sparsely_recording_sweep_members_match_their_single_runs(tmp_path):
+    # records every third step: the t = 0.1 snapshot and each member's end
+    # fall on steps where not every member records, so one member's record
+    # computes the pass for the others
+    config = LOCKSTEP_CONFIG.replace("sim.record_every = 1", "sim.record_every = 3")
+    assert config != LOCKSTEP_CONFIG
+    _assert_sweep_matches_runs(
+        tmp_path, "scenario.r0", "scenario.r0=2.0:3.0:3", 3, config
+    )
 
 
 def test_sweep_chunks_respect_the_size_limits():

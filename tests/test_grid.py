@@ -227,6 +227,21 @@ def test_interp_point_matches_interp_coeffs(n, x):
     assert abs(block - exact) <= 2e-12 * np.max(np.abs(c))
 
 
+@pytest.mark.parametrize("count", [2, 16])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_interp_blocks_block_equals_its_own_call(n, count):
+    # each block reads its own columns of the shared phase matrix, which
+    # for K >= 2 are bit for bit its own phase matrix, and its own rows of
+    # the weighted coefficients
+    r = np.random.default_rng(n + count)
+    c = np.fft.rfft(r.normal(size=(4, 3, n)), norm="forward")
+    xs = r.uniform(-15.0, 15.0, (4, count))
+    together = interp_blocks(c, xs)
+    assert together.shape == (4, 3, count)
+    for i in range(4):
+        assert np.array_equal(together[i], interp_blocks(c[i : i + 1], xs[i : i + 1])[0])
+
+
 def test_interp_values_shapes(rng):
     v = rng.normal(size=(2, 3, 16))
     xs = rng.uniform(0.0, 1.0, (4, 5))

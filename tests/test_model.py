@@ -260,6 +260,27 @@ def test_hamiltonian_f_matches_padded_reference(n):
     assert abs(hamiltonian_f(_coeffs(u, ux, rho), p) - want) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_stacked_invariants_are_the_row_wise_ones(n):
+    # a stack of members reduces each row as that row alone is reduced
+    r = np.random.default_rng(n)
+    u, ux, rho = r.normal(size=(3, 3, n)) + np.array([[[0.5]], [[0.0]], [[1.0]]])
+    c = np.fft.rfft(np.stack((u, ux, rho), axis=1), norm="forward")
+    p = ModelParams(A=0.9, gamma=-1.7)
+    e0 = energy_e0(u, ux, rho)
+    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, p))
+    alone = []
+    for i in range(3):
+        e0_i = energy_e0(u[i], ux[i], rho[i])
+        alone.append(
+            (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]), hamiltonian_f(c[i], p))
+        )
+    assert all(type(v) is float for row in alone for v in row)
+    for got, want in zip(stacked, zip(*alone)):
+        assert got.shape == (3,)
+        assert np.array_equal(got, np.array(want))
+
+
 def test_invariants_share_one_slope(monkeypatch, rng):
     # the caller takes u_x once and passes it in, and E0 once for hamE;
     # the invariants take none, and the cubic one reads coefficients
