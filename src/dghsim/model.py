@@ -20,16 +20,17 @@ points alias nothing into the band they keep (Orszag's 3/2 rule).  Only
 the folded Nyquist mode of a product picks up a Nyquist-times-Nyquist
 term.  (G*)' and d/dx vanish there, so only the Nyquist mode of u u_x is
 read, and folded, and u_x has no Nyquist mode, so u u_x has no such
-term.  The linear symbol gamma ik - (gamma - A)(G*)' is looked up once
-per grid and parameters, not once per right-hand side.
+term.  The linear symbol gamma ik - (gamma - A)(G*)' is built once per
+grid and parameters, not once per right-hand side.
 
-rhs_coeffs takes a leading member axis: several runs on one grid with one
-set of parameters share each transform call, one row block per member,
-and every member's arithmetic is the one it gets alone.  The symbols are
-tiled to one row per member, so that their products pair arrays of one
-shape, and the work arrays of rhs_buffer let a caller reuse the pad
-buffer, the samples at 3n/2 points and their products from one call to
-the next.
+rhs_coeffs takes a leading member axis and one ModelParams per member:
+several runs on one grid, each with its own A and gamma, share each
+transform call, one row block per member, and every member's arithmetic
+is the one it gets alone.  The symbols have one row per member, the
+linear one from that member's parameters and the others tiled, so that
+their products pair arrays of one shape, and the work arrays of
+rhs_buffer let a caller reuse the pad buffer, the samples at 3n/2 points
+and their products from one call to the next.
 
 A State is the one container of (grid, u, rho) as float sample arrays.
 energy_e0 takes the arrays themselves, plus the slope u_x, which the
@@ -37,11 +38,12 @@ caller computes once and shares; hamiltonian_e is read off E0 and rho,
 so a caller that has taken E0 does not take it again.  The one cubic
 invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
 the integrator holds, and pads them to a 2n grid with one inverse
-transform and no forward one.  Like rhs_coeffs, the invariants take a
-leading member axis and reduce over the last axis only: given one row
-they return a float, given a stack of rows an array with each row's
-float, bit for bit, so the integrator evaluates a group of runs with one
-expression, one reduction and, for the cubic one, one transform.
+transform and no forward one; it takes one ModelParams per row, as
+rhs_coeffs does.  Like rhs_coeffs, the invariants take a leading member
+axis and reduce over the last axis only: given one row they return a
+float, given a stack of rows an array with each row's float, bit for
+bit, so the integrator evaluates a group of runs with one expression,
+one reduction and, for the cubic one, one transform.
 """
 
 from __future__ import annotations
@@ -110,22 +112,16 @@ class State:
 
 @lru_cache(maxsize=8)
 def _rhs_symbols(
-    grid: PeriodicGrid, p: ModelParams, members: int
+    grid: PeriodicGrid, params: tuple[ModelParams, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The linear symbol gamma ik - (gamma - A)(G*)' of du/dt, the symbol
-    -(G*)'/2 of the doubled convolution argument, -ik and ik, each tiled to
-    one row per member: a product of a symbol with a member-major array
-    then pairs arrays of one shape, which numpy loops over without
-    broadcasting."""
-    symbols = tuple(
-        np.tile(s, (members, 1))
-        for s in (
-            p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol,
-            -0.5 * grid.dgreen_symbol,
-            -grid.ik,
-            grid.ik,
-        )
-    )
+    """The linear symbol gamma ik - (gamma - A)(G*)' of du/dt, one row per
+    member from that member's parameters, and the symbol -(G*)'/2 of the
+    doubled convolution argument, -ik and ik, each tiled to the same rows:
+    a product of a symbol with a member-major array then pairs arrays of
+    one shape, which numpy loops over without broadcasting."""
+    lin = [p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol for p in params]
+    tiled = (-0.5 * grid.dgreen_symbol, -grid.ik, grid.ik)
+    symbols = (np.array(lin), *(np.tile(s, (len(params), 1)) for s in tiled))
     for s in symbols:
         s.flags.writeable = False
     return symbols
@@ -149,16 +145,17 @@ def rhs_buffer(grid: PeriodicGrid, members: int = 1) -> tuple[np.ndarray, ...]:
 def rhs_coeffs(
     c: np.ndarray,
     grid: PeriodicGrid,
-    p: ModelParams,
+    params: tuple[ModelParams, ...],
     work: tuple[np.ndarray, ...] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (members, 2, n/2 + 1); one member keeps
-    its axis.  Each member is evaluated by itself through the same batched
-    transforms, so a member's derivative is bit for bit the one it gets
-    alone.  In "forward" normalisation c_k is the
+    its axis.  params holds one ModelParams per member, a tuple as long as
+    c.  Each member is evaluated by itself, with its own parameters,
+    through the same batched transforms, so a member's derivative is bit
+    for bit the one it gets alone.  In "forward" normalisation c_k is the
     amplitude of e^{2 pi i k x}, so padding to 3n/2 and truncating back
     need no rescaling: the Nyquist mode is split in half on the way up, as
     in pad_values.  On the way down only the u u_x product has its Nyquist
@@ -174,9 +171,8 @@ def rhs_coeffs(
     """
     n = grid.n
     half = n // 2
-    members = len(c)
-    lin, neg_half_dgreen, neg_ik, ik = _rhs_symbols(grid, p, members)
-    padded, fine, prods, spectra = work or rhs_buffer(grid, members)
+    lin, neg_half_dgreen, neg_ik, ik = _rhs_symbols(grid, params)
+    padded, fine, prods, spectra = work or rhs_buffer(grid, len(c))
     if out is None:
         out = np.empty(c.shape, dtype=complex)
 
@@ -209,7 +205,7 @@ def rhs_values(
     """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
     one forward and one inverse transform."""
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")
-    du, drho = np.fft.irfft(rhs_coeffs(c[None], grid, p)[0], grid.n, norm="forward")
+    du, drho = np.fft.irfft(rhs_coeffs(c[None], grid, (p,))[0], grid.n, norm="forward")
     return du, drho
 
 
@@ -242,11 +238,15 @@ def hamiltonian_e(e0: np.ndarray | float, rho: np.ndarray) -> np.ndarray | float
     return 0.5 * (e0 - 2.0 * _mean(rho) + 1.0)
 
 
-def hamiltonian_f(c: np.ndarray, p: ModelParams) -> np.ndarray | float:
+def hamiltonian_f(
+    c: np.ndarray, params: tuple[ModelParams, ...]
+) -> np.ndarray | float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
     norm="forward"), shape (..., 3, n/2 + 1), evaluated on a 2n grid so
     the products are exact: one inverse transform of every row and no
-    forward one.
+    forward one.  params holds one ModelParams per row, (p,) for one;
+    each row's A and gamma enter as a column, so a row gets the bits of
+    its own call.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
@@ -260,6 +260,9 @@ def hamiltonian_f(c: np.ndarray, p: ModelParams) -> np.ndarray | float:
     padded[..., half] *= 0.5
     samples = np.fft.irfft(padded, 4 * half, norm="forward")
     uf, uxf, rf = (samples[..., i, :] for i in range(3))
+    column = c.shape[:-2] + (1,)  # one entry per row
+    A = np.array([p.A for p in params]).reshape(column)
+    gamma = np.array([p.gamma for p in params]).reshape(column)
     ux2 = uxf * uxf
-    integrand = uf * (uf * (uf - p.A) + ux2 + rf * rf - 1.0) - p.gamma * ux2
+    integrand = uf * (uf * (uf - A) + ux2 + rf * rf - 1.0) - gamma * ux2
     return 0.5 * _mean(integrand)

@@ -57,6 +57,9 @@ MAX_CHARACTERISTICS = 1024
 # The thresholds square a0 = 2 integral(u), and a0^2 <= 4 E0, so initial
 # data above this energy cannot be assessed in double precision.
 _MAX_ENERGY = sys.float_info.max / 4.0
+# The bisection of solve_blowup_amplitude stops once its bracket is this
+# narrow, or when it holds two adjacent doubles.
+_AMPLITUDE_TOL = 1.0e-9
 
 
 def _to_float(text: str) -> float:
@@ -244,11 +247,7 @@ def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
 
 
 def solve_blowup_amplitude(
-    b: float,
-    margin: float,
-    model: ModelParams,
-    n: int,
-    tol: float = 1.0e-9,
+    b: float, margin: float, model: ModelParams, n: int
 ) -> float:
     """Amplitude a with initial slope -a exactly margin times the sharp threshold.
 
@@ -278,9 +277,9 @@ def solve_blowup_amplitude(
                 "margin",
             )
         lo = 0.0
-        while hi - lo > tol:
+        while hi - lo > _AMPLITUDE_TOL:
             mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent doubles: tol is finer than their spacing
+            if mid in (lo, hi):  # adjacent doubles, spaced wider than _AMPLITUDE_TOL
                 break
             if overshoot(mid) < 0.0:
                 lo = mid
@@ -303,8 +302,13 @@ class Scenario:
     characteristic_count: int = 64
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("the name must be nonempty", "name")
+        # a sweep writes each member to the directory of its name under --out-dir
+        if not self.name or self.name in (".", "..") or {"/", "\\"} & set(self.name):
+            raise ConfigError(
+                f"the name must be nonempty, not '.' or '..', and hold no '/' "
+                f"or '\\', got {self.name!r}",
+                "name",
+            )
         merged = _merge_family_params(self.family, dict(self.family_params))
         object.__setattr__(self, "family_params", tuple(merged.items()))
         object.__setattr__(

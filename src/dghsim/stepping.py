@@ -60,12 +60,13 @@ first and last make the initial RK4 state.  From there on every record
 computes its invariants the same way.
 
 run takes one member or a list of members, and a single run is a list of
-one.  Members that share a grid, model parameters and seed count form a
-group, and a group's arrays have one owner, the lockstep driver: it
-holds the group's RK4 states stacked on a leading axis, advances them
-with one _advance call per step and one dt per member, and observes them
-with one inverse transform, one E0 expression and reduction and, with
-characteristics, one interp_blocks call for the whole group.  The
+one.  Members with the same grid size and seed count form a group, since
+their arrays stack, and a group's arrays have one owner, the lockstep
+driver: it holds the group's RK4 states stacked on a leading axis,
+advances them with one _advance call per step, with one dt and one
+ModelParams per member, and observes them with one inverse transform,
+one E0 expression and reduction and, with characteristics, one
+interp_blocks call for the whole group.  The
 record invariants (meanU, hamE, hamF) are one pass over the stacked
 arrays as well, with one 2n inverse transform for the cubic one: the
 first member that records on a step makes it for every member, and the
@@ -234,14 +235,15 @@ def _value_and_slope(grid: PeriodicGrid) -> np.ndarray:
 def _advance(
     y: np.ndarray,
     grid: PeriodicGrid,
-    p: ModelParams,
+    params: tuple[ModelParams, ...],
     dt: np.ndarray,
     at_q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of each row of the flat state y, shape
-    (members, L), each row (c viewed as floats, q, lq), with the step sizes
-    dt, a column of shape (members, 1); returns the new state, a new
-    array, and whether each of its rows is finite.
+    (members, L), each row (c viewed as floats, q, lq), with its own
+    ModelParams in params and its own step size in dt, a column of shape
+    (members, 1); returns the new state, a new array, and whether each of
+    its rows is finite.
 
     Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
@@ -271,7 +273,7 @@ def _advance(
     def rates(y, at_q=None):
         c = _coefficients(y, n)
         k = np.empty_like(y)
-        rhs_coeffs(c, grid, p, work, _coefficients(k, n))
+        rhs_coeffs(c, grid, params, work, _coefficients(k, n))
         if track and at_q is None:
             at_k = k[:, head:].reshape(members, 2, -1)
             interp_blocks(c[:, :1] * value_and_slope, y[:, head:q_end], at_k)
@@ -295,7 +297,7 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
     y = c0.reshape(1, -1).view(float)
-    y, finite = _advance(y, s.grid, p, np.full((1, 1), dt))
+    y, finite = _advance(y, s.grid, (p,), np.full((1, 1), dt))
     if not finite[0]:
         raise NonFiniteStateError("non-finite values in an RK4 stage")
     u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
@@ -465,7 +467,8 @@ def run(
     entry per member, with seeds None or a list whose entries may be None,
     returns one SimResult per member, in order, each bit for bit the one
     its member gets alone when it has no seeds or at least two (see
-    grid.interp_blocks).
+    grid.interp_blocks).  Members with the same grid size and seed count
+    advance in lockstep, whatever their parameters.
     """
     if isinstance(s0, State):
         return _lockstep([(s0, p, c, seeds)])[0]
@@ -475,18 +478,18 @@ def run(
 
 
 def _record_pass(
-    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, p: ModelParams
+    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, params: tuple
 ):
     """The record invariants of a group's state on one step, computed once.
 
     samples and rows are the group's stacked (u, u_x, rho) samples and
-    coefficient rows and e0 their E0, one row per member.  The returned
-    function takes a member's row index and gives that member's
-    (meanU, hamE, hamF).  Its first call computes them for every row, with
-    one reduction each and one 2n inverse transform of the stacked rows
-    for the cubic invariant, and later calls read that table, so a group
-    step on which any member records pays for one pass and a step on
-    which none records for none.
+    coefficient rows, e0 their E0 and params their ModelParams, one row
+    per member.  The returned function takes a member's row index and
+    gives that member's (meanU, hamE, hamF).  Its first call computes them
+    for every row, with one reduction each and one 2n inverse transform of
+    the stacked rows for the cubic invariant, and later calls read that
+    table, so a group step on which any member records pays for one pass
+    and a step on which none records for none.
     """
     table = []
 
@@ -495,7 +498,7 @@ def _record_pass(
             table.extend(zip(
                 mean_u(samples[:, 0]).tolist(),
                 hamiltonian_e(e0, samples[:, 2]).tolist(),
-                hamiltonian_f(rows, p).tolist(),
+                hamiltonian_f(rows, params).tolist(),
             ))
         return table[j]
 
@@ -505,29 +508,32 @@ def _record_pass(
 def _lockstep(members: list[tuple]) -> list[SimResult]:
     """Run each (state, params, config, seeds) member to its end.
 
-    Members that share a grid, model parameters and seed count form a
-    group, and this driver is the one owner of a group's arrays.  It
-    holds the flat RK4 states (c, q, lq) stacked on a leading axis and
-    makes one _advance call per step, with a column of one dt per member.
-    After each step it makes one batched inverse transform of the rows
-    (c_u, ik c_u, c_rho) to the samples of (u, u_x, rho), takes every
-    member's E0 with one energy_e0 call, and with characteristics makes
-    one interp_blocks call for (u, u_x, rho) at q.  Each member is sent
+    Members with the same grid size and seed count form a group, since
+    their arrays stack, and this driver is the one owner of a group's
+    arrays.  It holds the flat RK4 states (c, q, lq) stacked on a leading
+    axis and makes one _advance call per step, with a column of one dt
+    and a tuple of one ModelParams per member.  After each step it makes
+    one batched inverse transform of the rows (c_u, ik c_u, c_rho) to the
+    samples of (u, u_x, rho), takes every member's E0 with one energy_e0
+    call, and with characteristics makes one interp_blocks call for
+    (u, u_x, rho) at q.  Each member is sent
     views of its own slice of these arrays, which are new each step, its
     E0 and its entry of the step's _record_pass; a member that ends, or
-    whose row is not finite, leaves the group, and its row is dropped.
+    whose row is not finite, leaves the group, and its row of the state
+    and its parameters are dropped.
     """
     results: list = [None] * len(members)
     groups: dict = {}
-    for i, (s0, p, c, seeds) in enumerate(members):
+    for i, (s0, _, c, seeds) in enumerate(members):
         if s0.grid.n != c.n:
             raise ValueError(f"state lives on n={s0.grid.n}, config says n={c.n}")
-        key = (s0.grid, p, None if seeds is None else len(seeds))
+        key = (s0.grid, None if seeds is None else len(seeds))
         groups.setdefault(key, []).append(i)
-    for (grid, p, count), group in groups.items():
+    for (grid, count), group in groups.items():
         n = grid.n
         head = 2 * n + 4  # floats in the coefficients
         live = [(i, _member(grid, *members[i][1:])) for i in group]
+        params = tuple(members[i][1] for i in group)
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
@@ -547,7 +553,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             if count is not None:
                 at_q = interp_blocks(rows, y[:, head : head + count])
             e0 = energy_e0(*samples.transpose(1, 0, 2))
-            invariants = _record_pass(samples, rows, e0, p)
+            invariants = _record_pass(samples, rows, e0, params)
             e0s = e0.tolist()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
@@ -571,10 +577,12 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                 break
             if len(staying) < len(live):
                 live = [live[j] for j in staying]
+                params = tuple(params[j] for j in staying)
                 y = y[staying]
                 at_q = None if at_q is None else at_q[staying]
             y, finite = _advance(
-                y, grid, p, np.array(dts)[:, None], None if at_q is None else at_q[:, :2]
+                y, grid, params, np.array(dts)[:, None],
+                None if at_q is None else at_q[:, :2],
             )
             if not finite.all():
                 # its member only has NonFiniteStateError thrown into it;

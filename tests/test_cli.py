@@ -542,6 +542,22 @@ def test_sweep_checks_every_member_before_running_any(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/abs", "a\\b"])
+def test_name_that_is_a_path_exits_2_and_writes_nothing(command, name, tmp_path, capsys):
+    # a sweep names each member's directory after the scenario, so a name
+    # that is a path would write beside --out-dir, or anywhere at all
+    cfg = write_config(tmp_path, f"scenario.name = {name.format(tmp=tmp_path)}")
+    sweep = ["--param", "scenario.ru=0.5:1.5:2"] if command == "sweep" else []
+    rc = main([
+        command, str(cfg), *sweep,
+        "--out-dir", str(tmp_path / "out" / "sweep"), "--quiet",
+    ])
+    assert rc == EXIT_CONFIG
+    assert "config error: key 'scenario.name': " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad.cfg"]
+
+
 # A small coupled case that records every step and takes snapshots, so that
 # each artifact a member writes is compared
 LOCKSTEP_CONFIG = """\
@@ -589,8 +605,15 @@ def _assert_sweep_matches_runs(tmp_path, key, spec, count, config=LOCKSTEP_CONFI
         assert got == want, member["name"]
 
 
-def test_sweep_members_match_their_single_runs(tmp_path):
-    _assert_sweep_matches_runs(tmp_path, "scenario.r0", "scenario.r0=2.0:3.0:3", 3)
+@pytest.mark.parametrize(
+    "spec, count",
+    [("scenario.r0=2.0:3.0:3", 3), ("model.gamma=-0.6:0.9:4", 4), ("model.A=0.5:2.0:3", 3)],
+    ids=["scenario.r0", "model.gamma", "model.A"],
+)
+def test_sweep_members_match_their_single_runs(tmp_path, spec, count):
+    # members of different gamma or A share one group, each row with its
+    # own linear symbol and cubic invariant
+    _assert_sweep_matches_runs(tmp_path, spec.split("=")[0], spec, count)
 
 
 def test_sweep_over_grid_sizes_matches_separate_runs(tmp_path):
@@ -623,6 +646,33 @@ def test_sweep_advances_its_members_in_lockstep(tmp_path, monkeypatch):
     assert len(set(steps)) > 1
     assert len(calls) == max(steps) < sum(steps)
     # a step carries every member that still runs
+    assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
+
+
+def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch):
+    # members that differ in gamma, and so in their linear symbols and step
+    # sizes, still form one group: one RK4 call per lockstep step
+    calls = []
+    real = stepping._advance
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_advance", counted)
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", str(cfg), "--param", "model.gamma=-0.6:0.9:4",
+        "--out-dir", str(out), "--quiet",
+    ]) == EXIT_OK
+    steps = [
+        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
+        for i in range(4)
+    ]
+    assert len(set(steps)) > 1
+    assert len(calls) == max(steps) < sum(steps)
     assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
 
 

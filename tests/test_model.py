@@ -133,7 +133,7 @@ def test_rhs_coeffs_matches_padded_reference(n):
     p = ModelParams(A=0.9, gamma=-1.7)
     alt = (-1.0) ** np.arange(n)
     u, rho = r.normal(size=n) + 4.0 * alt, r.normal(size=n) - 3.0 * alt
-    got = rhs_coeffs(np.fft.rfft(np.stack((u, rho)), norm="forward")[None], g, p)[0]
+    got = rhs_coeffs(np.fft.rfft(np.stack((u, rho)), norm="forward")[None], g, (p,))[0]
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -150,9 +150,9 @@ def test_rhs_buffer_reuse_is_invisible(rng):
         for _ in range(2) for g in grids
     ]
     for g, c in states + states[::-1] + [states[0], states[2], states[0]]:
-        got = rhs_coeffs(c, g, p, buffers[g])
-        assert np.array_equal(got, rhs_coeffs(c, g, p))
-        assert np.array_equal(got, rhs_coeffs(c, g, p, rhs_buffer(g)))
+        got = rhs_coeffs(c, g, (p,), buffers[g])
+        assert np.array_equal(got, rhs_coeffs(c, g, (p,)))
+        assert np.array_equal(got, rhs_coeffs(c, g, (p,), rhs_buffer(g)))
 
 
 def _counting(fn, calls):
@@ -241,11 +241,11 @@ def test_hamiltonian_e_closed_forms():
 def test_hamiltonian_f_closed_forms():
     ones = np.ones(64)
     p = ModelParams(A=2.0, gamma=1.0)
-    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), p) == 0.0
+    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), (p,)) == 0.0
     p = ModelParams(A=2.0, gamma=5.0)
-    assert hamiltonian_f(_coeffs(ones, ZERO, ones), p) == pytest.approx(-0.5, abs=1e-14)
+    assert hamiltonian_f(_coeffs(ones, ZERO, ones), (p,)) == pytest.approx(-0.5, abs=1e-14)
     p = ModelParams(A=1.0, gamma=0.0)
-    assert hamiltonian_f(_coeffs(SINE, SINE_X, ones), p) == pytest.approx(-0.25, abs=1e-12)
+    assert hamiltonian_f(_coeffs(SINE, SINE_X, ones), (p,)) == pytest.approx(-0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 1024])
@@ -257,7 +257,7 @@ def test_hamiltonian_f_matches_padded_reference(n):
     u, ux, rho = r.normal(size=(3, n)) + np.array([[3.0], [-2.0], [1.5]]) * alt
     p = ModelParams(A=0.9, gamma=-1.7)
     want, scale = hamiltonian_f_padded_reference(u, ux, rho, p)
-    assert abs(hamiltonian_f(_coeffs(u, ux, rho), p) - want) <= 1e-13 * scale
+    assert abs(hamiltonian_f(_coeffs(u, ux, rho), (p,)) - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -268,17 +268,37 @@ def test_stacked_invariants_are_the_row_wise_ones(n):
     c = np.fft.rfft(np.stack((u, ux, rho), axis=1), norm="forward")
     p = ModelParams(A=0.9, gamma=-1.7)
     e0 = energy_e0(u, ux, rho)
-    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, p))
+    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, (p,) * 3))
     alone = []
     for i in range(3):
         e0_i = energy_e0(u[i], ux[i], rho[i])
         alone.append(
-            (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]), hamiltonian_f(c[i], p))
+            (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]), hamiltonian_f(c[i], (p,)))
         )
     assert all(type(v) is float for row in alone for v in row)
     for got, want in zip(stacked, zip(*alone)):
         assert got.shape == (3,)
         assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_stacked_rows_take_their_own_parameters(n):
+    # a group mixes members of different gamma and A: each row of the
+    # right-hand side and of the cubic invariant is bit for bit its own call
+    r = np.random.default_rng(n)
+    g = PeriodicGrid(n)
+    params = (
+        ModelParams(A=0.9, gamma=-1.7),
+        ModelParams(A=2.5, gamma=0.4),
+        ModelParams(A=0.3, gamma=1.1),
+    )
+    c = np.fft.rfft(r.normal(size=(3, 2, n)), norm="forward")
+    rows = np.fft.rfft(r.normal(size=(3, 3, n)), norm="forward")
+    got = rhs_coeffs(c, g, params)
+    for i, p in enumerate(params):
+        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], g, (p,))[0])
+    alone = [hamiltonian_f(rows[i], (p,)) for i, p in enumerate(params)]
+    assert np.array_equal(hamiltonian_f(rows, params), alone)
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):
@@ -297,7 +317,7 @@ def test_invariants_share_one_slope(monkeypatch, rng):
     mean_u(u)
     assert hamiltonian_e(e0, rho) == pytest.approx(direct, rel=1e-13)
     assert calls == []
-    hamiltonian_f(c, ModelParams(A=1.0, gamma=0.3))
+    hamiltonian_f(c, (ModelParams(A=1.0, gamma=0.3),))
     assert calls == ["irfft"]  # one batched padding of (u, u_x, rho) to 2n
 
 

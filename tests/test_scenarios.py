@@ -279,6 +279,17 @@ def test_scenario_validation():
         )
 
 
+@pytest.mark.parametrize("name", [".", "..", "a/b", "/abs", "a\\b"])
+def test_scenario_name_is_one_path_component(name):
+    # a sweep member's directory under --out-dir is named after it
+    with pytest.raises(ConfigError, match="hold no '/'") as exc:
+        Scenario(
+            name=name, family="constant", family_params=(),
+            model=ModelParams(), sim=SimConfig(n=64, t_end=1.0),
+        )
+    assert exc.value.name == "name"
+
+
 def test_resolve_replaces_auto_amplitude():
     text = """
 scenario.family = blowup31

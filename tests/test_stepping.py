@@ -512,7 +512,7 @@ def test_series_layout_and_cadence():
             e0,
             mean_u(st.u),
             hamiltonian_e(e0, st.rho),
-            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), p),
+            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), (p,)),
         ]
         e0, mean, ham_e, ham_f = expected
         assert row[2] == mean
