@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import deriv_values, green_kernel, interp_values
+from .grid import deriv_values, green_kernel, interp_point
 from .model import ModelParams, energy_e0, mean_u
 
 __all__ = [
@@ -417,7 +417,7 @@ def evaluate_criteria(
     a0 = 2.0 * mean_u(u0)
 
     m0, xi0 = refined_min(ux0, dx)
-    rho_at_xi = float(interp_values(rho0, np.asarray([xi0]))[0])
+    rho_at_xi = interp_point(np.fft.rfft(rho0, norm="forward"), xi0)
     beta, sup_rho0 = _density_floor(rho0)
     rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * sup_rho0
     zero_mean = abs(a0) <= 1.0e-12 * max(1.0, math.sqrt(e0))

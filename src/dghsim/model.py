@@ -21,16 +21,18 @@ the folded Nyquist mode of a product picks up a Nyquist-times-Nyquist
 term.  (G*)' and d/dx vanish there, so only the Nyquist mode of u u_x is
 read, and folded, and u_x has no Nyquist mode, so u u_x has no such
 term.  The linear symbol gamma ik - (gamma - A)(G*)' is built once per
-grid and parameters, not once per right-hand side.
+buffer, not once per right-hand side.
 
-rhs_coeffs takes a leading member axis and one ModelParams per member:
-several runs on one grid, each with its own A and gamma, share each
-transform call, one row block per member, and every member's arithmetic
-is the one it gets alone.  The symbols have one row per member, the
-linear one from that member's parameters and the others tiled, so that
-their products pair arrays of one shape, and the work arrays of
-rhs_buffer let a caller reuse the pad buffer, the samples at 3n/2 points
-and their products from one call to the next.
+rhs_coeffs takes a leading member axis: several runs on one grid, each
+with its own A and gamma, share each transform call, one row block per
+member, and every member's arithmetic is the one it gets alone.  The
+parameters reach it only through its buffer.  rhs_buffer(grid, params)
+builds everything a right-hand side reads besides the coefficients: the
+symbols, one row per ModelParams, the linear one from that member's
+parameters and the others tiled, so that their products pair arrays of
+one shape, and the work arrays, the pad buffer, the samples at 3n/2
+points and their products.  A caller builds one buffer for its members
+and passes it to every right-hand side it takes for them.
 
 A State is the one container of (grid, u, rho) as float sample arrays.
 energy_e0 takes the arrays themselves, plus the slope u_x, which the
@@ -39,7 +41,7 @@ so a caller that has taken E0 does not take it again.  The one cubic
 invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
 the integrator holds, and pads them to a 2n grid with one inverse
 transform and no forward one; it takes one ModelParams per row, as
-rhs_coeffs does.  Like rhs_coeffs, the invariants take a leading member
+rhs_buffer does.  Like rhs_coeffs, the invariants take a leading member
 axis and reduce over the last axis only: given one row they return a
 float, given a stack of rows an array with each row's float, bit for
 bit, so the integrator evaluates a group of runs with one expression,
@@ -49,7 +51,6 @@ one reduction and, for the cubic one, one transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,31 +111,31 @@ class State:
             object.__setattr__(self, name, v)
 
 
-@lru_cache(maxsize=8)
-def _rhs_symbols(
+def rhs_buffer(
     grid: PeriodicGrid, params: tuple[ModelParams, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The linear symbol gamma ik - (gamma - A)(G*)' of du/dt, one row per
-    member from that member's parameters, and the symbol -(G*)'/2 of the
-    doubled convolution argument, -ik and ik, each tiled to the same rows:
-    a product of a symbol with a member-major array then pairs arrays of
-    one shape, which numpy loops over without broadcasting."""
-    lin = [p.gamma * grid.ik - (p.gamma - p.A) * grid.dgreen_symbol for p in params]
-    tiled = (-0.5 * grid.dgreen_symbol, -grid.ik, grid.ik)
-    symbols = (np.array(lin), *(np.tile(s, (len(params), 1)) for s in tiled))
-    for s in symbols:
-        s.flags.writeable = False
-    return symbols
+) -> tuple[np.ndarray, ...]:
+    """Everything rhs_coeffs reads on this grid besides the coefficients,
+    with one row block per ModelParams in params, one per member.
 
-
-def rhs_buffer(grid: PeriodicGrid, members: int = 1) -> tuple[np.ndarray, ...]:
-    """Work arrays for rhs_coeffs on this grid, each with one row block per
-    member: the pad buffer, zero-filled, of shape (members, 3, 3n/4 + 1),
-    which holds the coefficients of (u, u_x, rho) zero-filled to 3n/2
-    points; their samples and the three products at 3n/2 points; and the
-    products' coefficients."""
+    First the symbols, each of shape (members, n/2 + 1): the linear symbol
+    gamma ik - (gamma - A)(G*)' of du/dt, each row from its own member's
+    parameters, and the symbol -(G*)'/2 of the doubled convolution
+    argument, -ik and ik, each tiled to the same rows, so that a product
+    of a symbol with a member-major array pairs arrays of one shape, which
+    numpy loops over without broadcasting.  Then the work arrays: the pad
+    buffer, zero-filled, of shape (members, 3, 3n/4 + 1), which holds the
+    coefficients of (u, u_x, rho) zero-filled to 3n/2 points; their
+    samples and the three products at 3n/2 points; and the products'
+    coefficients.
+    """
+    members = len(params)
     m = 3 * grid.n // 2
+    symbols = np.empty((4, members, grid.n // 2 + 1), dtype=complex)
+    for lin, p in zip(symbols[0], params):
+        np.subtract(p.gamma * grid.ik, (p.gamma - p.A) * grid.dgreen_symbol, out=lin)
+    symbols[1:] = np.array((-0.5 * grid.dgreen_symbol, -grid.ik, grid.ik))[:, None]
     return (
+        *symbols,
         np.zeros((members, 3, m // 2 + 1), dtype=complex),
         np.empty((members, 3, m)),
         np.empty((members, 3, m)),
@@ -145,34 +146,32 @@ def rhs_buffer(grid: PeriodicGrid, members: int = 1) -> tuple[np.ndarray, ...]:
 def rhs_coeffs(
     c: np.ndarray,
     grid: PeriodicGrid,
-    params: tuple[ModelParams, ...],
-    work: tuple[np.ndarray, ...] | None = None,
+    buffer: tuple[np.ndarray, ...],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (members, 2, n/2 + 1); one member keeps
-    its axis.  params holds one ModelParams per member, a tuple as long as
-    c.  Each member is evaluated by itself, with its own parameters,
-    through the same batched transforms, so a member's derivative is bit
-    for bit the one it gets alone.  In "forward" normalisation c_k is the
-    amplitude of e^{2 pi i k x}, so padding to 3n/2 and truncating back
-    need no rescaling: the Nyquist mode is split in half on the way up, as
-    in pad_values.  On the way down only the u u_x product has its Nyquist
+    its axis.  buffer holds the arrays of rhs_buffer(grid, params), with
+    params one ModelParams per member, as many as c has rows, and the
+    caller passes it to every call for those members.  Each member is
+    evaluated by itself, with its own parameters, through the same batched
+    transforms, so a member's derivative is bit for bit the one it gets
+    alone.  In "forward" normalisation c_k is the amplitude of
+    e^{2 pi i k x}, so padding to 3n/2 and truncating back need no
+    rescaling: the Nyquist mode is split in half on the way up, as in
+    pad_values.  On the way down only the u u_x product has its Nyquist
     mode read, so only it is folded (doubled real part), as in
     project_values; (G*)' and d/dx vanish on the other two.
 
-    work, if given, holds the arrays of rhs_buffer(grid, members), one
-    member per block of rows of c, and the caller passes it to every call
-    on this grid: a call writes only the first n/2 + 1 columns of the pad
-    buffer, so the zeros above them stay, and overwrites the rest whole, so
+    A call writes only the first n/2 + 1 columns of the pad buffer, so the
+    zeros above them stay, and overwrites the other work arrays whole, so
     the result never depends on what an earlier call left there.  out, if
     given, receives the result, which is then returned.
     """
     n = grid.n
     half = n // 2
-    lin, neg_half_dgreen, neg_ik, ik = _rhs_symbols(grid, params)
-    padded, fine, prods, spectra = work or rhs_buffer(grid, len(c))
+    lin, neg_half_dgreen, neg_ik, ik, padded, fine, prods, spectra = buffer
     if out is None:
         out = np.empty(c.shape, dtype=complex)
 
@@ -205,7 +204,8 @@ def rhs_values(
     """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
     one forward and one inverse transform."""
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")
-    du, drho = np.fft.irfft(rhs_coeffs(c[None], grid, (p,))[0], grid.n, norm="forward")
+    dc = rhs_coeffs(c[None], grid, rhs_buffer(grid, (p,)))[0]
+    du, drho = np.fft.irfft(dc, grid.n, norm="forward")
     return du, drho
 
 

@@ -28,19 +28,19 @@ passes E0_DRIFT_TOL the grid no longer follows the solution, and every
 later step would only describe the numerics.  The run stops at that step.
 
 The RK4 state is one flat float array: the pair of Fourier coefficients
-c = rfft((u, rho)) in "forward" normalisation, viewed as floats, followed,
-when a characteristic ensemble rides along, by its positions q and
-log-Jacobians lq.  Every stage shift, the final RK4 sum and the
+c = rfft((u, rho)) in "forward" normalisation, viewed as floats,
+followed, when a characteristic ensemble rides along, by its positions q
+and log-Jacobians lq.  Every stage shift, the final RK4 sum and the
 finiteness check are one array expression each, and model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
-transforms at 3n/2 points, padding into work arrays that the four
-stages of a step share.  Once per step one batched inverse transform of
-the rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a
-single pass; that u_x feeds the slope tracking, the step size and the E0
-check, and a record reads the invariants straight off the arrays and
-E0, except the cubic one, which pads the same rows to 2n with one more
-inverse transform.  No sample is transformed forward again, and only a
-snapshot builds a State.
+transforms at 3n/2 points, padding into the work arrays of the group's
+one model.rhs_buffer, which every stage of every step shares.  Once per
+step one batched inverse transform of the rows (c_u, ik c_u, c_rho)
+gives the samples u, u_x and rho in a single pass; that u_x feeds the
+slope tracking, the step size and the E0 check, and a record reads the
+invariants straight off the arrays and E0, except the cubic one, which
+pads the same rows to 2n with one more inverse transform.  No sample is
+transformed forward again, and only a snapshot builds a State.
 
 Off-grid values cost one phase matrix per RK4 stage and nothing besides,
 and every product with one is real: grid.interp_blocks puts the mode
@@ -62,25 +62,27 @@ computes its invariants the same way.
 run takes one member or a list of members, and a single run is a list of
 one.  Members with the same grid size and seed count form a group, since
 their arrays stack, and a group's arrays have one owner, the lockstep
-driver: it holds the group's RK4 states stacked on a leading axis,
-advances them with one _advance call per step, with one dt and one
-ModelParams per member, and observes them with one inverse transform,
-one E0 expression and reduction and, with characteristics, one
-interp_blocks call for the whole group.  The
-record invariants (meanU, hamE, hamF) are one pass over the stacked
-arrays as well, with one 2n inverse transform for the cubic one: the
-first member that records on a step makes it for every member, and the
-others read their entries, so a single run, a group of one, makes it
-only on the steps it records.  Only the driver and _advance know the
-flat layout of the state.  Each member is a generator that keeps its
-run's scalars: it is sent views of its own slice of the group's arrays,
-its E0 and its record entries, and yields its next dt, or has
-NonFiniteStateError thrown into it, so the slope minimum, alpha, the
-step size, records, snapshots, the E0 guard and termination stay one
-scalar code path per member.  The group's transforms, products and sums
-are the ones each member makes alone, so a member's result is bit for
-bit its single run's.  Finiteness is checked per member, so a member
-that fails leaves the group and the others run on.
+driver: it holds the group's RK4 states stacked on a leading axis and
+the group's right-hand side buffer, with one row of symbols per member's
+A and gamma, built when the group forms and rebuilt when a member
+leaves; it advances them with one _advance call per step, with one dt
+per member, and observes them with one inverse transform, one E0
+expression and reduction and, with characteristics, one interp_blocks
+call for the whole group.  The record invariants (meanU, hamE, hamF) are
+one pass over the stacked arrays as well, with one 2n inverse transform
+for the cubic one: the first member that records on a step makes it for
+every member, and the others read their entries, so a single run, a
+group of one, makes it only on the steps it records.  Only the driver
+and _advance know the flat layout of the state.  Each member is a
+generator that keeps its run's scalars: it is sent views of its own
+slice of the group's arrays, its E0 and its record entries, and yields
+its next dt, or has NonFiniteStateError thrown into it, so the slope
+minimum, alpha, the step size, records, snapshots, the E0 guard and
+termination stay one scalar code path per member.  The group's
+transforms, products and sums are the ones each member makes alone, so a
+member's result is bit for bit its single run's.  Finiteness is checked
+per member, so a member that fails leaves the group and the others run
+on.
 """
 
 from __future__ import annotations
@@ -235,15 +237,16 @@ def _value_and_slope(grid: PeriodicGrid) -> np.ndarray:
 def _advance(
     y: np.ndarray,
     grid: PeriodicGrid,
-    params: tuple[ModelParams, ...],
+    buffer: tuple[np.ndarray, ...],
     dt: np.ndarray,
     at_q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of each row of the flat state y, shape
     (members, L), each row (c viewed as floats, q, lq), with its own
-    ModelParams in params and its own step size in dt, a column of shape
-    (members, 1); returns the new state, a new array, and whether each of
-    its rows is finite.
+    parameters through buffer, which the caller built with
+    model.rhs_buffer for these rows and which the four stages share, and
+    its own step size in dt, a column of shape (members, 1); returns the
+    new state, a new array, and whether each of its rows is finite.
 
     Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
@@ -265,7 +268,6 @@ def _advance(
     head = 2 * n + 4  # floats in c
     members = len(y)
     track = at_q is not None
-    work = rhs_buffer(grid, members)
     if track:
         value_and_slope = _value_and_slope(grid)
         q_end = head + at_q.shape[-1]
@@ -273,7 +275,7 @@ def _advance(
     def rates(y, at_q=None):
         c = _coefficients(y, n)
         k = np.empty_like(y)
-        rhs_coeffs(c, grid, params, work, _coefficients(k, n))
+        rhs_coeffs(c, grid, buffer, _coefficients(k, n))
         if track and at_q is None:
             at_k = k[:, head:].reshape(members, 2, -1)
             interp_blocks(c[:, :1] * value_and_slope, y[:, head:q_end], at_k)
@@ -297,7 +299,7 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
     y = c0.reshape(1, -1).view(float)
-    y, finite = _advance(y, s.grid, (p,), np.full((1, 1), dt))
+    y, finite = _advance(y, s.grid, rhs_buffer(s.grid, (p,)), np.full((1, 1), dt))
     if not finite[0]:
         raise NonFiniteStateError("non-finite values in an RK4 stage")
     u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
@@ -340,7 +342,6 @@ def _member(
     trace_alpha: list[float] = []
     series: list[list[float]] = []
     snapshots: list[tuple[float, State]] = []
-    ens_t: list[float] = []
     ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
     def observe() -> None:
@@ -359,7 +360,6 @@ def _member(
             t, e0, *invariants(), trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
         if chars is not None:
-            ens_t.append(t)
             ens_chars.append(np.array(chars))
 
     def take_snapshot() -> None:
@@ -431,12 +431,14 @@ def _member(
         xi=np.asarray(trace_xi),
         alpha=np.asarray(trace_alpha),
     )
+    series = np.asarray(series, dtype=float)
     ensemble = None
     if seeds is not None:
+        # a record appends to the series and the characteristics together
         q, lq, rho_q = np.stack(ens_chars, axis=1)
         ensemble = CharacteristicEnsemble(
             seeds=np.asarray(seeds, dtype=float),
-            times=np.asarray(ens_t),
+            times=series[:, 0],
             q=q,
             log_qx=lq,
             rho_q=rho_q,
@@ -445,7 +447,7 @@ def _member(
         slope_trace=trace,
         snapshots=snapshots,
         termination=termination,
-        series=np.asarray(series, dtype=float),
+        series=series,
         ensemble=ensemble,
     )
 
@@ -511,16 +513,18 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     Members with the same grid size and seed count form a group, since
     their arrays stack, and this driver is the one owner of a group's
     arrays.  It holds the flat RK4 states (c, q, lq) stacked on a leading
-    axis and makes one _advance call per step, with a column of one dt
-    and a tuple of one ModelParams per member.  After each step it makes
+    axis and the model.rhs_buffer of the group's ModelParams, one per
+    member, which it builds when the group forms, and makes one _advance
+    call per step, with that buffer and a column of one dt per member.  After each step it makes
     one batched inverse transform of the rows (c_u, ik c_u, c_rho) to the
     samples of (u, u_x, rho), takes every member's E0 with one energy_e0
     call, and with characteristics makes one interp_blocks call for
     (u, u_x, rho) at q.  Each member is sent
     views of its own slice of these arrays, which are new each step, its
     E0 and its entry of the step's _record_pass; a member that ends, or
-    whose row is not finite, leaves the group, and its row of the state
-    and its parameters are dropped.
+    whose row is not finite, leaves the group: its row of the state and
+    its parameters are dropped, and the buffer is rebuilt from the
+    parameters that stay.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -533,7 +537,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         n = grid.n
         head = 2 * n + 4  # floats in the coefficients
         live = [(i, _member(grid, *members[i][1:])) for i in group]
-        params = tuple(members[i][1] for i in group)
+        buffer = rhs_buffer(grid, params := tuple(members[i][1] for i in group))
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
@@ -577,11 +581,11 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                 break
             if len(staying) < len(live):
                 live = [live[j] for j in staying]
-                params = tuple(params[j] for j in staying)
+                buffer = rhs_buffer(grid, params := tuple(params[j] for j in staying))
                 y = y[staying]
                 at_q = None if at_q is None else at_q[staying]
             y, finite = _advance(
-                y, grid, params, np.array(dts)[:, None],
+                y, grid, buffer, np.array(dts)[:, None],
                 None if at_q is None else at_q[:, :2],
             )
             if not finite.all():

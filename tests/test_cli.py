@@ -676,6 +676,38 @@ def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch
     assert calls == [sum(s > j for s in steps) for j in range(max(steps))]
 
 
+def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
+    # one rhs_buffer when a group forms and one after each step on which
+    # members leave it: a sweep makes one per distinct member step count,
+    # not one per step, and a single run makes one
+    builds = []
+    real = stepping.rhs_buffer
+
+    def counted(grid, params):
+        builds.append(params)
+        return real(grid, params)
+
+    monkeypatch.setattr(stepping, "rhs_buffer", counted)
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", str(cfg), "--param", "model.gamma=-0.6:0.9:4",
+        "--out-dir", str(out), "--quiet",
+    ]) == EXIT_OK
+    steps = [
+        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
+        for i in range(4)
+    ]
+    assert len(set(steps)) == len(builds) == 4
+    # each build holds the members still running
+    live = [sum(s > j for s in steps) for j in (0, *sorted(steps)[:-1])]
+    assert [len(p) for p in builds] == live
+    builds.clear()
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
+    assert len(builds) == 1
+
+
 def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
     # every member records every step, and the group computes the cubic
     # invariant once per step for every member still running, not once

@@ -463,6 +463,31 @@ def test_report_with_no_applicable_route():
     assert rep.a0 == 0.0
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [("blowup31", {"a": 9.0, "b": 1.0}), ("global41", {"r0": 2.0, "ru": 1.0})],
+)
+def test_density_at_the_slope_minimum_is_the_runs_alpha(monkeypatch, family, params):
+    # the verdict reads rho0(xi0) on the path the run reads alpha(0) on,
+    # so the two are one float, bit for bit
+    import dghsim.criteria as criteria
+
+    g = PeriodicGrid(128)
+    s0 = build_initial_data(family, params, g)
+    p = ModelParams(A=1.0, gamma=0.0)
+    seen = []
+    real = criteria.interp_point
+
+    def spy(c, x):
+        seen.append(real(c, x))
+        return seen[-1]
+
+    monkeypatch.setattr(criteria, "interp_point", spy)
+    evaluate_criteria(s0.u, s0.rho, p)
+    trace = run(s0, p, SimConfig(n=g.n, t_end=1.0e-3)).slope_trace
+    assert seen == [trace.alpha[0]]
+
+
 def test_report_container_validation():
     with pytest.raises(ValueError):
         CriterionReport(

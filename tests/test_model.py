@@ -133,7 +133,8 @@ def test_rhs_coeffs_matches_padded_reference(n):
     p = ModelParams(A=0.9, gamma=-1.7)
     alt = (-1.0) ** np.arange(n)
     u, rho = r.normal(size=n) + 4.0 * alt, r.normal(size=n) - 3.0 * alt
-    got = rhs_coeffs(np.fft.rfft(np.stack((u, rho)), norm="forward")[None], g, (p,))[0]
+    c = np.fft.rfft(np.stack((u, rho)), norm="forward")[None]
+    got = rhs_coeffs(c, g, rhs_buffer(g, (p,)))[0]
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -144,15 +145,14 @@ def test_rhs_buffer_reuse_is_invisible(rng):
     # states on one grid, give bit for bit what fresh buffers give
     p = ModelParams(A=0.9, gamma=-1.7)
     grids = (PeriodicGrid(64), PeriodicGrid(90))
-    buffers = {g: rhs_buffer(g) for g in grids}
+    buffers = {g: rhs_buffer(g, (p,)) for g in grids}
     states = [
         (g, np.fft.rfft(rng.normal(size=(1, 2, g.n)), norm="forward"))
         for _ in range(2) for g in grids
     ]
     for g, c in states + states[::-1] + [states[0], states[2], states[0]]:
-        got = rhs_coeffs(c, g, (p,), buffers[g])
-        assert np.array_equal(got, rhs_coeffs(c, g, (p,)))
-        assert np.array_equal(got, rhs_coeffs(c, g, (p,), rhs_buffer(g)))
+        got = rhs_coeffs(c, g, buffers[g])
+        assert np.array_equal(got, rhs_coeffs(c, g, rhs_buffer(g, (p,))))
 
 
 def _counting(fn, calls):
@@ -294,9 +294,9 @@ def test_stacked_rows_take_their_own_parameters(n):
     )
     c = np.fft.rfft(r.normal(size=(3, 2, n)), norm="forward")
     rows = np.fft.rfft(r.normal(size=(3, 3, n)), norm="forward")
-    got = rhs_coeffs(c, g, params)
+    got = rhs_coeffs(c, g, rhs_buffer(g, params))
     for i, p in enumerate(params):
-        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], g, (p,))[0])
+        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], g, rhs_buffer(g, (p,)))[0])
     alone = [hamiltonian_f(rows[i], (p,)) for i, p in enumerate(params)]
     assert np.array_equal(hamiltonian_f(rows, params), alone)
 
