@@ -23,23 +23,30 @@ batch axis.  The operations here take and return plain sample arrays,
 except interp_blocks and interp_point, which read rfft coefficients; the
 grid object only carries the size and the cached symbol tables.
 
-Evaluation at off-grid points builds the phase matrix z^k, z = e^{2 pi i x},
+Evaluation at off-grid points fills the phase table z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
 exponential per entry, and shares it across every field in the batch.
-The matrix holds the plain powers; the weights 1/2 of the mean and
+The table holds the plain powers; the weights 1/2 of the mean and
 Nyquist modes and the factor 2 of the real part sit on the coefficient
 side, which one multiply turns into the real rows (2 w Re c, -2 w Im c).
-Their product with the matrix's float view, whose adjacent columns are
+Their product with the table's float view, whose adjacent columns are
 cos and sin of one point, is real, and the interpolant is the cos
 columns of the first half plus the sin columns of the second, so every
 mode, the Nyquist cosine included, is read through one real product.
 interp_blocks reads coefficients, so it makes no transform at all: it
 evaluates several coefficient blocks, each at its own points, with one
-phase matrix for all the points and one real product per block.
+phase table for all the points and one real product per block.  Its
+arrays live in an InterpWork, built once for a number of blocks, points
+and rows: the table with its row 0 of ones, the row views of its
+doublings, and the weighted coefficients and products with their cos
+and sin views.  A call then makes only ufunc calls, each writing into
+the work, and a caller that evaluates the same shapes again, as the
+integrator does at every RK4 stage, passes the same work to every call.
 interp_values is one forward transform followed by interp_blocks with
-one block.  A single point needs no doubling: interp_point forms its
-one weighted exponential row directly, from each mode's phase reduced to
-under one turn without rounding error that grows with k or |x|.
+one block, on a work built for the call.  A single point needs no
+doubling: interp_point forms its one weighted exponential row directly,
+from each mode's phase reduced to under one turn without rounding error
+that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "project_values",
     "deriv_values",
     "interp_values",
+    "InterpWork",
     "interp_blocks",
     "interp_point",
 ]
@@ -210,26 +218,78 @@ def project_values(v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(c, n) * (n / m)
 
 
-def _phase_matrix(x: np.ndarray, half: int) -> np.ndarray:
-    """The phases z^k for z = e^{2 pi i x}, k = 0 .. half: shape
-    (half + 1, x.size).
+class InterpWork:
+    """The arrays interp_blocks writes, for `blocks` blocks of `count`
+    points each on the modes k = 0 .. half, and for coefficient blocks of
+    each row count in `rows`.
+
+    One phase table of shape (half + 1, blocks count), its row 0 of ones
+    set here and never written again; the (source, factor, destination)
+    row views of its doublings; the positions less their nearest
+    integers; and, per row count, the weighted coefficients, their
+    products with the table and those products' cos and sin columns.  The
+    table's float view, reshaped so that block i reads its own columns, is
+    made here too, so a call makes no view of these and allocates nothing
+    but a result not given as out.  A call overwrites whole every array it
+    reads from here besides row 0, so a result never depends on what an
+    earlier call left, and one work serves every call of its shapes.
+    """
+
+    def __init__(
+        self, half: int, blocks: int, count: int, rows: tuple[int, ...]
+    ) -> None:
+        self.table = np.empty((half + 1, blocks * count), dtype=complex)
+        self.table[0] = 1.0
+        self.first = self.table[1].reshape(blocks, count)
+        self.reduced = np.empty((blocks, count))
+        # each doubling multiplies the known rows z^1 .. z^j by z^j
+        self.doublings = []
+        j = 1
+        while j < half:
+            step = min(j, half - j)
+            self.doublings.append((
+                self.table[1 : step + 1], self.table[j], self.table[j + 1 : j + 1 + step]
+            ))
+            j += step
+        self.weights = _part_weights(half)
+        # block i's columns of the float view, stacked on a leading axis
+        self.columns = (
+            self.table.view(float).reshape(half + 1, blocks, 2 * count).transpose(1, 0, 2)
+        )
+        self.products = {}
+        for r in rows:
+            weighted = np.empty((blocks, 2, r, half + 1))
+            prods = np.empty((blocks, 2 * r, 2 * count))
+            self.products[r] = (
+                weighted,
+                weighted.reshape(blocks, 2 * r, half + 1),
+                prods,
+                prods[:, :r, ::2],
+                prods[:, r:, 1::2],
+            )
+
+
+def _phase_matrix(x: np.ndarray, work: InterpWork) -> None:
+    """Fill work.table, an InterpWork's, with the phases z^k for
+    z = e^{2 pi i x}, k = 0 .. half, one column per point of x, shape
+    (blocks, count), in row-major order.  Row 0, z^0 = 1, is the work's
+    own, so this writes rows 1 .. half: four ufunc calls for z, then one
+    per doubling, each into a row view the work made.
 
     Each doubling multiplies the known rows z^1 .. z^j by z^j, so the
-    matrix costs log2(half) vectorised products and one exp per point, and
+    table costs log2(half) vectorised products and one exp per point, and
     the rounding error the products add to z^k grows like log2(k), not
     like k.  z's own phase error z^k carries k times over, so z is taken
     from x less its nearest integer, which is exact: that error is then
     the rounding of a phase of at most half a turn, whatever |x|.
     """
-    out = np.empty((half + 1, x.size), dtype=complex)
-    out[0] = 1.0
-    out[1] = np.exp((2j * np.pi) * (x - np.rint(x)))
-    j = 1
-    while j < half:
-        step = min(j, half - j)
-        np.multiply(out[1 : step + 1], out[j], out=out[j + 1 : j + 1 + step])
-        j += step
-    return out
+    reduced, first = work.reduced, work.first
+    np.rint(x, out=reduced)
+    np.subtract(x, reduced, out=reduced)
+    np.multiply(2j * np.pi, reduced, out=first)
+    np.exp(first, out=first)
+    for source, factor, destination in work.doublings:
+        np.multiply(source, factor, out=destination)
 
 
 @lru_cache(maxsize=8)
@@ -248,50 +308,58 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the interpolating trig polynomial of each row of v at xs.
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
-    One forward transform, then interp_blocks with every row in one block.
+    One forward transform, then interp_blocks with every row in one block,
+    on a work built for this call.
     """
     c = np.fft.rfft(np.asarray(v, dtype=float), norm="forward")
     xs = np.asarray(xs, dtype=float)
-    out = interp_blocks(c.reshape(1, -1, c.shape[-1]), xs.reshape(1, -1))
+    block = c.reshape(1, -1, c.shape[-1])
+    work = InterpWork(c.shape[-1] - 1, 1, xs.size, (block.shape[1],))
+    out = interp_blocks(block, xs.reshape(1, -1), work)
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
 def interp_blocks(
-    c: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None
+    c: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate block i of rfft coefficients c at the points xs[i].
 
     c has shape (blocks, rows, n/2 + 1), contiguous in its last axis, in
     "forward" normalisation (c_k is the amplitude of e^{2 pi i k x}, the
     Nyquist entry that of cos(pi n x)), with real mean and Nyquist entries,
-    as the rfft of real samples has them.  xs has shape (blocks, K); the
-    result, written to out if given, has shape (blocks, rows, K).
+    as the rfft of real samples has them.  xs has shape (blocks, K); work
+    is an InterpWork(n/2, blocks, K, ...) whose row counts include rows.
+    The result, written to out if given, has shape (blocks, rows, K).
 
     The interpolant at x is sum_k 2 w_k (Re c_k cos(2 pi k x) - Im c_k
     sin(2 pi k x)), with w_k = 1/2 on the mean and Nyquist modes and 1
     between, so every mode, the Nyquist cosine included, is read through
-    one real product.  One phase matrix serves the points of every block;
+    one real product.  One phase table serves the points of every block;
     its float view holds cos and sin of each point in adjacent columns.
     One multiply forms (2 w Re c, -2 w Im c) of every block, one stacked
     matmul gives each block the real product of these with its own
     columns of that view, and one add sums the cos columns of the real
     parts and the sin columns of the imaginary parts, so no transform is
-    made.  For K >= 2 a block's product is bit for bit the one it gets
-    alone; for K = 1 numpy forms the narrower product with another inner
-    loop, which can differ in the last bit.
+    made.  Each writes into work, so a call is these three ufunc calls,
+    the four of its positions' phases and one per doubling of the table,
+    with no allocation but a result not given as out.  For K >= 2 a
+    block's product is bit for bit the one it gets alone; for K = 1 numpy
+    forms the narrower product with another inner loop, which can differ
+    in the last bit.
     """
     blocks, count = xs.shape
     rows, half = c.shape[1], c.shape[-1] - 1
-    phases = _phase_matrix(xs.reshape(-1), half).view(float)
-    parts = np.multiply(
+    weighted, parts, prods, cos, sin = work.products[rows]
+    _phase_matrix(xs, work)
+    np.multiply(
         c.view(float).reshape(blocks, rows, half + 1, 2).transpose(0, 3, 1, 2),
-        _part_weights(half),
-    ).reshape(blocks, 2 * rows, half + 1)
-    # block i's columns of the float view, stacked on a leading axis
-    prods = parts @ phases.reshape(half + 1, blocks, 2 * count).transpose(1, 0, 2)
+        work.weights,
+        out=weighted,
+    )
+    np.matmul(parts, work.columns, out=prods)
     if out is None:
         out = np.empty((blocks, rows, count))
-    np.add(prods[:, :rows, ::2], prods[:, rows:, 1::2], out=out)
+    np.add(cos, sin, out=out)
     return out
 
 

@@ -40,12 +40,13 @@ caller computes once and shares; hamiltonian_e is read off E0 and rho,
 so a caller that has taken E0 does not take it again.  The one cubic
 invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
 the integrator holds, and pads them to a 2n grid with one inverse
-transform and no forward one; it takes one ModelParams per row, as
-rhs_buffer does.  Like rhs_coeffs, the invariants take a leading member
-axis and reduce over the last axis only: given one row they return a
-float, given a stack of rows an array with each row's float, bit for
-bit, so the integrator evaluates a group of runs with one expression,
-one reduction and, for the cubic one, one transform.
+transform and no forward one; it takes A and gamma as floats, or as
+columns with one entry per row, which a caller builds once for its
+rows, as it builds rhs_buffer.  Like rhs_coeffs, the invariants take a
+leading member axis and reduce over the last axis only: given one row
+they return a float, given a stack of rows an array with each row's
+float, bit for bit, so the integrator evaluates a group of runs with one
+expression, one reduction and, for the cubic one, one transform.
 """
 
 from __future__ import annotations
@@ -239,14 +240,15 @@ def hamiltonian_e(e0: np.ndarray | float, rho: np.ndarray) -> np.ndarray | float
 
 
 def hamiltonian_f(
-    c: np.ndarray, params: tuple[ModelParams, ...]
+    c: np.ndarray, A: np.ndarray | float, gamma: np.ndarray | float
 ) -> np.ndarray | float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
     norm="forward"), shape (..., 3, n/2 + 1), evaluated on a 2n grid so
     the products are exact: one inverse transform of every row and no
-    forward one.  params holds one ModelParams per row, (p,) for one;
-    each row's A and gamma enter as a column, so a row gets the bits of
-    its own call.
+    forward one.  A and gamma are the parameters, floats for one row or
+    columns of one entry per row, shape c.shape[:-2] + (1,), which the
+    caller builds once for its rows; a row then gets the bits of its own
+    call.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
@@ -260,9 +262,6 @@ def hamiltonian_f(
     padded[..., half] *= 0.5
     samples = np.fft.irfft(padded, 4 * half, norm="forward")
     uf, uxf, rf = (samples[..., i, :] for i in range(3))
-    column = c.shape[:-2] + (1,)  # one entry per row
-    A = np.array([p.A for p in params]).reshape(column)
-    gamma = np.array([p.gamma for p in params]).reshape(column)
     ux2 = uxf * uxf
     integrand = uf * (uf * (uf - A) + ux2 + rf * rf - 1.0) - gamma * ux2
     return 0.5 * _mean(integrand)

@@ -30,11 +30,14 @@ later step would only describe the numerics.  The run stops at that step.
 The RK4 state is one flat float array: the pair of Fourier coefficients
 c = rfft((u, rho)) in "forward" normalisation, viewed as floats,
 followed, when a characteristic ensemble rides along, by its positions q
-and log-Jacobians lq.  Every stage shift, the final RK4 sum and the
-finiteness check are one array expression each, and model.rhs_coeffs
+and log-Jacobians lq.  Every stage shift and the final RK4 sum are a few
+ufunc calls, each writing into the group's one workspace, and the
+finiteness check is one expression on the new state; model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
-transforms at 3n/2 points, padding into the work arrays of the group's
-one model.rhs_buffer, which every stage of every step shares.  Once per
+transforms at 3n/2 points, padding into the work arrays of the
+workspace's model.rhs_buffer, which every stage of every step shares.
+The workspace is built when the group forms and again when members
+leave it, never per step.  Once per
 step one batched inverse transform of the rows (c_u, ik c_u, c_rho)
 gives the samples u, u_x and rho in a single pass; that u_x feeds the
 slope tracking, the step size and the E0 check, and a record reads the
@@ -42,15 +45,18 @@ invariants straight off the arrays and E0, except the cubic one, which
 pads the same rows to 2n with one more inverse transform.  No sample is
 transformed forward again, and only a snapshot builds a State.
 
-Off-grid values cost one phase matrix per RK4 stage and nothing besides,
+Off-grid values cost one phase table per RK4 stage and nothing besides,
 and every product with one is real: grid.interp_blocks puts the mode
-weights on the coefficients and multiplies them with the matrix's float
+weights on the coefficients and multiplies them with the table's float
 view.  The observation after a step evaluates the same rows at q with
 one interp_blocks call: its u and u_x are the next step's stage-1
 characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
 each read u and u_x at their stage positions off the stage coefficients
-with one more interp_blocks call, so a step with characteristics builds
-four phase matrices and a record none.  alpha = rho(xi) at the slope
+with one more interp_blocks call, so a step with characteristics fills
+four phase tables and a record none.  The observation and the stages
+are never live at once, so they fill the one table of the workspace's
+grid.InterpWork, in which every array those calls write was built with
+the group.  alpha = rho(xi) at the slope
 minimum comes from grid.interp_point, one exponential row, with or
 without characteristics.
 
@@ -63,10 +69,11 @@ run takes one member or a list of members, and a single run is a list of
 one.  Members with the same grid size and seed count form a group, since
 their arrays stack, and a group's arrays have one owner, the lockstep
 driver: it holds the group's RK4 states stacked on a leading axis and
-the group's right-hand side buffer, with one row of symbols per member's
-A and gamma, built when the group forms and rebuilt when a member
-leaves; it advances them with one _advance call per step, with one dt
-per member, and observes them with one inverse transform, one E0
+the group's workspace, with its right-hand side buffer, one row of
+symbols per member's A and gamma, and the columns of A and gamma that
+the cubic invariant reads, built when the group forms and rebuilt when a
+member leaves; it advances them with one _advance call per step, with
+one dt per member, and observes them with one inverse transform, one E0
 expression and reduction and, with characteristics, one interp_blocks
 call for the whole group.  The record invariants (meanU, hamE, hamF) are
 one pass over the stacked arrays as well, with one 2n inverse transform
@@ -98,6 +105,7 @@ from .characteristics import CharacteristicEnsemble
 from .criteria import SlopeTrace, dive_cutoff, refined_min
 from .grid import (
     ConfigError,
+    InterpWork,
     PeriodicGrid,
     deriv_values,
     interp_blocks,
@@ -234,19 +242,66 @@ def _value_and_slope(grid: PeriodicGrid) -> np.ndarray:
     return rows
 
 
+class _Workspace:
+    """Every array a lockstep group's step writes but its new state, for
+    the members with the ModelParams in params on one grid, each with
+    `count` characteristics, or None without.
+
+    It holds the group's model.rhs_buffer; the (members, 1) columns of A
+    and gamma that hamiltonian_f reads; the four RK4 rate arrays and the
+    stage state, each of the state's shape (members, L), with the
+    coefficient views that rhs_coeffs reads and writes.  With
+    characteristics it also holds the grid.InterpWork of the group, whose
+    one phase table serves the observation (rows u, u_x, rho) and stages 2
+    to 4 (rows u, u_x), which are never live at once; the (members, 2,
+    n/2 + 1) array of the coefficients of (u, u_x) at a stage; each rate's
+    view of its rates of (q, lq), shape (members, 2, K); and the stage's
+    view of its positions.  The lockstep driver builds one when the group
+    forms and one each time members leave it, so parameters and arrays
+    cannot disagree; step_rk4 builds one per call.
+    """
+
+    def __init__(
+        self, grid: PeriodicGrid, params: tuple[ModelParams, ...], count: int | None
+    ) -> None:
+        n = grid.n
+        head = 2 * n + 4  # floats in c
+        members = len(params)
+        self.grid = grid
+        self.buffer = rhs_buffer(grid, params)
+        self.A = np.array([[p.A] for p in params])
+        self.gamma = np.array([[p.gamma] for p in params])
+        width = head + 2 * (count or 0)
+        arrays = np.empty((5, members, width))  # the four rates, then the stage
+        self.rates, self.stage = arrays[:4], arrays[4]
+        *self.rate_coefficients, self.stage_coefficients = _coefficients(
+            arrays.reshape(-1, width), n
+        ).reshape(5, members, 2, -1)
+        self.interp = None
+        if count is not None:
+            self.interp = InterpWork(n // 2, members, count, (2, 3))
+            self.value_and_slope = _value_and_slope(grid)
+            self.stage_u = self.stage_coefficients[:, :1]
+            self.stage_slope = np.empty((members, 2, n // 2 + 1), dtype=complex)
+            self.rate_at_q = [k[:, head:].reshape(members, 2, count) for k in self.rates]
+            self.stage_q = self.stage[:, head : head + count]
+
+
 def _advance(
     y: np.ndarray,
-    grid: PeriodicGrid,
-    buffer: tuple[np.ndarray, ...],
+    work: _Workspace,
     dt: np.ndarray,
     at_q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of each row of the flat state y, shape
     (members, L), each row (c viewed as floats, q, lq), with its own
-    parameters through buffer, which the caller built with
-    model.rhs_buffer for these rows and which the four stages share, and
-    its own step size in dt, a column of shape (members, 1); returns the
-    new state, a new array, and whether each of its rows is finite.
+    parameters through work, the _Workspace the caller built for these
+    rows, and its own step size in dt, a column of shape (members, 1);
+    returns the new state, a new array, and whether each of its rows is
+    finite.  Every other array the step writes is work's, each written
+    through out= by the operations the expression
+    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same order, so the
+    result is bit for bit that expression's.
 
     Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
@@ -254,7 +309,7 @@ def _advance(
     stage 1's rates of q and lq, since positions advance with the velocity
     and the log-Jacobian integrates the slope.  Stages 2 to 4 each read u
     and u_x at their stage positions off their stage coefficients with one
-    interp_blocks call: one phase matrix for the positions of every row,
+    interp_blocks call: one phase table for the positions of every row,
     one product per row.  No rate reads lq.
 
     Rows never mix: each transform, product and sum that a row goes
@@ -264,32 +319,34 @@ def _advance(
     entry in any stage of a row leaves one in that row, and no stage needs
     a check of its own.
     """
-    n = grid.n
-    head = 2 * n + 4  # floats in c
-    members = len(y)
-    track = at_q is not None
-    if track:
-        value_and_slope = _value_and_slope(grid)
-        q_end = head + at_q.shape[-1]
-
-    def rates(y, at_q=None):
-        c = _coefficients(y, n)
-        k = np.empty_like(y)
-        rhs_coeffs(c, grid, buffer, _coefficients(k, n))
-        if track and at_q is None:
-            at_k = k[:, head:].reshape(members, 2, -1)
-            interp_blocks(c[:, :1] * value_and_slope, y[:, head:q_end], at_k)
-        elif track:
-            k[:, head:] = at_q.reshape(members, -1)
-        return k
-
+    grid, buffer = work.grid, work.buffer
+    stage, c = work.stage, work.stage_coefficients
+    k1, k2, k3, k4 = work.rates
     half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rates(y, at_q)
-        k2 = rates(y + half * k1)
-        k3 = rates(y + half * k2)
-        k4 = rates(y + dt * k3)
-        out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k1 at y, whose rates of q and lq the caller has evaluated
+        rhs_coeffs(_coefficients(y, grid.n), grid, buffer, work.rate_coefficients[0])
+        if at_q is not None:
+            np.copyto(work.rate_at_q[0], at_q)
+        # k2, k3 and k4 at the stages y + (dt/2) k1, y + (dt/2) k2 and
+        # y + dt k3; the sum commutes bit for bit, so y may come second
+        for i, scale in ((1, half), (2, half), (3, dt)):
+            np.multiply(scale, work.rates[i - 1], out=stage)
+            np.add(y, stage, out=stage)
+            rhs_coeffs(c, grid, buffer, work.rate_coefficients[i])
+            if at_q is not None:
+                np.multiply(work.stage_u, work.value_and_slope, out=work.stage_slope)
+                interp_blocks(
+                    work.stage_slope, work.stage_q, work.interp, work.rate_at_q[i]
+                )
+        # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(dt / 6.0, k1, out=k1)
+        out = y + k1
     return out, np.isfinite(out).all(axis=1)
 
 
@@ -299,7 +356,7 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
         raise ValueError(f"dt must be positive, got {dt}")
     c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
     y = c0.reshape(1, -1).view(float)
-    y, finite = _advance(y, s.grid, rhs_buffer(s.grid, (p,)), np.full((1, 1), dt))
+    y, finite = _advance(y, _Workspace(s.grid, (p,), None), np.full((1, 1), dt))
     if not finite[0]:
         raise NonFiniteStateError("non-finite values in an RK4 stage")
     u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
@@ -480,13 +537,14 @@ def run(
 
 
 def _record_pass(
-    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, params: tuple
+    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, work: _Workspace
 ):
     """The record invariants of a group's state on one step, computed once.
 
     samples and rows are the group's stacked (u, u_x, rho) samples and
-    coefficient rows, e0 their E0 and params their ModelParams, one row
-    per member.  The returned function takes a member's row index and
+    coefficient rows and e0 their E0, one row per member, and work the
+    group's _Workspace, whose columns of A and gamma the cubic invariant
+    reads.  The returned function takes a member's row index and
     gives that member's (meanU, hamE, hamF).  Its first call computes them
     for every row, with one reduction each and one 2n inverse transform of
     the stacked rows for the cubic invariant, and later calls read that
@@ -500,7 +558,7 @@ def _record_pass(
             table.extend(zip(
                 mean_u(samples[:, 0]).tolist(),
                 hamiltonian_e(e0, samples[:, 2]).tolist(),
-                hamiltonian_f(rows, params).tolist(),
+                hamiltonian_f(rows, work.A, work.gamma).tolist(),
             ))
         return table[j]
 
@@ -513,18 +571,20 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     Members with the same grid size and seed count form a group, since
     their arrays stack, and this driver is the one owner of a group's
     arrays.  It holds the flat RK4 states (c, q, lq) stacked on a leading
-    axis and the model.rhs_buffer of the group's ModelParams, one per
-    member, which it builds when the group forms, and makes one _advance
-    call per step, with that buffer and a column of one dt per member.  After each step it makes
-    one batched inverse transform of the rows (c_u, ik c_u, c_rho) to the
-    samples of (u, u_x, rho), takes every member's E0 with one energy_e0
-    call, and with characteristics makes one interp_blocks call for
-    (u, u_x, rho) at q.  Each member is sent
-    views of its own slice of these arrays, which are new each step, its
-    E0 and its entry of the step's _record_pass; a member that ends, or
-    whose row is not finite, leaves the group: its row of the state and
-    its parameters are dropped, and the buffer is rebuilt from the
-    parameters that stay.
+    axis and the _Workspace of the group's ModelParams, one per member,
+    which it builds when the group forms, and makes one _advance call per
+    step, with that workspace and a column of one dt per member.  After
+    each step it makes one batched inverse transform of the rows (c_u,
+    ik c_u, c_rho) to the samples of (u, u_x, rho), takes every member's
+    E0 with one energy_e0 call, and with characteristics makes one
+    interp_blocks call for (u, u_x, rho) at q on the workspace's
+    InterpWork.  Each member is sent views of its own slice of these
+    arrays, which are new each step, its E0 and its entry of the step's
+    _record_pass; a member that ends, or whose row is not finite, leaves
+    the group: its row of the state and its parameters are dropped, and
+    the workspace is rebuilt, on the same line, from the parameters that
+    stay, so no array of a step is sized or parameterised for members
+    that have left.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -537,7 +597,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         n = grid.n
         head = 2 * n + 4  # floats in the coefficients
         live = [(i, _member(grid, *members[i][1:])) for i in group]
-        buffer = rhs_buffer(grid, params := tuple(members[i][1] for i in group))
+        work = _Workspace(grid, params := tuple(members[i][1] for i in group), count)
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
@@ -555,9 +615,9 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         at_q = None
         while True:
             if count is not None:
-                at_q = interp_blocks(rows, y[:, head : head + count])
+                at_q = interp_blocks(rows, y[:, head : head + count], work.interp)
             e0 = energy_e0(*samples.transpose(1, 0, 2))
-            invariants = _record_pass(samples, rows, e0, params)
+            invariants = _record_pass(samples, rows, e0, work)
             e0s = e0.tolist()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
@@ -581,11 +641,11 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                 break
             if len(staying) < len(live):
                 live = [live[j] for j in staying]
-                buffer = rhs_buffer(grid, params := tuple(params[j] for j in staying))
+                work = _Workspace(grid, params := tuple(params[j] for j in staying), count)
                 y = y[staying]
                 at_q = None if at_q is None else at_q[staying]
             y, finite = _advance(
-                y, grid, buffer, np.array(dts)[:, None],
+                y, work, np.array(dts)[:, None],
                 None if at_q is None else at_q[:, :2],
             )
             if not finite.all():

@@ -677,17 +677,22 @@ def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch
 
 
 def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
-    # one rhs_buffer when a group forms and one after each step on which
-    # members leave it: a sweep makes one per distinct member step count,
-    # not one per step, and a single run makes one
-    builds = []
-    real = stepping.rhs_buffer
+    # one workspace, with its rhs_buffer, when a group forms and one after
+    # each step on which members leave it: a sweep makes one per distinct
+    # member step count, not one per step, and a single run makes one
+    builds, workspaces = [], []
+    real, real_workspace = stepping.rhs_buffer, stepping._Workspace
 
     def counted(grid, params):
         builds.append(params)
         return real(grid, params)
 
+    def counted_workspace(grid, params, count):
+        workspaces.append(params)
+        return real_workspace(grid, params, count)
+
     monkeypatch.setattr(stepping, "rhs_buffer", counted)
+    monkeypatch.setattr(stepping, "_Workspace", counted_workspace)
     cfg = tmp_path / "lock.cfg"
     cfg.write_text(LOCKSTEP_CONFIG)
     out = tmp_path / "sweep"
@@ -699,13 +704,15 @@ def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
         json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
         for i in range(4)
     ]
-    assert len(set(steps)) == len(builds) == 4
+    assert len(set(steps)) == len(builds) == len(workspaces) == 4
     # each build holds the members still running
     live = [sum(s > j for s in steps) for j in (0, *sorted(steps)[:-1])]
     assert [len(p) for p in builds] == live
+    assert workspaces == builds
     builds.clear()
+    workspaces.clear()
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
-    assert len(builds) == 1
+    assert len(builds) == len(workspaces) == 1
 
 
 def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
@@ -715,9 +722,9 @@ def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
     calls = []
     real = stepping.hamiltonian_f
 
-    def counted(c, p):
+    def counted(c, A, gamma):
         calls.append(len(c))
-        return real(c, p)
+        return real(c, A, gamma)
 
     monkeypatch.setattr(stepping, "hamiltonian_f", counted)
     cfg = tmp_path / "lock.cfg"

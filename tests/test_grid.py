@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dghsim.grid import (
+    InterpWork,
     PeriodicGrid,
     deriv_values,
     dgreen_convolve,
@@ -223,7 +224,8 @@ def test_interp_point_matches_interp_coeffs(n, x):
     assert isinstance(got, float)
     exact = trig_sum_exact(c, x)
     assert abs(got - exact) <= 1e-13 * np.max(np.abs(c))
-    block = interp_blocks(c[None, None], np.asarray([[x]]))[0, 0, 0]
+    block = interp_blocks(c[None, None], np.asarray([[x]]), InterpWork(n // 2, 1, 1, (1,)))
+    block = block[0, 0, 0]
     assert abs(block - exact) <= 2e-12 * np.max(np.abs(c))
 
 
@@ -236,10 +238,37 @@ def test_interp_blocks_block_equals_its_own_call(n, count):
     r = np.random.default_rng(n + count)
     c = np.fft.rfft(r.normal(size=(4, 3, n)), norm="forward")
     xs = r.uniform(-15.0, 15.0, (4, count))
-    together = interp_blocks(c, xs)
+    together = interp_blocks(c, xs, InterpWork(n // 2, 4, count, (3,)))
     assert together.shape == (4, 3, count)
+    alone = InterpWork(n // 2, 1, count, (3,))
     for i in range(4):
-        assert np.array_equal(together[i], interp_blocks(c[i : i + 1], xs[i : i + 1])[0])
+        assert np.array_equal(together[i], interp_blocks(c[i : i + 1], xs[i : i + 1], alone)[0])
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("n", [64, 256])
+def test_interp_work_reuse_is_invisible(n, rows):
+    # one work, called again with other points and other coefficients, and
+    # with the other row count between, gives bit for bit what a fresh
+    # work gives: a call overwrites every array it reads
+    r = np.random.default_rng(n + rows)
+    work = InterpWork(n // 2, 3, 16, (2, 3))
+    other = 5 - rows
+    calls = [
+        (
+            np.fft.rfft(r.normal(size=(3, k, n)), norm="forward"),
+            r.uniform(-15.0, 15.0, (3, 16)),
+        )
+        for k in (rows, other, rows)
+    ]
+    for c, xs in calls:
+        got = interp_blocks(c, xs, work).copy()
+        fresh = interp_blocks(c, xs, InterpWork(n // 2, 3, 16, (c.shape[1],)))
+        assert np.array_equal(got, fresh)
+    # and a result written to out is the one returned
+    out = np.empty((3, rows, 16))
+    assert interp_blocks(*calls[0], work, out) is out
+    assert np.array_equal(out, interp_blocks(*calls[0], InterpWork(n // 2, 3, 16, (rows,))))
 
 
 def test_interp_values_shapes(rng):

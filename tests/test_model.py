@@ -240,12 +240,11 @@ def test_hamiltonian_e_closed_forms():
 
 def test_hamiltonian_f_closed_forms():
     ones = np.ones(64)
-    p = ModelParams(A=2.0, gamma=1.0)
-    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), (p,)) == 0.0
-    p = ModelParams(A=2.0, gamma=5.0)
-    assert hamiltonian_f(_coeffs(ones, ZERO, ones), (p,)) == pytest.approx(-0.5, abs=1e-14)
-    p = ModelParams(A=1.0, gamma=0.0)
-    assert hamiltonian_f(_coeffs(SINE, SINE_X, ones), (p,)) == pytest.approx(-0.25, abs=1e-12)
+    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), 2.0, 1.0) == 0.0
+    got = hamiltonian_f(_coeffs(ones, ZERO, ones), 2.0, 5.0)
+    assert got == pytest.approx(-0.5, abs=1e-14)
+    got = hamiltonian_f(_coeffs(SINE, SINE_X, ones), 1.0, 0.0)
+    assert got == pytest.approx(-0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 1024])
@@ -257,7 +256,7 @@ def test_hamiltonian_f_matches_padded_reference(n):
     u, ux, rho = r.normal(size=(3, n)) + np.array([[3.0], [-2.0], [1.5]]) * alt
     p = ModelParams(A=0.9, gamma=-1.7)
     want, scale = hamiltonian_f_padded_reference(u, ux, rho, p)
-    assert abs(hamiltonian_f(_coeffs(u, ux, rho), (p,)) - want) <= 1e-13 * scale
+    assert abs(hamiltonian_f(_coeffs(u, ux, rho), p.A, p.gamma) - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -268,12 +267,14 @@ def test_stacked_invariants_are_the_row_wise_ones(n):
     c = np.fft.rfft(np.stack((u, ux, rho), axis=1), norm="forward")
     p = ModelParams(A=0.9, gamma=-1.7)
     e0 = energy_e0(u, ux, rho)
-    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, (p,) * 3))
+    columns = np.full((3, 1), p.A), np.full((3, 1), p.gamma)
+    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, *columns))
     alone = []
     for i in range(3):
         e0_i = energy_e0(u[i], ux[i], rho[i])
         alone.append(
-            (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]), hamiltonian_f(c[i], (p,)))
+            (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]),
+             hamiltonian_f(c[i], p.A, p.gamma))
         )
     assert all(type(v) is float for row in alone for v in row)
     for got, want in zip(stacked, zip(*alone)):
@@ -297,8 +298,9 @@ def test_stacked_rows_take_their_own_parameters(n):
     got = rhs_coeffs(c, g, rhs_buffer(g, params))
     for i, p in enumerate(params):
         assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], g, rhs_buffer(g, (p,)))[0])
-    alone = [hamiltonian_f(rows[i], (p,)) for i, p in enumerate(params)]
-    assert np.array_equal(hamiltonian_f(rows, params), alone)
+    alone = [hamiltonian_f(rows[i], p.A, p.gamma) for i, p in enumerate(params)]
+    columns = (np.array([[p.A] for p in params]), np.array([[p.gamma] for p in params]))
+    assert np.array_equal(hamiltonian_f(rows, *columns), alone)
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):
@@ -317,7 +319,7 @@ def test_invariants_share_one_slope(monkeypatch, rng):
     mean_u(u)
     assert hamiltonian_e(e0, rho) == pytest.approx(direct, rel=1e-13)
     assert calls == []
-    hamiltonian_f(c, (ModelParams(A=1.0, gamma=0.3),))
+    hamiltonian_f(c, 1.0, 0.3)
     assert calls == ["irfft"]  # one batched padding of (u, u_x, rho) to 2n
 
 

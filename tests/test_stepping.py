@@ -116,6 +116,35 @@ def test_step_flags_overflow():
 
 
 @pytest.mark.parametrize("track", [False, True])
+def test_workspace_reuse_is_invisible(track):
+    # two steps on one workspace, the second from the first's result with
+    # other step sizes and other rates at q, give bit for bit what fresh
+    # workspaces give: a step overwrites every array of it that it reads
+    import dghsim.stepping as stepping
+
+    n, count = 64, 8 if track else None
+    g = PeriodicGrid(n)
+    params = (ModelParams(A=1.0, gamma=0.3), ModelParams(A=0.7, gamma=-0.4))
+    r = np.random.default_rng(7)
+    y = np.zeros((2, 2 * n + 4 + 2 * (count or 0)))
+    fields = 1.0 + 0.1 * r.normal(size=(2, 2, n))
+    stepping._coefficients(y, n)[:] = np.fft.rfft(fields, norm="forward")
+    if track:
+        y[:, 2 * n + 4 :] = r.uniform(0.0, 1.0, (2, 2 * count))
+    work = stepping._Workspace(g, params, count)
+    for dt in ([[1.0e-3], [2.0e-3]], [[5.0e-4], [3.0e-3]]):
+        at_q = r.normal(size=(2, 2, count)) if track else None
+        dt = np.array(dt)
+        got, finite = stepping._advance(y, work, dt, at_q)
+        want, want_finite = stepping._advance(
+            y, stepping._Workspace(g, params, count), dt, at_q
+        )
+        assert finite.all() and np.array_equal(finite, want_finite)
+        assert np.array_equal(got, want)
+        y = got
+
+
+@pytest.mark.parametrize("track", [False, True])
 @pytest.mark.parametrize("field", [0, 1])
 @pytest.mark.parametrize("stage", range(4))
 def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
@@ -512,7 +541,7 @@ def test_series_layout_and_cadence():
             e0,
             mean_u(st.u),
             hamiltonian_e(e0, st.rho),
-            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), (p,)),
+            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), p.A, p.gamma),
         ]
         e0, mean, ham_e, ham_f = expected
         assert row[2] == mean
