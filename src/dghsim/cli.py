@@ -109,7 +109,7 @@ def _assess(sc: Scenario):
     """
     sc = sc.resolve()
     s0 = sc.build_state()
-    report = evaluate_criteria(s0.u, s0.rho, sc.model, sc.eps_list)
+    report = evaluate_criteria(s0.u, s0.rho, sc.model)
     criteria = _fields_of(report)
     criteria["verdicts"] = {name: _fields_of(v) for name, v in report.verdicts.items()}
     return sc, s0, report, {"config": resolved_config(sc), "criteria": criteria}
@@ -163,29 +163,39 @@ def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int,
 def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[int, dict]:
     """The post-run half of run_scenario: complete the report document of
     an assessed scenario from its run's result, and write the artifacts."""
-    # columns E0 and meanU of the first and the last record
-    (e0_first, mu_first), (e0_last, mu_last) = result.series[[0, -1], 1:3].tolist()
+    # columns E0, meanU, hamE and hamF of the first and the last record
+    (e0_first, mu_first, he_first, hf_first), (e0_last, mu_last, he_last, hf_last) = (
+        result.series[[0, -1], 1:5].tolist()
+    )
+    trace = result.slope_trace
+    deepest = int(np.argmin(trace.m))  # the first step on ties
     doc["run"] = {
         "termination": {
             "cause": result.termination.cause,
             "t": result.termination.t,
         },
         "t_sim": result.termination.t,
-        "steps": len(result.slope_trace.times) - 1,
+        "steps": len(trace.times) - 1,
         "records": len(result.series),
         "drift": {
             "e0_rel": abs(e0_last - e0_first) / max(abs(e0_first), 1.0e-300),
             "mean_u_abs": abs(mu_last - mu_first),
+            "ham_e_abs": abs(he_last - he_first),
+            "ham_f_abs": abs(hf_last - hf_first),
         },
         "final": {
             "e0": e0_last,
             "mean_u": mu_last,
-            "min_ux": float(result.slope_trace.m[-1]),
+            "min_ux": float(trace.m[-1]),
+        },
+        "deepest": {
+            "min_ux": float(trace.m[deepest]),
+            "t": float(trace.times[deepest]),
         },
     }
 
     try:
-        est = estimate_blowup_rate(result.slope_trace)
+        est = estimate_blowup_rate(trace)
         doc["rate_estimate"] = {
             "t_blowup": est.t_blowup,
             "rate": est.rate,
@@ -196,7 +206,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         doc["rate_estimate"] = {"unavailable": str(exc)}
 
     try:
-        lt = lyapunov_trace(result.slope_trace, s0.rho, s0.u, sc.model)
+        lt = lyapunov_trace(trace, s0.rho, s0.u, sc.model)
         doc["lyapunov"] = {
             "beta": lt.beta,
             "c1": lt.c1,
@@ -214,6 +224,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
             "monotone": is_monotone(ens),
             "sign_preserved": sign_preserved(ens, s0.rho),
             "min_jacobian": float(np.exp(ens.log_qx.min())),
+            "max_jacobian": float(ens.qx.max()),
         }
     else:
         doc["characteristics"] = None

@@ -41,7 +41,6 @@ from .stepping import SimConfig, run, step_rk4
 
 __all__ = [
     "kernel_quadrature",
-    "integrate_riccati",
     "threshold_algebra",
     "sharp_kernel_ratio",
     "poincare_margin",
@@ -66,7 +65,7 @@ def kernel_quadrature(values, grid: PeriodicGrid, kernel_fn, m: int = 8192):
     return gram @ vy / m
 
 
-def integrate_riccati(c: float, k: float, y0: float, y_stop: float = -1.0e6) -> float:
+def _integrate_riccati(c: float, k: float, y0: float, y_stop: float = -1.0e6) -> float:
     """RK4 integration of y' = -c y^2 + k until y falls through y_stop."""
     def f(y):
         return -c * y * y + k
@@ -205,7 +204,7 @@ def riccati_ratio(rng: np.random.Generator, draws: int) -> float:
         k = float(rng.uniform(0.0, 4.0))
         y0 = -np.sqrt(k / c) * float(rng.uniform(1.2, 4.0)) - 0.1
         bound = riccati_blowup_time(c, k, y0)
-        worst = max(worst, integrate_riccati(c, k, y0) / bound)
+        worst = max(worst, _integrate_riccati(c, k, y0) / bound)
     return worst
 
 

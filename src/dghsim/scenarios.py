@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .criteria import DEFAULT_EPS_LIST, threshold_sharp
+from .criteria import threshold_sharp
 from .grid import ConfigError, PeriodicGrid, deriv_values
 from .model import ModelParams, State, energy_e0
 from .stepping import SimConfig
@@ -297,7 +297,6 @@ class Scenario:
     family_params: tuple[tuple[str, object], ...]
     model: ModelParams
     sim: SimConfig
-    eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     characteristics: bool = False
     characteristic_count: int = 64
 
@@ -311,13 +310,6 @@ class Scenario:
             )
         merged = _merge_family_params(self.family, dict(self.family_params))
         object.__setattr__(self, "family_params", tuple(merged.items()))
-        object.__setattr__(
-            self, "eps_list", tuple(float(e) for e in self.eps_list)
-        )
-        if not all(e > 0.0 for e in self.eps_list):
-            raise ConfigError(
-                f"entries must be positive, got {self.eps_list}", "eps_list"
-            )
         if not self.characteristic_count >= 2:
             raise ConfigError(
                 f"must be at least 2, got {self.characteristic_count}",
@@ -384,10 +376,8 @@ _KEYS: dict[str, tuple] = {
     "sim.n": (_to_int_at_most(MAX_GRID_SIZE), None),
     "sim.t_end": (_to_float, None),
     "sim.cfl": (_to_float, None),
-    "sim.slope_dt_factor": (_to_float, None),
     "sim.record_every": (_to_int, None),
     "sim.snapshot_times": (_to_float_tuple, None),
-    "criteria.eps_list": (_to_float_tuple, "eps_list"),
     "characteristics.enabled": (_to_bool, "characteristics"),
     "characteristics.count": (
         _to_int_at_most(MAX_CHARACTERISTICS), "characteristic_count"

@@ -4,13 +4,13 @@ The step size tracks both the advective CFL limit and the steepness of
 the solution:
 
     dt = min(cfl dx / max(max|u - gamma|, 1e-8),
-             slope_dt_factor / max(|min u_x|, 1),  time remaining)
+             SLOPE_DT_FACTOR / max(|min u_x|, 1),  time remaining)
 
-where min u_x is the refined slope minimum the run has just traced.  As
-the minimal slope dives, steps shrink in proportion, so a genuine blow-up
-is followed in a controlled geometric cascade until the grid can no
-longer resolve it; the two floors keep a quiescent or slowly varying
-state from asking for an unbounded step.
+where SLOPE_DT_FACTOR = 0.05 and min u_x is the refined slope minimum
+the run has just traced.  As the minimal slope dives, steps shrink in
+proportion, so a genuine blow-up is followed in a controlled geometric
+cascade until the grid can no longer resolve it; the two floors keep a
+quiescent or slowly varying state from asking for an unbounded step.
 
 Runs terminate with one of four causes:
 
@@ -97,7 +97,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -136,6 +136,7 @@ __all__ = [
     "TERM_RESOLUTION_LOST",
     "TERM_NONFINITE",
     "E0_DRIFT_TOL",
+    "SLOPE_DT_FACTOR",
 ]
 
 TERM_REACHED_END = "ReachedEnd"
@@ -150,6 +151,8 @@ TERM_NONFINITE = "NonFiniteState"
 # coarse enough can still pass it on smooth data; that run then ends in
 # ResolutionLost.
 E0_DRIFT_TOL = 1.0e-4
+# the slope limit of the step size: dt <= SLOPE_DT_FACTOR / max(|min u_x|, 1)
+SLOPE_DT_FACTOR = 0.05
 
 SERIES_COLUMNS = ("t", "E0", "meanU", "hamE", "hamF", "minUx", "xi", "alpha", "dt")
 
@@ -163,7 +166,6 @@ class SimConfig:
     n: int
     t_end: float
     cfl: float = 0.3
-    slope_dt_factor: float = 0.05
     record_every: int = 10
     snapshot_times: tuple[float, ...] = ()
 
@@ -173,8 +175,6 @@ class SimConfig:
         for name, inside, rule in (
             ("t_end", 0.0 < self.t_end < math.inf, "positive and finite"),
             ("cfl", 0.0 < self.cfl <= 1.0, "in (0, 1]"),
-            ("slope_dt_factor", 0.0 < self.slope_dt_factor < math.inf,
-             "positive and finite"),
             ("record_every", self.record_every >= 1, "at least 1"),
         ):
             if not inside:
@@ -217,7 +217,7 @@ def adaptive_dt(
         float(np.maximum.reduce(u)) - p.gamma, p.gamma - float(np.minimum.reduce(u))
     )
     dt_advect = c.cfl * dx / max(speed, 1.0e-8)
-    dt_slope = c.slope_dt_factor / max(abs(min_slope), 1.0)
+    dt_slope = SLOPE_DT_FACTOR / max(abs(min_slope), 1.0)
     return min(dt_advect, dt_slope, t_remaining)
 
 
@@ -232,16 +232,6 @@ def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
     return y[:, : 2 * n + 4].view(complex).reshape(len(y), 2, -1)
 
 
-@lru_cache(maxsize=8)
-def _value_and_slope(grid: PeriodicGrid) -> np.ndarray:
-    """The rows (1, ik) that turn the coefficients of u into those of u and
-    u_x."""
-    rows = np.ones((2, grid.n // 2 + 1), dtype=complex)
-    rows[1] = grid.ik
-    rows.flags.writeable = False
-    return rows
-
-
 class _Workspace:
     """Every array a lockstep group's step writes but its new state, for
     the members with the ModelParams in params on one grid, each with
@@ -253,12 +243,13 @@ class _Workspace:
     coefficient views that rhs_coeffs reads and writes.  With
     characteristics it also holds the grid.InterpWork of the group, whose
     one phase table serves the observation (rows u, u_x, rho) and stages 2
-    to 4 (rows u, u_x), which are never live at once; the (members, 2,
-    n/2 + 1) array of the coefficients of (u, u_x) at a stage; each rate's
-    view of its rates of (q, lq), shape (members, 2, K); and the stage's
-    view of its positions.  The lockstep driver builds one when the group
-    forms and one each time members leave it, so parameters and arrays
-    cannot disagree; step_rk4 builds one per call.
+    to 4 (rows u, u_x), which are never live at once; the rows (1, ik)
+    that turn a stage's coefficients of u into those of (u, u_x), and the
+    (members, 2, n/2 + 1) array they fill; each rate's view of its rates
+    of (q, lq), shape (members, 2, K); and the stage's view of its
+    positions.  The lockstep driver builds one when the group forms and
+    one each time members leave it, so parameters and arrays cannot
+    disagree; step_rk4 builds one per call.
     """
 
     def __init__(
@@ -280,7 +271,7 @@ class _Workspace:
         self.interp = None
         if count is not None:
             self.interp = InterpWork(n // 2, members, count, (2, 3))
-            self.value_and_slope = _value_and_slope(grid)
+            self.value_and_slope = np.stack((np.ones_like(grid.ik), grid.ik))
             self.stage_u = self.stage_coefficients[:, :1]
             self.stage_slope = np.empty((members, 2, n // 2 + 1), dtype=complex)
             self.rate_at_q = [k[:, head:].reshape(members, 2, count) for k in self.rates]

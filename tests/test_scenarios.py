@@ -179,7 +179,6 @@ def test_parse_full_config():
     assert sc.params == {"r0": 2.0, "ru": 1.0}  # defaults merged in
     assert sc.model == ModelParams(A=1.0, gamma=0.0)
     assert sc.sim == SimConfig(n=128, t_end=1.5)
-    assert sc.eps_list == (0.1, 1.0, 10.0)
     assert not sc.characteristics
 
 
@@ -187,14 +186,12 @@ def test_parse_optional_sections():
     text = BASE_CONFIG + """
 sim.cfl = 0.2
 sim.snapshot_times = 0.0, 0.5, 1.5
-criteria.eps_list = 0.5, 2.0
 characteristics.enabled = true
 characteristics.count = 32
 """
     sc = parse(text)
     assert sc.sim.cfl == 0.2
     assert sc.sim.snapshot_times == (0.0, 0.5, 1.5)
-    assert sc.eps_list == (0.5, 2.0)
     assert sc.characteristics and sc.characteristic_count == 32
 
 
@@ -238,8 +235,6 @@ def test_bad_values_are_config_errors():
     # constraint violations surface as ConfigError too, not bare ValueError
     with pytest.raises(ConfigError):
         parse(BASE_CONFIG.replace("sim.t_end       = 1.5", "sim.t_end = -1"))
-    with pytest.raises(ConfigError):
-        parse(BASE_CONFIG + "criteria.eps_list = 0.0, 1.0\n")
 
 
 def test_size_limits_are_inclusive():
@@ -315,8 +310,8 @@ def test_resolved_config_echo():
     }
     assert doc["sim"]["n"] == 128
     assert doc["sim"]["snapshot_times"] == [0.5, 1.0]
-    assert doc["criteria"]["eps_list"] == [0.1, 1.0, 10.0]
     assert doc["characteristics"] == {"enabled": False, "count": 64}
+    assert list(doc) == ["scenario", "model", "sim", "characteristics"]
     # the echo names exactly the sim keys a config may set, so a retired
     # key cannot linger in report.json
     assert {f"sim.{k}" for k in doc["sim"]} == {k for k in _KEYS if k[:4] == "sim."}

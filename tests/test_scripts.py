@@ -26,17 +26,6 @@ BOUND_64 = f"{_riccati_t(64):.4f}"
 
 # script -> (arguments, line fragments its output must contain)
 RUNS = {
-    "global_existence_demo": (
-        ["--n", "32", "--t-end", "0.2", "--seeds", "4"], ["ReachedEnd at t = 0.2"]
-    ),
-    "breaking_wave_demo": (
-        ["--n", "64"],
-        [
-            "BlowupDetected",
-            f"Riccati blow-up time bound: {BOUND_64}",
-            "within bound: True",
-        ],
-    ),
     # the E0 guard ends the n = 64 dive above twice the fit cutoff; the
     # window then holds every sample past the cutoff, and the row a rate
     "rate_resolution_study": (
