@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +79,34 @@ EXIT_NUMERIC = 4
 MAX_SWEEP_COUNT = 1000
 
 
+# rows per formatting pass; a file is written one block at a time, so
+# its whole text is never held at once
+_CSV_BLOCK = 1024
+
+
 def _write_csv(path: Path, header, rows: np.ndarray, lead=None) -> None:
-    """Write rows under header; lead, if given, yields each line's first
-    columns as formatted text."""
-    # tolist() gives Python floats, whose repr is the round-trip form
-    body = (",".join(map(repr, row)) for row in rows.tolist())
+    """Write rows under header; lead, if given, holds each line's first
+    columns as formatted text.
+
+    Each block of _CSV_BLOCK rows is formatted by one % pass of the line
+    template repeated, over the block's values as Python floats, whose
+    %r is the shortest round-trip repr.  A value that many lines share,
+    such as a record time or a grid node, is formatted once by the
+    caller, into lead.
+    """
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
     if lead is not None:
-        body = map(str.__add__, lead, body)
-    lines = [",".join(header), *body]
-    # map stops on lead and leaves the row generator, and the floats it
-    # holds, unfinished: let them go before the join
-    del body
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        line = "%s" + line
+    with path.open("w", encoding="ascii") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK]
+            if lead is None:
+                values = block.ravel().tolist()
+            else:
+                heads = lead[start : start + _CSV_BLOCK]
+                values = chain.from_iterable(zip(heads, *block.T.tolist()))
+            f.write((line * len(block)) % tuple(values))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -236,17 +253,18 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         used: set = set()
-        x = s0.grid.nodes
+        # the grid nodes, formatted once for every snapshot
+        nodes = [f"{x!r}," for x in s0.grid.nodes.tolist()]
         for t, st in result.snapshots:
             name = _snapshot_name(t, used)
-            rows = np.column_stack([x, st.u, st.rho])
-            _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows)
+            rows = np.column_stack([st.u, st.rho])
+            _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows, nodes)
     if result.ensemble is not None:
         ens = result.ensemble
         # long format: one row per (record time, seed), times outermost;
         # each time and each seed is formatted once
-        seeds = [f"{s!r}," for s in ens.seeds.tolist()]
-        lead = (f"{t!r},{s}" for t in ens.times.tolist() for s in seeds)
+        seeds = [f",{s!r}," for s in ens.seeds.tolist()]
+        lead = [t + s for t in map(repr, ens.times.tolist()) for s in seeds]
         rows = np.column_stack([ens.q.ravel(), ens.qx.ravel(), ens.rho_q.ravel()])
         _write_csv(
             out_dir / "characteristics.csv",

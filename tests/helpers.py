@@ -1,7 +1,8 @@
 """Shared test references: finite differences, dense-grid extrema,
-trig-polynomial builders, and the physical-space reference forms of the
-spectral kernels used across the suite.  The quadrature convolution lives
-in dghsim.oracles, which the selftest shares."""
+trig-polynomial builders, the physical-space reference forms of the
+spectral kernels used across the suite, and the per-row CSV formatter.
+The quadrature convolution lives in dghsim.oracles, which the selftest
+shares."""
 
 import math
 from fractions import Fraction
@@ -109,3 +110,13 @@ def trig_sum_exact(c, x):
         w = 1.0 if k in (0, half) else 2.0
         terms += [w * ck.real * math.cos(phase), -w * ck.imag * math.sin(phase)]
     return math.fsum(terms)
+
+
+def csv_text_reference(header, rows, lead=None):
+    """The text of a CSV artifact formatted row by row: each row's floats
+    joined by ",".join(map(repr, row)), after its lead text if lead is
+    given, one line each."""
+    body = (",".join(map(repr, row)) for row in np.asarray(rows).tolist())
+    if lead is not None:
+        body = map(str.__add__, lead, body)
+    return "\n".join([",".join(header), *body]) + "\n"

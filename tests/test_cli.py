@@ -26,6 +26,7 @@ from dghsim.cli import (
 from dghsim.characteristics import default_seeds
 from dghsim.scenarios import ConfigError
 from dghsim.stepping import SERIES_COLUMNS, run
+from helpers import csv_text_reference
 
 SMOOTH_CONFIG = """\
 scenario.family = global41
@@ -164,16 +165,21 @@ def test_reruns_are_byte_identical(smooth_cfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(smooth_cfg), "--out-dir", str(out1), "--quiet"]) == EXIT_OK
     assert main(["run", str(smooth_cfg), "--out-dir", str(out2), "--quiet"]) == EXIT_OK
-    for name in ("series.csv", "report.json", "characteristics.csv"):
+    snapshots = sorted(p.name for p in (out1 / "snapshots").iterdir())
+    assert snapshots == ["t_0.2.csv", "t_0.4.csv", "t_0.csv"]
+    for name in ("series.csv", "report.json", "characteristics.csv",
+                 *(f"snapshots/{s}" for s in snapshots)):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
-    # reference: one repr(float(x)) per value, characteristics row by row
+    # reference: one repr(float(x)) per value, characteristics and
+    # snapshots row by row
     out = tmp_path / "out"
     assert main(["run", str(smooth_cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
     sc = scenarios.scenario_from_entries(scenarios.parse_config_entries(SMOOTH_CONFIG))
-    res = run(sc.build_state(), sc.model, sc.sim, seeds=default_seeds(16))
+    s0 = sc.build_state()
+    res = run(s0, sc.model, sc.sim, seeds=default_seeds(16))
     ens = res.ensemble
 
     def text(header, rows):
@@ -190,6 +196,36 @@ def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
     assert (out / "characteristics.csv").read_text() == text(
         ("t", "seed", "q", "qx", "rho_q"), chars
     )
+    assert [t for t, _ in res.snapshots] == [0.0, 0.2, 0.4]
+    for name, (_, st) in zip(("t_0", "t_0.2", "t_0.4"), res.snapshots):
+        assert (out / "snapshots" / f"{name}.csv").read_text() == text(
+            ("x", "u", "rho"), zip(s0.grid.nodes, st.u, st.rho)
+        )
+
+
+# floats at the edges of repr's forms: signed zeros, the switch to
+# exponent form at 1e-4 and 1e16, the smallest subnormal and normal floats
+# and the largest float, with their negatives
+CSV_FLOATS = [
+    0.0, 1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+CSV_FLOATS += [-v for v in CSV_FLOATS]
+
+
+@pytest.mark.parametrize("count", [len(CSV_FLOATS), 2 * cli._CSV_BLOCK + 5])
+@pytest.mark.parametrize("with_lead", [False, True])
+def test_write_csv_matches_the_per_row_formatter(tmp_path, count, with_lead):
+    # cycling the floats through three columns puts each in every column;
+    # the larger count spans three blocks, the last one partial
+    values = np.resize(np.asarray(CSV_FLOATS), 3 * count).reshape(count, 3)
+    header, lead = ("a", "b", "c"), None
+    if with_lead:
+        header = ("i", "v", *header)
+        lead = [f"{i!r},{v!r}," for i, v in enumerate(values[:, 0].tolist())]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, header, values, lead)
+    assert path.read_bytes() == csv_text_reference(header, values, lead).encode("ascii")
 
 
 def test_run_quiet_suppresses_output(smooth_cfg, tmp_path, capsys):
@@ -769,6 +805,32 @@ def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
     ]
     assert len(set(steps)) > 1
     # step 0 and the state after each lockstep step, one pass each
+    assert calls == [sum(s >= j for s in steps) for j in range(max(steps) + 1)]
+
+
+def test_sweep_reads_alpha_once_per_group_step(tmp_path, monkeypatch):
+    # the driver evaluates rho at every member's slope minimum with one
+    # interp_point call over the stacked rows, step 0 included
+    calls = []
+    real = stepping.interp_point
+
+    def counted(c, x):
+        calls.append(len(c))
+        return real(c, x)
+
+    monkeypatch.setattr(stepping, "interp_point", counted)
+    cfg = tmp_path / "lock.cfg"
+    cfg.write_text(LOCKSTEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", str(cfg), "--param", "scenario.ru=0.5:2.0:4",
+        "--out-dir", str(out), "--quiet",
+    ]) == EXIT_OK
+    steps = [
+        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
+        for i in range(4)
+    ]
+    assert len(set(steps)) > 1
     assert calls == [sum(s >= j for s in steps) for j in range(max(steps) + 1)]
 
 
