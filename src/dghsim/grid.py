@@ -46,10 +46,7 @@ interp_values is one forward transform followed by interp_blocks with
 one block, on a work built for the call.  A single point needs no
 doubling: interp_point forms its one weighted exponential row directly,
 from each mode's phase reduced to under one turn without rounding error
-that grows with k or |x|.  It also takes a leading row axis, one point
-per row: one exponential table for every row, and each row's own dot
-product with its table row, so each value is bit for bit its row's
-single call.
+that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -374,24 +371,10 @@ def _mode_numbers(half: int) -> np.ndarray:
     return k
 
 
-def _veltkamp(x: float) -> tuple[float, float]:
-    """x as head + tail, the head of at most 26 significant bits."""
-    t = 134217729.0 * x  # 2^27 + 1: Veltkamp's split
-    head = t - (t - x)
-    return head, x - head
-
-
-def interp_point(c: np.ndarray, x):
-    """Evaluate the trig polynomial of rfft coefficients c (in the layout
-    interp_blocks reads) at one point per row: one weighted exponential
-    row per point and one dot product each.
-
-    c is one row, shape (n/2 + 1,), with x a float, and the result is a
-    Python float; or c is a stack of rows, shape (rows, n/2 + 1), with x a
-    sequence of one point per row, and the result a list of Python
-    floats.  A stack fills one exponential table for all its rows and
-    takes each row's own 1-D dot product, so each entry is bit for bit
-    that row's 1-D call; a stack of one row makes that call.
+def interp_point(c: np.ndarray, x: float) -> float:
+    """Evaluate the trig polynomial of one row of rfft coefficients c (in
+    the layout interp_blocks reads) at one point x: one weighted
+    exponential row and one dot product.
 
     Mode k's phase is k x in turns less its nearest integer.  x splits into
     a head of at most 26 significant bits and the tail x - head, so k times
@@ -401,30 +384,16 @@ def interp_point(c: np.ndarray, x):
     result is as accurate as the sum itself allows.
     """
     half = c.shape[-1] - 1
+    t = 134217729.0 * x  # 2^27 + 1: Veltkamp's split
+    head = t - (t - x)
     k = _mode_numbers(half)
-    if c.ndim == 1:
-        head, tail = _veltkamp(x)
-        turns = k * head
-        turns -= np.rint(turns)
-        turns += k * tail
-        row = np.exp((2j * np.pi) * turns)
-        row[0] = 0.5
-        row[half] *= 0.5
-        return 2.0 * float((c @ row).real)
-    if len(c) == 1:
-        # the table's indexing and the row loop cost more than they share
-        return [interp_point(c[0], x[0])]
-    # k times the head and the tail of each point, shape (rows, 2, half + 1)
-    parts = np.multiply.outer([_veltkamp(point) for point in x], k)
-    turns = parts[:, 0]
+    turns = k * head
     turns -= np.rint(turns)
-    turns += parts[:, 1]
-    values = []
-    for row, z in zip(c, np.exp((2j * np.pi) * turns)):
-        z[0] = 0.5
-        z[half] *= 0.5
-        values.append(2.0 * float((row @ z).real))
-    return values
+    turns += k * (x - head)
+    row = np.exp((2j * np.pi) * turns)
+    row[0] = 0.5
+    row[half] *= 0.5
+    return 2.0 * float((c @ row).real)
 
 
 def helmholtz_convolve(v: np.ndarray) -> np.ndarray:

@@ -56,9 +56,9 @@ with one more interp_blocks call, so a step with characteristics fills
 four phase tables and a record none.  The observation and the stages
 are never live at once, so they fill the one table of the workspace's
 grid.InterpWork, in which every array those calls write was built with
-the group.  alpha = rho(xi) at each member's slope minimum xi comes from
-one grid.interp_point call over the group's stacked rho rows, one
-exponential table for all of them, with or without characteristics.
+the group.  alpha = rho(xi) at the slope
+minimum comes from grid.interp_point, one exponential row, with or
+without characteristics.
 
 Step 0 starts from the given samples: u_x is their spectral derivative,
 and one batched forward transform of (u, u_x, rho) gives the rows, whose
@@ -74,8 +74,7 @@ symbols per member's A and gamma, and the columns of A and gamma that
 the cubic invariant reads, built when the group forms and rebuilt when a
 member leaves; it advances them with one _advance call per step, with
 one dt per member, and observes them with one inverse transform, one E0
-expression and reduction, one refined_min per member and one
-interp_point call for alpha and, with characteristics, one interp_blocks
+expression and reduction and, with characteristics, one interp_blocks
 call for the whole group.  The record invariants (meanU, hamE, hamF) are
 one pass over the stacked arrays as well, with one 2n inverse transform
 for the cubic one: the first member that records on a step makes it for
@@ -83,14 +82,14 @@ every member, and the others read their entries, so a single run, a
 group of one, makes it only on the steps it records.  Only the driver
 and _advance know the flat layout of the state.  Each member is a
 generator that keeps its run's scalars: it is sent views of its own
-slice of the group's arrays, its slope minimum m, xi and alpha, its E0
-and its record entries, reads nothing off-grid, and yields its next dt,
-or has NonFiniteStateError thrown into it, so the slope trace, the step
-size, records, snapshots, the E0 guard and termination stay one scalar
-code path per member.  The group's transforms, products and sums are the
-ones each member makes alone, so a member's result is bit for bit its
-single run's.  Finiteness is checked per member, so a member that fails
-leaves the group and the others run on.
+slice of the group's arrays, its E0 and its record entries, and yields
+its next dt, or has NonFiniteStateError thrown into it, so the slope
+minimum, alpha, the step size, records, snapshots, the E0 guard and
+termination stay one scalar code path per member.  The group's
+transforms, products and sums are the ones each member makes alone, so a
+member's result is bit for bit its single run's.  Finiteness is checked
+per member, so a member that fails leaves the group and the others run
+on.
 """
 
 from __future__ import annotations
@@ -363,19 +362,19 @@ def _member(
 ):
     """One run as a generator over its slice of its group's arrays.
 
-    It is sent (samples, slope, chars, e0, invariants) for each state its
-    run reaches, step 0 first: a view of the samples of (u, u_x, rho),
-    shape (3, n); the state's refined slope minimum m, its place xi and
-    alpha = rho(xi), as floats; with seeds the positions q, the
-    log-Jacobians lq and rho(q), each of shape (K,), or None without; the
-    state's E0; and a callable that returns the record invariants (meanU,
-    hamE, hamF) of that state.  It yields each step's dt and is sent the
-    state that step reached, or has NonFiniteStateError thrown into it.
-    It returns the run's SimResult.  It makes no transform, computes no
-    invariant, reads nothing off-grid, and keeps only its run's scalars.
+    It is sent (samples, rows, chars, e0, invariants) for each state its
+    run reaches, step 0 first: views of the samples of (u, u_x, rho),
+    shape (3, n), and of their coefficient rows, shape (3, n/2 + 1), with
+    seeds the positions q, the log-Jacobians lq and rho(q), each of shape
+    (K,), or None without, the state's E0, and a callable that returns
+    the record invariants (meanU, hamE, hamF) of that state.  It yields
+    each step's dt and is sent the state that step reached, or has
+    NonFiniteStateError thrown into it.  It returns the run's SimResult.
+    It makes no transform, computes no invariant, and reads off-grid only
+    alpha.
     """
-    samples, slope, chars, e0, invariants = yield
-    u, _, rho = samples
+    samples, rows, chars, e0, invariants = yield
+    u, ux, rho = samples
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
@@ -394,11 +393,11 @@ def _member(
     ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
     def observe() -> None:
-        m, xi, alpha = slope
+        m, xi = refined_min(ux, grid.dx)
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
-        trace_alpha.append(alpha)
+        trace_alpha.append(interp_point(rows[2], xi))
 
     def record(dt_next: float) -> None:
         nonlocal last_recorded
@@ -447,12 +446,12 @@ def _member(
             break
 
         try:
-            samples, slope, chars, e0, invariants = yield dt
+            samples, rows, chars, e0, invariants = yield dt
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
-        u, _, rho = samples
+        u, ux, rho = samples
 
         if hit_snapshot:
             t = snaps_due.popleft()
@@ -568,17 +567,15 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     step, with that workspace and a column of one dt per member.  After
     each step it makes one batched inverse transform of the rows (c_u,
     ik c_u, c_rho) to the samples of (u, u_x, rho), takes every member's
-    E0 with one energy_e0 call, each member's refined slope minimum m and
-    its place xi with one refined_min call on its u_x row, every member's
-    alpha = rho(xi) with one interp_point call over the stacked rho rows,
-    and with characteristics makes one interp_blocks call for (u, u_x,
-    rho) at q on the workspace's InterpWork.  Each member is sent views of
-    its own slice of these arrays, which are new each step, its (m, xi,
-    alpha), its E0 and its entry of the step's _record_pass; a member
-    that ends, or whose row is not finite, leaves the group: its row of
-    the state and its parameters are dropped, and the workspace is
-    rebuilt, on the same line, from the parameters that stay, so no array
-    of a step is sized or parameterised for members that have left.
+    E0 with one energy_e0 call, and with characteristics makes one
+    interp_blocks call for (u, u_x, rho) at q on the workspace's
+    InterpWork.  Each member is sent views of its own slice of these
+    arrays, which are new each step, its E0 and its entry of the step's
+    _record_pass; a member that ends, or whose row is not finite, leaves
+    the group: its row of the state and its parameters are dropped, and
+    the workspace is rebuilt, on the same line, from the parameters that
+    stay, so no array of a step is sized or parameterised for members
+    that have left.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -613,8 +610,6 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             e0 = energy_e0(*samples.transpose(1, 0, 2))
             invariants = _record_pass(samples, rows, e0, work)
             e0s = e0.tolist()
-            ms, xis = zip(*[refined_min(ux, grid.dx) for ux in samples[:, 1]])
-            alphas = interp_point(rows[:, 2], xis)
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
                 chars = None if count is None else (
@@ -623,8 +618,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                 try:
                     if finite[j]:
                         dts.append(member.send(
-                            (samples[j], (ms[j], xis[j], alphas[j]), chars, e0s[j],
-                             partial(invariants, j))
+                            (samples[j], rows[j], chars, e0s[j], partial(invariants, j))
                         ))
                     else:
                         member.throw(

@@ -1,6 +1,6 @@
 """Shared test references: finite differences, dense-grid extrema,
 trig-polynomial builders, the physical-space reference forms of the
-spectral kernels used across the suite, and the per-row CSV formatter.
+spectral kernels used across the suite, and the reference CSV formatter.
 The quadrature convolution lives in dghsim.oracles, which the selftest
 shares."""
 
@@ -112,11 +112,9 @@ def trig_sum_exact(c, x):
     return math.fsum(terms)
 
 
-def csv_text_reference(header, rows, lead=None):
-    """The text of a CSV artifact formatted row by row: each row's floats
-    joined by ",".join(map(repr, row)), after its lead text if lead is
-    given, one line each."""
-    body = (",".join(map(repr, row)) for row in np.asarray(rows).tolist())
-    if lead is not None:
-        body = map(str.__add__, lead, body)
-    return "\n".join([",".join(header), *body]) + "\n"
+def csv_text_reference(header, rows):
+    """The text of a CSV artifact formatted value by value: one line per
+    row, each value as repr(float(v)), joined by commas."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -181,24 +181,18 @@ def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
     s0 = sc.build_state()
     res = run(s0, sc.model, sc.sim, seeds=default_seeds(16))
     ens = res.ensemble
-
-    def text(header, rows):
-        lines = [",".join(header)]
-        lines += [",".join(repr(float(v)) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-
     chars = [
         (t, seed, ens.q[i, j], np.exp(ens.log_qx[i, j]), ens.rho_q[i, j])
         for i, t in enumerate(ens.times)
         for j, seed in enumerate(ens.seeds)
     ]
-    assert (out / "series.csv").read_text() == text(SERIES_COLUMNS, res.series)
-    assert (out / "characteristics.csv").read_text() == text(
+    assert (out / "series.csv").read_text() == csv_text_reference(SERIES_COLUMNS, res.series)
+    assert (out / "characteristics.csv").read_text() == csv_text_reference(
         ("t", "seed", "q", "qx", "rho_q"), chars
     )
     assert [t for t, _ in res.snapshots] == [0.0, 0.2, 0.4]
     for name, (_, st) in zip(("t_0", "t_0.2", "t_0.4"), res.snapshots):
-        assert (out / "snapshots" / f"{name}.csv").read_text() == text(
+        assert (out / "snapshots" / f"{name}.csv").read_text() == csv_text_reference(
             ("x", "u", "rho"), zip(s0.grid.nodes, st.u, st.rho)
         )
 
@@ -215,17 +209,19 @@ CSV_FLOATS += [-v for v in CSV_FLOATS]
 
 @pytest.mark.parametrize("count", [len(CSV_FLOATS), 2 * cli._CSV_BLOCK + 5])
 @pytest.mark.parametrize("with_lead", [False, True])
-def test_write_csv_matches_the_per_row_formatter(tmp_path, count, with_lead):
+def test_write_csv_matches_the_reference_formatter(tmp_path, count, with_lead):
     # cycling the floats through three columns puts each in every column;
-    # the larger count spans three blocks, the last one partial
+    # the larger count spans three blocks, the last one partial; with a
+    # lead, the first column goes in as formatted text
     values = np.resize(np.asarray(CSV_FLOATS), 3 * count).reshape(count, 3)
-    header, lead = ("a", "b", "c"), None
-    if with_lead:
-        header = ("i", "v", *header)
-        lead = [f"{i!r},{v!r}," for i, v in enumerate(values[:, 0].tolist())]
+    header = ("a", "b", "c")
     path = tmp_path / "rows.csv"
-    cli._write_csv(path, header, values, lead)
-    assert path.read_bytes() == csv_text_reference(header, values, lead).encode("ascii")
+    if with_lead:
+        lead = [f"{v!r}," for v in values[:, 0].tolist()]
+        cli._write_csv(path, header, values[:, 1:], lead)
+    else:
+        cli._write_csv(path, header, values)
+    assert path.read_bytes() == csv_text_reference(header, values).encode("ascii")
 
 
 def test_run_quiet_suppresses_output(smooth_cfg, tmp_path, capsys):
@@ -805,32 +801,6 @@ def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
     ]
     assert len(set(steps)) > 1
     # step 0 and the state after each lockstep step, one pass each
-    assert calls == [sum(s >= j for s in steps) for j in range(max(steps) + 1)]
-
-
-def test_sweep_reads_alpha_once_per_group_step(tmp_path, monkeypatch):
-    # the driver evaluates rho at every member's slope minimum with one
-    # interp_point call over the stacked rows, step 0 included
-    calls = []
-    real = stepping.interp_point
-
-    def counted(c, x):
-        calls.append(len(c))
-        return real(c, x)
-
-    monkeypatch.setattr(stepping, "interp_point", counted)
-    cfg = tmp_path / "lock.cfg"
-    cfg.write_text(LOCKSTEP_CONFIG)
-    out = tmp_path / "sweep"
-    assert main([
-        "sweep", str(cfg), "--param", "scenario.ru=0.5:2.0:4",
-        "--out-dir", str(out), "--quiet",
-    ]) == EXIT_OK
-    steps = [
-        json.loads((out / f"lock__{i:03d}" / "report.json").read_text())["run"]["steps"]
-        for i in range(4)
-    ]
-    assert len(set(steps)) > 1
     assert calls == [sum(s >= j for s in steps) for j in range(max(steps) + 1)]
 
 

@@ -229,24 +229,6 @@ def test_interp_point_matches_interp_coeffs(n, x):
     assert abs(block - exact) <= 2e-12 * np.max(np.abs(c))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 6])
-@pytest.mark.parametrize("scale", [1.0, 1.0e3])
-@pytest.mark.parametrize("n", [8, 10, 128, 1024])
-def test_interp_point_rows_equal_their_own_calls(n, scale, rows):
-    # a stack of rows, one point each, shares one exponential table and
-    # takes each row's own dot product: every entry is its 1-D call's
-    # float, bit for bit, and a 1-D call still gives a Python float
-    r = np.random.default_rng(n)
-    c = np.fft.rfft(r.normal(size=(rows, n)), norm="forward")
-    xs = r.uniform(-0.7, 1.3, rows)
-    if scale != 1.0:
-        xs = np.copysign(scale, xs - 0.3) + xs
-    got = interp_point(c, xs.tolist())
-    alone = [interp_point(row, x) for row, x in zip(c, xs.tolist())]
-    assert all(type(v) is float for v in alone)
-    assert np.array(got).tobytes() == np.array(alone).tobytes()
-
-
 @pytest.mark.parametrize("count", [2, 16])
 @pytest.mark.parametrize("n", [64, 1024])
 def test_interp_blocks_block_equals_its_own_call(n, count):
