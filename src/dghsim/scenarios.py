@@ -226,16 +226,13 @@ def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
     return State(grid, *_initial_arrays(family, params, grid))
 
 
-def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
-    """(u, rho, E0) of a family's initial data, or a config error naming
-    the family and its parameters, by value and as its keys, when E0 is
-    not finite or too large.
+def _check_energy(family: str, params: dict, e0: float) -> None:
+    """Raise a config error naming the family and its parameters, by value
+    and as its keys, when the initial energy E0 is not finite or too large.
 
-    Callers run this with numpy overflow warnings silenced, so data past
+    Callers compute E0 with numpy overflow warnings silenced, so data past
     the range reports here and nowhere else.
     """
-    u, rho = _initial_arrays(family, params, grid)
-    e0 = energy_e0(u, deriv_values(u, 1), rho)
     if not e0 <= _MAX_ENERGY:
         shown = ", ".join(f"{k} = {v!r}" for k, v in params.items())
         raise ConfigError(
@@ -243,7 +240,6 @@ def _checked_energy(family: str, params: dict, grid: PeriodicGrid):
             f"beyond {_MAX_ENERGY:.3g}",
             tuple(params),
         )
-    return u, rho, e0
 
 
 def solve_blowup_amplitude(
@@ -256,15 +252,25 @@ def solve_blowup_amplitude(
     a - margin |threshold| is negative near 0 (the sqrt(E0) term dominates)
     and positive once a outruns the threshold's linear growth, so bisection
     on a bracket found by doubling converges unconditionally.
+
+    E0 is quadratic in a: u = (a/2pi) sin(2pi x) scales with a, and rho
+    does not depend on it.  So E0(a) = a^2 e_u + e_rho, where e_u is the
+    energy of u and u_x at a = 1 and e_rho that of rho, both sampled once
+    on the n-point grid, and each trial costs one float expression.  The
+    energies are sampled, not taken in closed form, so that a stays the
+    root for the grid the run samples its data on.
     """
-    grid = PeriodicGrid(n)
-
-    def overshoot(a: float) -> float:
-        _, _, e0 = _checked_energy("blowup31", {"a": a, "b": b}, grid)
-        th = threshold_sharp(e0, model.gamma, model.A)
-        return a - margin * abs(th)
-
     with np.errstate(over="ignore", invalid="ignore"):
+        u1, rho = _initial_arrays("blowup31", {"a": 1.0, "b": b}, PeriodicGrid(n))
+        e_u = energy_e0(u1, deriv_values(u1, 1), 0.0)
+        e_rho = energy_e0(0.0, 0.0, rho)
+
+        def overshoot(a: float) -> float:
+            e0 = a * a * e_u + e_rho
+            _check_energy("blowup31", {"a": a, "b": b}, e0)
+            th = threshold_sharp(e0, model.gamma, model.A)
+            return a - margin * abs(th)
+
         hi = 1.0
         for _ in range(64):
             if overshoot(hi) > 0.0:
@@ -338,7 +344,9 @@ class Scenario:
         grid = PeriodicGrid(self.sim.n)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                u, rho, _ = _checked_energy(self.family, self.params, grid)
+                u, rho = _initial_arrays(self.family, self.params, grid)
+                e0 = energy_e0(u, deriv_values(u, 1), rho)
+            _check_energy(self.family, self.params, e0)
         except ConfigError as exc:
             raise _keyed(exc) from None
         return State(grid, u, rho)

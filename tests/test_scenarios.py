@@ -1,9 +1,12 @@
 """Initial-data family and config-format tests: exact field construction,
 the amplitude fixed point, and loud rejection of malformed configs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dghsim import scenarios
 from dghsim.criteria import threshold_sharp
 from dghsim.grid import PeriodicGrid, deriv_values
 from dghsim.model import ModelParams, energy_e0
@@ -23,6 +26,8 @@ from dghsim.scenarios import (
     _KEYS,
 )
 from dghsim.stepping import SimConfig
+
+BREAKING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "breaking_wave.cfg"
 
 BASE_CONFIG = """
 # minimal smooth run
@@ -130,15 +135,43 @@ def test_unresolved_amplitude_is_rejected():
 # ---------------------------------------------------------------------------
 # amplitude fixed point
 
-def test_amplitude_solver_fixed_point():
-    p = ModelParams(A=1.0, gamma=0.0)
+@pytest.mark.parametrize("A, gamma", [(1.0, 0.0), (0.5, 0.3), (2.0, -0.6)])
+@pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+def test_amplitude_solver_fixed_point(n, A, gamma):
+    p = ModelParams(A=A, gamma=gamma)
     margin = 1.05
-    a = solve_blowup_amplitude(b=1.0, margin=margin, model=p, n=512)
-    s = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(512))
+    a = solve_blowup_amplitude(b=1.0, margin=margin, model=p, n=n)
+    s = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n))
     th = threshold_sharp(energy_e0(s.u, deriv_values(s.u, 1), s.rho), p.gamma, p.A)
     assert a == pytest.approx(margin * abs(th), rel=1e-8)
-    # frozen value for the default breaking-wave setup
-    assert a == pytest.approx(8.630109818186611, abs=1e-6)
+    if (A, gamma) == (1.0, 0.0):
+        # frozen value for the default breaking-wave setup
+        assert a == pytest.approx(8.630109818186611, abs=1e-6)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(scenarios, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, name, spy)
+    return calls
+
+
+def test_amplitude_solver_samples_the_data_once(monkeypatch):
+    # E0 is quadratic in the amplitude, so one sample serves every trial
+    arrays = _count_calls(monkeypatch, "_initial_arrays")
+    derivs = _count_calls(monkeypatch, "deriv_values")
+    solve_blowup_amplitude(b=1.0, margin=1.05, model=ModelParams(), n=1024)
+    assert (len(arrays), len(derivs)) == (1, 1)
+    sc = parse(BREAKING_CONFIG.read_text())
+    arrays.clear()
+    derivs.clear()
+    sc.resolve()
+    assert (len(arrays), len(derivs)) == (1, 1)
 
 
 def test_amplitude_solver_respects_margin():
@@ -254,7 +287,8 @@ def test_size_limits_are_inclusive():
 
 
 def test_amplitude_solver_rejects_overflowing_energy():
-    # the solver builds states of its own, before any run or criteria check
+    # the solver samples the data once and checks each trial's E0 as it
+    # goes, before any run or criteria check
     text = "scenario.family = blowup31\nscenario.b = 1e200\nsim.n = 64\nsim.t_end = 1\n"
     with pytest.raises(ConfigError, match="b = 1e\\+200"):
         parse(text).resolve()
