@@ -41,7 +41,9 @@ and rows: the table with its row 0 of ones, the row views of its
 doublings, and the weighted coefficients and products with their cos
 and sin views.  A call then makes only ufunc calls, each writing into
 the work, and a caller that evaluates the same shapes again, as the
-integrator does at every RK4 stage, passes the same work to every call.
+integrator does at every RK4 stage, passes the same work to every call;
+one that evaluates the same array again also builds, once, the view of
+its coefficients that interp_blocks weighs (coefficient_parts).
 interp_values is one forward transform followed by interp_blocks with
 one block, on a work built for the call.  A single point needs no
 doubling: interp_point forms its one weighted exponential row directly,
@@ -69,6 +71,7 @@ __all__ = [
     "deriv_values",
     "interp_values",
     "InterpWork",
+    "coefficient_parts",
     "interp_blocks",
     "interp_point",
 ]
@@ -319,6 +322,16 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
+def coefficient_parts(c: np.ndarray) -> np.ndarray:
+    """The view of rfft coefficients c, shape (blocks, rows, n/2 + 1) and
+    contiguous in their last axis, that interp_blocks weighs: their real
+    and imaginary parts, shape (blocks, 2, rows, n/2 + 1).  A caller that
+    evaluates the same array again builds it once and passes it to
+    interp_blocks in place of c."""
+    blocks, rows, modes = c.shape
+    return c.view(float).reshape(blocks, rows, modes, 2).transpose(0, 3, 1, 2)
+
+
 def interp_blocks(
     c: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -327,8 +340,10 @@ def interp_blocks(
     c has shape (blocks, rows, n/2 + 1), contiguous in its last axis, in
     "forward" normalisation (c_k is the amplitude of e^{2 pi i k x}, the
     Nyquist entry that of cos(pi n x)), with real mean and Nyquist entries,
-    as the rfft of real samples has them.  xs has shape (blocks, K); work
-    is an InterpWork(n/2, blocks, K, ...) whose row counts include rows.
+    as the rfft of real samples has them, or coefficient_parts(c), which
+    a caller that evaluates one array again builds once.  xs has shape
+    (blocks, K); work is an InterpWork(n/2, blocks, K, ...) whose row
+    counts include rows.
     The result, written to out if given, has shape (blocks, rows, K).
 
     The interpolant at x is sum_k 2 w_k (Re c_k cos(2 pi k x) - Im c_k
@@ -347,15 +362,13 @@ def interp_blocks(
     forms the narrower product with another inner loop, which can differ
     in the last bit.
     """
+    if c.dtype.kind == "c":
+        c = coefficient_parts(c)
     blocks, count = xs.shape
-    rows, half = c.shape[1], c.shape[-1] - 1
+    rows = c.shape[2]
     weighted, parts, prods, cos, sin = work.products[rows]
     _phase_matrix(xs, work)
-    np.multiply(
-        c.view(float).reshape(blocks, rows, half + 1, 2).transpose(0, 3, 1, 2),
-        work.weights,
-        out=weighted,
-    )
+    np.multiply(c, work.weights, out=weighted)
     np.matmul(parts, work.columns, out=prods)
     if out is None:
         out = np.empty((blocks, rows, count))

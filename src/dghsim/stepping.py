@@ -36,14 +36,18 @@ finiteness check is one expression on the new state; model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
 transforms at 3n/2 points, padding into the work arrays of the
 workspace's model.rhs_buffer, which every stage of every step shares.
-The workspace is built when the group forms and again when members
-leave it, never per step.  Once per
-step one batched inverse transform of the rows (c_u, ik c_u, c_rho)
-gives the samples u, u_x and rho in a single pass; that u_x feeds the
-slope tracking, the step size and the E0 check, and a record reads the
-invariants straight off the arrays and E0, except the cubic one, which
-pads the same rows to 2n with one more inverse transform.  No sample is
-transformed forward again, and only a snapshot builds a State.
+The workspace is built when the group forms and again when members leave
+it, never per step, and so is the group's _Observation beside it: the
+states, the rows, their samples, the arrays E0 is reduced in, the values
+at q and the 2n pad buffer of the cubic invariant, each with the views
+the driver and the members read.  A step allocates none of these and
+overwrites each.  Once per step one batched inverse transform of the
+rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a single
+pass; that u_x feeds the slope tracking, the step size and the E0 check,
+and a record reads the invariants straight off the arrays and E0, except
+the cubic one, which pads the same rows to 2n with one more inverse
+transform.  No sample is transformed forward again, and only a snapshot
+builds a State.
 
 Off-grid values cost one phase table per RK4 stage and nothing besides,
 and every product with one is real: grid.interp_blocks puts the mode
@@ -68,28 +72,32 @@ computes its invariants the same way.
 run takes one member or a list of members, and a single run is a list of
 one.  Members with the same grid size and seed count form a group, since
 their arrays stack, and a group's arrays have one owner, the lockstep
-driver: it holds the group's RK4 states stacked on a leading axis and
-the group's workspace, with its right-hand side buffer, one row of
-symbols per member's A and gamma, and the columns of A and gamma that
-the cubic invariant reads, built when the group forms and rebuilt when a
-member leaves; it advances them with one _advance call per step, with
-one dt per member, and observes them with one inverse transform, one E0
-expression and reduction and, with characteristics, one interp_blocks
-call for the whole group.  The record invariants (meanU, hamE, hamF) are
-one pass over the stacked arrays as well, with one 2n inverse transform
-for the cubic one: the first member that records on a step makes it for
-every member, and the others read their entries, so a single run, a
-group of one, makes it only on the steps it records.  Only the driver
-and _advance know the flat layout of the state.  Each member is a
-generator that keeps its run's scalars: it is sent views of its own
-slice of the group's arrays, its E0 and its record entries, and yields
-its next dt, or has NonFiniteStateError thrown into it, so the slope
-minimum, alpha, the step size, records, snapshots, the E0 guard and
-termination stay one scalar code path per member.  The group's
-transforms, products and sums are the ones each member makes alone, so a
-member's result is bit for bit its single run's.  Finiteness is checked
-per member, so a member that fails leaves the group and the others run
-on.
+driver: it holds the group's workspace, with its right-hand side buffer,
+one row of symbols per member's A and gamma, and the columns of A and
+gamma that the cubic invariant reads, and the group's observation, with
+the RK4 states stacked on a leading axis, both built when the group
+forms and rebuilt when a member leaves; it advances the states with one
+_advance call per step, with one dt per member, and observes them with
+one inverse transform, one square and two reductions for E0 and, with
+characteristics, one interp_blocks call for the whole group.  The record
+invariants (meanU, hamE, hamF) are one pass over the stacked arrays as
+well, with one 2n inverse transform for the cubic one: the first member
+that records on a step makes it for every member, and the others read
+their entries, so a single run, a group of one, makes it only on the
+steps it records.  Only the driver and _advance know the flat layout of
+the state.  Each member is a generator that keeps its run's scalars: it
+is sent views of its own slice of the group's arrays, its E0 and its
+record entries, and yields its next dt, or has NonFiniteStateError
+thrown into it.  The next step overwrites the arrays those views show,
+so whatever a member keeps, a snapshot's fields or a record's
+characteristics, it copies, and a member whose step fails has the error
+thrown in before the driver observes the new states, while its views
+still hold the state its record reads.  So the slope minimum, alpha, the
+step size, records, snapshots, the E0 guard and termination stay one
+scalar code path per member.  The group's transforms, products and sums
+are the ones each member makes alone, so a member's result is bit for
+bit its single run's.  Finiteness is checked per member, so a member
+that fails leaves the group and the others run on.
 """
 
 from __future__ import annotations
@@ -107,6 +115,7 @@ from .grid import (
     ConfigError,
     InterpWork,
     PeriodicGrid,
+    coefficient_parts,
     deriv_values,
     interp_blocks,
     interp_point,
@@ -181,9 +190,15 @@ class SimConfig:
                 raise ConfigError(
                     f"{name} must be {rule}, got {getattr(self, name)}", name
                 )
-        object.__setattr__(
-            self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
-        )
+        times = tuple(float(t) for t in self.snapshot_times)
+        # "inside" again, so NaN fails; a time past t_end is kept and never
+        # reached
+        for t in times:
+            if not t >= 0.0:
+                raise ConfigError(
+                    f"snapshot_times must be non-negative, got {t}", "snapshot_times"
+                )
+        object.__setattr__(self, "snapshot_times", times)
 
 
 @dataclass(frozen=True)
@@ -221,10 +236,6 @@ def adaptive_dt(
     return min(dt_advect, dt_slope, t_remaining)
 
 
-def _values(c: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.irfft(c, n, norm="forward")
-
-
 def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
     """The coefficients c = rfft((u, rho)) at the head of each row of a
     flat RK4 state y, shape (members, L), as a (members, 2, n/2 + 1)
@@ -233,23 +244,26 @@ def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Every array a lockstep group's step writes but its new state, for
-    the members with the ModelParams in params on one grid, each with
-    `count` characteristics, or None without.
+    """Every array a lockstep group's step writes, for the members with
+    the ModelParams in params on one grid, each with `count`
+    characteristics, or None without.
 
     It holds the group's model.rhs_buffer; the (members, 1) columns of A
-    and gamma that hamiltonian_f reads; the four RK4 rate arrays and the
-    stage state, each of the state's shape (members, L), with the
-    coefficient views that rhs_coeffs reads and writes.  With
-    characteristics it also holds the grid.InterpWork of the group, whose
-    one phase table serves the observation (rows u, u_x, rho) and stages 2
-    to 4 (rows u, u_x), which are never live at once; the rows (1, ik)
-    that turn a stage's coefficients of u into those of (u, u_x), and the
-    (members, 2, n/2 + 1) array they fill; each rate's view of its rates
-    of (q, lq), shape (members, 2, K); and the stage's view of its
-    positions.  The lockstep driver builds one when the group forms and
-    one each time members leave it, so parameters and arrays cannot
-    disagree; step_rk4 builds one per call.
+    and gamma that hamiltonian_f reads; the (members, 1) columns dt/2 and
+    dt/6 of the step sizes; the four RK4 rate arrays and the stage state,
+    each of the state's shape (members, L), with the coefficient views
+    that rhs_coeffs reads and writes, the first rate array also receiving
+    the new state; and the finiteness of its entries and of each row.
+    With characteristics it also holds the grid.InterpWork of the group,
+    whose one phase table serves the observation (rows u, u_x, rho) and
+    stages 2 to 4 (rows u, u_x), which are never live at once; the rows
+    (1, ik) that turn a stage's coefficients of u into those of (u, u_x),
+    the (members, 2, n/2 + 1) array they fill and its view that
+    interp_blocks weighs; each rate's view of its rates of (q, lq), shape
+    (members, 2, K); and the stage's view of its positions.  The lockstep
+    driver builds one when the group forms and one each time members
+    leave it, so parameters and arrays cannot disagree; step_rk4 builds
+    one per call.
     """
 
     def __init__(
@@ -262,18 +276,22 @@ class _Workspace:
         self.buffer = rhs_buffer(grid, params)
         self.A = np.array([[p.A] for p in params])
         self.gamma = np.array([[p.gamma] for p in params])
+        self.half_dt, self.sixth_dt = np.empty((2, members, 1))
         width = head + 2 * (count or 0)
         arrays = np.empty((5, members, width))  # the four rates, then the stage
-        self.rates, self.stage = arrays[:4], arrays[4]
+        self.rates, self.stage = tuple(arrays[:4]), arrays[4]
         *self.rate_coefficients, self.stage_coefficients = _coefficients(
             arrays.reshape(-1, width), n
         ).reshape(5, members, 2, -1)
+        self.finite_entries = np.empty((members, width), dtype=bool)
+        self.finite = np.empty(members, dtype=bool)
         self.interp = None
         if count is not None:
             self.interp = InterpWork(n // 2, members, count, (2, 3))
             self.value_and_slope = np.stack((np.ones_like(grid.ik), grid.ik))
             self.stage_u = self.stage_coefficients[:, :1]
             self.stage_slope = np.empty((members, 2, n // 2 + 1), dtype=complex)
+            self.stage_slope_parts = coefficient_parts(self.stage_slope)
             self.rate_at_q = [k[:, head:].reshape(members, 2, count) for k in self.rates]
             self.stage_q = self.stage[:, head : head + count]
 
@@ -288,11 +306,12 @@ def _advance(
     (members, L), each row (c viewed as floats, q, lq), with its own
     parameters through work, the _Workspace the caller built for these
     rows, and its own step size in dt, a column of shape (members, 1);
-    returns the new state, a new array, and whether each of its rows is
-    finite.  Every other array the step writes is work's, each written
-    through out= by the operations the expression
-    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same order, so the
-    result is bit for bit that expression's.
+    returns the new state and whether each of its rows is finite, both
+    work's arrays, which the next call overwrites.  Every array the step
+    writes is work's, each written through out= by the operations the
+    expression y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same
+    order, so the result is bit for bit that expression's; the sum
+    accumulates in k1, whose array then holds the new state.
 
     Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
@@ -313,7 +332,7 @@ def _advance(
     grid, buffer = work.grid, work.buffer
     stage, c = work.stage, work.stage_coefficients
     k1, k2, k3, k4 = work.rates
-    half = 0.5 * dt
+    half = np.multiply(0.5, dt, out=work.half_dt)
     with np.errstate(over="ignore", invalid="ignore"):
         # k1 at y, whose rates of q and lq the caller has evaluated
         rhs_coeffs(_coefficients(y, grid.n), grid, buffer, work.rate_coefficients[0])
@@ -328,7 +347,7 @@ def _advance(
             if at_q is not None:
                 np.multiply(work.stage_u, work.value_and_slope, out=work.stage_slope)
                 interp_blocks(
-                    work.stage_slope, work.stage_q, work.interp, work.rate_at_q[i]
+                    work.stage_slope_parts, work.stage_q, work.interp, work.rate_at_q[i]
                 )
         # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
         np.multiply(2.0, k2, out=k2)
@@ -336,9 +355,10 @@ def _advance(
         np.multiply(2.0, k3, out=k3)
         np.add(k1, k3, out=k1)
         np.add(k1, k4, out=k1)
-        np.multiply(dt / 6.0, k1, out=k1)
-        out = y + k1
-    return out, np.isfinite(out).all(axis=1)
+        np.multiply(np.divide(dt, 6.0, out=work.sixth_dt), k1, out=k1)
+        np.add(y, k1, out=k1)
+    np.isfinite(k1, out=work.finite_entries)
+    return k1, np.logical_and.reduce(work.finite_entries, axis=1, out=work.finite)
 
 
 def step_rk4(s: State, p: ModelParams, dt: float) -> State:
@@ -350,7 +370,7 @@ def step_rk4(s: State, p: ModelParams, dt: float) -> State:
     y, finite = _advance(y, _Workspace(s.grid, (p,), None), np.full((1, 1), dt))
     if not finite[0]:
         raise NonFiniteStateError("non-finite values in an RK4 stage")
-    u, rho = _values(_coefficients(y, s.grid.n)[0], s.grid.n)
+    u, rho = np.fft.irfft(_coefficients(y, s.grid.n)[0], s.grid.n, norm="forward")
     return State(s.grid, u, rho)
 
 
@@ -362,23 +382,25 @@ def _member(
 ):
     """One run as a generator over its slice of its group's arrays.
 
-    It is sent (samples, rows, chars, e0, invariants) for each state its
-    run reaches, step 0 first: views of the samples of (u, u_x, rho),
-    shape (3, n), and of their coefficient rows, shape (3, n/2 + 1), with
-    seeds the positions q, the log-Jacobians lq and rho(q), each of shape
-    (K,), or None without, the state's E0, and a callable that returns
-    the record invariants (meanU, hamE, hamF) of that state.  It yields
-    each step's dt and is sent the state that step reached, or has
-    NonFiniteStateError thrown into it.  It returns the run's SimResult.
-    It makes no transform, computes no invariant, and reads off-grid only
-    alpha.
+    It is sent (samples, rho_c, chars, invariants, e0) for each state its
+    run reaches, step 0 first: views of the samples of u, u_x and rho,
+    each of shape (n,), and of the coefficients of rho, shape (n/2 + 1,),
+    with seeds views of the positions q, the log-Jacobians lq and rho(q),
+    each of shape (K,), or None without, a callable that returns the
+    record invariants (meanU, hamE, hamF) of that state, and its E0.
+    The views are of its group's arrays, which the next step overwrites,
+    so whatever it keeps of them, a snapshot's fields or a record's
+    characteristics, it copies.  It yields each step's dt and is sent the
+    state that step reached, or has NonFiniteStateError thrown into it
+    while the views it was last sent still hold the state that step
+    started from.  It returns the run's SimResult.  It makes no
+    transform, computes no invariant, and reads off-grid only alpha.
     """
-    samples, rows, chars, e0, invariants = yield
-    u, ux, rho = samples
+    (u, ux, rho), rho_c, chars, invariants, e0 = yield
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
-        sorted({t for t in c.snapshot_times if 0.0 <= t <= c.t_end})
+        sorted({t for t in c.snapshot_times if t <= c.t_end})
     )
 
     t = 0.0
@@ -397,7 +419,7 @@ def _member(
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
-        trace_alpha.append(interp_point(rows[2], xi))
+        trace_alpha.append(interp_point(rho_c, xi))
 
     def record(dt_next: float) -> None:
         nonlocal last_recorded
@@ -408,6 +430,7 @@ def _member(
             t, e0, *invariants(), trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
         ])
         if chars is not None:
+            # a copy, since chars are views of the group's arrays
             ens_chars.append(np.array(chars))
 
     def take_snapshot() -> None:
@@ -446,12 +469,11 @@ def _member(
             break
 
         try:
-            samples, rows, chars, e0, invariants = yield dt
+            (u, ux, rho), rho_c, chars, invariants, e0 = yield dt
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
-        u, ux, rho = samples
 
         if hit_snapshot:
             t = snaps_due.popleft()
@@ -527,33 +549,97 @@ def run(
     return _lockstep(list(zip(s0, p, c, seeds, strict=True)))
 
 
-def _record_pass(
-    samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, work: _Workspace
-):
-    """The record invariants of a group's state on one step, computed once.
+class _Observation:
+    """A lockstep group's states and the arrays the driver observes them
+    in, for the members of work, a _Workspace, each with `count`
+    characteristics, or None without; the driver builds one beside each
+    workspace, when the group forms and each time members leave it.
+
+    It holds the flat RK4 states (c, q, lq), one row per member, with
+    their coefficient views; the rows (c_u, ik c_u, c_rho), with their
+    views of c and ik c_u; the samples of (u, u_x, rho) that one inverse
+    transform of the rows fills; the three arrays energy_e0 writes the
+    group's E0 into; the group's _RecordPass; with characteristics, the
+    positions' view of the states, the values of (u, u_x, rho) at q that
+    interp_blocks writes, with their rows (u, u_x), which stage 1 reads,
+    and the view of the rows that interp_blocks weighs; and each member's
+    views of these and its entry of the record pass, which it is sent.
+    Every step overwrites these arrays, so a member copies what it keeps
+    of them.
+    """
+
+    def __init__(self, work: _Workspace, count: int | None) -> None:
+        n = work.grid.n
+        head = 2 * n + 4  # floats in c
+        members = len(work.A)
+        self.work = work
+        self.state = np.zeros((members, head + 2 * (count or 0)))
+        self.coefficients = _coefficients(self.state, n)
+        self.coefficients_u = self.coefficients[:, 0]
+        self.rows = np.empty((members, 3, n // 2 + 1), dtype=complex)
+        self.row_pairs = self.rows[:, ::2]
+        self.row_slopes = self.rows[:, 1]
+        self.samples = np.empty((members, 3, n))
+        self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
+        self.record = _RecordPass(self.samples, self.rows, self.energy[2], work)
+        chars = [None] * members
+        self.q = self.at_q = self.rates_at_q = self.row_parts = None
+        if count is not None:
+            self.q = self.state[:, head : head + count]
+            self.at_q = np.empty((members, 3, count))
+            self.rates_at_q = self.at_q[:, :2]
+            self.row_parts = coefficient_parts(self.rows)
+            chars = [
+                (self.q[j], self.state[j, head + count :], self.at_q[j, 2])
+                for j in range(members)
+            ]
+        self.views = [
+            (tuple(self.samples[j]), self.rows[j, 2], chars[j], partial(self.record, j))
+            for j in range(members)
+        ]
+
+    def observe(self) -> list[float]:
+        """Observe the states: the rows and their samples, which the
+        caller has filled, and with characteristics (u, u_x, rho) at q;
+        returns every member's E0."""
+        if self.q is not None:
+            interp_blocks(self.row_parts, self.q, self.work.interp, self.at_q)
+        self.record.table.clear()
+        return energy_e0(self.samples, work=self.energy).tolist()
+
+
+class _RecordPass:
+    """The record invariants of a group's observed states, computed once
+    per step.
 
     samples and rows are the group's stacked (u, u_x, rho) samples and
     coefficient rows and e0 their E0, one row per member, and work the
     group's _Workspace, whose columns of A and gamma the cubic invariant
-    reads.  The returned function takes a member's row index and
-    gives that member's (meanU, hamE, hamF).  Its first call computes them
-    for every row, with one reduction each and one 2n inverse transform of
-    the stacked rows for the cubic invariant, and later calls read that
-    table, so a group step on which any member records pays for one pass
-    and a step on which none records for none.
+    reads.  Called with a member's row index, it gives that member's
+    (meanU, hamE, hamF).  The first call after the table is cleared
+    computes them for every row, with one reduction each and one 2n
+    inverse transform of the stacked rows, padded in a buffer built here,
+    for the cubic invariant, and later calls read that table, so a group
+    step on which any member records pays for one pass and a step on
+    which none records for none.
     """
-    table = []
 
-    def invariants(j: int) -> tuple[float, float, float]:
-        if not table:
-            table.extend(zip(
-                mean_u(samples[:, 0]).tolist(),
-                hamiltonian_e(e0, samples[:, 2]).tolist(),
-                hamiltonian_f(rows, work.A, work.gamma).tolist(),
+    def __init__(
+        self, samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, work: _Workspace
+    ) -> None:
+        self.samples, self.rows, self.e0 = samples, rows, e0
+        self.A, self.gamma = work.A, work.gamma
+        self.padded = np.zeros(rows.shape[:-1] + (2 * rows.shape[-1] - 1,), dtype=complex)
+        self.table: list[tuple[float, float, float]] = []
+
+    def __call__(self, j: int) -> tuple[float, float, float]:
+        if not self.table:
+            self.table.extend(zip(
+                mean_u(self.samples[:, 0]).tolist(),
+                hamiltonian_e(self.e0, self.samples[:, 2]).tolist(),
+                hamiltonian_f(self.rows, self.A, self.gamma, self.padded).tolist(),
             ))
-        return table[j]
-
-    return invariants
+        return self.table[j]
 
 
 def _lockstep(members: list[tuple]) -> list[SimResult]:
@@ -561,21 +647,24 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
 
     Members with the same grid size and seed count form a group, since
     their arrays stack, and this driver is the one owner of a group's
-    arrays.  It holds the flat RK4 states (c, q, lq) stacked on a leading
-    axis and the _Workspace of the group's ModelParams, one per member,
-    which it builds when the group forms, and makes one _advance call per
-    step, with that workspace and a column of one dt per member.  After
-    each step it makes one batched inverse transform of the rows (c_u,
-    ik c_u, c_rho) to the samples of (u, u_x, rho), takes every member's
-    E0 with one energy_e0 call, and with characteristics makes one
-    interp_blocks call for (u, u_x, rho) at q on the workspace's
-    InterpWork.  Each member is sent views of its own slice of these
-    arrays, which are new each step, its E0 and its entry of the step's
-    _record_pass; a member that ends, or whose row is not finite, leaves
-    the group: its row of the state and its parameters are dropped, and
-    the workspace is rebuilt, on the same line, from the parameters that
-    stay, so no array of a step is sized or parameterised for members
-    that have left.
+    arrays.  It builds the _Workspace of the group's ModelParams, one per
+    member, and beside it the group's _Observation, which holds the flat
+    RK4 states (c, q, lq) stacked on a leading axis, when the group forms,
+    and makes one _advance call per step, with that workspace and a column
+    of one dt per member.  After each step it copies the new states in,
+    makes one batched inverse transform of the rows (c_u, ik c_u, c_rho)
+    to the samples of (u, u_x, rho), takes every member's E0 with one
+    energy_e0 call, and with characteristics makes one interp_blocks call
+    for (u, u_x, rho) at q on the workspace's InterpWork, each into the
+    observation's arrays.  Each member is sent its views of these arrays,
+    which the next step overwrites, its E0 and its record-invariant
+    callable.  A member whose row is not finite has NonFiniteStateError
+    thrown into it right after the step, before anything it was sent is
+    overwritten.  A member that ends, or whose row is not finite, leaves
+    the group: the workspace and the observation are rebuilt, on the same
+    line, for the members that stay, with their rows of the states and of
+    the values at q, so no array of a step is sized or parameterised for
+    members that have left.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -586,9 +675,23 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         groups.setdefault(key, []).append(i)
     for (grid, count), group in groups.items():
         n = grid.n
-        head = 2 * n + 4  # floats in the coefficients
         live = [(i, _member(grid, *members[i][1:])) for i in group]
-        work = _Workspace(grid, params := tuple(members[i][1] for i in group), count)
+        params = tuple(members[i][1] for i in group)
+        work = _Workspace(grid, params, count)
+        obs = _Observation(work, count)
+
+        def leave(staying: list[int]) -> None:
+            # rebuild the group's arrays for the members in staying, with
+            # their rows of the states and of the values at q
+            nonlocal live, params, work, obs
+            live = [live[j] for j in staying]
+            params = tuple(params[j] for j in staying)
+            old, work = obs, _Workspace(grid, params, count)
+            obs = _Observation(work, count)
+            np.take(old.state, staying, axis=0, out=obs.state)
+            if count is not None:
+                np.take(old.at_q, staying, axis=0, out=obs.at_q)
+
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
@@ -596,34 +699,17 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         # seeds and lq = 0
         u = np.stack([members[i][0].u for i in group])
         rho = np.stack([members[i][0].rho for i in group])
-        samples = np.stack((u, deriv_values(u, 1), rho), axis=1)
-        rows = np.fft.rfft(samples, norm="forward")
-        y = np.zeros((len(group), head + 2 * (count or 0)))
-        _coefficients(y, n)[:] = rows[:, ::2]
+        np.copyto(obs.samples, np.stack((u, deriv_values(u, 1), rho), axis=1))
+        np.fft.rfft(obs.samples, norm="forward", out=obs.rows)
+        np.copyto(obs.coefficients, obs.row_pairs)
         if count is not None:
-            y[:, head : head + count] = [members[i][3] for i in group]
-        finite = np.ones(len(group), dtype=bool)
-        at_q = None
+            obs.q[:] = [members[i][3] for i in group]
         while True:
-            if count is not None:
-                at_q = interp_blocks(rows, y[:, head : head + count], work.interp)
-            e0 = energy_e0(*samples.transpose(1, 0, 2))
-            invariants = _record_pass(samples, rows, e0, work)
-            e0s = e0.tolist()
+            e0s = obs.observe()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
-                chars = None if count is None else (
-                    y[j, head : head + count], y[j, head + count :], at_q[j, 2]
-                )
                 try:
-                    if finite[j]:
-                        dts.append(member.send(
-                            (samples[j], rows[j], chars, e0s[j], partial(invariants, j))
-                        ))
-                    else:
-                        member.throw(
-                            NonFiniteStateError("non-finite values in an RK4 stage")
-                        )
+                    dts.append(member.send((*obs.views[j], e0s[j])))
                 except StopIteration as end:
                     results[i] = end.value
                     continue
@@ -631,21 +717,26 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             if not staying:
                 break
             if len(staying) < len(live):
-                live = [live[j] for j in staying]
-                work = _Workspace(grid, params := tuple(params[j] for j in staying), count)
-                y = y[staying]
-                at_q = None if at_q is None else at_q[staying]
-            y, finite = _advance(
-                y, work, np.array(dts)[:, None],
-                None if at_q is None else at_q[:, :2],
-            )
+                leave(staying)
+            state, finite = _advance(obs.state, work, np.array(dts)[:, None], obs.rates_at_q)
             if not finite.all():
-                # its member only has NonFiniteStateError thrown into it;
-                # zeros keep an inf from warning in the observation below
-                y[~finite] = 0.0
-            c = _coefficients(y, n)
-            rows = np.empty((len(y), 3, n // 2 + 1), dtype=complex)
-            rows[:, ::2] = c
-            np.multiply(grid.ik, c[:, 0], out=rows[:, 1])
-            samples = _values(rows, n)
+                # each such member records from the views it was last
+                # sent, which still hold the state its step started from
+                staying = []
+                for j, (i, member) in enumerate(live):
+                    if finite[j]:
+                        staying.append(j)
+                        continue
+                    try:
+                        member.throw(NonFiniteStateError("non-finite values in an RK4 stage"))
+                    except StopIteration as end:
+                        results[i] = end.value
+                if not staying:
+                    break
+            np.copyto(obs.state, state)
+            if len(staying) < len(live):
+                leave(staying)
+            np.copyto(obs.row_pairs, obs.coefficients)
+            np.multiply(grid.ik, obs.coefficients_u, out=obs.row_slopes)
+            np.fft.irfft(obs.rows, n, norm="forward", out=obs.samples)
     return results

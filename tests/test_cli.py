@@ -426,6 +426,7 @@ def test_overflowing_custom_fourier_data_exits_2(tmp_path, capsys):
         "sim.record_every = 0",
         "scenario.name =",
         "characteristics.count = 1",
+        "sim.snapshot_times = 0.0, -1",
         # a family rule: SMOOTH_CONFIG is global41
         "scenario.r0 = 1.0",
     ],
@@ -435,6 +436,15 @@ def test_range_check_names_its_key(line, tmp_path, capsys):
     assert main(["criteria", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     key = line.split("=")[0].strip()
     assert f"config error: key '{key}': " in capsys.readouterr().err
+
+
+def test_negative_snapshot_time_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a negative time used to be dropped: exit 0, with only t_0.csv written
+    cfg = write_config(tmp_path, "sim.snapshot_times = 0.0, -1")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "config error: key 'sim.snapshot_times': " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -783,9 +793,9 @@ def test_sweep_makes_one_record_pass_per_group_step(tmp_path, monkeypatch):
     calls = []
     real = stepping.hamiltonian_f
 
-    def counted(c, A, gamma):
+    def counted(c, A, gamma, padded):
         calls.append(len(c))
-        return real(c, A, gamma)
+        return real(c, A, gamma, padded)
 
     monkeypatch.setattr(stepping, "hamiltonian_f", counted)
     cfg = tmp_path / "lock.cfg"
@@ -813,6 +823,43 @@ def test_sparsely_recording_sweep_members_match_their_single_runs(tmp_path):
     _assert_sweep_matches_runs(
         tmp_path, "scenario.r0", "scenario.r0=2.0:3.0:3", 3, config
     )
+
+
+def _rows_through(path: Path, t1: float) -> list[str]:
+    """The header and every row at t <= t1 of a CSV artifact whose first
+    column is t."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    return [header] + [row for row in rows if float(row.split(",")[0]) <= t1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_reused_arrays_never_leak_into_results(command, tmp_path):
+    # the group's arrays are overwritten every step, so what a run keeps
+    # of them is copied: a run that goes on past t1 writes, up to t1, the
+    # bytes the same run stopped at t1 writes
+    t1 = 0.1
+    entries = scenarios.parse_config_entries(LOCKSTEP_CONFIG)
+    entries["sim.snapshot_times"] = f"0, {t1!r}"
+    trees = []
+    for end in (t1, 0.3):
+        entries["sim.t_end"] = repr(end)
+        cfg = tmp_path / f"lock_{end!r}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        out = tmp_path / f"out_{end!r}"
+        args = ["run", str(cfg)]
+        if command == "sweep":
+            args = ["sweep", str(cfg), "--param", "scenario.r0=2.0:3.0:3"]
+        assert main([*args, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+        trees.append(sorted(out.glob("lock*/")) if command == "sweep" else [out])
+    short, long = trees
+    assert len(short) == len(long) == (3 if command == "sweep" else 1)
+    for a, b in zip(short, long):
+        for name in ("snapshots/t_0.csv", f"snapshots/t_{t1!r}.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (b, name)
+        for name in ("series.csv", "characteristics.csv"):
+            kept = _rows_through(b / name, t1)
+            assert len(kept) < len((b / name).read_text().splitlines())
+            assert (a / name).read_text().splitlines(keepends=True) == kept, (b, name)
 
 
 def test_sweep_chunks_respect_the_size_limits():

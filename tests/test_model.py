@@ -216,6 +216,18 @@ def test_energy_e0_matches_mean_of_squares_bit_for_bit(rng):
             assert energy_e0(u, ux, rho) == float(np.mean(u**2 + ux**2 + rho**2))
 
 
+def test_stacked_energy_e0_is_each_rows_own_bit_for_bit(rng):
+    # a stack of (u, u_x, rho) rows squared and reduced into work arrays,
+    # twice on the same work, gives each row the float of its own call
+    for n in (8, 64, 1000, 1024):
+        work = (np.empty((3, 3, n)), np.empty((3, n)), np.empty(3))
+        for scale in (1.0e-5, 1.0e5):
+            stack = scale * rng.standard_normal((3, 3, n))
+            got = energy_e0(stack, work=work)
+            assert got is work[2]
+            assert got.tolist() == [energy_e0(*rows) for rows in stack]
+
+
 def test_means_match_np_mean_bit_for_bit(rng):
     # mean_u and hamiltonian_e sum and divide as energy_e0 does
     for n in (8, 64, 1000, 1024, 4096):

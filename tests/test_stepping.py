@@ -4,7 +4,7 @@ placement, record cadence, determinism, and termination classification."""
 import numpy as np
 import pytest
 
-from dghsim.grid import PeriodicGrid, deriv_values
+from dghsim.grid import ConfigError, PeriodicGrid, deriv_values
 from dghsim.model import (
     ModelParams,
     State,
@@ -66,6 +66,15 @@ def test_config_coerces_snapshot_times():
     c = SimConfig(n=64, t_end=1.0, snapshot_times=[0, 1])
     assert c.snapshot_times == (0.0, 1.0)
     assert all(isinstance(t, float) for t in c.snapshot_times)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan")])
+def test_config_rejects_negative_snapshot_time(bad):
+    with pytest.raises(ConfigError) as err:
+        SimConfig(n=64, t_end=1.0, snapshot_times=(0.0, bad))
+    assert err.value.name == "snapshot_times"
+    # a time past t_end is kept; the run never reaches it
+    assert SimConfig(n=64, t_end=1.0, snapshot_times=(5.0, 10.0)).snapshot_times == (5.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +148,7 @@ def test_workspace_reuse_is_invisible(track):
         )
         assert finite.all() and np.array_equal(finite, want_finite)
         assert np.array_equal(got, want)
-        y = got
+        y = got.copy()  # got is work's, which the next call overwrites
 
 
 @pytest.mark.parametrize("track", [False, True])
@@ -170,6 +179,45 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
     assert res.termination.cause == TERM_NONFINITE
     assert res.termination.t == ref.slope_trace.times[2]
     assert np.all(np.isfinite(res.series))
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_nonfinite_record_reads_the_state_its_step_started_from(monkeypatch, track):
+    # a member whose thirteenth step fails records the state that step
+    # started from, off the views it was sent there, though its group's
+    # arrays are overwritten every step; it records every tenth step, so
+    # that record's invariants are first computed then.  The member beside
+    # it runs on as it runs alone
+    import dghsim.stepping as stepping
+
+    states = [smooth_state(amp=0.25), smooth_state(amp=0.1)]
+    p = ModelParams()
+    c = SimConfig(n=64, t_end=1.0, record_every=10)
+    seeds = np.linspace(0.0, 1.0, 8, endpoint=False) if track else None
+    every = run(states[0], p, SimConfig(n=64, t_end=1.0, record_every=1), seeds=seeds)
+    alone = run(states[1], p, c, seeds=seeds)
+    calls = []
+    real = stepping.rhs_coeffs
+
+    def poisoned(*args):
+        out = real(*args)
+        if len(calls) == 4 * 12 + 1:
+            out[0, 0, 5] = np.nan  # the first member, in stage 2
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
+    failed, other = run(states, [p, p], [c, c], seeds=[seeds, seeds])
+    assert failed.termination.cause == TERM_NONFINITE
+    assert failed.termination.t == every.series[12, 0]
+    # the failed step's dt is the one the full record gives the next row
+    assert np.array_equal(failed.series[-1, :-1], every.series[12, :-1])
+    assert failed.series[-1, -1] == every.series[13, -1]
+    if track:
+        for name in ("q", "log_qx", "rho_q"):
+            got, want = getattr(failed.ensemble, name), getattr(every.ensemble, name)
+            assert np.array_equal(got[-1], want[12])
+    _assert_same_result(other, alone)
 
 
 def _log_transforms(monkeypatch, log):
@@ -343,7 +391,8 @@ def _assert_same_result(a, b):
     assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
     for (_, sa), (_, sb) in zip(a.snapshots, b.snapshots):
         assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.rho, sb.rho)
-    for name in ("times", "q", "log_qx", "rho_q"):
+    assert (a.ensemble is None) == (b.ensemble is None)
+    for name in ("times", "q", "log_qx", "rho_q") if a.ensemble else ():
         assert np.array_equal(getattr(a.ensemble, name), getattr(b.ensemble, name))
 
 
@@ -504,7 +553,7 @@ def test_time_error_shrinks_with_cfl(rng):
 
 def test_snapshots_land_exactly():
     s0 = smooth_state()
-    c = SimConfig(n=64, t_end=0.1, snapshot_times=(0.0, 0.03, 0.1, 0.5, -1.0, 0.03))
+    c = SimConfig(n=64, t_end=0.1, snapshot_times=(0.0, 0.03, 0.1, 0.5, 0.03))
     res = run(s0, ModelParams(), c)
     times = [t for t, _ in res.snapshots]
     assert times == [0.0, 0.03, 0.1]  # deduplicated, clipped, exact
