@@ -3,10 +3,12 @@
 
 For one steep initial state integrated at several resolutions, the minimal
 slope dives like -2/(T - t) until the truncated expansion runs out of
-modes.  Each run stops at the first step whose relative E0 drift passes
-stepping.E0_DRIFT_TOL, so every trace ends where the grid loses the front,
-and a finer grid follows the dive deeper.  This script tabulates, per
-resolution,
+modes.  Each run stops at the first step on which the modes k > n/4 of u
+or rho hold more than stepping.WITNESS_TOL of that field's amplitude (or,
+later, its relative E0 drift passes stepping.E0_DRIFT_TOL), so every trace
+ends where the grid loses the front, and a finer grid follows the dive
+deeper.  Below n = 256 too few resolved samples lie past the fit cutoff,
+and the rate reads unavailable.  This script tabulates, per resolution,
 
   * the fitted rate over the trusted window (exact value -2),
   * the fitted blow-up time against the Riccati upper bound.

@@ -210,15 +210,15 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
     the line's root estimates the blow-up time and a clean breaking wave
     reports a rate near -2.
 
-    The window is the first sustained dive, which ends where m recovers to
-    half its running minimum (the true solution cannot do that below the
-    threshold).  Within it the fit takes the samples from dive_cutoff(m(0))
-    down to half the dive's deepest slope.  stepping.run stops at the first
-    step whose E0 drift shows the grid losing the front, so the trace holds
-    resolved steps only, and it labels that stop BlowupDetected exactly
-    when this window has begun.  When fewer than ten samples lie in the
-    window, as on a short dive at small n whose floor lies near or above
-    the cutoff, every sample of the dive past the cutoff is fitted.
+    The window is the first sustained dive, from dive_cutoff(m(0)) on.  A
+    dive that never recovers to half its running minimum is fitted whole:
+    stepping.run stops at the first step on which its grid loses the
+    front, by the spectral-tail witness or the E0 drift, so every sample
+    of such a trace is resolved, and run labels that stop BlowupDetected
+    exactly when this window has begun.  A dive that does recover ends
+    there (the true solution cannot do that below the threshold), and its
+    fit takes the samples down to half its deepest slope, or every sample
+    of the dive when fewer than ten lie that high.
     """
     m = trace.m
     t = trace.times
@@ -236,11 +236,12 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
             end = i
             break
     dive = m[start:end]
-    mask = (dive <= cutoff) & (dive >= 0.5 * peak)
+    mask = dive <= cutoff
+    if end < m.size:
+        upper = mask & (dive >= 0.5 * peak)
+        if np.count_nonzero(upper) >= _MIN_FIT_SAMPLES:
+            mask = upper
     count = int(np.count_nonzero(mask))
-    if count < _MIN_FIT_SAMPLES:
-        mask = dive <= cutoff
-        count = int(np.count_nonzero(mask))
     if count < _MIN_FIT_SAMPLES:
         raise InsufficientWindowError(
             f"only {count} samples past the cutoff {cutoff:.3g} "

@@ -15,17 +15,26 @@ quiescent or slowly varying state from asking for an unbounded step.
 Runs terminate with one of four causes:
 
   ReachedEnd      integrated to t_end
-  BlowupDetected  E0 stopped being conserved after min u_x had dived past
-                  criteria.dive_cutoff(m(0)) = -3 max(1, |m(0)|), where
-                  the rate fit's window starts
-  ResolutionLost  E0 stopped being conserved before such a dive, or the
+  BlowupDetected  the grid lost the solution (the spectral-tail witness
+                  fired or E0 stopped being conserved) after min u_x had
+                  dived past criteria.dive_cutoff(m(0)) = -3 max(1, |m(0)|),
+                  where the rate fit's window starts
+  ResolutionLost  the grid lost the solution before such a dive, or the
                   step fell below the time resolution 1e-12 max(1, t_end)
                   and could not advance t
   NonFiniteState  an RK4 stage produced non-finite values
 
-The semi-discrete flow conserves E0 exactly, so once its relative drift
-passes E0_DRIFT_TOL the grid no longer follows the solution, and every
-later step would only describe the numerics.  The run stops at that step.
+Two tests tell that the grid has lost the solution, and the run stops at
+the first step that fails either; every later step would only describe
+the numerics.  The first is the spectral-tail witness: a resolved state's
+coefficients decay like exp(-delta k) over its analyticity strip, so
+once the modes k > n/4 of the rows of u or of rho hold more than
+WITNESS_TOL of the amplitude of the modes k >= 1 (in the l2 sense:
+sum_{k>n/4} |c_k|^2 > WITNESS_TOL^2 sum_{k>=1} |c_k|^2), the strip has
+shrunk to a few grid spacings and the front is no longer followed.  A
+row with no mode past k = 0, rho = 0 or a constant, never fires.  The
+second is E0: the semi-discrete flow conserves it exactly, so a relative
+drift past E0_DRIFT_TOL shows the same loss, or a time step too coarse.
 
 The RK4 state is one flat float array: the pair of Fourier coefficients
 c = rfft((u, rho)) in "forward" normalisation, viewed as floats,
@@ -78,23 +87,24 @@ gamma that the cubic invariant reads, and the group's observation, with
 the RK4 states stacked on a leading axis, both built when the group
 forms and rebuilt when a member leaves; it advances the states with one
 _advance call per step, with one dt per member, and observes them with
-one inverse transform, one square and two reductions for E0 and, with
-characteristics, one interp_blocks call for the whole group.  The record
-invariants (meanU, hamE, hamF) are one pass over the stacked arrays as
-well, with one 2n inverse transform for the cubic one: the first member
-that records on a step makes it for every member, and the others read
-their entries, so a single run, a group of one, makes it only on the
-steps it records.  Only the driver and _advance know the flat layout of
-the state.  Each member is a generator that keeps its run's scalars: it
-is sent views of its own slice of the group's arrays, its E0 and its
-record entries, and yields its next dt, or has NonFiniteStateError
-thrown into it.  The next step overwrites the arrays those views show,
-so whatever a member keeps, a snapshot's fields or a record's
-characteristics, it copies, and a member whose step fails has the error
-thrown in before the driver observes the new states, while its views
-still hold the state its record reads.  So the slope minimum, alpha, the
-step size, records, snapshots, the E0 guard and termination stay one
-scalar code path per member.  The group's transforms, products and sums
+one inverse transform, one square and two reductions for E0, one square
+and one two-band reduction for the witness and, with characteristics,
+one interp_blocks call for the whole group.  The record invariants
+(meanU, hamE, hamF) are one pass over the stacked arrays as well, with
+one 2n inverse transform for the cubic one: the first member that
+records on a step makes it for every member, and the others read their
+entries, so a single run, a group of one, makes it only on the steps it
+records.  Only the driver and _advance know the flat layout of the
+state.  Each member is a generator that keeps its run's scalars: it is
+sent views of its own slice of the group's arrays, its E0, its witness
+flag and its record entries, and yields its next dt, or has
+NonFiniteStateError thrown into it.  The next step overwrites the arrays
+those views show, so whatever a member keeps, a snapshot's fields or a
+record's characteristics, it copies, and a member whose step fails has
+the error thrown in before the driver observes the new states, while its
+views still hold the state its record reads.  So the slope minimum,
+alpha, the step size, records, snapshots, the stop tests and termination
+stay one scalar code path per member.  The group's transforms, products and sums
 are the ones each member makes alone, so a member's result is bit for
 bit its single run's.  Finiteness is checked per member, so a member
 that fails leaves the group and the others run on.
@@ -145,6 +155,7 @@ __all__ = [
     "TERM_RESOLUTION_LOST",
     "TERM_NONFINITE",
     "E0_DRIFT_TOL",
+    "WITNESS_TOL",
     "SLOPE_DT_FACTOR",
 ]
 
@@ -160,6 +171,11 @@ TERM_NONFINITE = "NonFiniteState"
 # coarse enough can still pass it on smooth data; that run then ends in
 # ResolutionLost.
 E0_DRIFT_TOL = 1.0e-4
+# Share of the l2 amplitude of the modes k >= 1 of u or rho past which the
+# modes k > n/4 show the front lost (see the module docstring).  The runs
+# that reach their end peak at 0.034 (global41 at n = 64 to t = 1), while
+# the blowup31 dive at n = 1024 passes it 58 steps before its E0 drifts.
+WITNESS_TOL = 0.05
 # the slope limit of the step size: dt <= SLOPE_DT_FACTOR / max(|min u_x|, 1)
 SLOPE_DT_FACTOR = 0.05
 
@@ -382,12 +398,13 @@ def _member(
 ):
     """One run as a generator over its slice of its group's arrays.
 
-    It is sent (samples, rho_c, chars, invariants, e0) for each state its
-    run reaches, step 0 first: views of the samples of u, u_x and rho,
-    each of shape (n,), and of the coefficients of rho, shape (n/2 + 1,),
-    with seeds views of the positions q, the log-Jacobians lq and rho(q),
-    each of shape (K,), or None without, a callable that returns the
-    record invariants (meanU, hamE, hamF) of that state, and its E0.
+    It is sent (samples, rho_c, chars, invariants, e0, lost) for each
+    state its run reaches, step 0 first: views of the samples of u, u_x
+    and rho, each of shape (n,), and of the coefficients of rho, shape
+    (n/2 + 1,), with seeds views of the positions q, the log-Jacobians lq
+    and rho(q), each of shape (K,), or None without, a callable that
+    returns the record invariants (meanU, hamE, hamF) of that state, its
+    E0, and whether the spectral-tail witness fired on it.
     The views are of its group's arrays, which the next step overwrites,
     so whatever it keeps of them, a snapshot's fields or a record's
     characteristics, it copies.  It yields each step's dt and is sent the
@@ -396,7 +413,7 @@ def _member(
     started from.  It returns the run's SimResult.  It makes no
     transform, computes no invariant, and reads off-grid only alpha.
     """
-    (u, ux, rho), rho_c, chars, invariants, e0 = yield
+    (u, ux, rho), rho_c, chars, invariants, e0, _ = yield
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
@@ -469,7 +486,7 @@ def _member(
             break
 
         try:
-            (u, ux, rho), rho_c, chars, invariants, e0 = yield dt
+            (u, ux, rho), rho_c, chars, invariants, e0, lost = yield dt
         except NonFiniteStateError:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
@@ -482,8 +499,8 @@ def _member(
         step += 1
         observe()
 
-        # written so that a NaN drift also stops the run
-        if not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
+        # the E0 test is written so that a NaN drift also stops the run
+        if lost or not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
             record(dt)
             dived = trace_m[-1] <= cutoff
             cause = TERM_BLOWUP if dived else TERM_RESOLUTION_LOST
@@ -559,11 +576,14 @@ class _Observation:
     their coefficient views; the rows (c_u, ik c_u, c_rho), with their
     views of c and ik c_u; the samples of (u, u_x, rho) that one inverse
     transform of the rows fills; the three arrays energy_e0 writes the
-    group's E0 into; the group's _RecordPass; with characteristics, the
-    positions' view of the states, the values of (u, u_x, rho) at q that
-    interp_blocks writes, with their rows (u, u_x), which stage 1 reads,
-    and the view of the rows that interp_blocks weighs; and each member's
-    views of these and its entry of the record pass, which it is sent.
+    group's E0 into; the squares of the states' coefficients, viewed as
+    floats, and their sums over the modes 1 <= k <= n/4 and k > n/4 of
+    each row, which the witness reads; the group's _RecordPass; with
+    characteristics, the positions' view of the states, the values of
+    (u, u_x, rho) at q that interp_blocks writes, with their rows
+    (u, u_x), which stage 1 reads, and the view of the rows that
+    interp_blocks weighs; and each member's views of these and its entry
+    of the record pass, which it is sent.
     Every step overwrites these arrays, so a member copies what it keeps
     of them.
     """
@@ -581,6 +601,12 @@ class _Observation:
         self.row_slopes = self.rows[:, 1]
         self.samples = np.empty((members, 3, n))
         self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
+        # coefficient k of a row is its floats 2k and 2k + 1, so the bands
+        # start at the modes 1 and n/4 + 1
+        self.coefficient_floats = self.state[:, :head].reshape(members, 2, n + 2)
+        self.squares = np.empty((members, 2, n + 2))
+        self.bands = np.array([2, 2 * (n // 4 + 1)])
+        self.band_sums = np.empty((members, 2, 2))
         self.record = _RecordPass(self.samples, self.rows, self.energy[2], work)
         chars = [None] * members
         self.q = self.at_q = self.rates_at_q = self.row_parts = None
@@ -598,14 +624,24 @@ class _Observation:
             for j in range(members)
         ]
 
-    def observe(self) -> list[float]:
+    def observe(self) -> tuple[list[float], list[bool]]:
         """Observe the states: the rows and their samples, which the
         caller has filled, and with characteristics (u, u_x, rho) at q;
-        returns every member's E0."""
+        returns every member's E0 and whether the spectral-tail witness
+        fired on it."""
         if self.q is not None:
             interp_blocks(self.row_parts, self.q, self.work.interp, self.at_q)
         self.record.table.clear()
-        return energy_e0(self.samples, work=self.energy).tolist()
+        np.multiply(self.coefficient_floats, self.coefficient_floats, out=self.squares)
+        np.add.reduceat(self.squares, self.bands, axis=2, out=self.band_sums)
+        # in Python floats, so that WITNESS_TOL = inf on a row without
+        # modes (inf * 0 = nan, never exceeded) raises no warning
+        bound = WITNESS_TOL**2
+        lost = [
+            tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
+            for (low_u, tail_u), (low_rho, tail_rho) in self.band_sums.tolist()
+        ]
+        return energy_e0(self.samples, work=self.energy).tolist(), lost
 
 
 class _RecordPass:
@@ -654,11 +690,13 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     of one dt per member.  After each step it copies the new states in,
     makes one batched inverse transform of the rows (c_u, ik c_u, c_rho)
     to the samples of (u, u_x, rho), takes every member's E0 with one
-    energy_e0 call, and with characteristics makes one interp_blocks call
-    for (u, u_x, rho) at q on the workspace's InterpWork, each into the
-    observation's arrays.  Each member is sent its views of these arrays,
-    which the next step overwrites, its E0 and its record-invariant
-    callable.  A member whose row is not finite has NonFiniteStateError
+    energy_e0 call and its witness flag with one square and one two-band
+    reduction of the states' coefficients, and with characteristics
+    makes one interp_blocks call for (u, u_x, rho) at q on the
+    workspace's InterpWork, each into the observation's arrays.  Each
+    member is sent its views of these arrays, which the next step
+    overwrites, its record-invariant callable, its E0 and its witness
+    flag.  A member whose row is not finite has NonFiniteStateError
     thrown into it right after the step, before anything it was sent is
     overwritten.  A member that ends, or whose row is not finite, leaves
     the group: the workspace and the observation are rebuilt, on the same
@@ -705,11 +743,11 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         if count is not None:
             obs.q[:] = [members[i][3] for i in group]
         while True:
-            e0s = obs.observe()
+            e0s, lost = obs.observe()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
                 try:
-                    dts.append(member.send((*obs.views[j], e0s[j])))
+                    dts.append(member.send((*obs.views[j], e0s[j], lost[j])))
                 except StopIteration as end:
                     results[i] = end.value
                     continue

@@ -5,8 +5,9 @@ Each case under tests/data/golden holds a config, and the `series.csv`,
 `characteristics.csv` and the `run` block of `report.json` that
 `dghsim run` (or, for sweep_small, each member of
 `dghsim sweep --param scenario.r0=2.0:3.5:2`) wrote for it with the
-sample-state RK4 whose products were padded to 2n points (commit 9211e5d).
-A change that only moves roundoff keeps the step count, the termination
+sample-state RK4 whose products were padded to 2n points (commit 9211e5d);
+breaking_wave was written again when the spectral-tail witness came to
+end that run after 69 steps in place of 88.  A change that only moves roundoff keeps the step count, the termination
 cause, the termination time to 1e-12 relative, every column to 1e-10 of
 its largest magnitude, and meanU, which sits at roundoff itself, to 1e-15
 absolute.  Regenerate a case only for a change meant to move results.

@@ -22,14 +22,14 @@ def _riccati_t(n: int) -> float:
     return evaluate_criteria(s0.u, s0.rho, p).riccati_t
 
 
-BOUND_64 = f"{_riccati_t(64):.4f}"
+BOUND_256 = f"{_riccati_t(256):.4f}"
 
 # script -> (arguments, line fragments its output must contain)
 RUNS = {
-    # the E0 guard ends the n = 64 dive above twice the fit cutoff; the
-    # window then holds every sample past the cutoff, and the row a rate
+    # the witness ends the n = 256 dive with 18 resolved samples past the
+    # fit cutoff, and the row a rate; at n = 64 none is trusted
     "rate_resolution_study": (
-        ["--resolutions", "64"], ["-2.5240", f"Riccati bound T <= {BOUND_64}"]
+        ["--resolutions", "256"], ["-1.9505", f"Riccati bound T <= {BOUND_256}"]
     ),
 }
 

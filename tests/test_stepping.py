@@ -1,6 +1,8 @@
 """Integrator tests: step-size policy arithmetic, RK4 order, exact snapshot
 placement, record cadence, determinism, and termination classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -628,16 +630,28 @@ def test_step_below_time_resolution_stops_the_run():
     assert 0.0 < res.series[0, SERIES_COLUMNS.index("dt")] < 1.0e-12
 
 
-def test_e0_guard_stops_a_breaking_run_before_its_bound():
+def breaking_state(n):
+    from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
+
+    p = ModelParams(A=1.0, gamma=0.0)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
+    return build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n)), p
+
+
+@pytest.fixture
+def no_witness(monkeypatch):
+    import dghsim.stepping as stepping
+
+    monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
+
+
+def test_e0_guard_stops_a_breaking_run_before_its_bound(no_witness):
     # past the sharp threshold at n = 128, E0 stops being conserved once
     # the front outruns the grid: the run ends there, its slope already
     # past the rate fit's cutoff, and long before the Riccati bound
     from dghsim.criteria import evaluate_criteria
-    from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
 
-    p = ModelParams(A=1.0, gamma=0.0)
-    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=128)
-    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(128))
+    s0, p = breaking_state(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
     assert res.termination.cause == TERM_BLOWUP
     assert res.termination.t < evaluate_criteria(s0.u, s0.rho, p).riccati_t
@@ -649,7 +663,7 @@ def test_e0_guard_stops_a_breaking_run_before_its_bound():
     assert E0_DRIFT_TOL < drift <= 1.0e-2
 
 
-def test_e0_guard_reports_lost_resolution_without_a_dive():
+def test_e0_guard_reports_lost_resolution_without_a_dive(no_witness):
     # at n = 64 and cfl 0.3 the steps are coarse enough that RK4 error
     # alone (it shrinks about 20x when cfl halves) carries E0 drift past the
     # tolerance at t ~ 0.926, while min u_x is still near m(0): the run has
@@ -661,6 +675,76 @@ def test_e0_guard_reports_lost_resolution_without_a_dive():
     assert m[-1] == pytest.approx(m[0], rel=0.05)
     drift = abs(res.series[-1, 1] - res.series[0, 1]) / res.series[0, 1]
     assert drift > E0_DRIFT_TOL
+
+
+def test_witness_stops_a_breaking_run_before_the_e0_guard(monkeypatch):
+    # the spectral tail of rho passes WITNESS_TOL at n = 128 while E0 is
+    # still held: the run ends there, past the fit cutoff, and every step
+    # it took is the one the E0 guard alone takes
+    import dghsim.stepping as stepping
+
+    s0, p = breaking_state(128)
+    res = run(s0, p, SimConfig(n=128, t_end=5.0))
+    assert res.termination.cause == TERM_BLOWUP
+    assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
+    last = res.series[-1]
+    assert last[0] == res.termination.t
+    drift = abs(last[1] - res.series[0, 1]) / res.series[0, 1]
+    assert drift <= E0_DRIFT_TOL
+    monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
+    guard = run(s0, p, SimConfig(n=128, t_end=5.0))
+    steps = res.slope_trace.m.size
+    assert guard.slope_trace.m.size > steps
+    assert np.array_equal(guard.slope_trace.m[:steps], res.slope_trace.m)
+    assert np.array_equal(guard.slope_trace.times[:steps], res.slope_trace.times)
+
+
+def test_witness_reports_lost_resolution_without_a_dive():
+    # at n = 64 the density of the smooth state concentrates until its
+    # spectral tail passes WITNESS_TOL at t ~ 0.679, with E0 still held and
+    # min u_x short of the fit cutoff; there rho is 0.4% of its maximum off
+    # the n = 256 run, and twice that by t = 0.8
+    res = run(smooth_state(n=64), ModelParams(), SimConfig(n=64, t_end=1.0))
+    assert res.termination.cause == TERM_RESOLUTION_LOST
+    assert res.termination.t == pytest.approx(0.679, abs=0.002)
+    m = res.slope_trace.m
+    assert -3.0 * abs(m[0]) < m[-1] < m[0]
+    drift = abs(res.series[-1, 1] - res.series[0, 1]) / res.series[0, 1]
+    assert drift <= E0_DRIFT_TOL
+
+
+@pytest.mark.parametrize("row", ["u", "rho"])
+@pytest.mark.parametrize(
+    "share, cause", [(0.06, TERM_RESOLUTION_LOST), (0.04, TERM_REACHED_END)]
+)
+def test_witness_fires_on_a_tail_past_its_tolerance(row, share, cause):
+    # a wave whose mode n/4 + 1 holds `share` of its amplitude, in u or in
+    # rho: one short step keeps the share, and the witness ends the run on
+    # it past WITNESS_TOL = 0.05 only
+    n = 64
+    g = PeriodicGrid(n)
+    x = 2.0 * np.pi * g.nodes
+    wave = 0.2 * (np.sin(x) + share * np.sin((n // 4 + 1) * x))
+    # rho = 0 stays 0 beside the wave in u, while a constant rho would
+    # take u_x rho, whose mode k is k times larger, into its own row
+    u, rho = (0.5 + wave, np.zeros(n)) if row == "u" else (np.full(n, 0.5), 1.0 + wave)
+    res = run(State(g, u, rho), ModelParams(), SimConfig(n=n, t_end=1.0e-4))
+    assert res.termination.cause == cause
+    assert len(res.slope_trace.times) == 2
+
+
+@pytest.mark.parametrize("tol", [0.0, math.inf])
+@pytest.mark.parametrize("u, rho", [(0.7, 0.0), (0.7, 1.3), (0.0, 0.0)])
+def test_witness_reads_zero_on_rows_without_modes(monkeypatch, tol, u, rho):
+    # constant rows, rho = 0 among them, keep every mode past k = 0 at 0:
+    # at WITNESS_TOL = 0 a tail above 0 would end the run, and at inf the
+    # bound inf * 0 is a nan, which must raise no warning
+    import dghsim.stepping as stepping
+
+    monkeypatch.setattr(stepping, "WITNESS_TOL", tol)
+    res = run(constant_state(64, u, rho), ModelParams(), SimConfig(n=64, t_end=0.5))
+    assert res.termination.cause == TERM_REACHED_END
+    assert res.termination.t == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_checks_grid_against_config():
