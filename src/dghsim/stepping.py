@@ -31,10 +31,12 @@ coefficients decay like exp(-delta k) over its analyticity strip, so
 once the modes k > n/4 of the rows of u or of rho hold more than
 WITNESS_TOL of the amplitude of the modes k >= 1 (in the l2 sense:
 sum_{k>n/4} |c_k|^2 > WITNESS_TOL^2 sum_{k>=1} |c_k|^2), the strip has
-shrunk to a few grid spacings and the front is no longer followed.  A
-row with no mode past k = 0, rho = 0 or a constant, never fires.  The
-second is E0: the semi-discrete flow conserves it exactly, so a relative
-drift past E0_DRIFT_TOL shows the same loss, or a time step too coarse.
+shrunk to a few grid spacings and the front is no longer followed.  The
+two sums are those of the two halves of a row's floats, so for n/2 odd
+the tail takes only the imaginary part of the mode (n + 2)/4.  A row
+with no mode past k = 0, rho = 0 or a constant, never fires.  The second
+is E0: the semi-discrete flow conserves it exactly, so a relative drift
+past E0_DRIFT_TOL shows the same loss, or a time step too coarse.
 
 The RK4 state is one flat float array: the pair of Fourier coefficients
 c = rfft((u, rho)) in "forward" normalisation, viewed as floats,
@@ -87,9 +89,9 @@ gamma that the cubic invariant reads, and the group's observation, with
 the RK4 states stacked on a leading axis, both built when the group
 forms and rebuilt when a member leaves; it advances the states with one
 _advance call per step, with one dt per member, and observes them with
-one inverse transform, one square and two reductions for E0, one square
-and one two-band reduction for the witness and, with characteristics,
-one interp_blocks call for the whole group.  The record invariants
+one inverse transform, one square and two reductions for E0, one
+np.vecdot call for the witness and, with characteristics, one
+interp_blocks call for the whole group.  The record invariants
 (meanU, hamE, hamF) are one pass over the stacked arrays as well, with
 one 2n inverse transform for the cubic one: the first member that
 records on a step makes it for every member, and the others read their
@@ -576,14 +578,13 @@ class _Observation:
     their coefficient views; the rows (c_u, ik c_u, c_rho), with their
     views of c and ik c_u; the samples of (u, u_x, rho) that one inverse
     transform of the rows fills; the three arrays energy_e0 writes the
-    group's E0 into; the squares of the states' coefficients, viewed as
-    floats, and their sums over the modes 1 <= k <= n/4 and k > n/4 of
-    each row, which the witness reads; the group's _RecordPass; with
-    characteristics, the positions' view of the states, the values of
-    (u, u_x, rho) at q that interp_blocks writes, with their rows
-    (u, u_x), which stage 1 reads, and the view of the rows that
-    interp_blocks weighs; and each member's views of these and its entry
-    of the record pass, which it is sent.
+    group's E0 into; the two halves of the floats of the states' modes
+    k >= 1 and the sums of their squares per row, which the witness reads;
+    the group's _RecordPass; with characteristics, the positions' view of
+    the states, the values of (u, u_x, rho) at q that interp_blocks
+    writes, with their rows (u, u_x), which stage 1 reads, and the view of
+    the rows that interp_blocks weighs; and each member's views of these
+    and its entry of the record pass, which it is sent.
     Every step overwrites these arrays, so a member copies what it keeps
     of them.
     """
@@ -601,12 +602,13 @@ class _Observation:
         self.row_slopes = self.rows[:, 1]
         self.samples = np.empty((members, 3, n))
         self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
-        # coefficient k of a row is its floats 2k and 2k + 1, so the bands
-        # start at the modes 1 and n/4 + 1
-        self.coefficient_floats = self.state[:, :head].reshape(members, 2, n + 2)
-        self.squares = np.empty((members, 2, n + 2))
-        self.bands = np.array([2, 2 * (n // 4 + 1)])
-        self.band_sums = np.empty((members, 2, 2))
+        # coefficient k of a row is its floats 2k and 2k + 1, so the upper
+        # half of the floats of the modes k >= 1 holds the modes k > n/4;
+        # for n/2 odd it splits the mode (n + 2)/4, and only its imaginary
+        # part counts in the tail
+        floats = self.state[:, :head].reshape(members, 2, n + 2)
+        self.halves = floats[:, :, 2:].reshape(members, 2, 2, n // 2)
+        self.half_sums = np.empty((members, 2, 2))
         self.record = _RecordPass(self.samples, self.rows, self.energy[2], work)
         chars = [None] * members
         self.q = self.at_q = self.rates_at_q = self.row_parts = None
@@ -632,15 +634,15 @@ class _Observation:
         if self.q is not None:
             interp_blocks(self.row_parts, self.q, self.work.interp, self.at_q)
         self.record.table.clear()
-        np.multiply(self.coefficient_floats, self.coefficient_floats, out=self.squares)
-        np.add.reduceat(self.squares, self.bands, axis=2, out=self.band_sums)
+        np.vecdot(self.halves, self.halves, out=self.half_sums)
         # in Python floats, so that WITNESS_TOL = inf on a row without
         # modes (inf * 0 = nan, never exceeded) raises no warning
         bound = WITNESS_TOL**2
-        lost = [
-            tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
-            for (low_u, tail_u), (low_rho, tail_rho) in self.band_sums.tolist()
-        ]
+        lost = []
+        for (low_u, tail_u), (low_rho, tail_rho) in self.half_sums.tolist():
+            lost.append(
+                tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
+            )
         return energy_e0(self.samples, work=self.energy).tolist(), lost
 
 
@@ -690,10 +692,10 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     of one dt per member.  After each step it copies the new states in,
     makes one batched inverse transform of the rows (c_u, ik c_u, c_rho)
     to the samples of (u, u_x, rho), takes every member's E0 with one
-    energy_e0 call and its witness flag with one square and one two-band
-    reduction of the states' coefficients, and with characteristics
-    makes one interp_blocks call for (u, u_x, rho) at q on the
-    workspace's InterpWork, each into the observation's arrays.  Each
+    energy_e0 call and its witness flag with one np.vecdot call on the
+    states' coefficients, and with characteristics makes one
+    interp_blocks call for (u, u_x, rho) at q on the workspace's
+    InterpWork, each into the observation's arrays.  Each
     member is sent its views of these arrays, which the next step
     overwrites, its record-invariant callable, its E0 and its witness
     flag.  A member whose row is not finite has NonFiniteStateError

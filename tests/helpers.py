@@ -1,6 +1,7 @@
 """Shared test references: finite differences, dense-grid extrema,
-trig-polynomial builders, the physical-space reference forms of the
-spectral kernels used across the suite, and the reference CSV formatter.
+trig-polynomial builders, the breaking wave's data, the physical-space
+reference forms of the spectral kernels used across the suite, and the
+reference CSV formatter.
 The quadrature convolution lives in dghsim.oracles, which the selftest
 shares."""
 
@@ -10,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from dghsim.grid import PeriodicGrid, interp_values, pad_values, project_values
+from dghsim.model import ModelParams
+from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
 
 
 def fd_derivative(values, dx, order):
@@ -48,6 +51,14 @@ def trig_poly(grid: PeriodicGrid, mean, cos_c=(), sin_c=()):
     for k, c in enumerate(sin_c, start=1):
         v += c * np.sin(2.0 * np.pi * k * x)
     return v
+
+
+def breaking_wave(n):
+    """configs/breaking_wave.cfg's initial state on n points (blowup31,
+    b = 1, margin 1.05, the amplitude solved at n) and its ModelParams."""
+    p = ModelParams(A=1.0, gamma=0.0)
+    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
+    return build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n)), p
 
 
 def dealiased_product(f, g):

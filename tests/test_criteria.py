@@ -42,9 +42,9 @@ from dghsim.grid import (
     random_trig_field,
 )
 from dghsim.model import ModelParams, State
-from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
+from dghsim.scenarios import build_initial_data
 from dghsim.stepping import SimConfig, run
-from helpers import dense_extremum
+from helpers import breaking_wave, dense_extremum
 
 
 def make_trace(t, m, xi=None, alpha=None):
@@ -270,9 +270,7 @@ def test_rate_estimator_fits_past_the_cutoff_when_the_floor_lies_above_it():
 
 def witness_ended_breaking_run(n):
     # the breaking wave, run until the spectral-tail witness ends its dive
-    p = ModelParams(A=1.0, gamma=0.0)
-    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
-    s0 = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n))
+    s0, p = breaking_wave(n)
     return run(s0, p, SimConfig(n=n, t_end=5.0)).slope_trace
 
 

@@ -28,6 +28,7 @@ from dghsim.stepping import (
     run,
     step_rk4,
 )
+from helpers import breaking_wave
 
 
 def smooth_state(n=64, amp=0.25):
@@ -630,14 +631,6 @@ def test_step_below_time_resolution_stops_the_run():
     assert 0.0 < res.series[0, SERIES_COLUMNS.index("dt")] < 1.0e-12
 
 
-def breaking_state(n):
-    from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
-
-    p = ModelParams(A=1.0, gamma=0.0)
-    a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
-    return build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n)), p
-
-
 @pytest.fixture
 def no_witness(monkeypatch):
     import dghsim.stepping as stepping
@@ -651,7 +644,7 @@ def test_e0_guard_stops_a_breaking_run_before_its_bound(no_witness):
     # past the rate fit's cutoff, and long before the Riccati bound
     from dghsim.criteria import evaluate_criteria
 
-    s0, p = breaking_state(128)
+    s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
     assert res.termination.cause == TERM_BLOWUP
     assert res.termination.t < evaluate_criteria(s0.u, s0.rho, p).riccati_t
@@ -683,7 +676,7 @@ def test_witness_stops_a_breaking_run_before_the_e0_guard(monkeypatch):
     # it took is the one the E0 guard alone takes
     import dghsim.stepping as stepping
 
-    s0, p = breaking_state(128)
+    s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
     assert res.termination.cause == TERM_BLOWUP
     assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
