@@ -217,8 +217,7 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
     of such a trace is resolved, and run labels that stop BlowupDetected
     exactly when this window has begun.  A dive that does recover ends
     there (the true solution cannot do that below the threshold), and its
-    fit takes the samples down to half its deepest slope, or every sample
-    of the dive when fewer than ten lie that high.
+    fit takes the samples down to half its deepest slope.
     """
     m = trace.m
     t = trace.times
@@ -238,9 +237,7 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
     dive = m[start:end]
     mask = dive <= cutoff
     if end < m.size:
-        upper = mask & (dive >= 0.5 * peak)
-        if np.count_nonzero(upper) >= _MIN_FIT_SAMPLES:
-            mask = upper
+        mask &= dive >= 0.5 * peak
     count = int(np.count_nonzero(mask))
     if count < _MIN_FIT_SAMPLES:
         raise InsufficientWindowError(
