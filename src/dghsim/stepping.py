@@ -106,10 +106,10 @@ record's characteristics, it copies, and a member whose step fails has
 the error thrown in before the driver observes the new states, while its
 views still hold the state its record reads.  So the slope minimum,
 alpha, the step size, records, snapshots, the stop tests and termination
-stay one scalar code path per member.  The group's transforms, products and sums
-are the ones each member makes alone, so a member's result is bit for
-bit its single run's.  Finiteness is checked per member, so a member
-that fails leaves the group and the others run on.
+stay one scalar code path per member.  The group's transforms, products
+and sums are the ones each member makes alone, so a member's result is
+bit for bit its single run's.  Finiteness is checked per member, so a
+member that fails leaves the group and the others run on.
 """
 
 from __future__ import annotations
@@ -695,16 +695,16 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     energy_e0 call and its witness flag with one np.vecdot call on the
     states' coefficients, and with characteristics makes one
     interp_blocks call for (u, u_x, rho) at q on the workspace's
-    InterpWork, each into the observation's arrays.  Each
-    member is sent its views of these arrays, which the next step
-    overwrites, its record-invariant callable, its E0 and its witness
-    flag.  A member whose row is not finite has NonFiniteStateError
-    thrown into it right after the step, before anything it was sent is
-    overwritten.  A member that ends, or whose row is not finite, leaves
-    the group: the workspace and the observation are rebuilt, on the same
-    line, for the members that stay, with their rows of the states and of
-    the values at q, so no array of a step is sized or parameterised for
-    members that have left.
+    InterpWork, each into the observation's arrays.  Each member is sent
+    its views of these arrays, which the next step overwrites, its
+    record-invariant callable, its E0 and its witness flag.  A member
+    whose row is not finite has NonFiniteStateError thrown into it right
+    after the step, before anything it was sent is overwritten.  A member
+    that ends, or whose row is not finite, leaves the group: the
+    workspace and the observation are rebuilt, on the same line, for the
+    members that stay, with their rows of the states and of the values at
+    q, so no array of a step is sized or parameterised for members that
+    have left.
     """
     results: list = [None] * len(members)
     groups: dict = {}
