@@ -163,10 +163,7 @@ def steady_state_deviation(steps: int) -> float:
     """Sup deviation of the constant state (u, rho) = (0.5, 1) after
     `steps` RK4 steps of 1e-3 at n = 64."""
     s0 = build_initial_data("constant", {"c": 0.5, "r": 1.0}, PeriodicGrid(64))
-    s = s0
-    p = ModelParams(A=1.0, gamma=0.0)
-    for _ in range(steps):
-        s = step_rk4(s, p, 1.0e-3)
+    s = step_rk4(s0, ModelParams(A=1.0, gamma=0.0), 1.0e-3, steps)
     return max(
         float(np.max(np.abs(s.u - s0.u))),
         float(np.max(np.abs(s.rho - s0.rho))),
@@ -185,10 +182,7 @@ def rk4_orders() -> list[float]:
     t_end = 0.1
 
     def integrate(count):
-        s = s0
-        for _ in range(count):
-            s = step_rk4(s, p, t_end / count)
-        return s.u
+        return step_rk4(s0, p, t_end / count, count).u
 
     ref = integrate(1024)
     errs = [float(np.max(np.abs(integrate(k) - ref))) for k in (32, 64, 128)]

@@ -42,23 +42,23 @@ The RK4 state is one flat float array: the pair of Fourier coefficients
 c = rfft((u, rho)) in "forward" normalisation, viewed as floats,
 followed, when a characteristic ensemble rides along, by its positions q
 and log-Jacobians lq.  Every stage shift and the final RK4 sum are a few
-ufunc calls, each writing into the group's one workspace, and the
-finiteness check is one expression on the new state; model.rhs_coeffs
+ufunc calls, each writing into an array of the group's one _Group, and
+the finiteness check is one expression on the new state; model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
-transforms at 3n/2 points, padding into the work arrays of the
-workspace's model.rhs_buffer, which every stage of every step shares.
-The workspace is built when the group forms and again when members leave
-it, never per step, and so is the group's _Observation beside it: the
-states, the rows, their samples, the arrays E0 is reduced in, the values
-at q and the 2n pad buffer of the cubic invariant, each with the views
-the driver and the members read.  A step allocates none of these and
-overwrites each.  Once per step one batched inverse transform of the
-rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a single
-pass; that u_x feeds the slope tracking, the step size and the E0 check,
-and a record reads the invariants straight off the arrays and E0, except
-the cubic one, which pads the same rows to 2n with one more inverse
-transform.  No sample is transformed forward again, and only a snapshot
-builds a State.
+transforms at 3n/2 points, padding into the work arrays of the group's
+model.rhs_buffer, which every stage of every step shares.  The _Group
+holds every array of a group: the RK4 rates and stage, the states, the
+rows, their samples, the arrays E0 and the witness are reduced in, the
+values at q and the 2n pad buffer of the cubic invariant, each with the
+views the driver and the members read.  It is built when the group forms
+and again when members leave it, never per step; a step allocates none of
+these and overwrites each.  Once per step one batched inverse transform
+of the rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a
+single pass; that u_x feeds the slope tracking, the step size and the E0
+check, and a record reads the invariants straight off the arrays and E0,
+except the cubic one, which pads the same rows to 2n with one more
+inverse transform.  No sample is transformed forward again, and only a
+snapshot builds a State.
 
 Off-grid values cost one phase table per RK4 stage and nothing besides,
 and every product with one is real: grid.interp_blocks puts the mode
@@ -68,12 +68,10 @@ one interp_blocks call: its u and u_x are the next step's stage-1
 characteristic rates, and its rho is the record's rho(q).  Stages 2 to 4
 each read u and u_x at their stage positions off the stage coefficients
 with one more interp_blocks call, so a step with characteristics fills
-four phase tables and a record none.  The observation and the stages
-are never live at once, so they fill the one table of the workspace's
-grid.InterpWork, in which every array those calls write was built with
-the group.  alpha = rho(xi) at the slope
-minimum comes from grid.interp_point, one exponential row, with or
-without characteristics.
+four phase tables and a record none.  The observation and the stages are
+never live at once, so they fill the one table of the group's
+grid.InterpWork.  alpha = rho(xi) at the slope minimum comes from
+grid.interp_point, one exponential row, with or without characteristics.
 
 Step 0 starts from the given samples: u_x is their spectral derivative,
 and one batched forward transform of (u, u_x, rho) gives the rows, whose
@@ -82,34 +80,30 @@ computes its invariants the same way.
 
 run takes one member or a list of members, and a single run is a list of
 one.  Members with the same grid size and seed count form a group, since
-their arrays stack, and a group's arrays have one owner, the lockstep
-driver: it holds the group's workspace, with its right-hand side buffer,
-one row of symbols per member's A and gamma, and the columns of A and
-gamma that the cubic invariant reads, and the group's observation, with
-the RK4 states stacked on a leading axis, both built when the group
-forms and rebuilt when a member leaves; it advances the states with one
-_advance call per step, with one dt per member, and observes them with
-one inverse transform, one square and two reductions for E0, one
-np.vecdot call for the witness and, with characteristics, one
-interp_blocks call for the whole group.  The record invariants
-(meanU, hamE, hamF) are one pass over the stacked arrays as well, with
-one 2n inverse transform for the cubic one: the first member that
-records on a step makes it for every member, and the others read their
-entries, so a single run, a group of one, makes it only on the steps it
-records.  Only the driver and _advance know the flat layout of the
-state.  Each member is a generator that keeps its run's scalars: it is
-sent views of its own slice of the group's arrays, its E0, its witness
-flag and its record entries, and yields its next dt, or has
-NonFiniteStateError thrown into it.  The next step overwrites the arrays
-those views show, so whatever a member keeps, a snapshot's fields or a
-record's characteristics, it copies, and a member whose step fails has
-the error thrown in before the driver observes the new states, while its
-views still hold the state its record reads.  So the slope minimum,
-alpha, the step size, records, snapshots, the stop tests and termination
-stay one scalar code path per member.  The group's transforms, products
-and sums are the ones each member makes alone, so a member's result is
-bit for bit its single run's.  Finiteness is checked per member, so a
-member that fails leaves the group and the others run on.
+their arrays stack, and the lockstep driver owns the group's _Group.  It
+advances the states with one _advance call per step, with one dt per
+member, and observes them with one inverse transform, one square and two
+reductions for E0, one np.vecdot call for the witness and, with
+characteristics, one interp_blocks call for the whole group.  The record
+invariants (meanU, hamE, hamF) are one pass over the stacked arrays as
+well: the first member that records on a step makes it for every member,
+and the others read their entries, so a single run, a group of one, makes
+it only on the steps it records.  step_rk4 is a group of one too, taking
+its fixed steps on the coefficients.  Only _Group, the driver and
+_advance know the flat layout of the state.  Each member is a generator
+that keeps its run's scalars: it is sent views of its own slice of the
+group's arrays, its E0, its witness flag and its record entries, and
+yields its next dt, or has NonFiniteStateError thrown into it.  The next
+step overwrites the arrays those views show, so whatever a member keeps,
+a snapshot's fields or a record's characteristics, it copies, and a
+member whose step fails has the error thrown in before the driver
+observes the new states, while its views still hold the state its record
+reads.  So the slope minimum, alpha, the step size, records, snapshots,
+the stop tests and termination stay one scalar code path per member.
+The group's transforms, products and sums are the ones each member makes
+alone, so a member's result is bit for bit its single run's.  Finiteness
+is checked per member, so a member that fails leaves the group and the
+others run on.
 """
 
 from __future__ import annotations
@@ -261,27 +255,38 @@ def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
     return y[:, : 2 * n + 4].view(complex).reshape(len(y), 2, -1)
 
 
-class _Workspace:
-    """Every array a lockstep group's step writes, for the members with
-    the ModelParams in params on one grid, each with `count`
-    characteristics, or None without.
+class _Group:
+    """Every array of one lockstep group: the members with the ModelParams
+    in params on one grid, each with `count` characteristics, or None
+    without.  The lockstep driver builds one when the group forms and
+    leave builds one each time members leave it, so parameters and arrays
+    cannot disagree; step_rk4 runs a group of one.
 
-    It holds the group's model.rhs_buffer; the (members, 1) columns of A
-    and gamma that hamiltonian_f reads; the (members, 1) columns dt/2 and
-    dt/6 of the step sizes; the four RK4 rate arrays and the stage state,
-    each of the state's shape (members, L), with the coefficient views
-    that rhs_coeffs reads and writes, the first rate array also receiving
-    the new state; and the finiteness of its entries and of each row.
-    With characteristics it also holds the grid.InterpWork of the group,
-    whose one phase table serves the observation (rows u, u_x, rho) and
-    stages 2 to 4 (rows u, u_x), which are never live at once; the rows
-    (1, ik) that turn a stage's coefficients of u into those of (u, u_x),
-    the (members, 2, n/2 + 1) array they fill and its view that
-    interp_blocks weighs; each rate's view of its rates of (q, lq), shape
-    (members, 2, K); and the stage's view of its positions.  The lockstep
-    driver builds one when the group forms and one each time members
-    leave it, so parameters and arrays cannot disagree; step_rk4 builds
-    one per call.
+    For _advance it holds the group's model.rhs_buffer; the (members, 1)
+    columns dt/2 and dt/6 of the step sizes; the four RK4 rate arrays and
+    the stage state, each of the state's shape (members, L), with the
+    coefficient views that rhs_coeffs reads and writes, the first rate
+    array also receiving the new state; and the finiteness of its entries
+    and of each row.  To observe, it holds the flat RK4 states (c, q, lq),
+    with their coefficient views; the rows (c_u, ik c_u, c_rho), with their
+    views of c and ik c_u; the samples of (u, u_x, rho) that transform
+    fills; the three arrays energy_e0 writes E0 into; the two halves of
+    the floats of the states' modes k >= 1 and the sums of their squares
+    per row, which the witness reads; and, for the record invariants, the
+    (members, 1) columns of A and gamma and the 2n pad buffer that
+    hamiltonian_f reads and the table of each member's entries.  With
+    characteristics it also holds the grid.InterpWork whose one phase
+    table serves the observation (rows u, u_x, rho) and stages 2 to 4
+    (rows u, u_x), which are never live at once; the rows (1, ik) that
+    turn a stage's coefficients of u into those of (u, u_x), the array
+    they fill and its view that interp_blocks weighs; each rate's and the
+    stage's views of their rates of (q, lq) and positions; the positions'
+    view of the states; and the values of (u, u_x, rho) at q, whose rows
+    (u, u_x) stage 1 reads.  views holds each member's views of its
+    samples, its coefficients of rho and its (q, lq, rho(q)).  Every step
+    overwrites these arrays, so a member copies what it keeps of them.
+    The group holds no reference to itself, so one that members leave is
+    freed as soon as nothing reads it.
     """
 
     def __init__(
@@ -290,7 +295,7 @@ class _Workspace:
         n = grid.n
         head = 2 * n + 4  # floats in c
         members = len(params)
-        self.grid = grid
+        self.grid, self.params, self.count = grid, params, count
         self.buffer = rhs_buffer(grid, params)
         self.A = np.array([[p.A] for p in params])
         self.gamma = np.array([[p.gamma] for p in params])
@@ -303,7 +308,24 @@ class _Workspace:
         ).reshape(5, members, 2, -1)
         self.finite_entries = np.empty((members, width), dtype=bool)
         self.finite = np.empty(members, dtype=bool)
-        self.interp = None
+        self.state = np.zeros((members, width))
+        self.coefficients = _coefficients(self.state, n)
+        self.coefficients_u = self.coefficients[:, 0]
+        self.rows = np.empty((members, 3, n // 2 + 1), dtype=complex)
+        self.row_pairs, self.row_slopes = self.rows[:, ::2], self.rows[:, 1]
+        self.samples = np.empty((members, 3, n))
+        self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
+        # coefficient k of a row is its floats 2k and 2k + 1, so the upper
+        # half of the floats of the modes k >= 1 holds the modes k > n/4;
+        # for n/2 odd it splits the mode (n + 2)/4, and only its imaginary
+        # part counts in the tail
+        floats = self.state[:, :head].reshape(members, 2, n + 2)
+        self.halves = floats[:, :, 2:].reshape(members, 2, 2, n // 2)
+        self.half_sums = np.empty((members, 2, 2))
+        self.padded = np.zeros((members, 3, n + 1), dtype=complex)
+        self.table: list[tuple[float, float, float]] = []
+        chars = [None] * members
+        self.interp = self.q = self.at_q = self.rates_at_q = None
         if count is not None:
             self.interp = InterpWork(n // 2, members, count, (2, 3))
             self.value_and_slope = np.stack((np.ones_like(grid.ik), grid.ik))
@@ -312,24 +334,83 @@ class _Workspace:
             self.stage_slope_parts = coefficient_parts(self.stage_slope)
             self.rate_at_q = [k[:, head:].reshape(members, 2, count) for k in self.rates]
             self.stage_q = self.stage[:, head : head + count]
+            self.q = self.state[:, head : head + count]
+            self.at_q = np.empty((members, 3, count))
+            self.rates_at_q = self.at_q[:, :2]
+            self.row_parts = coefficient_parts(self.rows)
+            chars = [
+                (self.q[j], self.state[j, head + count :], self.at_q[j, 2])
+                for j in range(members)
+            ]
+        self.views = [
+            (tuple(self.samples[j]), self.rows[j, 2], chars[j]) for j in range(members)
+        ]
+
+    def transform(self) -> None:
+        """Fill the rows and their samples from the states."""
+        np.copyto(self.row_pairs, self.coefficients)
+        np.multiply(self.grid.ik, self.coefficients_u, out=self.row_slopes)
+        np.fft.irfft(self.rows, self.grid.n, norm="forward", out=self.samples)
+
+    def observe(self) -> tuple[list[float], list[bool]]:
+        """Observe the states, whose rows and samples transform has
+        filled, with characteristics at q too; returns every member's E0
+        and whether the spectral-tail witness fired on it."""
+        if self.q is not None:
+            interp_blocks(self.row_parts, self.q, self.interp, self.at_q)
+        self.table.clear()
+        np.vecdot(self.halves, self.halves, out=self.half_sums)
+        # in Python floats, so that WITNESS_TOL = inf on a row without
+        # modes (inf * 0 = nan, never exceeded) raises no warning
+        bound = WITNESS_TOL**2
+        lost = []
+        for (low_u, tail_u), (low_rho, tail_rho) in self.half_sums.tolist():
+            lost.append(
+                tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
+            )
+        return energy_e0(self.samples, work=self.energy).tolist(), lost
+
+    def invariants(self, j: int) -> tuple[float, float, float]:
+        """Member j's record invariants (meanU, hamE, hamF) of the observed
+        states.  The first call after observe computes them for every
+        member, with one reduction each and one 2n inverse transform for
+        the cubic one, and later calls read that table, so a step on which
+        any member records pays for one pass and a step on which none
+        records for none."""
+        if not self.table:
+            self.table.extend(zip(
+                mean_u(self.samples[:, 0]).tolist(),
+                hamiltonian_e(self.energy[2], self.samples[:, 2]).tolist(),
+                hamiltonian_f(self.rows, self.A, self.gamma, self.padded).tolist(),
+            ))
+        return self.table[j]
+
+    def leave(self, staying: list[int]) -> _Group:
+        """A fresh group of the members in staying, with their rows of the
+        states and of the values at q."""
+        group = _Group(self.grid, tuple(self.params[j] for j in staying), self.count)
+        np.take(self.state, staying, axis=0, out=group.state)
+        if self.count is not None:
+            np.take(self.at_q, staying, axis=0, out=group.at_q)
+        return group
 
 
 def _advance(
     y: np.ndarray,
-    work: _Workspace,
+    group: _Group,
     dt: np.ndarray,
     at_q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of each row of the flat state y, shape
     (members, L), each row (c viewed as floats, q, lq), with its own
-    parameters through work, the _Workspace the caller built for these
-    rows, and its own step size in dt, a column of shape (members, 1);
-    returns the new state and whether each of its rows is finite, both
-    work's arrays, which the next call overwrites.  Every array the step
-    writes is work's, each written through out= by the operations the
-    expression y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same
-    order, so the result is bit for bit that expression's; the sum
-    accumulates in k1, whose array then holds the new state.
+    parameters through group, the _Group of these rows, and its own step
+    size in dt, a column of shape (members, 1); returns the new state and
+    whether each of its rows is finite, both group's arrays, which the next
+    call overwrites.  Every array the step writes is group's, each written
+    through out= by the operations the expression
+    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same order, so the
+    result is bit for bit that expression's; the sum accumulates in k1,
+    whose array then holds the new state.
 
     Without characteristics y holds c alone and at_q is None.  With K of
     them per row, at_q holds u and u_x at q at the step's start, shape
@@ -347,25 +428,25 @@ def _advance(
     entry in any stage of a row leaves one in that row, and no stage needs
     a check of its own.
     """
-    grid, buffer = work.grid, work.buffer
-    stage, c = work.stage, work.stage_coefficients
-    k1, k2, k3, k4 = work.rates
-    half = np.multiply(0.5, dt, out=work.half_dt)
+    grid, buffer = group.grid, group.buffer
+    stage, c = group.stage, group.stage_coefficients
+    k1, k2, k3, k4 = group.rates
+    half = np.multiply(0.5, dt, out=group.half_dt)
     with np.errstate(over="ignore", invalid="ignore"):
         # k1 at y, whose rates of q and lq the caller has evaluated
-        rhs_coeffs(_coefficients(y, grid.n), grid, buffer, work.rate_coefficients[0])
+        rhs_coeffs(_coefficients(y, grid.n), grid, buffer, group.rate_coefficients[0])
         if at_q is not None:
-            np.copyto(work.rate_at_q[0], at_q)
+            np.copyto(group.rate_at_q[0], at_q)
         # k2, k3 and k4 at the stages y + (dt/2) k1, y + (dt/2) k2 and
         # y + dt k3; the sum commutes bit for bit, so y may come second
         for i, scale in ((1, half), (2, half), (3, dt)):
-            np.multiply(scale, work.rates[i - 1], out=stage)
+            np.multiply(scale, group.rates[i - 1], out=stage)
             np.add(y, stage, out=stage)
-            rhs_coeffs(c, grid, buffer, work.rate_coefficients[i])
+            rhs_coeffs(c, grid, buffer, group.rate_coefficients[i])
             if at_q is not None:
-                np.multiply(work.stage_u, work.value_and_slope, out=work.stage_slope)
+                np.multiply(group.stage_u, group.value_and_slope, out=group.stage_slope)
                 interp_blocks(
-                    work.stage_slope_parts, work.stage_q, work.interp, work.rate_at_q[i]
+                    group.stage_slope_parts, group.stage_q, group.interp, group.rate_at_q[i]
                 )
         # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
         np.multiply(2.0, k2, out=k2)
@@ -373,22 +454,28 @@ def _advance(
         np.multiply(2.0, k3, out=k3)
         np.add(k1, k3, out=k1)
         np.add(k1, k4, out=k1)
-        np.multiply(np.divide(dt, 6.0, out=work.sixth_dt), k1, out=k1)
+        np.multiply(np.divide(dt, 6.0, out=group.sixth_dt), k1, out=k1)
         np.add(y, k1, out=k1)
-    np.isfinite(k1, out=work.finite_entries)
-    return k1, np.logical_and.reduce(work.finite_entries, axis=1, out=work.finite)
+    np.isfinite(k1, out=group.finite_entries)
+    return k1, np.logical_and.reduce(group.finite_entries, axis=1, out=group.finite)
 
 
-def step_rk4(s: State, p: ModelParams, dt: float) -> State:
-    """Single classical RK4 step of the field equations."""
+def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
+    """`steps` classical RK4 steps of size dt of the field equations, taken
+    on the coefficients of a group of one and transformed to samples once,
+    at the end."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    c0 = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
-    y = c0.reshape(1, -1).view(float)
-    y, finite = _advance(y, _Workspace(s.grid, (p,), None), np.full((1, 1), dt))
-    if not finite[0]:
-        raise NonFiniteStateError("non-finite values in an RK4 stage")
-    u, rho = np.fft.irfft(_coefficients(y, s.grid.n)[0], s.grid.n, norm="forward")
+    group = _Group(s.grid, (p,), None)
+    group.coefficients[0] = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
+    dt = np.full((1, 1), dt)
+    for _ in range(steps):
+        state, finite = _advance(group.state, group, dt)
+        if not finite[0]:
+            raise NonFiniteStateError("non-finite values in an RK4 stage")
+        np.copyto(group.state, state)
+    group.transform()
+    u, _, rho = group.samples[0]
     return State(s.grid, u, rho)
 
 
@@ -568,143 +655,24 @@ def run(
     return _lockstep(list(zip(s0, p, c, seeds, strict=True)))
 
 
-class _Observation:
-    """A lockstep group's states and the arrays the driver observes them
-    in, for the members of work, a _Workspace, each with `count`
-    characteristics, or None without; the driver builds one beside each
-    workspace, when the group forms and each time members leave it.
-
-    It holds the flat RK4 states (c, q, lq), one row per member, with
-    their coefficient views; the rows (c_u, ik c_u, c_rho), with their
-    views of c and ik c_u; the samples of (u, u_x, rho) that one inverse
-    transform of the rows fills; the three arrays energy_e0 writes the
-    group's E0 into; the two halves of the floats of the states' modes
-    k >= 1 and the sums of their squares per row, which the witness reads;
-    the group's _RecordPass; with characteristics, the positions' view of
-    the states, the values of (u, u_x, rho) at q that interp_blocks
-    writes, with their rows (u, u_x), which stage 1 reads, and the view of
-    the rows that interp_blocks weighs; and each member's views of these
-    and its entry of the record pass, which it is sent.
-    Every step overwrites these arrays, so a member copies what it keeps
-    of them.
-    """
-
-    def __init__(self, work: _Workspace, count: int | None) -> None:
-        n = work.grid.n
-        head = 2 * n + 4  # floats in c
-        members = len(work.A)
-        self.work = work
-        self.state = np.zeros((members, head + 2 * (count or 0)))
-        self.coefficients = _coefficients(self.state, n)
-        self.coefficients_u = self.coefficients[:, 0]
-        self.rows = np.empty((members, 3, n // 2 + 1), dtype=complex)
-        self.row_pairs = self.rows[:, ::2]
-        self.row_slopes = self.rows[:, 1]
-        self.samples = np.empty((members, 3, n))
-        self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
-        # coefficient k of a row is its floats 2k and 2k + 1, so the upper
-        # half of the floats of the modes k >= 1 holds the modes k > n/4;
-        # for n/2 odd it splits the mode (n + 2)/4, and only its imaginary
-        # part counts in the tail
-        floats = self.state[:, :head].reshape(members, 2, n + 2)
-        self.halves = floats[:, :, 2:].reshape(members, 2, 2, n // 2)
-        self.half_sums = np.empty((members, 2, 2))
-        self.record = _RecordPass(self.samples, self.rows, self.energy[2], work)
-        chars = [None] * members
-        self.q = self.at_q = self.rates_at_q = self.row_parts = None
-        if count is not None:
-            self.q = self.state[:, head : head + count]
-            self.at_q = np.empty((members, 3, count))
-            self.rates_at_q = self.at_q[:, :2]
-            self.row_parts = coefficient_parts(self.rows)
-            chars = [
-                (self.q[j], self.state[j, head + count :], self.at_q[j, 2])
-                for j in range(members)
-            ]
-        self.views = [
-            (tuple(self.samples[j]), self.rows[j, 2], chars[j], partial(self.record, j))
-            for j in range(members)
-        ]
-
-    def observe(self) -> tuple[list[float], list[bool]]:
-        """Observe the states: the rows and their samples, which the
-        caller has filled, and with characteristics (u, u_x, rho) at q;
-        returns every member's E0 and whether the spectral-tail witness
-        fired on it."""
-        if self.q is not None:
-            interp_blocks(self.row_parts, self.q, self.work.interp, self.at_q)
-        self.record.table.clear()
-        np.vecdot(self.halves, self.halves, out=self.half_sums)
-        # in Python floats, so that WITNESS_TOL = inf on a row without
-        # modes (inf * 0 = nan, never exceeded) raises no warning
-        bound = WITNESS_TOL**2
-        lost = []
-        for (low_u, tail_u), (low_rho, tail_rho) in self.half_sums.tolist():
-            lost.append(
-                tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
-            )
-        return energy_e0(self.samples, work=self.energy).tolist(), lost
-
-
-class _RecordPass:
-    """The record invariants of a group's observed states, computed once
-    per step.
-
-    samples and rows are the group's stacked (u, u_x, rho) samples and
-    coefficient rows and e0 their E0, one row per member, and work the
-    group's _Workspace, whose columns of A and gamma the cubic invariant
-    reads.  Called with a member's row index, it gives that member's
-    (meanU, hamE, hamF).  The first call after the table is cleared
-    computes them for every row, with one reduction each and one 2n
-    inverse transform of the stacked rows, padded in a buffer built here,
-    for the cubic invariant, and later calls read that table, so a group
-    step on which any member records pays for one pass and a step on
-    which none records for none.
-    """
-
-    def __init__(
-        self, samples: np.ndarray, rows: np.ndarray, e0: np.ndarray, work: _Workspace
-    ) -> None:
-        self.samples, self.rows, self.e0 = samples, rows, e0
-        self.A, self.gamma = work.A, work.gamma
-        self.padded = np.zeros(rows.shape[:-1] + (2 * rows.shape[-1] - 1,), dtype=complex)
-        self.table: list[tuple[float, float, float]] = []
-
-    def __call__(self, j: int) -> tuple[float, float, float]:
-        if not self.table:
-            self.table.extend(zip(
-                mean_u(self.samples[:, 0]).tolist(),
-                hamiltonian_e(self.e0, self.samples[:, 2]).tolist(),
-                hamiltonian_f(self.rows, self.A, self.gamma, self.padded).tolist(),
-            ))
-        return self.table[j]
-
-
 def _lockstep(members: list[tuple]) -> list[SimResult]:
     """Run each (state, params, config, seeds) member to its end.
 
     Members with the same grid size and seed count form a group, since
-    their arrays stack, and this driver is the one owner of a group's
-    arrays.  It builds the _Workspace of the group's ModelParams, one per
-    member, and beside it the group's _Observation, which holds the flat
-    RK4 states (c, q, lq) stacked on a leading axis, when the group forms,
-    and makes one _advance call per step, with that workspace and a column
-    of one dt per member.  After each step it copies the new states in,
-    makes one batched inverse transform of the rows (c_u, ik c_u, c_rho)
-    to the samples of (u, u_x, rho), takes every member's E0 with one
-    energy_e0 call and its witness flag with one np.vecdot call on the
-    states' coefficients, and with characteristics makes one
-    interp_blocks call for (u, u_x, rho) at q on the workspace's
-    InterpWork, each into the observation's arrays.  Each member is sent
-    its views of these arrays, which the next step overwrites, its
-    record-invariant callable, its E0 and its witness flag.  A member
+    their arrays stack, and this driver owns the group's one _Group, built
+    when the group forms with a row per member.  Each step it observes
+    the group, sends each member its views, a callable for its entry of
+    the record invariants, its E0 and its witness flag, and makes one
+    _advance call with a column of the dts the members yield.  A member
     whose row is not finite has NonFiniteStateError thrown into it right
-    after the step, before anything it was sent is overwritten.  A member
-    that ends, or whose row is not finite, leaves the group: the
-    workspace and the observation are rebuilt, on the same line, for the
-    members that stay, with their rows of the states and of the values at
-    q, so no array of a step is sized or parameterised for members that
-    have left.
+    after the step, before anything it was sent is overwritten; then the
+    new states are copied in and transformed.  A member that ends, or
+    whose row is not finite, leaves the group: the driver takes the
+    group's leave for the members that stay, so no array of a step is
+    sized or parameterised for members that have left.  The callables
+    are built here, not held by the group, so a group that members leave
+    holds no reference to itself and is freed once its members are sent
+    the next step's views.
     """
     results: list = [None] * len(members)
     groups: dict = {}
@@ -713,43 +681,28 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             raise ValueError(f"state lives on n={s0.grid.n}, config says n={c.n}")
         key = (s0.grid, None if seeds is None else len(seeds))
         groups.setdefault(key, []).append(i)
-    for (grid, count), group in groups.items():
-        n = grid.n
-        live = [(i, _member(grid, *members[i][1:])) for i in group]
-        params = tuple(members[i][1] for i in group)
-        work = _Workspace(grid, params, count)
-        obs = _Observation(work, count)
-
-        def leave(staying: list[int]) -> None:
-            # rebuild the group's arrays for the members in staying, with
-            # their rows of the states and of the values at q
-            nonlocal live, params, work, obs
-            live = [live[j] for j in staying]
-            params = tuple(params[j] for j in staying)
-            old, work = obs, _Workspace(grid, params, count)
-            obs = _Observation(work, count)
-            np.take(old.state, staying, axis=0, out=obs.state)
-            if count is not None:
-                np.take(old.at_q, staying, axis=0, out=obs.at_q)
-
+    for (grid, count), indices in groups.items():
+        live = [(i, _member(grid, *members[i][1:])) for i in indices]
+        group = _Group(grid, tuple(members[i][1] for i in indices), count)
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
         # and the rows' first and last start the RK4 state, followed by the
         # seeds and lq = 0
-        u = np.stack([members[i][0].u for i in group])
-        rho = np.stack([members[i][0].rho for i in group])
-        np.copyto(obs.samples, np.stack((u, deriv_values(u, 1), rho), axis=1))
-        np.fft.rfft(obs.samples, norm="forward", out=obs.rows)
-        np.copyto(obs.coefficients, obs.row_pairs)
+        u = np.stack([members[i][0].u for i in indices])
+        rho = np.stack([members[i][0].rho for i in indices])
+        np.copyto(group.samples, np.stack((u, deriv_values(u, 1), rho), axis=1))
+        np.fft.rfft(group.samples, norm="forward", out=group.rows)
+        np.copyto(group.coefficients, group.row_pairs)
         if count is not None:
-            obs.q[:] = [members[i][3] for i in group]
+            group.q[:] = [members[i][3] for i in indices]
         while True:
-            e0s, lost = obs.observe()
+            e0s, lost = group.observe()
             staying, dts = [], []
             for j, (i, member) in enumerate(live):
+                views = (*group.views[j], partial(group.invariants, j), e0s[j], lost[j])
                 try:
-                    dts.append(member.send((*obs.views[j], e0s[j], lost[j])))
+                    dts.append(member.send(views))
                 except StopIteration as end:
                     results[i] = end.value
                     continue
@@ -757,8 +710,10 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             if not staying:
                 break
             if len(staying) < len(live):
-                leave(staying)
-            state, finite = _advance(obs.state, work, np.array(dts)[:, None], obs.rates_at_q)
+                live, group = [live[j] for j in staying], group.leave(staying)
+            state, finite = _advance(
+                group.state, group, np.array(dts)[:, None], group.rates_at_q
+            )
             if not finite.all():
                 # each such member records from the views it was last
                 # sent, which still hold the state its step started from
@@ -773,10 +728,8 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
                         results[i] = end.value
                 if not staying:
                     break
-            np.copyto(obs.state, state)
+            np.copyto(group.state, state)
             if len(staying) < len(live):
-                leave(staying)
-            np.copyto(obs.row_pairs, obs.coefficients)
-            np.multiply(grid.ik, obs.coefficients_u, out=obs.row_slopes)
-            np.fft.irfft(obs.rows, n, norm="forward", out=obs.samples)
+                live, group = [live[j] for j in staying], group.leave(staying)
+            group.transform()
     return results

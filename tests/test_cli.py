@@ -161,6 +161,25 @@ def test_report_summaries_match_the_artifacts(case, tmp_path):
         assert report["characteristics"]["max_jacobian"] == max(chars["qx"])
 
 
+@pytest.mark.parametrize(
+    "cfg", sorted(REPO.glob("configs/*.cfg")), ids=lambda p: p.name
+)
+def test_shipped_config_writes_every_snapshot_it_lists(cfg, tmp_path):
+    # a listed time at or before t_end that the run stops short of is
+    # written nowhere, and no message says so
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    sim = json.loads((tmp_path / "report.json").read_text())["config"]["sim"]
+    used: set = set()
+    want = sorted(
+        _snapshot_name(t, used) + ".csv"
+        for t in sorted(set(sim["snapshot_times"]))
+        if t <= sim["t_end"]
+    )
+    snaps = tmp_path / "snapshots"
+    got = sorted(p.name for p in snaps.iterdir()) if snaps.exists() else []
+    assert got == want
+
+
 def test_reruns_are_byte_identical(smooth_cfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(smooth_cfg), "--out-dir", str(out1), "--quiet"]) == EXIT_OK
@@ -799,22 +818,22 @@ def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch
 
 
 def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
-    # one workspace, with its rhs_buffer, when a group forms and one after
+    # one _Group, with its rhs_buffer, when a group forms and one after
     # each step on which members leave it: a sweep makes one per distinct
     # member step count, not one per step, and a single run makes one
     builds, workspaces = [], []
-    real, real_workspace = stepping.rhs_buffer, stepping._Workspace
+    real, real_group = stepping.rhs_buffer, stepping._Group
 
     def counted(grid, params):
         builds.append(params)
         return real(grid, params)
 
-    def counted_workspace(grid, params, count):
+    def counted_group(grid, params, count):
         workspaces.append(params)
-        return real_workspace(grid, params, count)
+        return real_group(grid, params, count)
 
     monkeypatch.setattr(stepping, "rhs_buffer", counted)
-    monkeypatch.setattr(stepping, "_Workspace", counted_workspace)
+    monkeypatch.setattr(stepping, "_Group", counted_group)
     cfg = tmp_path / "lock.cfg"
     cfg.write_text(LOCKSTEP_CONFIG)
     out = tmp_path / "sweep"

@@ -127,9 +127,9 @@ def test_step_flags_overflow():
 
 @pytest.mark.parametrize("track", [False, True])
 def test_workspace_reuse_is_invisible(track):
-    # two steps on one workspace, the second from the first's result with
+    # two steps on one group, the second from the first's result with
     # other step sizes and other rates at q, give bit for bit what fresh
-    # workspaces give: a step overwrites every array of it that it reads
+    # groups give: a step overwrites every array of it that it reads
     import dghsim.stepping as stepping
 
     n, count = 64, 8 if track else None
@@ -141,13 +141,13 @@ def test_workspace_reuse_is_invisible(track):
     stepping._coefficients(y, n)[:] = np.fft.rfft(fields, norm="forward")
     if track:
         y[:, 2 * n + 4 :] = r.uniform(0.0, 1.0, (2, 2 * count))
-    work = stepping._Workspace(g, params, count)
+    work = stepping._Group(g, params, count)
     for dt in ([[1.0e-3], [2.0e-3]], [[5.0e-4], [3.0e-3]]):
         at_q = r.normal(size=(2, 2, count)) if track else None
         dt = np.array(dt)
         got, finite = stepping._advance(y, work, dt, at_q)
         want, want_finite = stepping._advance(
-            y, stepping._Workspace(g, params, count), dt, at_q
+            y, stepping._Group(g, params, count), dt, at_q
         )
         assert finite.all() and np.array_equal(finite, want_finite)
         assert np.array_equal(got, want)
@@ -407,6 +407,79 @@ def test_lockstep_members_equal_their_single_runs():
         _assert_same_result(got, run(*args))
 
 
+@pytest.mark.parametrize("track", [False, True])
+def test_members_that_leave_a_group_step_on_as_in_it(track):
+    # a two-member group advanced 3 steps and split with leave([0]) and
+    # leave([1]) between its observation and its next step: each part
+    # steps 4 more steps bit for bit as its row of the joint group, so
+    # leave carries the states and the values at q stage 1 reads
+    import dghsim.stepping as stepping
+
+    n, count = 64, 8 if track else None
+    params = (ModelParams(A=1.0, gamma=0.3), ModelParams(A=0.7, gamma=-0.4))
+    r = np.random.default_rng(11)
+    joint = stepping._Group(PeriodicGrid(n), params, count)
+    fields = 1.0 + 0.1 * r.normal(size=(2, 2, n))
+    joint.coefficients[:] = np.fft.rfft(fields, norm="forward")
+    if track:
+        joint.q[:] = r.uniform(0.0, 1.0, (2, count))
+    dts = np.array([[1.0e-3], [2.0e-3]])
+
+    def step(group, dt):
+        state, finite = stepping._advance(group.state, group, dt, group.rates_at_q)
+        assert finite.all()
+        np.copyto(group.state, state)
+        group.transform()
+        group.observe()
+
+    joint.transform()
+    joint.observe()
+    for _ in range(3):
+        step(joint, dts)
+    parts = [joint.leave([0]), joint.leave([1])]
+    for _ in range(4):
+        step(joint, dts)
+        for j, part in enumerate(parts):
+            step(part, dts[j : j + 1])
+            assert np.array_equal(part.state[0], joint.state[j])
+            if track:
+                assert np.array_equal(part.at_q[0], joint.at_q[j])
+
+
+def test_a_group_members_left_is_freed_without_the_collector(monkeypatch):
+    # a group holds no reference to itself, so reference counting frees
+    # one that members left as soon as they are sent the next step's
+    # views: when a step starts, no group but its own and the one before
+    # is alive, and none is once the run returns
+    import gc
+    import weakref
+
+    import dghsim.stepping as stepping
+
+    built = []
+    real_group, real_advance = stepping._Group, stepping._advance
+
+    def group(*args):
+        out = real_group(*args)
+        built.append(weakref.ref(out))
+        return out
+
+    def advance(*args):
+        assert all(ref() is None for ref in built[:-2])
+        return real_advance(*args)
+
+    monkeypatch.setattr(stepping, "_Group", group)
+    monkeypatch.setattr(stepping, "_advance", advance)
+    states, params, configs, seeds = _lockstep_members()
+    gc.disable()
+    try:
+        run(states, params, configs, seeds=seeds)
+        assert len(built) == 3
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
 def test_lockstep_step_builds_four_phase_matrices_and_one_transform_for_the_group(
     monkeypatch,
 ):
@@ -512,10 +585,7 @@ def test_rk4_fourth_order():
     t_end = 0.05
 
     def integrate(steps):
-        s = s0
-        for _ in range(steps):
-            s = step_rk4(s, p, t_end / steps)
-        return s.u
+        return step_rk4(s0, p, t_end / steps, steps).u
 
     ref = integrate(256)
     errs = [np.max(np.abs(integrate(k) - ref)) for k in (8, 16)]
