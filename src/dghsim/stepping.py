@@ -332,7 +332,7 @@ class _Group:
             self.stage_u = self.stage_coefficients[:, :1]
             self.stage_slope = np.empty((members, 2, n // 2 + 1), dtype=complex)
             self.stage_slope_parts = coefficient_parts(self.stage_slope)
-            self.rate_at_q = [k[:, head:].reshape(members, 2, count) for k in self.rates]
+            self.q_rates = [k[:, head:].reshape(members, 2, count) for k in self.rates]
             self.stage_q = self.stage[:, head : head + count]
             self.q = self.state[:, head : head + count]
             self.at_q = np.empty((members, 3, count))
@@ -436,7 +436,7 @@ def _advance(
         # k1 at y, whose rates of q and lq the caller has evaluated
         rhs_coeffs(_coefficients(y, grid.n), grid, buffer, group.rate_coefficients[0])
         if at_q is not None:
-            np.copyto(group.rate_at_q[0], at_q)
+            np.copyto(group.q_rates[0], at_q)
         # k2, k3 and k4 at the stages y + (dt/2) k1, y + (dt/2) k2 and
         # y + dt k3; the sum commutes bit for bit, so y may come second
         for i, scale in ((1, half), (2, half), (3, dt)):
@@ -446,7 +446,7 @@ def _advance(
             if at_q is not None:
                 np.multiply(group.stage_u, group.value_and_slope, out=group.stage_slope)
                 interp_blocks(
-                    group.stage_slope_parts, group.stage_q, group.interp, group.rate_at_q[i]
+                    group.stage_slope_parts, group.stage_q, group.interp, group.q_rates[i]
                 )
         # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
         np.multiply(2.0, k2, out=k2)
