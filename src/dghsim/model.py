@@ -311,15 +311,17 @@ def hamiltonian_f(
     padded: np.ndarray | None = None,
 ) -> np.ndarray | float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
-    norm="forward"), shape (..., 3, n/2 + 1), evaluated on a 2n grid so
-    the products are exact: one inverse transform of every row and no
-    forward one.  A and gamma are the parameters, floats for one row or
-    columns of one entry per row, shape c.shape[:-2] + (1,), which the
-    caller builds once for its rows; a row then gets the bits of its own
-    call.  padded, if given, is the pad buffer, a zero-filled complex
-    array of shape c.shape[:-1] + (n + 1,) that a caller builds once for
-    its rows: a call writes only its first n/2 + 1 columns, so the zeros
-    above them stay.
+    norm="forward"), shape (3, n/2 + 1), or (members, 3, n/2 + 1) for a
+    stack of rows, evaluated on a 2n grid so the products are exact: one
+    inverse transform of every row and no forward one.  A and gamma are
+    the parameters, floats for one row or columns of one entry per row,
+    shape (members, 1), which the caller builds once for its rows; a row
+    then gets the bits of its own call.  padded, if given, is the pad
+    buffer, a zero-filled complex array of shape (3, members, n + 1), or
+    (3, n + 1), that a caller builds once for its rows: field-major, so
+    that each field's samples of every row are one contiguous block for
+    the integrand.  A call writes only its first n/2 + 1 columns, so the
+    zeros above them stay.
 
     (1/2) integral(u^3 + u u_x^2 - A u^2 - gamma u_x^2 + 2 u (rho-1)
                    + u (rho-1)^2)
@@ -328,12 +330,12 @@ def hamiltonian_f(
     - gamma u_x^2, since 2 (rho - 1) + (rho - 1)^2 = rho^2 - 1.
     """
     half = c.shape[-1] - 1
+    fields = c.swapaxes(0, -2)  # field-major, as padded is
     if padded is None:
-        padded = np.zeros(c.shape[:-1] + (2 * half + 1,), dtype=complex)
-    padded[..., : half + 1] = c
+        padded = np.zeros(fields.shape[:-1] + (2 * half + 1,), dtype=complex)
+    padded[..., : half + 1] = fields
     padded[..., half] *= 0.5
-    samples = np.fft.irfft(padded, 4 * half, norm="forward")
-    uf, uxf, rf = (samples[..., i, :] for i in range(3))
+    uf, uxf, rf = np.fft.irfft(padded, 4 * half, norm="forward")
     ux2 = uxf * uxf
     integrand = uf * (uf * (uf - A) + ux2 + rf * rf - 1.0) - gamma * ux2
     return 0.5 * _mean(integrand)

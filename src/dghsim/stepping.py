@@ -80,30 +80,37 @@ computes its invariants the same way.
 
 run takes one member or a list of members, and a single run is a list of
 one.  Members with the same grid size and seed count form a group, since
-their arrays stack, and the lockstep driver owns the group's _Group.  It
-advances the states with one _advance call per step, with one dt per
-member, and observes them with one inverse transform, one square and two
-reductions for E0, one np.vecdot call for the witness and, with
-characteristics, one interp_blocks call for the whole group.  The record
-invariants (meanU, hamE, hamF) are one pass over the stacked arrays as
-well: the first member that records on a step makes it for every member,
-and the others read their entries, so a single run, a group of one, makes
-it only on the steps it records.  step_rk4 is a group of one too, taking
-its fixed steps on the coefficients.  Only _Group, the driver and
-_advance know the flat layout of the state.  Each member is a generator
-that keeps its run's scalars: it is sent views of its own slice of the
-group's arrays, its E0, its witness flag and its record entries, and
-yields its next dt, or has NonFiniteStateError thrown into it.  The next
-step overwrites the arrays those views show, so whatever a member keeps,
-a snapshot's fields or a record's characteristics, it copies, and a
-member whose step fails has the error thrown in before the driver
-observes the new states, while its views still hold the state its record
-reads.  So the slope minimum, alpha, the step size, records, snapshots,
-the stop tests and termination stay one scalar code path per member.
-The group's transforms, products and sums are the ones each member makes
-alone, so a member's result is bit for bit its single run's.  Finiteness
-is checked per member, so a member that fails leaves the group and the
-others run on.
+their arrays stack, and the lockstep driver owns each group's _Group.  It
+builds every group before any steps, and on each pass it steps every live
+group once, until every member has ended.  A group's step is one
+_advance call, with one dt per member, and one observation: one inverse
+transform, one square and two reductions for E0, one np.vecdot call for
+the witness and, with characteristics, one interp_blocks call for the
+whole group.  The record invariants (meanU, hamE, hamF) are one pass over
+the stacked arrays as well: the first member that records on a step
+makes it for every member, and the others read their entries, so a
+single run, a group of one, makes it only on the steps it records.
+step_rk4 is a group of one too, taking its fixed steps on the
+coefficients.  Only _Group, the driver and _advance know the flat layout
+of the state.  Each member is a generator that keeps its run's scalars:
+it is sent views of its own slice of the group's arrays, its E0, its
+witness flag, its record entries and whether its last step was finite,
+and yields its next dt.  The next step overwrites the arrays those views
+show, so whatever a member keeps, a snapshot's fields or a record's
+characteristics, it copies.  So the slope minimum, alpha, the step size,
+records, snapshots, the stop tests and termination stay one scalar code
+path per member.  The group's transforms, products and sums are the ones
+each member makes alone, so a member's result is bit for bit its single
+run's.
+
+A member leaves its group one way: it returns when it is sent a state,
+either because a stop test fired on it or because its last step was not
+finite, and the driver builds the group anew, through _regroup, from the
+rows that stay.  Finiteness is checked per row: a row whose step fails
+keeps the state that step started from, and its member records from
+that state, so the others run on.  _regroup builds a group from chosen
+rows of groups on one grid with one seed count, so a member can enter a
+group the same way.
 """
 
 from __future__ import annotations
@@ -258,22 +265,23 @@ def _coefficients(y: np.ndarray, n: int) -> np.ndarray:
 class _Group:
     """Every array of one lockstep group: the members with the ModelParams
     in params on one grid, each with `count` characteristics, or None
-    without.  The lockstep driver builds one when the group forms and
-    leave builds one each time members leave it, so parameters and arrays
-    cannot disagree; step_rk4 runs a group of one.
+    without.  The lockstep driver builds one when the group forms, and
+    _regroup builds one each time members leave it, so parameters and
+    arrays cannot disagree; step_rk4 runs a group of one.
 
     For _advance it holds the group's model.rhs_buffer; the (members, 1)
     columns dt/2 and dt/6 of the step sizes; the four RK4 rate arrays and
     the stage state, each of the state's shape (members, L), with the
     coefficient views that rhs_coeffs reads and writes, the first rate
     array also receiving the new state; and the finiteness of its entries
-    and of each row.  To observe, it holds the flat RK4 states (c, q, lq),
-    with their coefficient views; the rows (c_u, ik c_u, c_rho), with their
-    views of c and ik c_u; the samples of (u, u_x, rho) that transform
-    fills; the three arrays energy_e0 writes E0 into; the two halves of
-    the floats of the states' modes k >= 1 and the sums of their squares
-    per row, which the witness reads; and, for the record invariants, the
-    (members, 1) columns of A and gamma and the 2n pad buffer that
+    and of each row's last step, true until a step says otherwise.  To
+    observe, it holds the flat RK4 states (c, q, lq), with their
+    coefficient views; the rows (c_u, ik c_u, c_rho), with their views of
+    c and ik c_u; the samples of (u, u_x, rho) that transform fills; the
+    three arrays energy_e0 writes E0 into; the two halves of the floats of
+    the states' modes k >= 1 and the sums of their squares per row, which
+    the witness reads; and, for the record invariants, the (members, 1)
+    columns of A and gamma, the field-major 2n pad buffer that
     hamiltonian_f reads and the table of each member's entries.  With
     characteristics it also holds the grid.InterpWork whose one phase
     table serves the observation (rows u, u_x, rho) and stages 2 to 4
@@ -307,7 +315,7 @@ class _Group:
             arrays.reshape(-1, width), n
         ).reshape(5, members, 2, -1)
         self.finite_entries = np.empty((members, width), dtype=bool)
-        self.finite = np.empty(members, dtype=bool)
+        self.finite = np.ones(members, dtype=bool)
         self.state = np.zeros((members, width))
         self.coefficients = _coefficients(self.state, n)
         self.coefficients_u = self.coefficients[:, 0]
@@ -322,7 +330,7 @@ class _Group:
         floats = self.state[:, :head].reshape(members, 2, n + 2)
         self.halves = floats[:, :, 2:].reshape(members, 2, 2, n // 2)
         self.half_sums = np.empty((members, 2, 2))
-        self.padded = np.zeros((members, 3, n + 1), dtype=complex)
+        self.padded = np.zeros((3, members, n + 1), dtype=complex)
         self.table: list[tuple[float, float, float]] = []
         chars = [None] * members
         self.interp = self.q = self.at_q = self.rates_at_q = None
@@ -352,23 +360,27 @@ class _Group:
         np.multiply(self.grid.ik, self.coefficients_u, out=self.row_slopes)
         np.fft.irfft(self.rows, self.grid.n, norm="forward", out=self.samples)
 
-    def observe(self) -> tuple[list[float], list[bool]]:
+    def observe(self) -> list[tuple]:
         """Observe the states, whose rows and samples transform has
-        filled, with characteristics at q too; returns every member's E0
-        and whether the spectral-tail witness fired on it."""
+        filled, with characteristics at q too; returns what each member is
+        sent: its views, a callable for its record invariants, its E0,
+        whether the spectral-tail witness fired on it and whether its last
+        step was finite.  The callables are built here, not held, so the
+        group holds no reference to itself."""
         if self.q is not None:
             interp_blocks(self.row_parts, self.q, self.interp, self.at_q)
         self.table.clear()
         np.vecdot(self.halves, self.halves, out=self.half_sums)
+        e0s = energy_e0(self.samples, work=self.energy).tolist()
         # in Python floats, so that WITNESS_TOL = inf on a row without
         # modes (inf * 0 = nan, never exceeded) raises no warning
         bound = WITNESS_TOL**2
-        lost = []
-        for (low_u, tail_u), (low_rho, tail_rho) in self.half_sums.tolist():
-            lost.append(
-                tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
-            )
-        return energy_e0(self.samples, work=self.energy).tolist(), lost
+        finite = self.finite.tolist()
+        sent = []
+        for j, ((low_u, tail_u), (low_rho, tail_rho)) in enumerate(self.half_sums.tolist()):
+            lost = tail_u > bound * (low_u + tail_u) or tail_rho > bound * (low_rho + tail_rho)
+            sent.append((*self.views[j], partial(self.invariants, j), e0s[j], lost, finite[j]))
+        return sent
 
     def invariants(self, j: int) -> tuple[float, float, float]:
         """Member j's record invariants (meanU, hamE, hamF) of the observed
@@ -385,14 +397,20 @@ class _Group:
             ))
         return self.table[j]
 
-    def leave(self, staying: list[int]) -> _Group:
-        """A fresh group of the members in staying, with their rows of the
-        states and of the values at q."""
-        group = _Group(self.grid, tuple(self.params[j] for j in staying), self.count)
-        np.take(self.state, staying, axis=0, out=group.state)
-        if self.count is not None:
-            np.take(self.at_q, staying, axis=0, out=group.at_q)
-        return group
+
+def _regroup(rows: list[tuple[_Group, int]]) -> _Group:
+    """A fresh group of the rows (group, j), in order, taken from groups on
+    one grid with one seed count, with their states and their values at q,
+    which stage 1 of the next step reads.  Members that leave a group take
+    this path, with the rows that stay, and so will a member that enters
+    another group."""
+    grid, count = rows[0][0].grid, rows[0][0].count
+    group = _Group(grid, tuple(g.params[j] for g, j in rows), count)
+    for k, (g, j) in enumerate(rows):
+        group.state[k] = g.state[j]
+        if count is not None:
+            group.at_q[k] = g.at_q[j]
+    return group
 
 
 def _advance(
@@ -462,8 +480,8 @@ def _advance(
 
 def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
     """`steps` classical RK4 steps of size dt of the field equations, taken
-    on the coefficients of a group of one and transformed to samples once,
-    at the end."""
+    on the coefficients of a group of one, whose rows of u and rho are
+    transformed to samples once, at the end."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     group = _Group(s.grid, (p,), None)
@@ -474,8 +492,7 @@ def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
         if not finite[0]:
             raise NonFiniteStateError("non-finite values in an RK4 stage")
         np.copyto(group.state, state)
-    group.transform()
-    u, _, rho = group.samples[0]
+    u, rho = np.fft.irfft(group.coefficients[0], s.grid.n, norm="forward")
     return State(s.grid, u, rho)
 
 
@@ -487,22 +504,23 @@ def _member(
 ):
     """One run as a generator over its slice of its group's arrays.
 
-    It is sent (samples, rho_c, chars, invariants, e0, lost) for each
-    state its run reaches, step 0 first: views of the samples of u, u_x
-    and rho, each of shape (n,), and of the coefficients of rho, shape
+    It is sent (samples, rho_c, chars, invariants, e0, lost, finite) for
+    each state its run reaches, step 0 first: views of the samples of u,
+    u_x and rho, each of shape (n,), and of the coefficients of rho, shape
     (n/2 + 1,), with seeds views of the positions q, the log-Jacobians lq
     and rho(q), each of shape (K,), or None without, a callable that
     returns the record invariants (meanU, hamE, hamF) of that state, its
-    E0, and whether the spectral-tail witness fired on it.
-    The views are of its group's arrays, which the next step overwrites,
-    so whatever it keeps of them, a snapshot's fields or a record's
-    characteristics, it copies.  It yields each step's dt and is sent the
-    state that step reached, or has NonFiniteStateError thrown into it
-    while the views it was last sent still hold the state that step
-    started from.  It returns the run's SimResult.  It makes no
-    transform, computes no invariant, and reads off-grid only alpha.
+    E0, whether the spectral-tail witness fired on it, and whether the
+    step to it was finite.  The views are of its group's arrays, which the
+    next step overwrites, so whatever it keeps of them, a snapshot's
+    fields or a record's characteristics, it copies.  It yields each
+    step's dt and is sent the state that step reached; when the step was
+    not finite it is sent the state the step started from instead, which
+    its row kept, records from it and returns, as a member that ends does.
+    It returns the run's SimResult.  It makes no transform, computes no
+    invariant, and reads off-grid only alpha.
     """
-    (u, ux, rho), rho_c, chars, invariants, e0, _ = yield
+    (u, ux, rho), rho_c, chars, invariants, e0, _, _ = yield
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
     snaps_due = deque(
@@ -574,9 +592,8 @@ def _member(
             termination = Termination(TERM_RESOLUTION_LOST, t)
             break
 
-        try:
-            (u, ux, rho), rho_c, chars, invariants, e0, lost = yield dt
-        except NonFiniteStateError:
+        (u, ux, rho), rho_c, chars, invariants, e0, lost, finite = yield dt
+        if not finite:
             record(dt)
             termination = Termination(TERM_NONFINITE, t)
             break
@@ -660,32 +677,29 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
 
     Members with the same grid size and seed count form a group, since
     their arrays stack, and this driver owns the group's one _Group, built
-    when the group forms with a row per member.  Each step it observes
-    the group, sends each member its views, a callable for its entry of
-    the record invariants, its E0 and its witness flag, and makes one
-    _advance call with a column of the dts the members yield.  A member
-    whose row is not finite has NonFiniteStateError thrown into it right
-    after the step, before anything it was sent is overwritten; then the
-    new states are copied in and transformed.  A member that ends, or
-    whose row is not finite, leaves the group: the driver takes the
-    group's leave for the members that stay, so no array of a step is
-    sized or parameterised for members that have left.  The callables
-    are built here, not held by the group, so a group that members leave
-    holds no reference to itself and is freed once its members are sent
-    the next step's views.
+    with a row per member before any group steps.  On each pass it steps
+    every live group once: it observes the group, sends each member what
+    observe returns for it, and makes one _advance call with a column of
+    the dts the members yield; a row that is not finite keeps the state
+    its step started from, and the new states are transformed.  A member
+    leaves its group one way, by returning when it is sent a state: one
+    that ends, and one whose last step was not finite, which records from
+    the state its row kept.  The driver then takes _regroup of the rows
+    that stay, so no array of a step is sized or parameterised for
+    members that have left, and drops a group once all its members have.
+    A group that members leave is freed once they are sent the next
+    step's views, since it holds no reference to itself.
     """
     results: list = [None] * len(members)
-    groups: dict = {}
+    keys: dict = {}
     for i, (s0, _, c, seeds) in enumerate(members):
         if s0.grid.n != c.n:
             raise ValueError(f"state lives on n={s0.grid.n}, config says n={c.n}")
         key = (s0.grid, None if seeds is None else len(seeds))
-        groups.setdefault(key, []).append(i)
-    for (grid, count), indices in groups.items():
-        live = [(i, _member(grid, *members[i][1:])) for i in indices]
+        keys.setdefault(key, []).append(i)
+    groups = []
+    for (grid, count), indices in keys.items():
         group = _Group(grid, tuple(members[i][1] for i in indices), count)
-        for _, member in live:
-            next(member)  # to the yield that takes the step-0 views
         # step 0 from the given samples: u_x is their spectral derivative,
         # and the rows' first and last start the RK4 state, followed by the
         # seeds and lq = 0
@@ -696,40 +710,31 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         np.copyto(group.coefficients, group.row_pairs)
         if count is not None:
             group.q[:] = [members[i][3] for i in indices]
-        while True:
-            e0s, lost = group.observe()
+        live = [(i, _member(grid, *members[i][1:])) for i in indices]
+        for _, member in live:
+            next(member)  # to the yield that takes the step-0 views
+        groups.append((group, live))
+    while groups:
+        stepped = []
+        for group, live in groups:
             staying, dts = [], []
-            for j, (i, member) in enumerate(live):
-                views = (*group.views[j], partial(group.invariants, j), e0s[j], lost[j])
+            for j, ((i, member), sent) in enumerate(zip(live, group.observe())):
                 try:
-                    dts.append(member.send(views))
+                    dts.append(member.send(sent))
                 except StopIteration as end:
                     results[i] = end.value
                     continue
                 staying.append(j)
             if not staying:
-                break
+                continue
             if len(staying) < len(live):
-                live, group = [live[j] for j in staying], group.leave(staying)
+                live = [live[j] for j in staying]
+                group = _regroup([(group, j) for j in staying])
             state, finite = _advance(
                 group.state, group, np.array(dts)[:, None], group.rates_at_q
             )
-            if not finite.all():
-                # each such member records from the views it was last
-                # sent, which still hold the state its step started from
-                staying = []
-                for j, (i, member) in enumerate(live):
-                    if finite[j]:
-                        staying.append(j)
-                        continue
-                    try:
-                        member.throw(NonFiniteStateError("non-finite values in an RK4 stage"))
-                    except StopIteration as end:
-                        results[i] = end.value
-                if not staying:
-                    break
-            np.copyto(group.state, state)
-            if len(staying) < len(live):
-                live, group = [live[j] for j in staying], group.leave(staying)
+            np.copyto(group.state, state, where=finite[:, None])
             group.transform()
+            stepped.append((group, live))
+        groups = stepped
     return results

@@ -31,6 +31,8 @@ RUNS = {
     "rate_resolution_study": (
         ["--resolutions", "256"], ["-1.9505", f"Riccati bound T <= {BOUND_256}"]
     ),
+    # one line per module of src/dghsim, then their total
+    "code_lines": ([], ["stepping.py ", "model.py ", "total "]),
 }
 
 

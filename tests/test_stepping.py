@@ -1,6 +1,7 @@
 """Integrator tests: step-size policy arithmetic, RK4 order, exact snapshot
 placement, record cadence, determinism, and termination classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -400,19 +401,27 @@ def _assert_same_result(a, b):
 
 
 def test_lockstep_members_equal_their_single_runs():
+    # with two members at n = 32 without seeds: two groups, live at once,
+    # that step in turn and each lose members
     states, params, configs, seeds = _lockstep_members()
+    states += [smooth_state(n=32, amp=a) for a in (0.1, 0.3)]
+    params += [ModelParams(A=0.8, gamma=-0.2)] * 2
+    configs += [SimConfig(n=32, t_end=t, record_every=2) for t in (0.12, 0.25)]
+    seeds += [None, None]
     together = run(states, params, configs, seeds=seeds)
-    assert len(together) == 3
+    assert len(together) == 5
     for got, args in zip(together, zip(states, params, configs, seeds)):
         _assert_same_result(got, run(*args))
 
 
 @pytest.mark.parametrize("track", [False, True])
 def test_members_that_leave_a_group_step_on_as_in_it(track):
-    # a two-member group advanced 3 steps and split with leave([0]) and
-    # leave([1]) between its observation and its next step: each part
-    # steps 4 more steps bit for bit as its row of the joint group, so
-    # leave carries the states and the values at q stage 1 reads
+    # a two-member group advanced 3 steps and split by _regroup into a
+    # group of each row between its observation and its next step: each
+    # part steps 4 more steps bit for bit as its row of the joint group,
+    # so _regroup carries the states and the values at q stage 1 reads.
+    # The parts' rows, in reverse order, then enter one group, which steps
+    # 3 more bit for bit as the joint group's rows
     import dghsim.stepping as stepping
 
     n, count = 64, 8 if track else None
@@ -436,7 +445,7 @@ def test_members_that_leave_a_group_step_on_as_in_it(track):
     joint.observe()
     for _ in range(3):
         step(joint, dts)
-    parts = [joint.leave([0]), joint.leave([1])]
+    parts = [stepping._regroup([(joint, 0)]), stepping._regroup([(joint, 1)])]
     for _ in range(4):
         step(joint, dts)
         for j, part in enumerate(parts):
@@ -444,6 +453,13 @@ def test_members_that_leave_a_group_step_on_as_in_it(track):
             assert np.array_equal(part.state[0], joint.state[j])
             if track:
                 assert np.array_equal(part.at_q[0], joint.at_q[j])
+    joined = stepping._regroup([(parts[1], 0), (parts[0], 0)])
+    for _ in range(3):
+        step(joint, dts)
+        step(joined, dts[::-1])
+        assert np.array_equal(joined.state, joint.state[::-1])
+        if track:
+            assert np.array_equal(joined.at_q, joint.at_q[::-1])
 
 
 def test_a_group_members_left_is_freed_without_the_collector(monkeypatch):
@@ -526,14 +542,22 @@ def test_lockstep_step_builds_four_phase_matrices_and_one_transform_for_the_grou
         assert made.count(("irfft", n)) == 1
 
 
-@pytest.mark.parametrize("stage", [0, 3])
-def test_nonfinite_member_leaves_its_group_alone(monkeypatch, stage):
-    # a NaN in the middle member's row of the third lockstep step ends that
-    # member where it would end alone; the others run on as if alone
+@pytest.mark.parametrize(
+    "step, stage", [(2, 0), (2, 3), (0, 0), (0, 3)],
+    ids=["0", "3", "first-step-0", "first-step-3"],
+)
+def test_nonfinite_member_leaves_its_group_alone(monkeypatch, step, stage):
+    # a NaN in the middle member's row of the third lockstep step, or of
+    # the first, ends that member where it would end alone; the others run
+    # on as if alone.  It records every third step, so at the third step
+    # its last record reads the state its row kept, which is its clean
+    # run's state there.  On the first step its row keeps the coefficients
+    # of the given samples, whose record it made before that step
     import dghsim.stepping as stepping
 
     states, params, configs, seeds = _lockstep_members()
     clean = [run(*args) for args in zip(states, params, configs, seeds)]
+    configs[1] = dataclasses.replace(configs[1], record_every=3)
     real = stepping.rhs_coeffs
 
     def poisoning(row):
@@ -541,7 +565,7 @@ def test_nonfinite_member_leaves_its_group_alone(monkeypatch, stage):
 
         def poisoned(*args):
             out = real(*args)
-            if len(calls) == 4 * 2 + stage:
+            if len(calls) == 4 * step + stage:
                 out[row, 1, 5] = np.nan
             calls.append(1)
             return out
@@ -553,7 +577,15 @@ def test_nonfinite_member_leaves_its_group_alone(monkeypatch, stage):
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoning(1))
     together = run(states, params, configs, seeds=seeds)
     assert alone.termination.cause == TERM_NONFINITE
-    assert alone.termination.t == clean[1].slope_trace.times[2]
+    assert alone.termination.t == clean[1].slope_trace.times[step]
+    assert len(alone.series) == (1 if step == 0 else 2)
+    assert np.array_equal(alone.series[0], clean[1].series[0])
+    # all but the dt column, which holds the step that failed
+    assert np.array_equal(alone.series[-1, :-1], clean[1].series[step, :-1])
+    for name in ("q", "log_qx", "rho_q"):
+        assert np.array_equal(
+            getattr(alone.ensemble, name)[-1], getattr(clean[1].ensemble, name)[step]
+        )
     _assert_same_result(together[1], alone)
     _assert_same_result(together[0], clean[0])
     _assert_same_result(together[2], clean[2])
