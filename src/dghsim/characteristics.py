@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import interp_values
-
 __all__ = [
     "CharacteristicEnsemble",
     "default_seeds",
@@ -68,9 +66,10 @@ def default_seeds(count: int) -> np.ndarray:
     return np.arange(count) / count
 
 
-def verify_density_transport(e: CharacteristicEnsemble, rho0: np.ndarray) -> float:
-    """sup |rho(t, q) q_x - rho0(x0)| over all recorded times and seeds."""
-    ref = interp_values(rho0, e.seeds)
+def verify_density_transport(e: CharacteristicEnsemble) -> float:
+    """sup |rho(t, q) q_x - rho0(x0)| over all recorded times and seeds,
+    with rho0(x0) the density the run recorded at t = 0, where q = x0."""
+    ref = e.rho_q[0]
     return float(np.max(np.abs(e.rho_q * e.qx - ref[None, :])))
 
 
@@ -84,8 +83,10 @@ def is_monotone(e: CharacteristicEnsemble) -> bool:
     return bool(interior and wrap)
 
 
-def sign_preserved(e: CharacteristicEnsemble, rho0: np.ndarray) -> bool:
-    """sign(rho(t, q)) matches sign(rho0(x0)) wherever rho0 is nonzero."""
-    ref = interp_values(rho0, e.seeds)
-    active = np.abs(ref) > 1.0e-12 * float(np.max(np.abs(rho0)))
+def sign_preserved(e: CharacteristicEnsemble) -> bool:
+    """sign(rho(t, q)) matches sign(rho0(x0)) wherever rho0(x0), the
+    density the run recorded at t = 0, is nonzero: above 1e-12 of its
+    largest magnitude over the seeds."""
+    ref = e.rho_q[0]
+    active = np.abs(ref) > 1.0e-12 * float(np.max(np.abs(ref)))
     return bool(np.all(e.rho_q[:, active] * ref[None, active] > 0.0))

@@ -237,9 +237,9 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
     if result.ensemble is not None:
         ens = result.ensemble
         doc["characteristics"] = {
-            "transport_residual": verify_density_transport(ens, s0.rho),
+            "transport_residual": verify_density_transport(ens),
             "monotone": is_monotone(ens),
-            "sign_preserved": sign_preserved(ens, s0.rho),
+            "sign_preserved": sign_preserved(ens),
             "min_jacobian": float(np.exp(ens.log_qx.min())),
             "max_jacobian": float(ens.qx.max()),
         }
@@ -278,6 +278,16 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
             f"{sc.name}: {result.termination.cause} at t={result.termination.t:.6g} "
             f"({doc['run']['steps']} steps), artifacts in {out_dir}"
         )
+        # a run writes the snapshots due by t_end in order, so the ones it
+        # stopped short of are the last
+        due = sorted({t for t in sc.sim.snapshot_times if t <= sc.sim.t_end})
+        unwritten = due[len(result.snapshots) :]
+        if unwritten:
+            print(
+                f"{sc.name}: no snapshot at t={', '.join(f'{t:g}' for t in unwritten)}: "
+                f"the run stopped at t={result.termination.t:.6g}",
+                file=sys.stderr,
+            )
 
     fault = _numerical_fault(report, result)
     if fault is not None:

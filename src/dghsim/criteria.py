@@ -10,9 +10,10 @@ that rules blow-up out.
 
 Each rule of the breakdown analysis is stated here once.  dive_cutoff
 says where a slope trace has dived: the rate fit starts its window there,
-and stepping.run labels an E0 stop past it BlowupDetected.  _density_floor
-says whether the initial density keeps one sign: the positive_density
-verdict and the envelope's beta both read it.
+and stepping.run labels a witness stop or an E0 stop past it
+BlowupDetected.  _density_floor says whether the initial density keeps
+one sign: the positive_density verdict and the envelope's beta both read
+it.
 
 The embedding constant (e+1)/(2(e-1)) is sharp for max f^2 <= C |f|_H1^2
 on the unit circle and is attained by translates of the smoothing kernel;
@@ -77,8 +78,9 @@ class DensitySignChangeError(ValueError):
     """rho(t, xi(t)) changed sign or vanished: resolution failure."""
 
 
-def refined_min(values: np.ndarray, dx: float) -> tuple[float, float]:
-    """Minimum over nodes, refined by a quadratic through the neighbors.
+def refined_min(values: np.ndarray) -> tuple[float, float]:
+    """Minimum over the nodes j/n of n samples, refined by a quadratic
+    through the neighbors.
 
     Returns (value, location); ties break to the first node.  The parabola
     vertex never lies further than half a spacing from the winning node.
@@ -86,6 +88,7 @@ def refined_min(values: np.ndarray, dx: float) -> tuple[float, float]:
     values = np.asarray(values)
     j = int(values.argmin())
     n = values.size
+    dx = 1.0 / n
     vm = float(values[(j - 1) % n])
     v0 = float(values[j])
     vp = float(values[(j + 1) % n])
@@ -98,8 +101,8 @@ def refined_min(values: np.ndarray, dx: float) -> tuple[float, float]:
     return m, (x0 + delta) % 1.0
 
 
-def refined_max(values: np.ndarray, dx: float) -> tuple[float, float]:
-    m, x = refined_min(-np.asarray(values), dx)
+def refined_max(values: np.ndarray) -> tuple[float, float]:
+    m, x = refined_min(-np.asarray(values))
     return -m, x
 
 
@@ -277,9 +280,8 @@ class LyapunovTrace:
 def _density_floor(rho0: np.ndarray) -> tuple[float, float]:
     """(beta, sup |rho0|) of density samples, with beta = min |rho0| when
     rho0 keeps one sign and beta = 0 when it vanishes or changes sign."""
-    dx = 1.0 / rho0.size
-    lo, _ = refined_min(rho0, dx)
-    hi, _ = refined_max(rho0, dx)
+    lo, _ = refined_min(rho0)
+    hi, _ = refined_max(rho0)
     beta = lo if lo > 0.0 else -hi if hi < 0.0 else 0.0
     return beta, max(abs(lo), abs(hi))
 
@@ -307,11 +309,10 @@ def lyapunov_trace(
     w = alpha[0] * alpha + (alpha[0] / alpha) * (1.0 + trace.m**2)
 
     ux0 = deriv_values(u0, 1)
-    e0 = energy_e0(u0, ux0, rho0)
+    e0 = energy_e0(np.array((u0, ux0, rho0)))
     c = SHARP_EMBEDDING_CONSTANT
     c1 = c * e0 + 2.0 * abs(p.gamma - p.A) * math.sqrt(c * e0) + _KERNEL_MAX * e0
-    dx = 1.0 / u0.size
-    sup_ux0 = max(abs(refined_min(ux0, dx)[0]), abs(refined_max(ux0, dx)[0]))
+    sup_ux0 = max(abs(refined_min(ux0)[0]), abs(refined_max(ux0)[0]))
     c2 = sup_rho0**2 + 1.0 + sup_ux0**2
 
     envelope = (c2 / (2.0 * beta)) * np.exp((c1 + 0.5) * trace.times)
@@ -350,7 +351,7 @@ def sobolev_sharp_check(f: np.ndarray, fx: np.ndarray | None = None) -> float:
         fx = deriv_values(f, 1)
     elif np.shape(fx) != np.shape(f):
         raise ValueError("fx must have the shape of f")
-    num, _ = refined_max(f * f, 1.0 / f.size)
+    num, _ = refined_max(f * f)
     den = _corner_safe_mean(f * f + fx * fx)
     return num / den
 
@@ -362,7 +363,7 @@ def poincare_check(f: np.ndarray, eps: float) -> float:
         raise ValueError(f"eps must be positive, got {eps}")
     fx = deriv_values(f, 1)
     a0 = 2.0 * float(np.mean(f))
-    lhs, _ = refined_max(f * f, 1.0 / f.size)
+    lhs, _ = refined_max(f * f)
     rhs = (eps + 2.0) / 24.0 * _corner_safe_mean(fx * fx) + (eps + 2.0) / (
         4.0 * eps
     ) * a0**2
@@ -409,12 +410,11 @@ def evaluate_criteria(
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST,
 ) -> CriterionReport:
     """Evaluate every breakdown/global criterion on the initial samples."""
-    dx = 1.0 / u0.size
     ux0 = deriv_values(u0, 1)
-    e0 = energy_e0(u0, ux0, rho0)
+    e0 = energy_e0(np.array((u0, ux0, rho0)))
     a0 = 2.0 * mean_u(u0)
 
-    m0, xi0 = refined_min(ux0, dx)
+    m0, xi0 = refined_min(ux0)
     rho_at_xi = interp_point(np.fft.rfft(rho0, norm="forward"), xi0)
     beta, sup_rho0 = _density_floor(rho0)
     rho_vanishes = abs(rho_at_xi) <= 1.0e-10 * sup_rho0

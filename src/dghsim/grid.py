@@ -33,22 +33,22 @@ Their product with the table's float view, whose adjacent columns are
 cos and sin of one point, is real, and the interpolant is the cos
 columns of the first half plus the sin columns of the second, so every
 mode, the Nyquist cosine included, is read through one real product.
-interp_blocks reads coefficients, so it makes no transform at all: it
-evaluates several coefficient blocks, each at its own points, with one
-phase table for all the points and one real product per block.  Its
-arrays live in an InterpWork, built once for a number of blocks, points
-and rows: the table with its row 0 of ones, the row views of its
-doublings, and the weighted coefficients and products with their cos
-and sin views.  A call then makes only ufunc calls, each writing into
-the work, and a caller that evaluates the same shapes again, as the
+interp_blocks reads coefficients, through the view of their real and
+imaginary parts that coefficient_parts builds, so it makes no transform
+at all: it evaluates several coefficient blocks, each at its own points,
+with one phase table for all the points and one real product per block.
+Its arrays live in an InterpWork, built once for a number of blocks,
+points and rows: the table with its row 0 of ones, the row views of its
+doublings, and the weighted coefficients and products with their cos and
+sin views.  A call then makes only ufunc calls, each writing into the
+work, and a caller that evaluates the same shapes again, as the
 integrator does at every RK4 stage, passes the same work to every call;
-one that evaluates the same array again also builds, once, the view of
-its coefficients that interp_blocks weighs (coefficient_parts).
+one that evaluates the same array again also builds its view once.
 interp_values is one forward transform followed by interp_blocks with
-one block, on a work built for the call.  A single point needs no
-doubling: interp_point forms its one weighted exponential row directly,
-from each mode's phase reduced to under one turn without rounding error
-that grows with k or |x|.
+one block, on a work and a view built for the call.  A single point
+needs no doubling: interp_point forms its one weighted exponential row
+directly, from each mode's phase reduced to under one turn without
+rounding error that grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -311,14 +311,14 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the interpolating trig polynomial of each row of v at xs.
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
-    One forward transform, then interp_blocks with every row in one block,
-    on a work built for this call.
+    One forward transform, then interp_blocks on the coefficient_parts of
+    every row in one block, on a work built for this call.
     """
     c = np.fft.rfft(np.asarray(v, dtype=float), norm="forward")
     xs = np.asarray(xs, dtype=float)
     block = c.reshape(1, -1, c.shape[-1])
     work = InterpWork(c.shape[-1] - 1, 1, xs.size, (block.shape[1],))
-    out = interp_blocks(block, xs.reshape(1, -1), work)
+    out = interp_blocks(coefficient_parts(block), xs.reshape(1, -1), work)
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
@@ -326,24 +326,22 @@ def coefficient_parts(c: np.ndarray) -> np.ndarray:
     """The view of rfft coefficients c, shape (blocks, rows, n/2 + 1) and
     contiguous in their last axis, that interp_blocks weighs: their real
     and imaginary parts, shape (blocks, 2, rows, n/2 + 1).  A caller that
-    evaluates the same array again builds it once and passes it to
-    interp_blocks in place of c."""
+    evaluates the same array again builds it once."""
     blocks, rows, modes = c.shape
     return c.view(float).reshape(blocks, rows, modes, 2).transpose(0, 3, 1, 2)
 
 
 def interp_blocks(
-    c: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray | None = None
+    parts: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Evaluate block i of rfft coefficients c at the points xs[i].
+    """Evaluate block i of rfft coefficients c at the points xs[i], given
+    parts = coefficient_parts(c).
 
     c has shape (blocks, rows, n/2 + 1), contiguous in its last axis, in
     "forward" normalisation (c_k is the amplitude of e^{2 pi i k x}, the
     Nyquist entry that of cos(pi n x)), with real mean and Nyquist entries,
-    as the rfft of real samples has them, or coefficient_parts(c), which
-    a caller that evaluates one array again builds once.  xs has shape
-    (blocks, K); work is an InterpWork(n/2, blocks, K, ...) whose row
-    counts include rows.
+    as the rfft of real samples has them.  xs has shape (blocks, K); work
+    is an InterpWork(n/2, blocks, K, ...) whose row counts include rows.
     The result, written to out if given, has shape (blocks, rows, K).
 
     The interpolant at x is sum_k 2 w_k (Re c_k cos(2 pi k x) - Im c_k
@@ -362,14 +360,12 @@ def interp_blocks(
     forms the narrower product with another inner loop, which can differ
     in the last bit.
     """
-    if c.dtype.kind == "c":
-        c = coefficient_parts(c)
     blocks, count = xs.shape
-    rows = c.shape[2]
-    weighted, parts, prods, cos, sin = work.products[rows]
+    rows = parts.shape[2]
+    weighted, weighted_rows, prods, cos, sin = work.products[rows]
     _phase_matrix(xs, work)
-    np.multiply(c, work.weights, out=weighted)
-    np.matmul(parts, work.columns, out=prods)
+    np.multiply(parts, work.weights, out=weighted)
+    np.matmul(weighted_rows, work.columns, out=prods)
     if out is None:
         out = np.empty((blocks, rows, count))
     np.add(cos, sin, out=out)
@@ -386,7 +382,7 @@ def _mode_numbers(half: int) -> np.ndarray:
 
 def interp_point(c: np.ndarray, x: float) -> float:
     """Evaluate the trig polynomial of one row of rfft coefficients c (in
-    the layout interp_blocks reads) at one point x: one weighted
+    the normalisation interp_blocks reads) at one point x: one weighted
     exponential row and one dot product.
 
     Mode k's phase is k x in turns less its nearest integer.  x splits into

@@ -26,33 +26,34 @@ buffer, not once per right-hand side.
 rhs_coeffs takes a leading member axis: several runs on one grid, each
 with its own A and gamma, share each transform call, one row block per
 member, and every member's arithmetic is the one it gets alone.  The
-parameters reach it only through its buffer.  rhs_buffer(grid, params)
-returns an object whose named fields are everything a right-hand side
-reads besides the coefficients: the symbols, one row per ModelParams,
-the linear one from that member's parameters and the others tiled, so
-that their products pair arrays of one shape; the work arrays, the pad
-buffer, the samples at 3n/2 points, their products and the products'
-coefficients; and every view of these that a call reads.  A caller builds
-one buffer for its members and passes it to every right-hand side it
-takes for them, and each call writes every step into the buffer with
-out=, so it makes no view of the buffer and no temporary, and
-overwrites what the previous call left there.
+grid and the parameters reach it only through its buffer.
+rhs_buffer(grid, params) returns an object whose named fields are
+everything a right-hand side reads besides the coefficients: the
+symbols, one row per ModelParams, the linear one from that member's
+parameters and the others tiled, so that their products pair arrays of
+one shape; the work arrays, the pad buffer, the samples at 3n/2 points,
+their products and the products' coefficients; and every view of these
+that a call reads.  A caller builds one buffer for its members and
+passes it to every right-hand side it takes for them, and each call
+writes every step into the buffer with out=, so it makes no view of the
+buffer and no temporary, and overwrites what the previous call left
+there.
 
 A State is the one container of (grid, u, rho) as float sample arrays.
-energy_e0 takes the arrays themselves, plus the slope u_x, which the
-caller computes once and shares, or the three stacked, which it squares
-with one call into work arrays a caller builds once; hamiltonian_e is
-read off E0 and rho, so a caller that has taken E0 does not take it
-again.  The one cubic invariant, hamiltonian_f, takes the coefficients of
-(u, u_x, rho), which the integrator holds, and pads them to a 2n grid,
-in a pad buffer a caller may build once, with one inverse transform and
-no forward one; it takes A and gamma as floats, or as columns with one
-entry per row, which a caller builds once for its rows, as it builds
-rhs_buffer.  Like rhs_coeffs, the invariants take a leading member axis
-and reduce over the last axis only: given one row they return a float,
-given a stack of rows an array with each row's float, bit for bit, so the
-integrator evaluates a group of runs with one expression, one reduction
-and, for the cubic one, one transform.
+energy_e0 takes the stack of u, the slope u_x, which the caller computes
+once and shares, and rho, and squares it with one call, into work arrays
+a caller may build once; hamiltonian_e is read off E0 and rho, so a
+caller that has taken E0 does not take it again.  The one cubic
+invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
+the integrator holds, and pads them to a 2n grid, in a pad buffer a
+caller may build once, with one inverse transform and no forward one; it
+takes A and gamma as floats, or as columns with one entry per row, which
+a caller builds once for its rows, as it builds rhs_buffer.  Like
+rhs_coeffs, the invariants take a leading member axis and reduce over
+the last axis only: given one row they return a float, given a stack of
+rows an array with each row's float, bit for bit, so the integrator
+evaluates a group of runs with one expression, one reduction and, for
+the cubic one, one transform.
 """
 
 from __future__ import annotations
@@ -183,17 +184,15 @@ def rhs_buffer(grid: PeriodicGrid, params: tuple[ModelParams, ...]) -> _RhsBuffe
 
 
 def rhs_coeffs(
-    c: np.ndarray,
-    grid: PeriodicGrid,
-    buffer: _RhsBuffer,
-    out: np.ndarray | None = None,
+    c: np.ndarray, buffer: _RhsBuffer, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (members, 2, n/2 + 1), c contiguous in
     its last axis; one member keeps its axis.  buffer is rhs_buffer(grid,
-    params), with params one ModelParams per member, as many as c has
-    rows, and the caller passes it to every call for those members.  Each
+    params) on the grid of c, whose 3n/2 points its work arrays fix, with
+    params one ModelParams per member, as many as c has rows, and the
+    caller passes it to every call for those members.  Each
     member is evaluated by itself, with its own parameters, through the
     same batched transforms, so a member's derivative is bit for bit the
     one it gets alone.  In "forward" normalisation c_k is the amplitude of
@@ -220,7 +219,7 @@ def rhs_coeffs(
     # symbol is zero
     np.multiply(c.view(float), b.split, out=b.pad_u_rho)
     np.multiply(b.ik, b.pad_u, out=b.pad_ux)
-    np.fft.irfft(b.padded, 3 * grid.n // 2, norm="forward", out=b.fine)
+    np.fft.irfft(b.padded, b.fine.shape[-1], norm="forward", out=b.fine)
 
     # u u_x, u rho, then 2 u^2 + u_x^2 + rho^2 (twice the convolution
     # argument) summed as u^2 + ((u^2 + u_x^2) + rho^2)
@@ -250,7 +249,7 @@ def rhs_values(
     """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
     one forward and one inverse transform."""
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")
-    dc = rhs_coeffs(c[None], grid, rhs_buffer(grid, (p,)))[0]
+    dc = rhs_coeffs(c[None], rhs_buffer(grid, (p,)))[0]
     du, drho = np.fft.irfft(dc, grid.n, norm="forward")
     return du, drho
 
@@ -265,30 +264,25 @@ def _mean(v: np.ndarray) -> np.ndarray | float:
 
 
 def energy_e0(
-    u: np.ndarray,
-    ux: np.ndarray | None = None,
-    rho: np.ndarray | None = None,
+    fields: np.ndarray,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | float:
     """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions,
-    for each row of samples of shape (..., n): one expression and one
-    reduction however many rows.
+    of the stacked samples fields = (u, u_x, rho), shape (..., 3, n): a
+    float for one stack, an array with each stack's float otherwise.
 
-    Given work, a tuple of arrays of shapes (..., 3, n), (..., n) and
-    (...), u is instead the stack of the samples (u, u_x, rho), shape
-    (..., 3, n), ux and rho are omitted, and each row gets the same
-    float: one square of the stack, one reduction over its three rows,
-    which adds them in the expression's order, and one over the samples,
-    each written into work, summed and divided as above; the last array
-    of work is returned, so the call allocates nothing.
+    One square of the stack, one reduction over its three rows, which adds
+    them as u^2 + u_x^2 + rho^2 adds them, and one over the samples,
+    summed and divided as _mean is, so each stack gets the float it gets
+    alone.  work, if given, is a tuple of arrays of shapes (..., 3, n),
+    (..., n) and (...) that a caller builds once: each step writes into
+    it, and its last array is returned, so the call allocates nothing.
     """
-    if work is None:
-        return _mean(u * u + ux * ux + rho * rho)
-    squares, total, e0 = work
-    np.multiply(u, u, out=squares)
-    np.add.reduce(squares, axis=-2, out=total)
-    np.add.reduce(total, axis=-1, out=e0)
-    return np.divide(e0, total.shape[-1], out=e0)
+    squares, total, out = work or (None, None, None)
+    squares = np.multiply(fields, fields, out=squares)
+    total = np.add.reduce(squares, axis=-2, out=total)
+    e0 = np.divide(np.add.reduce(total, axis=-1, out=out), total.shape[-1], out=out)
+    return e0 if e0.ndim else float(e0)
 
 
 def mean_u(u: np.ndarray) -> np.ndarray | float:
@@ -299,7 +293,7 @@ def mean_u(u: np.ndarray) -> np.ndarray | float:
 
 def hamiltonian_e(e0: np.ndarray | float, rho: np.ndarray) -> np.ndarray | float:
     """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2
-    from e0 = energy_e0(u, u_x, rho) and the density samples rho, row by
+    from e0 = energy_e0((u, u_x, rho)) and the density samples rho, row by
     row."""
     return 0.5 * (e0 - 2.0 * _mean(rho) + 1.0)
 

@@ -32,7 +32,6 @@ from .grid import (
     dgreen_kernel,
     green_kernel,
     helmholtz_convolve,
-    interp_values,
     random_trig_field,
 )
 from .model import ModelParams, State
@@ -52,16 +51,22 @@ __all__ = [
 ]
 
 
-def kernel_quadrature(values, grid: PeriodicGrid, kernel_fn, m: int = 8192):
-    """Convolve by direct fine-grid quadrature against a sampled kernel.
+def kernel_quadrature(values, kernel_fn, m: int = 8192):
+    """Convolve samples on the nodes j/n, n = values.size, by direct
+    fine-grid quadrature against a sampled kernel.
 
-    The input samples are band-limited, so interpolating them onto the fine
-    grid is exact; the quadrature error is then set by the kernel's corner,
-    O(1/m^2) for the even kernel and its (midpoint-valued) derivative.
+    The input samples are band-limited, so zero-filling their spectrum to
+    m points, with the Nyquist mode split between +n/2 and -n/2, gives
+    their interpolant on the fine grid exactly; the quadrature error is
+    then set by the kernel's corner, O(1/m^2) for the even kernel and its
+    (midpoint-valued) derivative.
     """
-    y = np.arange(m) / m
-    vy = interp_values(np.asarray(values, dtype=float), y)
-    gram = kernel_fn(grid.nodes[:, None] - y[None, :])
+    values = np.asarray(values, dtype=float)
+    c = np.fft.rfft(values, norm="forward")
+    c[-1] *= 0.5
+    vy = np.fft.irfft(c, m, norm="forward")
+    x, y = np.arange(values.size) / values.size, np.arange(m) / m
+    gram = kernel_fn(x[:, None] - y[None, :])
     return gram @ vy / m
 
 
@@ -148,7 +153,7 @@ def helmholtz_oracle(rng: np.random.Generator, draws: int) -> tuple[float, float
     worst_split = 0.0
     for _ in range(draws):
         f = random_trig_field(g, rng, max_mode=12, rms=float(rng.uniform(0.2, 2.0)))
-        direct = kernel_quadrature(f, g, green_kernel)
+        direct = kernel_quadrature(f, green_kernel)
         worst_quad = max(
             worst_quad, float(np.max(np.abs(helmholtz_convolve(f) - direct)))
         )
@@ -215,4 +220,4 @@ def transport_residual(
     s0 = build_initial_data(family, params, PeriodicGrid(n))
     cfg = SimConfig(n=n, t_end=1.0, record_every=record_every)
     res = run(s0, ModelParams(A=1.0, gamma=0.0), cfg, seeds=default_seeds(count))
-    return verify_density_transport(res.ensemble, s0.rho)
+    return verify_density_transport(res.ensemble)

@@ -262,8 +262,9 @@ def solve_blowup_amplitude(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u1, rho = _initial_arrays("blowup31", {"a": 1.0, "b": b}, PeriodicGrid(n))
-        e_u = energy_e0(u1, deriv_values(u1, 1), 0.0)
-        e_rho = energy_e0(0.0, 0.0, rho)
+        zero = np.zeros_like(rho)
+        rows = np.array(((u1, deriv_values(u1, 1), zero), (zero, zero, rho)))
+        e_u, e_rho = energy_e0(rows).tolist()
 
         def overshoot(a: float) -> float:
             e0 = a * a * e_u + e_rho
@@ -345,7 +346,7 @@ class Scenario:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 u, rho = _initial_arrays(self.family, self.params, grid)
-                e0 = energy_e0(u, deriv_values(u, 1), rho)
+                e0 = energy_e0(np.array((u, deriv_values(u, 1), rho)))
             _check_energy(self.family, self.params, e0)
         except ConfigError as exc:
             raise _keyed(exc) from None

@@ -270,16 +270,17 @@ class _Group:
     arrays cannot disagree; step_rk4 runs a group of one.
 
     For _advance it holds the group's model.rhs_buffer; the (members, 1)
-    columns dt/2 and dt/6 of the step sizes; the four RK4 rate arrays and
-    the stage state, each of the state's shape (members, L), with the
-    coefficient views that rhs_coeffs reads and writes, the first rate
-    array also receiving the new state; and the finiteness of its entries
-    and of each row's last step, true until a step says otherwise.  To
-    observe, it holds the flat RK4 states (c, q, lq), with their
-    coefficient views; the rows (c_u, ik c_u, c_rho), with their views of
-    c and ik c_u; the samples of (u, u_x, rho) that transform fills; the
-    three arrays energy_e0 writes E0 into; the two halves of the floats of
-    the states' modes k >= 1 and the sums of their squares per row, which
+    columns dt/2 and dt/6 of the step sizes; the four RK4 rate arrays
+    and the stage state, each of the state's shape (members, L), with
+    the coefficient views that rhs_coeffs reads and writes, the first
+    rate array also receiving the new state, whose finite rows _advance
+    copies into the states; and the finiteness of its entries and of
+    each row's last step, true until a step says otherwise.  To observe,
+    it holds the flat RK4 states (c, q, lq), with their coefficient
+    views; the rows (c_u, ik c_u, c_rho), with their views of c and ik
+    c_u; the samples of (u, u_x, rho) that transform fills; the three
+    arrays energy_e0 writes E0 into; the two halves of the floats of the
+    states' modes k >= 1 and the sums of their squares per row, which
     the witness reads; and, for the record invariants, the (members, 1)
     columns of A and gamma, the field-major 2n pad buffer that
     hamiltonian_f reads and the table of each member's entries.  With
@@ -287,14 +288,14 @@ class _Group:
     table serves the observation (rows u, u_x, rho) and stages 2 to 4
     (rows u, u_x), which are never live at once; the rows (1, ik) that
     turn a stage's coefficients of u into those of (u, u_x), the array
-    they fill and its view that interp_blocks weighs; each rate's and the
-    stage's views of their rates of (q, lq) and positions; the positions'
-    view of the states; and the values of (u, u_x, rho) at q, whose rows
-    (u, u_x) stage 1 reads.  views holds each member's views of its
-    samples, its coefficients of rho and its (q, lq, rho(q)).  Every step
-    overwrites these arrays, so a member copies what it keeps of them.
-    The group holds no reference to itself, so one that members leave is
-    freed as soon as nothing reads it.
+    they fill and its view that interp_blocks weighs; each rate's and
+    the stage's views of their rates of (q, lq) and positions; the
+    positions' view of the states; and the values of (u, u_x, rho) at q,
+    whose rows (u, u_x) stage 1 reads.  views holds each member's views
+    of its samples, its coefficients of rho and its (q, lq, rho(q)).
+    Every step overwrites these arrays, so a member copies what it keeps
+    of them.  The group holds no reference to itself, so one that
+    members leave is freed as soon as nothing reads it.
     """
 
     def __init__(
@@ -413,31 +414,26 @@ def _regroup(rows: list[tuple[_Group, int]]) -> _Group:
     return group
 
 
-def _advance(
-    y: np.ndarray,
-    group: _Group,
-    dt: np.ndarray,
-    at_q: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of each row of the flat state y, shape
+def _advance(group: _Group, dt: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of each row of group.state, shape
     (members, L), each row (c viewed as floats, q, lq), with its own
-    parameters through group, the _Group of these rows, and its own step
-    size in dt, a column of shape (members, 1); returns the new state and
-    whether each of its rows is finite, both group's arrays, which the next
-    call overwrites.  Every array the step writes is group's, each written
-    through out= by the operations the expression
+    parameters and its own step size in dt, a column of shape
+    (members, 1).  The new state replaces a row only where it is finite,
+    so a row whose step fails keeps the state that step started from;
+    returns whether each row's step was finite, group.finite, which the
+    next call overwrites.  Every array the step writes is group's, each
+    written through out= by the operations the expression
     y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) makes, in the same order, so the
-    result is bit for bit that expression's; the sum accumulates in k1,
-    whose array then holds the new state.
+    result is bit for bit that expression's; the sum accumulates in k1.
 
-    Without characteristics y holds c alone and at_q is None.  With K of
-    them per row, at_q holds u and u_x at q at the step's start, shape
-    (members, 2, K), which the caller has already evaluated: they are
-    stage 1's rates of q and lq, since positions advance with the velocity
-    and the log-Jacobian integrates the slope.  Stages 2 to 4 each read u
-    and u_x at their stage positions off their stage coefficients with one
-    interp_blocks call: one phase table for the positions of every row,
-    one product per row.  No rate reads lq.
+    Without characteristics the state holds c alone.  With K of them per
+    row, group.rates_at_q holds u and u_x at q at the step's start, shape
+    (members, 2, K), which the observation before the step evaluated: they
+    are stage 1's rates of q and lq, since positions advance with the
+    velocity and the log-Jacobian integrates the slope.  Stages 2 to 4
+    each read u and u_x at their stage positions off their stage
+    coefficients with one interp_blocks call: one phase table for the
+    positions of every row, one product per row.  No rate reads lq.
 
     Rows never mix: each transform, product and sum that a row goes
     through is the one it goes through alone, so a row's result does not
@@ -446,22 +442,22 @@ def _advance(
     entry in any stage of a row leaves one in that row, and no stage needs
     a check of its own.
     """
-    grid, buffer = group.grid, group.buffer
+    y, buffer = group.state, group.buffer
     stage, c = group.stage, group.stage_coefficients
     k1, k2, k3, k4 = group.rates
     half = np.multiply(0.5, dt, out=group.half_dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        # k1 at y, whose rates of q and lq the caller has evaluated
-        rhs_coeffs(_coefficients(y, grid.n), grid, buffer, group.rate_coefficients[0])
-        if at_q is not None:
-            np.copyto(group.q_rates[0], at_q)
+        # k1 at y, whose rates of q and lq the observation has evaluated
+        rhs_coeffs(group.coefficients, buffer, group.rate_coefficients[0])
+        if group.rates_at_q is not None:
+            np.copyto(group.q_rates[0], group.rates_at_q)
         # k2, k3 and k4 at the stages y + (dt/2) k1, y + (dt/2) k2 and
         # y + dt k3; the sum commutes bit for bit, so y may come second
         for i, scale in ((1, half), (2, half), (3, dt)):
             np.multiply(scale, group.rates[i - 1], out=stage)
             np.add(y, stage, out=stage)
-            rhs_coeffs(c, grid, buffer, group.rate_coefficients[i])
-            if at_q is not None:
+            rhs_coeffs(c, buffer, group.rate_coefficients[i])
+            if group.rates_at_q is not None:
                 np.multiply(group.stage_u, group.value_and_slope, out=group.stage_slope)
                 interp_blocks(
                     group.stage_slope_parts, group.stage_q, group.interp, group.q_rates[i]
@@ -475,7 +471,9 @@ def _advance(
         np.multiply(np.divide(dt, 6.0, out=group.sixth_dt), k1, out=k1)
         np.add(y, k1, out=k1)
     np.isfinite(k1, out=group.finite_entries)
-    return k1, np.logical_and.reduce(group.finite_entries, axis=1, out=group.finite)
+    finite = np.logical_and.reduce(group.finite_entries, axis=1, out=group.finite)
+    np.copyto(y, k1, where=finite[:, None])
+    return finite
 
 
 def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
@@ -488,10 +486,8 @@ def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
     group.coefficients[0] = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
     dt = np.full((1, 1), dt)
     for _ in range(steps):
-        state, finite = _advance(group.state, group, dt)
-        if not finite[0]:
+        if not _advance(group, dt)[0]:
             raise NonFiniteStateError("non-finite values in an RK4 stage")
-        np.copyto(group.state, state)
     u, rho = np.fft.irfft(group.coefficients[0], s.grid.n, norm="forward")
     return State(s.grid, u, rho)
 
@@ -539,7 +535,7 @@ def _member(
     ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
     def observe() -> None:
-        m, xi = refined_min(ux, grid.dx)
+        m, xi = refined_min(ux)
         trace_t.append(t)
         trace_m.append(m)
         trace_xi.append(xi)
@@ -730,10 +726,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             if len(staying) < len(live):
                 live = [live[j] for j in staying]
                 group = _regroup([(group, j) for j in staying])
-            state, finite = _advance(
-                group.state, group, np.array(dts)[:, None], group.rates_at_q
-            )
-            np.copyto(group.state, state, where=finite[:, None])
+            _advance(group, np.array(dts)[:, None])
             group.transform()
             stepped.append((group, live))
         groups = stepped

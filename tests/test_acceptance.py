@@ -160,7 +160,7 @@ def test_criterion_08_blowup_rate(blowup_runs):
 def test_criterion_09_global_existence(global_long_run):
     s0, res = global_long_run
     lt = lyapunov_trace(res.slope_trace, s0.rho, s0.u, GLOBAL_MODEL)
-    signs_ok = sign_preserved(res.ensemble, s0.rho)
+    signs_ok = sign_preserved(res.ensemble)
     ok = (
         res.termination.cause == "ReachedEnd"
         and lt.violations.size == 0

@@ -166,7 +166,7 @@ def test_report_summaries_match_the_artifacts(case, tmp_path):
 )
 def test_shipped_config_writes_every_snapshot_it_lists(cfg, tmp_path):
     # a listed time at or before t_end that the run stops short of is
-    # written nowhere, and no message says so
+    # not written, so a shipped config lists none
     assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
     sim = json.loads((tmp_path / "report.json").read_text())["config"]["sim"]
     used: set = set()
@@ -178,6 +178,30 @@ def test_shipped_config_writes_every_snapshot_it_lists(cfg, tmp_path):
     snaps = tmp_path / "snapshots"
     got = sorted(p.name for p in snaps.iterdir()) if snaps.exists() else []
     assert got == want
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("quiet", [False, True])
+def test_unwritten_snapshot_is_named_on_stderr(command, quiet, tmp_path, capsys):
+    # the golden breaking wave lists t = 0.17 and stops before it: a run,
+    # and each member of a sweep, names the time and the stop in one line
+    cfg = REPO / "tests" / "data" / "golden" / "breaking_wave" / "config.cfg"
+    argv = [command, str(cfg), "--out-dir", str(tmp_path)] + ["--quiet"] * quiet
+    if command == "sweep":
+        argv += ["--param", "sim.cfl=0.25:0.3:2"]
+    assert main(argv) == EXIT_OK
+    dirs = [tmp_path] if command == "run" else sorted(tmp_path.glob("breaking_wave__*"))
+    want = ""
+    for out in dirs:
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["sim"]["snapshot_times"] == [0.0, 0.1, 0.17]
+        assert not (out / "snapshots" / "t_0.17.csv").exists()
+        want += (
+            f"{report['config']['scenario']['name']}: no snapshot at t=0.17: "
+            f"the run stopped at t={report['run']['t_sim']:.6g}\n"
+        )
+    assert len(dirs) == (1 if command == "run" else 2)
+    assert capsys.readouterr().err == ("" if quiet else want)
 
 
 def test_reruns_are_byte_identical(smooth_cfg, tmp_path):
@@ -769,7 +793,7 @@ def test_sweep_advances_its_members_in_lockstep(tmp_path, monkeypatch):
     real = stepping._advance
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(len(args[0].params))  # the group's members
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stepping, "_advance", counted)
@@ -797,7 +821,7 @@ def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch
     real = stepping._advance
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(len(args[0].params))  # the group's members
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stepping, "_advance", counted)

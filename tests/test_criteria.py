@@ -65,12 +65,12 @@ def test_refined_extrema_against_dense_grid(rng):
     for _ in range(10):
         f = random_trig_field(g, rng, max_mode=4, rms=2.0)
         ux = deriv_values(f, 1)
-        m, xi = refined_min(ux, g.dx)
+        m, xi = refined_min(ux)
         ref_v, ref_x = dense_extremum(ux, factor=64)
         assert m == pytest.approx(ref_v, abs=2e-4)
         gap = min(abs(xi - ref_x), 1.0 - abs(xi - ref_x))
         assert gap < 1e-4
-        hi, _ = refined_max(ux, g.dx)
+        hi, _ = refined_max(ux)
         ref_hi, _ = dense_extremum(ux, factor=64, sign=-1.0)
         assert hi == pytest.approx(ref_hi, abs=2e-4)
 
@@ -80,7 +80,7 @@ def test_refined_min_beats_node_minimum(rng):
     g = PeriodicGrid(64)
     for _ in range(20):
         v = random_trig_field(g, rng, max_mode=5)
-        m, _ = refined_min(v, g.dx)
+        m, _ = refined_min(v)
         assert m <= np.min(v) + 1e-15
 
 

@@ -55,7 +55,7 @@ def test_rhs_against_quadrature_oracle():
     p = ModelParams(A=1.0, gamma=1.0)
 
     arg = u * u + 0.5 * ux * ux  # gamma - A = 0 kills the linear part
-    conv = kernel_quadrature(arg, g, dgreen_kernel)
+    conv = kernel_quadrature(arg, dgreen_kernel)
     expected_du = -(u - p.gamma) * ux - conv
 
     du, drho = rhs_values(u, np.zeros(g.n), g, p)
@@ -134,7 +134,7 @@ def test_rhs_coeffs_matches_padded_reference(n):
     alt = (-1.0) ** np.arange(n)
     u, rho = r.normal(size=n) + 4.0 * alt, r.normal(size=n) - 3.0 * alt
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")[None]
-    got = rhs_coeffs(c, g, rhs_buffer(g, (p,)))[0]
+    got = rhs_coeffs(c, rhs_buffer(g, (p,)))[0]
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -151,8 +151,8 @@ def test_rhs_buffer_reuse_is_invisible(rng):
         for _ in range(2) for g in grids
     ]
     for g, c in states + states[::-1] + [states[0], states[2], states[0]]:
-        got = rhs_coeffs(c, g, buffers[g])
-        assert np.array_equal(got, rhs_coeffs(c, g, rhs_buffer(g, (p,))))
+        got = rhs_coeffs(c, buffers[g])
+        assert np.array_equal(got, rhs_coeffs(c, rhs_buffer(g, (p,))))
 
 
 def _counting(fn, calls):
@@ -203,8 +203,9 @@ ZERO = np.zeros(64)  # also the exact slope of any constant
 
 
 def test_energy_closed_forms():
-    assert energy_e0(SINE, SINE_X, ZERO) == pytest.approx(0.5 + 2.0 * np.pi**2, abs=1e-12)
-    assert energy_e0(ZERO, ZERO, np.full(64, 2.0)) == pytest.approx(4.0, abs=1e-14)
+    sine, level = energy_e0(np.array([(SINE, SINE_X, ZERO), (ZERO, ZERO, np.full(64, 2.0))]))
+    assert sine == pytest.approx(0.5 + 2.0 * np.pi**2, abs=1e-12)
+    assert level == pytest.approx(4.0, abs=1e-14)
     assert mean_u(ZERO) == 0.0
     assert mean_u(np.full(64, -1.25)) == pytest.approx(-1.25, abs=1e-15)
 
@@ -212,20 +213,23 @@ def test_energy_closed_forms():
 def test_energy_e0_matches_mean_of_squares_bit_for_bit(rng):
     for n in (8, 64, 1000, 1024, 4096):
         for scale in (1.0e-5, 1.0, 1.0e5):
-            u, ux, rho = scale * rng.standard_normal((3, n))
-            assert energy_e0(u, ux, rho) == float(np.mean(u**2 + ux**2 + rho**2))
+            fields = scale * rng.standard_normal((3, n))
+            u, ux, rho = fields
+            assert energy_e0(fields) == float(np.mean(u**2 + ux**2 + rho**2))
 
 
 def test_stacked_energy_e0_is_each_rows_own_bit_for_bit(rng):
     # a stack of (u, u_x, rho) rows squared and reduced into work arrays,
-    # twice on the same work, gives each row the float of its own call
+    # twice on the same work, gives each row the float of its own call,
+    # and the floats of a call without work
     for n in (8, 64, 1000, 1024):
         work = (np.empty((3, 3, n)), np.empty((3, n)), np.empty(3))
         for scale in (1.0e-5, 1.0e5):
             stack = scale * rng.standard_normal((3, 3, n))
             got = energy_e0(stack, work=work)
             assert got is work[2]
-            assert got.tolist() == [energy_e0(*rows) for rows in stack]
+            assert got.tolist() == [energy_e0(rows) for rows in stack]
+            assert got.tolist() == energy_e0(stack).tolist()
 
 
 def test_means_match_np_mean_bit_for_bit(rng):
@@ -243,10 +247,11 @@ def _coeffs(*rows):
 
 def test_hamiltonian_e_closed_forms():
     ones = np.ones(64)
-    assert hamiltonian_e(energy_e0(ZERO, ZERO, ones), ones) == 0.0
-    assert hamiltonian_e(energy_e0(ZERO, ZERO, ZERO), ZERO) == pytest.approx(0.5, abs=1e-15)
+    assert hamiltonian_e(energy_e0(np.stack((ZERO, ZERO, ones))), ones) == 0.0
+    e0 = energy_e0(np.stack((ZERO, ZERO, ZERO)))
+    assert hamiltonian_e(e0, ZERO) == pytest.approx(0.5, abs=1e-15)
     expected = 0.5 * (0.5 + 2.0 * np.pi**2)
-    e0 = energy_e0(SINE, SINE_X, ones)
+    e0 = energy_e0(np.stack((SINE, SINE_X, ones)))
     assert hamiltonian_e(e0, ones) == pytest.approx(expected, abs=1e-12)
 
 
@@ -278,12 +283,12 @@ def test_stacked_invariants_are_the_row_wise_ones(n):
     u, ux, rho = r.normal(size=(3, 3, n)) + np.array([[[0.5]], [[0.0]], [[1.0]]])
     c = np.fft.rfft(np.stack((u, ux, rho), axis=1), norm="forward")
     p = ModelParams(A=0.9, gamma=-1.7)
-    e0 = energy_e0(u, ux, rho)
+    e0 = energy_e0(np.stack((u, ux, rho), axis=1))
     columns = np.full((3, 1), p.A), np.full((3, 1), p.gamma)
     stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, *columns))
     alone = []
     for i in range(3):
-        e0_i = energy_e0(u[i], ux[i], rho[i])
+        e0_i = energy_e0(np.stack((u[i], ux[i], rho[i])))
         alone.append(
             (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]),
              hamiltonian_f(c[i], p.A, p.gamma))
@@ -307,9 +312,9 @@ def test_stacked_rows_take_their_own_parameters(n):
     )
     c = np.fft.rfft(r.normal(size=(3, 2, n)), norm="forward")
     rows = np.fft.rfft(r.normal(size=(3, 3, n)), norm="forward")
-    got = rhs_coeffs(c, g, rhs_buffer(g, params))
+    got = rhs_coeffs(c, rhs_buffer(g, params))
     for i, p in enumerate(params):
-        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], g, rhs_buffer(g, (p,)))[0])
+        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], rhs_buffer(g, (p,)))[0])
     alone = [hamiltonian_f(rows[i], p.A, p.gamma) for i, p in enumerate(params)]
     columns = (np.array([[p.A] for p in params]), np.array([[p.gamma] for p in params]))
     assert np.array_equal(hamiltonian_f(rows, *columns), alone)
@@ -327,7 +332,7 @@ def test_invariants_share_one_slope(monkeypatch, rng):
     calls = []
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, _counting(getattr(np.fft, name), calls))
-    e0 = energy_e0(u, ux, rho)
+    e0 = energy_e0(np.stack((u, ux, rho)))
     mean_u(u)
     assert hamiltonian_e(e0, rho) == pytest.approx(direct, rel=1e-13)
     assert calls == []

@@ -142,7 +142,7 @@ def test_amplitude_solver_fixed_point(n, A, gamma):
     margin = 1.05
     a = solve_blowup_amplitude(b=1.0, margin=margin, model=p, n=n)
     s = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n))
-    th = threshold_sharp(energy_e0(s.u, deriv_values(s.u, 1), s.rho), p.gamma, p.A)
+    th = threshold_sharp(energy_e0(np.stack((s.u, deriv_values(s.u, 1), s.rho))), p.gamma, p.A)
     assert a == pytest.approx(margin * abs(th), rel=1e-8)
     if (A, gamma) == (1.0, 0.0):
         # frozen value for the default breaking-wave setup
@@ -194,7 +194,8 @@ def test_amplitude_solver_stops_at_adjacent_doubles():
     model = ModelParams(A=3.9151168861303496e16)
     a = solve_blowup_amplitude(b=1.0, margin=1.05, model=model, n=32)
     s = build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(32))
-    th = threshold_sharp(energy_e0(s.u, deriv_values(s.u, 1), s.rho), model.gamma, model.A)
+    e0 = energy_e0(np.stack((s.u, deriv_values(s.u, 1), s.rho)))
+    th = threshold_sharp(e0, model.gamma, model.A)
     assert a == pytest.approx(1.05 * abs(th), rel=1e-12)
 
 
