@@ -187,10 +187,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
     trace = result.slope_trace
     deepest = int(np.argmin(trace.m))  # the first step on ties
     doc["run"] = {
-        "termination": {
-            "cause": result.termination.cause,
-            "t": result.termination.t,
-        },
+        "termination": _fields_of(result.termination),
         "t_sim": result.termination.t,
         "steps": len(trace.times) - 1,
         "records": len(result.series),
@@ -212,13 +209,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
     }
 
     try:
-        est = estimate_blowup_rate(trace)
-        doc["rate_estimate"] = {
-            "t_blowup": est.t_blowup,
-            "rate": est.rate,
-            "fit_quality": est.fit_quality,
-            "samples": est.samples,
-        }
+        doc["rate_estimate"] = _fields_of(estimate_blowup_rate(trace))
     except InsufficientWindowError as exc:
         doc["rate_estimate"] = {"unavailable": str(exc)}
 

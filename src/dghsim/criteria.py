@@ -49,7 +49,6 @@ __all__ = [
     "threshold_mean",
     "threshold_zero_mean",
     "riccati_blowup_time",
-    "blowup_time_bound",
     "dive_cutoff",
     "estimate_blowup_rate",
     "lyapunov_trace",
@@ -180,11 +179,6 @@ def riccati_blowup_time(c: float, k: float, y0: float) -> float:
     return 1.0 / (-c * y0 + k / y0)
 
 
-def blowup_time_bound(m0: float, k: float) -> float:
-    """Specialization 2 m0 / (2 k - m0^2) of the Riccati bound at c = 1/2."""
-    return riccati_blowup_time(0.5, k, m0)
-
-
 # ---------------------------------------------------------------------------
 # blow-up rate
 
@@ -268,7 +262,6 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
 
 @dataclass(frozen=True)
 class LyapunovTrace:
-    times: np.ndarray
     w: np.ndarray
     envelope: np.ndarray
     beta: float
@@ -318,7 +311,6 @@ def lyapunov_trace(
     envelope = (c2 / (2.0 * beta)) * np.exp((c1 + 0.5) * trace.times)
     violations = np.nonzero(np.abs(trace.m) > envelope)[0]
     return LyapunovTrace(
-        times=trace.times,
         w=w,
         envelope=envelope,
         beta=beta,
@@ -434,7 +426,7 @@ def evaluate_criteria(
         met = rho_vanishes and m0 < threshold and (key != "zero_mean" or zero_mean)
         verdicts[key] = Verdict(met, BLOWUP_PREDICTED if met else NO_PREDICTION)
     bounds = [
-        blowup_time_bound(m0, k) for key, k in k_values.items()
+        riccati_blowup_time(0.5, k, m0) for key, k in k_values.items()
         if verdicts[key].hypothesis_met
     ]
     verdicts["positive_density"] = Verdict(

@@ -41,14 +41,15 @@ Its arrays live in an InterpWork, built once for a number of blocks,
 points and rows: the table with its row 0 of ones, the row views of its
 doublings, and the weighted coefficients and products with their cos and
 sin views.  A call then makes only ufunc calls, each writing into the
-work, and a caller that evaluates the same shapes again, as the
-integrator does at every RK4 stage, passes the same work to every call;
-one that evaluates the same array again also builds its view once.
-interp_values is one forward transform followed by interp_blocks with
-one block, on a work and a view built for the call.  A single point
-needs no doubling: interp_point forms its one weighted exponential row
-directly, from each mode's phase reduced to under one turn without
-rounding error that grows with k or |x|.
+work or into the result array the caller passes, and a caller that
+evaluates the same shapes again, as the integrator does at every RK4
+stage, passes the same work to every call; one that evaluates the same
+array again also builds its view once.  interp_values is one forward
+transform followed by interp_blocks with one block, on a work, a view
+and a result built for the call.  A single point needs no doubling:
+interp_point forms its one weighted exponential row directly, from each
+mode's phase reduced to under one turn without rounding error that
+grows with k or |x|.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ class PeriodicGrid:
             raise ConfigError(f"grid size must be at least 8, got n={self.n}", "n")
         if self.n % 2 != 0:
             raise ConfigError(f"grid size must be even, got n={self.n}", "n")
-
-    @cached_property
-    def dx(self) -> float:
-        return 1.0 / self.n
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -232,10 +229,10 @@ class InterpWork:
     integers; and, per row count, the weighted coefficients, their
     products with the table and those products' cos and sin columns.  The
     table's float view, reshaped so that block i reads its own columns, is
-    made here too, so a call makes no view of these and allocates nothing
-    but a result not given as out.  A call overwrites whole every array it
-    reads from here besides row 0, so a result never depends on what an
-    earlier call left, and one work serves every call of its shapes.
+    made here too, so a call makes no view of these and allocates nothing.
+    A call overwrites whole every array it reads from here besides row 0,
+    so a result never depends on what an earlier call left, and one work
+    serves every call of its shapes.
     """
 
     def __init__(
@@ -312,13 +309,15 @@ def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     v has shape (..., n); the result has shape v.shape[:-1] + xs.shape.
     One forward transform, then interp_blocks on the coefficient_parts of
-    every row in one block, on a work built for this call.
+    every row in one block, on a work and a result built for this call.
     """
     c = np.fft.rfft(np.asarray(v, dtype=float), norm="forward")
     xs = np.asarray(xs, dtype=float)
     block = c.reshape(1, -1, c.shape[-1])
-    work = InterpWork(c.shape[-1] - 1, 1, xs.size, (block.shape[1],))
-    out = interp_blocks(coefficient_parts(block), xs.reshape(1, -1), work)
+    rows = block.shape[1]
+    work = InterpWork(c.shape[-1] - 1, 1, xs.size, (rows,))
+    out = np.empty((1, rows, xs.size))
+    interp_blocks(coefficient_parts(block), xs.reshape(1, -1), work, out)
     return out.reshape(c.shape[:-1] + xs.shape)
 
 
@@ -332,7 +331,7 @@ def coefficient_parts(c: np.ndarray) -> np.ndarray:
 
 
 def interp_blocks(
-    parts: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray | None = None
+    parts: np.ndarray, xs: np.ndarray, work: InterpWork, out: np.ndarray
 ) -> np.ndarray:
     """Evaluate block i of rfft coefficients c at the points xs[i], given
     parts = coefficient_parts(c).
@@ -342,7 +341,7 @@ def interp_blocks(
     Nyquist entry that of cos(pi n x)), with real mean and Nyquist entries,
     as the rfft of real samples has them.  xs has shape (blocks, K); work
     is an InterpWork(n/2, blocks, K, ...) whose row counts include rows.
-    The result, written to out if given, has shape (blocks, rows, K).
+    The result, written to out and returned, has shape (blocks, rows, K).
 
     The interpolant at x is sum_k 2 w_k (Re c_k cos(2 pi k x) - Im c_k
     sin(2 pi k x)), with w_k = 1/2 on the mean and Nyquist modes and 1
@@ -353,23 +352,17 @@ def interp_blocks(
     matmul gives each block the real product of these with its own
     columns of that view, and one add sums the cos columns of the real
     parts and the sin columns of the imaginary parts, so no transform is
-    made.  Each writes into work, so a call is these three ufunc calls,
-    the four of its positions' phases and one per doubling of the table,
-    with no allocation but a result not given as out.  For K >= 2 a
-    block's product is bit for bit the one it gets alone; for K = 1 numpy
-    forms the narrower product with another inner loop, which can differ
-    in the last bit.
+    made.  Each writes into work or out, so a call is these three ufunc
+    calls, the four of its positions' phases and one per doubling of the
+    table, with no allocation.  For K >= 2 a block's product is bit for
+    bit the one it gets alone; for K = 1 numpy forms the narrower product
+    with another inner loop, which can differ in the last bit.
     """
-    blocks, count = xs.shape
-    rows = parts.shape[2]
-    weighted, weighted_rows, prods, cos, sin = work.products[rows]
+    weighted, weighted_rows, prods, cos, sin = work.products[parts.shape[2]]
     _phase_matrix(xs, work)
     np.multiply(parts, work.weights, out=weighted)
     np.matmul(weighted_rows, work.columns, out=prods)
-    if out is None:
-        out = np.empty((blocks, rows, count))
-    np.add(cos, sin, out=out)
-    return out
+    return np.add(cos, sin, out=out)
 
 
 @lru_cache(maxsize=8)

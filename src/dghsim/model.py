@@ -26,18 +26,18 @@ buffer, not once per right-hand side.
 rhs_coeffs takes a leading member axis: several runs on one grid, each
 with its own A and gamma, share each transform call, one row block per
 member, and every member's arithmetic is the one it gets alone.  The
-grid and the parameters reach it only through its buffer.
-rhs_buffer(grid, params) returns an object whose named fields are
-everything a right-hand side reads besides the coefficients: the
-symbols, one row per ModelParams, the linear one from that member's
-parameters and the others tiled, so that their products pair arrays of
-one shape; the work arrays, the pad buffer, the samples at 3n/2 points,
-their products and the products' coefficients; and every view of these
-that a call reads.  A caller builds one buffer for its members and
-passes it to every right-hand side it takes for them, and each call
-writes every step into the buffer with out=, so it makes no view of the
-buffer and no temporary, and overwrites what the previous call left
-there.
+grid and the parameters reach it only through its buffer, and its
+result goes into an array the caller passes.  A RhsBuffer(grid, params)
+holds as named fields everything a right-hand side reads besides the
+coefficients: the symbols, one row per ModelParams, the linear one from
+that member's parameters and the others tiled, so that their products
+pair arrays of one shape; the work arrays, the pad buffer, the samples
+at 3n/2 points, their products and the products' coefficients; and
+every view of these that a call reads.  A caller builds one buffer for
+its members and passes it to every right-hand side it takes for them,
+and each call writes every step into the buffer or into its result with
+out=, so it makes no view of the buffer and no temporary, and
+overwrites what the previous call left there.
 
 A State is the one container of (grid, u, rho) as float sample arrays.
 energy_e0 takes the stack of u, the slope u_x, which the caller computes
@@ -45,10 +45,10 @@ once and shares, and rho, and squares it with one call, into work arrays
 a caller may build once; hamiltonian_e is read off E0 and rho, so a
 caller that has taken E0 does not take it again.  The one cubic
 invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
-the integrator holds, and pads them to a 2n grid, in a pad buffer a
-caller may build once, with one inverse transform and no forward one; it
+the integrator holds, and pads them to a 2n grid, in a pad buffer the
+caller builds once, with one inverse transform and no forward one; it
 takes A and gamma as floats, or as columns with one entry per row, which
-a caller builds once for its rows, as it builds rhs_buffer.  Like
+a caller builds once for its rows, as it builds its RhsBuffer.  Like
 rhs_coeffs, the invariants take a leading member axis and reduce over
 the last axis only: given one row they return a float, given a stack of
 rows an array with each row's float, bit for bit, so the integrator
@@ -68,7 +68,7 @@ __all__ = [
     "NonFiniteFieldError",
     "ModelParams",
     "State",
-    "rhs_buffer",
+    "RhsBuffer",
     "rhs_coeffs",
     "rhs_values",
     "energy_e0",
@@ -119,11 +119,11 @@ class State:
             object.__setattr__(self, name, v)
 
 
-class _RhsBuffer:
+class RhsBuffer:
     """Everything rhs_coeffs reads on one grid besides the coefficients,
-    with one row block per member, as named fields, each array and view
-    built here, so that a call makes no view of them and allocates
-    nothing but a result not given as out.
+    for the members with the ModelParams in params, one per member, with
+    one row block per member, as named fields, each array and view built
+    here, so that a call makes no view of them and allocates nothing.
 
     First the symbols, each of shape (members, n/2 + 1): lin, the linear
     symbol gamma ik - (gamma - A)(G*)' of du/dt, each row from its own
@@ -176,20 +176,11 @@ class _RhsBuffer:
         self.conv_term = np.empty((members, half + 1), dtype=complex)
 
 
-def rhs_buffer(grid: PeriodicGrid, params: tuple[ModelParams, ...]) -> _RhsBuffer:
-    """The buffer rhs_coeffs reads on this grid for the members with the
-    ModelParams in params, one per member: the symbols, the work arrays
-    and their views (see _RhsBuffer)."""
-    return _RhsBuffer(grid, params)
-
-
-def rhs_coeffs(
-    c: np.ndarray, buffer: _RhsBuffer, out: np.ndarray | None = None
-) -> np.ndarray:
+def rhs_coeffs(c: np.ndarray, buffer: RhsBuffer, out: np.ndarray) -> np.ndarray:
     """Time derivative of the coefficients c = rfft((u, rho), norm="forward").
 
     c and the result have shape (members, 2, n/2 + 1), c contiguous in
-    its last axis; one member keeps its axis.  buffer is rhs_buffer(grid,
+    its last axis; one member keeps its axis.  buffer is a RhsBuffer(grid,
     params) on the grid of c, whose 3n/2 points its work arrays fix, with
     params one ModelParams per member, as many as c has rows, and the
     caller passes it to every call for those members.  Each
@@ -207,13 +198,10 @@ def rhs_coeffs(
     the result never depends on what an earlier call left there.  Every
     step writes into the buffer through out=, in the order of operations
     of the expressions it stands for, so a call makes no view of the
-    buffer, only four of c and out, and allocates nothing but a result
-    not given as out.  out, if given, receives the result, which is then
-    returned.
+    buffer, only four of c and out, and allocates nothing.  out, of the
+    shape of c, receives the result, which is then returned.
     """
     b = buffer
-    if out is None:
-        out = np.empty(c.shape, dtype=complex)
 
     # u and rho with their Nyquist modes split, then u_x, whose Nyquist
     # symbol is zero
@@ -248,8 +236,8 @@ def rhs_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives of (u, rho) as sample arrays: rhs_coeffs between
     one forward and one inverse transform."""
-    c = np.fft.rfft(np.stack((u, rho)), norm="forward")
-    dc = rhs_coeffs(c[None], rhs_buffer(grid, (p,)))[0]
+    c = np.fft.rfft(np.stack((u, rho))[None], norm="forward")
+    dc = rhs_coeffs(c, RhsBuffer(grid, (p,)), np.empty_like(c))[0]
     du, drho = np.fft.irfft(dc, grid.n, norm="forward")
     return du, drho
 
@@ -302,7 +290,7 @@ def hamiltonian_f(
     c: np.ndarray,
     A: np.ndarray | float,
     gamma: np.ndarray | float,
-    padded: np.ndarray | None = None,
+    padded: np.ndarray,
 ) -> np.ndarray | float:
     """Cubic invariant from the coefficients c = rfft((u, u_x, rho),
     norm="forward"), shape (3, n/2 + 1), or (members, 3, n/2 + 1) for a
@@ -310,9 +298,9 @@ def hamiltonian_f(
     inverse transform of every row and no forward one.  A and gamma are
     the parameters, floats for one row or columns of one entry per row,
     shape (members, 1), which the caller builds once for its rows; a row
-    then gets the bits of its own call.  padded, if given, is the pad
-    buffer, a zero-filled complex array of shape (3, members, n + 1), or
-    (3, n + 1), that a caller builds once for its rows: field-major, so
+    then gets the bits of its own call.  padded is the pad buffer, a
+    zero-filled complex array of shape (3, members, n + 1), or (3, n + 1)
+    for one row, that the caller builds once for its rows: field-major, so
     that each field's samples of every row are one contiguous block for
     the integrand.  A call writes only its first n/2 + 1 columns, so the
     zeros above them stay.
@@ -324,10 +312,7 @@ def hamiltonian_f(
     - gamma u_x^2, since 2 (rho - 1) + (rho - 1)^2 = rho^2 - 1.
     """
     half = c.shape[-1] - 1
-    fields = c.swapaxes(0, -2)  # field-major, as padded is
-    if padded is None:
-        padded = np.zeros(fields.shape[:-1] + (2 * half + 1,), dtype=complex)
-    padded[..., : half + 1] = fields
+    padded[..., : half + 1] = c.swapaxes(0, -2)  # field-major, as padded is
     padded[..., half] *= 0.5
     uf, uxf, rf = np.fft.irfft(padded, 4 * half, norm="forward")
     ux2 = uxf * uxf

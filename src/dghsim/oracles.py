@@ -51,32 +51,39 @@ __all__ = [
 ]
 
 
-def kernel_quadrature(values, kernel_fn, m: int = 8192):
+# points of kernel_quadrature's fine grid
+_QUADRATURE_POINTS = 8192
+# the value through which _integrate_riccati's solution has blown up
+_RICCATI_STOP = -1.0e6
+
+
+def kernel_quadrature(values, kernel_fn):
     """Convolve samples on the nodes j/n, n = values.size, by direct
     fine-grid quadrature against a sampled kernel.
 
     The input samples are band-limited, so zero-filling their spectrum to
-    m points, with the Nyquist mode split between +n/2 and -n/2, gives
-    their interpolant on the fine grid exactly; the quadrature error is
-    then set by the kernel's corner, O(1/m^2) for the even kernel and its
-    (midpoint-valued) derivative.
+    m = _QUADRATURE_POINTS points, with the Nyquist mode split between
+    +n/2 and -n/2, gives their interpolant on the fine grid exactly; the
+    quadrature error is then set by the kernel's corner, O(1/m^2) for the
+    even kernel and its (midpoint-valued) derivative.
     """
     values = np.asarray(values, dtype=float)
     c = np.fft.rfft(values, norm="forward")
     c[-1] *= 0.5
+    m = _QUADRATURE_POINTS
     vy = np.fft.irfft(c, m, norm="forward")
     x, y = np.arange(values.size) / values.size, np.arange(m) / m
     gram = kernel_fn(x[:, None] - y[None, :])
     return gram @ vy / m
 
 
-def _integrate_riccati(c: float, k: float, y0: float, y_stop: float = -1.0e6) -> float:
-    """RK4 integration of y' = -c y^2 + k until y falls through y_stop."""
+def _integrate_riccati(c: float, k: float, y0: float) -> float:
+    """RK4 integration of y' = -c y^2 + k until y falls through _RICCATI_STOP."""
     def f(y):
         return -c * y * y + k
 
     t, y = 0.0, y0
-    while y > y_stop:
+    while y > _RICCATI_STOP:
         dt = 0.005 / max(c * abs(y), 1.0)
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)

@@ -46,7 +46,7 @@ ufunc calls, each writing into an array of the group's one _Group, and
 the finiteness check is one expression on the new state; model.rhs_coeffs
 takes and returns coefficients, so a right-hand side makes only its two
 transforms at 3n/2 points, padding into the work arrays of the group's
-model.rhs_buffer, which every stage of every step shares.  The _Group
+model.RhsBuffer, which every stage of every step shares.  The _Group
 holds every array of a group: the RK4 rates and stage, the states, the
 rows, their samples, the arrays E0 and the witness are reduced in, the
 values at q and the 2n pad buffer of the cubic invariant, each with the
@@ -99,9 +99,12 @@ and yields its next dt.  The next step overwrites the arrays those views
 show, so whatever a member keeps, a snapshot's fields or a record's
 characteristics, it copies.  So the slope minimum, alpha, the step size,
 records, snapshots, the stop tests and termination stay one scalar code
-path per member.  The group's transforms, products and sums are the ones
-each member makes alone, so a member's result is bit for bit its single
-run's.
+path per member, and each stop test sets the run's cause and leaves its
+loop, after which one record and one Termination end it.  A member
+takes its grid from the size of the samples it is sent, so nothing but
+its arrays ties it to a group.  The group's transforms, products and sums
+are the ones each member makes alone, so a member's result is bit for bit
+its single run's.
 
 A member leaves its group one way: it returns when it is sent a state,
 either because a stop test fired on it or because its last step was not
@@ -135,12 +138,12 @@ from .grid import (
 )
 from .model import (
     ModelParams,
+    RhsBuffer,
     State,
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
     mean_u,
-    rhs_buffer,
     rhs_coeffs,
 )
 
@@ -269,7 +272,7 @@ class _Group:
     _regroup builds one each time members leave it, so parameters and
     arrays cannot disagree; step_rk4 runs a group of one.
 
-    For _advance it holds the group's model.rhs_buffer; the (members, 1)
+    For _advance it holds the group's model.RhsBuffer; the (members, 1)
     columns dt/2 and dt/6 of the step sizes; the four RK4 rate arrays
     and the stage state, each of the state's shape (members, L), with
     the coefficient views that rhs_coeffs reads and writes, the first
@@ -305,7 +308,7 @@ class _Group:
         head = 2 * n + 4  # floats in c
         members = len(params)
         self.grid, self.params, self.count = grid, params, count
-        self.buffer = rhs_buffer(grid, params)
+        self.buffer = RhsBuffer(grid, params)
         self.A = np.array([[p.A] for p in params])
         self.gamma = np.array([[p.gamma] for p in params])
         self.half_dt, self.sixth_dt = np.empty((2, members, 1))
@@ -492,12 +495,7 @@ def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
     return State(s.grid, u, rho)
 
 
-def _member(
-    grid: PeriodicGrid,
-    p: ModelParams,
-    c: SimConfig,
-    seeds: np.ndarray | None,
-):
+def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
     """One run as a generator over its slice of its group's arrays.
 
     It is sent (samples, rho_c, chars, invariants, e0, lost, finite) for
@@ -513,8 +511,13 @@ def _member(
     step's dt and is sent the state that step reached; when the step was
     not finite it is sent the state the step started from instead, which
     its row kept, records from it and returns, as a member that ends does.
-    It returns the run's SimResult.  It makes no transform, computes no
-    invariant, and reads off-grid only alpha.
+    Every stop test sets the cause and leaves the loop, so a run ends one
+    way: one record of the state it stopped at, which writes a row unless
+    that state has one already, with dt 0 at the end of the run and the
+    step last taken or tried otherwise, and one Termination.
+    It returns the run's SimResult.  It takes its grid from the size of
+    its samples, makes no transform, computes no invariant, and reads
+    off-grid only alpha.
     """
     (u, ux, rho), rho_c, chars, invariants, e0, _, _ = yield
 
@@ -555,17 +558,15 @@ def _member(
 
     def take_snapshot() -> None:
         # copies, since u and rho are views of the group's samples
-        snapshots.append((t, State(grid, u.copy(), rho.copy())))
+        snapshots.append((t, State(PeriodicGrid(u.size), u.copy(), rho.copy())))
 
     observe()
     e0_first = e0
     cutoff = dive_cutoff(trace_m[0])
-    termination: Termination | None = None
     while True:
         t_remaining = c.t_end - t
         if t_remaining <= tiny:
-            record(0.0)
-            termination = Termination(TERM_REACHED_END, t)
+            cause, dt = TERM_REACHED_END, 0.0
             break
 
         dt = adaptive_dt(u, p, c, t_remaining, min_slope=trace_m[-1])
@@ -584,14 +585,12 @@ def _member(
             record(dt)
         if dt < tiny:
             # a step below the loop's time resolution cannot carry the run on
-            record(dt)
-            termination = Termination(TERM_RESOLUTION_LOST, t)
+            cause = TERM_RESOLUTION_LOST
             break
 
         (u, ux, rho), rho_c, chars, invariants, e0, lost, finite = yield dt
         if not finite:
-            record(dt)
-            termination = Termination(TERM_NONFINITE, t)
+            cause = TERM_NONFINITE
             break
 
         if hit_snapshot:
@@ -603,16 +602,15 @@ def _member(
 
         # the E0 test is written so that a NaN drift also stops the run
         if lost or not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
-            record(dt)
-            dived = trace_m[-1] <= cutoff
-            cause = TERM_BLOWUP if dived else TERM_RESOLUTION_LOST
-            termination = Termination(cause, t)
+            cause = TERM_BLOWUP if trace_m[-1] <= cutoff else TERM_RESOLUTION_LOST
             break
         if hit_snapshot:
             take_snapshot()
             record(dt)
         elif step % c.record_every == 0:
             record(dt)
+
+    record(dt)
 
     trace = SlopeTrace(
         times=np.asarray(trace_t),
@@ -635,7 +633,7 @@ def _member(
     return SimResult(
         slope_trace=trace,
         snapshots=snapshots,
-        termination=termination,
+        termination=Termination(cause, t),
         series=series,
         ensemble=ensemble,
     )
@@ -706,7 +704,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         np.copyto(group.coefficients, group.row_pairs)
         if count is not None:
             group.q[:] = [members[i][3] for i in indices]
-        live = [(i, _member(grid, *members[i][1:])) for i in indices]
+        live = [(i, _member(*members[i][1:])) for i in indices]
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         groups.append((group, live))

@@ -85,6 +85,12 @@ def rhs_padded_reference(u, rho, grid, p):
     return du, drho
 
 
+def pad_buffer(c):
+    """The zero-filled pad buffer that model.hamiltonian_f takes for the
+    coefficients c of (u, u_x, rho), shape (..., 3, n/2 + 1)."""
+    return np.zeros((3, *c.shape[:-2], 2 * c.shape[-1] - 1), dtype=complex)
+
+
 def hamiltonian_f_padded_reference(u, ux, rho, p):
     """Cubic invariant with each field padded to 2n in physical space and
     the integrand summed term by term, with its term-wise magnitude."""

@@ -842,11 +842,11 @@ def test_sweep_over_gamma_advances_its_members_in_lockstep(tmp_path, monkeypatch
 
 
 def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
-    # one _Group, with its rhs_buffer, when a group forms and one after
+    # one _Group, with its RhsBuffer, when a group forms and one after
     # each step on which members leave it: a sweep makes one per distinct
     # member step count, not one per step, and a single run makes one
     builds, workspaces = [], []
-    real, real_group = stepping.rhs_buffer, stepping._Group
+    real, real_group = stepping.RhsBuffer, stepping._Group
 
     def counted(grid, params):
         builds.append(params)
@@ -856,7 +856,7 @@ def test_a_group_builds_its_right_hand_side_once(tmp_path, monkeypatch):
         workspaces.append(params)
         return real_group(grid, params, count)
 
-    monkeypatch.setattr(stepping, "rhs_buffer", counted)
+    monkeypatch.setattr(stepping, "RhsBuffer", counted)
     monkeypatch.setattr(stepping, "_Group", counted_group)
     cfg = tmp_path / "lock.cfg"
     cfg.write_text(LOCKSTEP_CONFIG)

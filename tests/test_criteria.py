@@ -18,7 +18,6 @@ from dghsim.criteria import (
     DensitySignChangeError,
     InsufficientWindowError,
     SlopeTrace,
-    blowup_time_bound,
     dive_cutoff,
     estimate_blowup_rate,
     evaluate_criteria,
@@ -182,9 +181,9 @@ def test_riccati_guards():
 
 
 @given(k=st.floats(0.0, 30.0), gap=st.floats(0.1, 10.0))
-def test_blowup_time_bound_formula(k, gap):
+def test_riccati_blowup_time_at_one_half(k, gap):
     m0 = -math.sqrt(2.0 * k) - gap
-    bound = blowup_time_bound(m0, k)
+    bound = riccati_blowup_time(0.5, k, m0)
     assert bound == pytest.approx(2.0 * m0 / (2.0 * k - m0 * m0), rel=1e-12)
     assert bound > 0.0
 

@@ -81,9 +81,8 @@ def test_dgreen_matches_difference_quotient(rng):
 
 def test_grid_basics():
     g = PeriodicGrid(16)
-    assert g.dx == pytest.approx(1.0 / 16.0)
     assert g.nodes[0] == 0.0
-    assert np.allclose(np.diff(g.nodes), g.dx)
+    assert np.allclose(np.diff(g.nodes), 1 / g.n)
     assert g.helmholtz_symbol[0] == 1.0
     assert g.ik[-1] == 0.0  # odd Nyquist symbol is dropped
 
@@ -144,7 +143,7 @@ def test_derivative_against_finite_differences():
     f = np.exp(np.sin(2.0 * np.pi * g.nodes))
     for order in (1, 2):
         spectral = deriv_values(f, order)
-        stencil = fd_derivative(f, g.dx, order)
+        stencil = fd_derivative(f, 1 / g.n, order)
         assert np.max(np.abs(spectral - stencil)) < 1e-6
 
 
@@ -226,7 +225,8 @@ def test_interp_point_matches_interp_coeffs(n, x):
     exact = trig_sum_exact(c, x)
     assert abs(got - exact) <= 1e-13 * np.max(np.abs(c))
     parts = coefficient_parts(c[None, None])
-    block = interp_blocks(parts, np.asarray([[x]]), InterpWork(n // 2, 1, 1, (1,)))
+    block = np.empty((1, 1, 1))
+    interp_blocks(parts, np.asarray([[x]]), InterpWork(n // 2, 1, 1, (1,)), block)
     block = block[0, 0, 0]
     assert abs(block - exact) <= 2e-12 * np.max(np.abs(c))
 
@@ -240,12 +240,12 @@ def test_interp_blocks_block_equals_its_own_call(n, count):
     r = np.random.default_rng(n + count)
     parts = coefficient_parts(np.fft.rfft(r.normal(size=(4, 3, n)), norm="forward"))
     xs = r.uniform(-15.0, 15.0, (4, count))
-    together = interp_blocks(parts, xs, InterpWork(n // 2, 4, count, (3,)))
-    assert together.shape == (4, 3, count)
+    together = np.empty((4, 3, count))
+    interp_blocks(parts, xs, InterpWork(n // 2, 4, count, (3,)), together)
     alone = InterpWork(n // 2, 1, count, (3,))
     for i in range(4):
-        got = interp_blocks(parts[i : i + 1], xs[i : i + 1], alone)[0]
-        assert np.array_equal(together[i], got)
+        got = interp_blocks(parts[i : i + 1], xs[i : i + 1], alone, np.empty((1, 3, count)))
+        assert np.array_equal(together[i], got[0])
 
 
 @pytest.mark.parametrize("rows", [2, 3])
@@ -265,13 +265,16 @@ def test_interp_work_reuse_is_invisible(n, rows):
         for k in (rows, other, rows)
     ]
     for parts, xs in calls:
-        got = interp_blocks(parts, xs, work).copy()
-        fresh = interp_blocks(parts, xs, InterpWork(n // 2, 3, 16, (parts.shape[2],)))
+        got = interp_blocks(parts, xs, work, np.empty((3, parts.shape[2], 16)))
+        fresh = np.empty_like(got)
+        interp_blocks(parts, xs, InterpWork(n // 2, 3, 16, (parts.shape[2],)), fresh)
         assert np.array_equal(got, fresh)
     # and a result written to out is the one returned
     out = np.empty((3, rows, 16))
     assert interp_blocks(*calls[0], work, out) is out
-    assert np.array_equal(out, interp_blocks(*calls[0], InterpWork(n // 2, 3, 16, (rows,))))
+    fresh = np.empty_like(out)
+    interp_blocks(*calls[0], InterpWork(n // 2, 3, 16, (rows,)), fresh)
+    assert np.array_equal(out, fresh)
 
 
 def test_interp_values_shapes(rng):

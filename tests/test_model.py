@@ -17,12 +17,12 @@ from dghsim.grid import (
 from dghsim.model import (
     ModelParams,
     NonFiniteFieldError,
+    RhsBuffer,
     State,
     energy_e0,
     hamiltonian_e,
     hamiltonian_f,
     mean_u,
-    rhs_buffer,
     rhs_coeffs,
     rhs_values,
 )
@@ -30,6 +30,7 @@ from dghsim.oracles import kernel_quadrature
 from helpers import (
     dealiased_product,
     hamiltonian_f_padded_reference,
+    pad_buffer,
     rhs_padded_reference,
 )
 
@@ -134,25 +135,25 @@ def test_rhs_coeffs_matches_padded_reference(n):
     alt = (-1.0) ** np.arange(n)
     u, rho = r.normal(size=n) + 4.0 * alt, r.normal(size=n) - 3.0 * alt
     c = np.fft.rfft(np.stack((u, rho)), norm="forward")[None]
-    got = rhs_coeffs(c, rhs_buffer(g, (p,)))[0]
+    got = rhs_coeffs(c, RhsBuffer(g, (p,)), np.empty_like(c))[0]
     want = np.fft.rfft(np.stack(rhs_padded_reference(u, rho, g, p)), norm="forward")
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-def test_rhs_buffer_reuse_is_invisible(rng):
+def test_right_hand_side_buffer_reuse_is_invisible(rng):
     # one buffer per grid, passed to every call: alternating grids, and two
     # states on one grid, give bit for bit what fresh buffers give
     p = ModelParams(A=0.9, gamma=-1.7)
     grids = (PeriodicGrid(64), PeriodicGrid(90))
-    buffers = {g: rhs_buffer(g, (p,)) for g in grids}
+    buffers = {g: RhsBuffer(g, (p,)) for g in grids}
     states = [
         (g, np.fft.rfft(rng.normal(size=(1, 2, g.n)), norm="forward"))
         for _ in range(2) for g in grids
     ]
     for g, c in states + states[::-1] + [states[0], states[2], states[0]]:
-        got = rhs_coeffs(c, buffers[g])
-        assert np.array_equal(got, rhs_coeffs(c, rhs_buffer(g, (p,))))
+        got = rhs_coeffs(c, buffers[g], np.empty_like(c))
+        assert np.array_equal(got, rhs_coeffs(c, RhsBuffer(g, (p,)), np.empty_like(c)))
 
 
 def _counting(fn, calls):
@@ -257,10 +258,11 @@ def test_hamiltonian_e_closed_forms():
 
 def test_hamiltonian_f_closed_forms():
     ones = np.ones(64)
-    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), 2.0, 1.0) == 0.0
-    got = hamiltonian_f(_coeffs(ones, ZERO, ones), 2.0, 5.0)
+    padded = pad_buffer(_coeffs(ZERO, ZERO, ZERO))
+    assert hamiltonian_f(_coeffs(ZERO, ZERO, np.full(64, 3.0)), 2.0, 1.0, padded) == 0.0
+    got = hamiltonian_f(_coeffs(ones, ZERO, ones), 2.0, 5.0, padded)
     assert got == pytest.approx(-0.5, abs=1e-14)
-    got = hamiltonian_f(_coeffs(SINE, SINE_X, ones), 1.0, 0.0)
+    got = hamiltonian_f(_coeffs(SINE, SINE_X, ones), 1.0, 0.0, padded)
     assert got == pytest.approx(-0.25, abs=1e-12)
 
 
@@ -273,7 +275,8 @@ def test_hamiltonian_f_matches_padded_reference(n):
     u, ux, rho = r.normal(size=(3, n)) + np.array([[3.0], [-2.0], [1.5]]) * alt
     p = ModelParams(A=0.9, gamma=-1.7)
     want, scale = hamiltonian_f_padded_reference(u, ux, rho, p)
-    assert abs(hamiltonian_f(_coeffs(u, ux, rho), p.A, p.gamma) - want) <= 1e-13 * scale
+    c = _coeffs(u, ux, rho)
+    assert abs(hamiltonian_f(c, p.A, p.gamma, pad_buffer(c)) - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -285,13 +288,15 @@ def test_stacked_invariants_are_the_row_wise_ones(n):
     p = ModelParams(A=0.9, gamma=-1.7)
     e0 = energy_e0(np.stack((u, ux, rho), axis=1))
     columns = np.full((3, 1), p.A), np.full((3, 1), p.gamma)
-    stacked = (e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, *columns))
+    stacked = (
+        e0, mean_u(u), hamiltonian_e(e0, rho), hamiltonian_f(c, *columns, pad_buffer(c))
+    )
     alone = []
     for i in range(3):
         e0_i = energy_e0(np.stack((u[i], ux[i], rho[i])))
         alone.append(
             (e0_i, mean_u(u[i]), hamiltonian_e(e0_i, rho[i]),
-             hamiltonian_f(c[i], p.A, p.gamma))
+             hamiltonian_f(c[i], p.A, p.gamma, pad_buffer(c[i])))
         )
     assert all(type(v) is float for row in alone for v in row)
     for got, want in zip(stacked, zip(*alone)):
@@ -312,12 +317,16 @@ def test_stacked_rows_take_their_own_parameters(n):
     )
     c = np.fft.rfft(r.normal(size=(3, 2, n)), norm="forward")
     rows = np.fft.rfft(r.normal(size=(3, 3, n)), norm="forward")
-    got = rhs_coeffs(c, rhs_buffer(g, params))
+    got = rhs_coeffs(c, RhsBuffer(g, params), np.empty_like(c))
     for i, p in enumerate(params):
-        assert np.array_equal(got[i], rhs_coeffs(c[i : i + 1], rhs_buffer(g, (p,)))[0])
-    alone = [hamiltonian_f(rows[i], p.A, p.gamma) for i, p in enumerate(params)]
+        alone = rhs_coeffs(c[i : i + 1], RhsBuffer(g, (p,)), np.empty_like(c[:1]))
+        assert np.array_equal(got[i], alone[0])
+    alone = [
+        hamiltonian_f(rows[i], p.A, p.gamma, pad_buffer(rows[i]))
+        for i, p in enumerate(params)
+    ]
     columns = (np.array([[p.A] for p in params]), np.array([[p.gamma] for p in params]))
-    assert np.array_equal(hamiltonian_f(rows, *columns), alone)
+    assert np.array_equal(hamiltonian_f(rows, *columns, pad_buffer(rows)), alone)
 
 
 def test_invariants_share_one_slope(monkeypatch, rng):
@@ -336,7 +345,7 @@ def test_invariants_share_one_slope(monkeypatch, rng):
     mean_u(u)
     assert hamiltonian_e(e0, rho) == pytest.approx(direct, rel=1e-13)
     assert calls == []
-    hamiltonian_f(c, 1.0, 0.3)
+    hamiltonian_f(c, 1.0, 0.3, pad_buffer(c))
     assert calls == ["irfft"]  # one batched padding of (u, u_x, rho) to 2n
 
 

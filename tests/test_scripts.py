@@ -35,6 +35,34 @@ RUNS = {
     "code_lines": ([], ["stepping.py ", "model.py ", "total "]),
 }
 
+# two modules with known counts: code lines, __all__ entries, parameters
+# with a default (of functions, methods, lambdas and nested functions)
+PACKAGE = {
+    "a.py": '''"""A module."""
+
+__all__ = ["f", "C"]
+
+
+def f(x, y=1, *, z=2, w):
+    """Doc."""
+    def inner(v=None):
+        return v
+    return inner(x)
+
+
+class C:
+    def m(self, k=0):
+        return lambda j=k: j
+''',
+    "b.py": '''# no __all__ here
+__version__ = "1"
+
+
+def g(a, b, c=3, *args, d=None, **kwargs):
+    return a
+''',
+}
+
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_script_runs(name, capsys):
@@ -44,3 +72,16 @@ def test_script_runs(name, capsys):
     out = capsys.readouterr().out
     for fragment in expected:
         assert fragment in out
+
+
+def test_code_lines_counts_public_names_and_defaulted_parameters(tmp_path, capsys):
+    for name, text in PACKAGE.items():
+        (tmp_path / name).write_text(text)
+    main = runpy.run_path(str(SCRIPTS / "code_lines.py"))["main"]
+    main([str(tmp_path)])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["code", "public", "defaulted"]
+    rows = {name: counts for name, *counts in map(str.split, lines)}
+    assert rows == {
+        "a.py": ["8", "2", "5"], "b.py": ["3", "0", "2"], "total": ["11", "2", "7"]
+    }

@@ -29,7 +29,7 @@ from dghsim.stepping import (
     run,
     step_rk4,
 )
-from helpers import breaking_wave
+from helpers import breaking_wave, pad_buffer
 
 
 def smooth_state(n=64, amp=0.25):
@@ -663,6 +663,20 @@ def test_snapshots_land_exactly():
     assert np.array_equal(state0.rho, s0.rho)
 
 
+def test_snapshots_take_their_members_own_grid():
+    # a member takes its grid from its samples: in one call on two grids,
+    # each member's snapshots live on its own
+    sizes = (64, 128, 64, 128)
+    states = [smooth_state(n=n, amp=0.1 + 0.05 * i) for i, n in enumerate(sizes)]
+    configs = [SimConfig(n=n, t_end=0.1, snapshot_times=(0.0, 0.05, 0.1)) for n in sizes]
+    results = run(states, [ModelParams()] * 4, configs)
+    for res, c in zip(results, configs):
+        assert [t for t, _ in res.snapshots] == [0.0, 0.05, 0.1]
+        for _, st in res.snapshots:
+            assert st.grid == PeriodicGrid(c.n)
+            assert st.u.size == c.n
+
+
 def test_series_layout_and_cadence():
     s0 = smooth_state()
     p = ModelParams(A=1.0, gamma=0.3)
@@ -685,11 +699,12 @@ def test_series_layout_and_cadence():
         row = res.series[t == ts][0]
         ux = deriv_values(st.u, 1)
         e0 = energy_e0(np.stack((st.u, ux, st.rho)))
+        c = np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward")
         expected = [
             e0,
             mean_u(st.u),
             hamiltonian_e(e0, st.rho),
-            hamiltonian_f(np.fft.rfft(np.stack((st.u, ux, st.rho)), norm="forward"), p.A, p.gamma),
+            hamiltonian_f(c, p.A, p.gamma, pad_buffer(c)),
         ]
         e0, mean, ham_e, ham_f = expected
         assert row[2] == mean
@@ -727,6 +742,46 @@ def test_step_below_time_resolution_stops_the_run():
     assert len(res.series) == 1
     assert len(res.slope_trace.times) == 1
     assert 0.0 < res.series[0, SERIES_COLUMNS.index("dt")] < 1.0e-12
+
+
+@pytest.mark.parametrize("how, cause", [
+    ("end", TERM_REACHED_END),
+    ("time-resolution", TERM_RESOLUTION_LOST),
+    ("nonfinite", TERM_NONFINITE),
+    ("witness", TERM_BLOWUP),
+    ("e0", TERM_BLOWUP),
+])
+def test_every_stop_records_its_state_once(monkeypatch, how, cause):
+    # however a run stops, its last series row is the state it stopped at,
+    # the last of its slope trace, and no state is recorded twice; the dt
+    # of that row is 0 at the end, whose 79th step is no tenth one, and
+    # the step taken or tried otherwise
+    import dghsim.stepping as stepping
+
+    s0, p, t_end = smooth_state(), ModelParams(), 0.5
+    if how == "time-resolution":
+        s0 = constant_state(64, 1.0e12, 1.0)
+    elif how == "nonfinite":
+        real, calls = stepping.rhs_coeffs, []
+
+        def poisoned(*args):
+            out = real(*args)
+            if len(calls) == 4 * 2:  # stage 1 of the third step
+                out[0, 0, 5] = np.nan
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
+    elif how in ("witness", "e0"):
+        (s0, p), t_end = breaking_wave(128), 5.0
+        if how == "e0":
+            monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
+    res = run(s0, p, SimConfig(n=s0.grid.n, t_end=t_end))
+    assert res.termination.cause == cause
+    last = res.series[-1]
+    assert last[0] == res.termination.t == res.slope_trace.times[-1]
+    assert np.unique(res.series[:, 0]).size == len(res.series)
+    assert (last[SERIES_COLUMNS.index("dt")] == 0.0) == (cause == TERM_REACHED_END)
 
 
 @pytest.fixture
