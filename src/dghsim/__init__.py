@@ -18,7 +18,7 @@ module (grid, model, stepping, characteristics, criteria, scenarios,
 oracles, cli).
 """
 
-from .criteria import estimate_blowup_rate, evaluate_criteria
+from .criteria import estimate_blowup_rate, evaluate_criteria, name_outcome
 from .grid import PeriodicGrid
 from .model import ModelParams, State
 from .scenarios import build_initial_data
@@ -33,6 +33,7 @@ __all__ = [
     "run",
     "evaluate_criteria",
     "estimate_blowup_rate",
+    "name_outcome",
 ]
 
 __version__ = "0.1.0"

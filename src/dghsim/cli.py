@@ -9,11 +9,12 @@ Subcommands:
     selftest            run the built-in oracle suites
 
 Exit codes: 0 success (a detected blow-up is a success), 2 config error,
-3 I/O error, 4 numerical fault: a non-finite state without a
-BlowupPredicted verdict, a run the paper proves global that ends in
-BlowupDetected or ResolutionLost, or a run with a predicted blow-up that
-reaches its end after the Riccati time bound.  A rejected config value
-prints ``config error: key '<key>': ...``.
+3 I/O error, 4 numerical fault: a run that contradicts its own criteria,
+as criteria.name_outcome says, which names the run's cause too (a
+non-finite state without a BlowupPredicted verdict, a run the paper
+proves global that ends in BlowupDetected or ResolutionLost, or a run
+with a predicted blow-up that reaches its end after the Riccati time
+bound).  A rejected config value prints ``config error: key '<key>': ...``.
 
 run and criteria open report.json with the same two sections: "config",
 the resolved config echoed key by key, and "criteria", the criterion
@@ -42,12 +43,11 @@ from .characteristics import (
     verify_density_transport,
 )
 from .criteria import (
-    BLOWUP_PREDICTED,
-    GLOBAL_PREDICTED,
     InsufficientWindowError,
     estimate_blowup_rate,
     evaluate_criteria,
     lyapunov_trace,
+    name_outcome,
 )
 from .model import NonFiniteFieldError
 from .scenarios import (
@@ -59,14 +59,7 @@ from .scenarios import (
     resolved_config,
     scenario_from_entries,
 )
-from .stepping import (
-    SERIES_COLUMNS,
-    TERM_BLOWUP,
-    TERM_NONFINITE,
-    TERM_REACHED_END,
-    TERM_RESOLUTION_LOST,
-    run,
-)
+from .stepping import SERIES_COLUMNS, run
 
 __all__ = ["main", "run_scenario", "EXIT_OK", "EXIT_CONFIG", "EXIT_IO", "EXIT_NUMERIC"]
 
@@ -143,26 +136,6 @@ def _snapshot_name(t: float, used: set) -> str:
     return name
 
 
-def _numerical_fault(report, result) -> str | None:
-    """Why a finished run contradicts its own criteria, or None if it does not."""
-    predictions = {v.predicted for v in report.verdicts.values()}
-    cause, t = result.termination.cause, result.termination.t
-    if cause == TERM_NONFINITE and BLOWUP_PREDICTED not in predictions:
-        return "non-finite state without a declared blow-up approach"
-    if GLOBAL_PREDICTED in predictions and cause in (TERM_BLOWUP, TERM_RESOLUTION_LOST):
-        return (
-            f"{cause} at t={t:.6g}: the grid could not resolve a solution "
-            f"the paper proves smooth"
-        )
-    bound = report.riccati_t
-    if cause == TERM_REACHED_END and bound is not None and t > bound:
-        return (
-            f"reached t={t:.6g} past the Riccati blow-up bound {bound:.6g} "
-            f"without breaking"
-        )
-    return None
-
-
 def _seeds(sc: Scenario):
     return default_seeds(sc.characteristic_count) if sc.characteristics else None
 
@@ -185,10 +158,12 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         result.series[[0, -1], 1:5].tolist()
     )
     trace = result.slope_trace
+    t_stop = result.termination.t
+    cause, fault = name_outcome(report, result.termination.cause, t_stop, trace.m)
     deepest = int(np.argmin(trace.m))  # the first step on ties
     doc["run"] = {
-        "termination": _fields_of(result.termination),
-        "t_sim": result.termination.t,
+        "termination": {"cause": cause, "t": t_stop},
+        "t_sim": t_stop,
         "steps": len(trace.times) - 1,
         "records": len(result.series),
         "drift": {
@@ -266,7 +241,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
 
     if not quiet:
         print(
-            f"{sc.name}: {result.termination.cause} at t={result.termination.t:.6g} "
+            f"{sc.name}: {cause} at t={t_stop:.6g} "
             f"({doc['run']['steps']} steps), artifacts in {out_dir}"
         )
         # a run writes the snapshots due by t_end in order, so the ones it
@@ -276,11 +251,10 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         if unwritten:
             print(
                 f"{sc.name}: no snapshot at t={', '.join(f'{t:g}' for t in unwritten)}: "
-                f"the run stopped at t={result.termination.t:.6g}",
+                f"the run stopped at t={t_stop:.6g}",
                 file=sys.stderr,
             )
 
-    fault = _numerical_fault(report, result)
     if fault is not None:
         if not quiet:
             print(f"{sc.name}: {fault}", file=sys.stderr)

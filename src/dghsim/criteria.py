@@ -10,10 +10,12 @@ that rules blow-up out.
 
 Each rule of the breakdown analysis is stated here once.  dive_cutoff
 says where a slope trace has dived: the rate fit starts its window there,
-and stepping.run labels a witness stop or an E0 stop past it
-BlowupDetected.  _density_floor says whether the initial density keeps
-one sign: the positive_density verdict and the envelope's beta both read
-it.
+and name_outcome names a run that the spectral-tail witness or the E0
+drift stopped past it BlowupDetected.  name_outcome says what every stop
+of stepping.run means: the cause the run's report names, and whether the
+run contradicts the verdicts on its initial state.  _density_floor says
+whether the initial density keeps one sign: the positive_density verdict
+and the envelope's beta both read it.
 
 The embedding constant (e+1)/(2(e-1)) is sharp for max f^2 <= C |f|_H1^2
 on the unit circle and is attained by translates of the smoothing kernel;
@@ -55,6 +57,7 @@ __all__ = [
     "sobolev_sharp_check",
     "poincare_check",
     "evaluate_criteria",
+    "name_outcome",
 ]
 
 # sharp constant of the H1 -> Linf embedding on the unit circle
@@ -211,10 +214,11 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
     dive that never recovers to half its running minimum is fitted whole:
     stepping.run stops at the first step on which its grid loses the
     front, by the spectral-tail witness or the E0 drift, so every sample
-    of such a trace is resolved, and run labels that stop BlowupDetected
-    exactly when this window has begun.  A dive that does recover ends
-    there (the true solution cannot do that below the threshold), and its
-    fit takes the samples down to half its deepest slope.
+    of such a trace is resolved, and name_outcome names that stop
+    BlowupDetected exactly when this window has begun.  A dive that does
+    recover ends there (the true solution cannot do that below the
+    threshold), and its fit takes the samples down to half its deepest
+    slope.
     """
     m = trace.m
     t = trace.times
@@ -443,3 +447,63 @@ def evaluate_criteria(
         riccati_t=min(bounds) if bounds else None,
         verdicts=verdicts,
     )
+
+
+# ---------------------------------------------------------------------------
+# a run's outcome
+
+# what stopped a run, as stepping.run reports it in Termination.cause
+STOP_END = "end"
+STOP_TIME_RESOLUTION = "time-resolution"
+STOP_NONFINITE = "nonfinite"
+STOP_WITNESS = "witness"
+STOP_E0 = "e0"
+# the causes a run's report names
+REACHED_END = "ReachedEnd"
+BLOWUP_DETECTED = "BlowupDetected"
+RESOLUTION_LOST = "ResolutionLost"
+NONFINITE_STATE = "NonFiniteState"
+
+
+def name_outcome(
+    report: CriterionReport, stop: str, t: float, m: np.ndarray
+) -> tuple[str, str | None]:
+    """The cause a run's report names, and why the run contradicts its
+    criteria or None, for a run from the initial state that report
+    assessed, which stepping.run stopped at t for `stop`, with slope
+    trace m.
+
+    The grid has lost the solution when the spectral-tail witness or the
+    E0 drift stops a run: that is BlowupDetected once m has dived past
+    dive_cutoff(m[0]), where the rate fit's window starts, and
+    ResolutionLost before.  A step below the time resolution is
+    ResolutionLost too, the end ReachedEnd and a non-finite step
+    NonFiniteState.  A run contradicts its criteria when it turns
+    non-finite without a BlowupPredicted verdict, when a GlobalPredicted
+    verdict proves it smooth and it ends in BlowupDetected or
+    ResolutionLost, or when it reaches its end after riccati_t.
+    """
+    if stop in (STOP_WITNESS, STOP_E0):
+        dived = m[-1] <= dive_cutoff(float(m[0]))
+        cause = BLOWUP_DETECTED if dived else RESOLUTION_LOST
+    else:
+        cause = {
+            STOP_END: REACHED_END,
+            STOP_TIME_RESOLUTION: RESOLUTION_LOST,
+            STOP_NONFINITE: NONFINITE_STATE,
+        }[stop]
+    predictions = {v.predicted for v in report.verdicts.values()}
+    if cause == NONFINITE_STATE and BLOWUP_PREDICTED not in predictions:
+        return cause, "non-finite state without a declared blow-up approach"
+    if GLOBAL_PREDICTED in predictions and cause in (BLOWUP_DETECTED, RESOLUTION_LOST):
+        return cause, (
+            f"{cause} at t={t:.6g}: the grid could not resolve a solution "
+            f"the paper proves smooth"
+        )
+    bound = report.riccati_t
+    if cause == REACHED_END and bound is not None and t > bound:
+        return cause, (
+            f"reached t={t:.6g} past the Riccati blow-up bound {bound:.6g} "
+            f"without breaking"
+        )
+    return cause, None

@@ -12,20 +12,20 @@ proportion, so a genuine blow-up is followed in a controlled geometric
 cascade until the grid can no longer resolve it; the two floors keep a
 quiescent or slowly varying state from asking for an unbounded step.
 
-Runs terminate with one of four causes:
+A run reports which of five stops ended it, as Termination.cause:
 
-  ReachedEnd      integrated to t_end
-  BlowupDetected  the grid lost the solution (the spectral-tail witness
-                  fired or E0 stopped being conserved) after min u_x had
-                  dived past criteria.dive_cutoff(m(0)) = -3 max(1, |m(0)|),
-                  where the rate fit's window starts
-  ResolutionLost  the grid lost the solution before such a dive, or the
-                  step fell below the time resolution 1e-12 max(1, t_end)
-                  and could not advance t
-  NonFiniteState  an RK4 stage produced non-finite values
+  end              it integrated to t_end
+  time-resolution  the step fell below the time resolution
+                   1e-12 max(1, t_end) and could not advance t
+  nonfinite        an RK4 stage produced non-finite values
+  witness          the spectral-tail witness fired
+  e0               E0 stopped being conserved
 
-Two tests tell that the grid has lost the solution, and the run stops at
-the first step that fails either; every later step would only describe
+What a stop means for the run, the cause its report names and whether it
+contradicts the criteria, is criteria.name_outcome's to say; this module
+only reports it.  Two tests tell that the grid has lost the solution, and
+the run stops at the first step that fails either, with the witness
+named when both fail on one step; every later step would only describe
 the numerics.  The first is the spectral-tail witness: a resolved state's
 coefficients decay like exp(-delta k) over its analyticity strip, so
 once the modes k > n/4 of the rows of u or of rho hold more than
@@ -126,7 +126,8 @@ from functools import partial
 import numpy as np
 
 from .characteristics import CharacteristicEnsemble
-from .criteria import SlopeTrace, dive_cutoff, refined_min
+from .criteria import STOP_E0, STOP_END, STOP_NONFINITE, STOP_TIME_RESOLUTION, STOP_WITNESS
+from .criteria import SlopeTrace, refined_min
 from .grid import (
     ConfigError,
     InterpWork,
@@ -156,26 +157,17 @@ __all__ = [
     "adaptive_dt",
     "step_rk4",
     "run",
-    "TERM_REACHED_END",
-    "TERM_BLOWUP",
-    "TERM_RESOLUTION_LOST",
-    "TERM_NONFINITE",
     "E0_DRIFT_TOL",
     "WITNESS_TOL",
     "SLOPE_DT_FACTOR",
 ]
 
-TERM_REACHED_END = "ReachedEnd"
-TERM_BLOWUP = "BlowupDetected"
-TERM_RESOLUTION_LOST = "ResolutionLost"
-TERM_NONFINITE = "NonFiniteState"
-
 # Relative E0 drift past which a run stops.  On smooth global41 data at
 # cfl 0.3, RK4 time error peaks an order of magnitude below it (8.9e-6 for
 # r0 = 2, ru = 1 at n = 128), while a grid that has lost a steepening front
 # drives E0 up by orders of magnitude within a few hundred steps.  A step
-# coarse enough can still pass it on smooth data; that run then ends in
-# ResolutionLost.
+# coarse enough can still pass it on smooth data; that run then stops
+# with no dive.
 E0_DRIFT_TOL = 1.0e-4
 # Share of the l2 amplitude of the modes k >= 1 of u or rho past which the
 # modes k > n/4 show the front lost (see the module docstring).  The runs
@@ -225,7 +217,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Termination:
-    cause: str
+    cause: str  # the stop that ended the run, one of criteria's STOP_* names
     t: float
 
 
@@ -562,11 +554,10 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
 
     observe()
     e0_first = e0
-    cutoff = dive_cutoff(trace_m[0])
     while True:
         t_remaining = c.t_end - t
         if t_remaining <= tiny:
-            cause, dt = TERM_REACHED_END, 0.0
+            cause, dt = STOP_END, 0.0
             break
 
         dt = adaptive_dt(u, p, c, t_remaining, min_slope=trace_m[-1])
@@ -585,12 +576,12 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
             record(dt)
         if dt < tiny:
             # a step below the loop's time resolution cannot carry the run on
-            cause = TERM_RESOLUTION_LOST
+            cause = STOP_TIME_RESOLUTION
             break
 
         (u, ux, rho), rho_c, chars, invariants, e0, lost, finite = yield dt
         if not finite:
-            cause = TERM_NONFINITE
+            cause = STOP_NONFINITE
             break
 
         if hit_snapshot:
@@ -600,9 +591,12 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
         step += 1
         observe()
 
+        if lost:
+            cause = STOP_WITNESS
+            break
         # the E0 test is written so that a NaN drift also stops the run
-        if lost or not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
-            cause = TERM_BLOWUP if trace_m[-1] <= cutoff else TERM_RESOLUTION_LOST
+        if not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
+            cause = STOP_E0
             break
         if hit_snapshot:
             take_snapshot()

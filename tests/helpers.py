@@ -1,7 +1,7 @@
 """Shared test references: finite differences, dense-grid extrema,
-trig-polynomial builders, the breaking wave's data, the physical-space
-reference forms of the spectral kernels used across the suite, and the
-reference CSV formatter.
+trig-polynomial builders, the breaking wave's data, a run's outcome as
+criteria names it, the physical-space reference forms of the spectral
+kernels used across the suite, and the reference CSV formatter.
 The quadrature convolution lives in dghsim.oracles, which the selftest
 shares."""
 
@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dghsim.criteria import evaluate_criteria, name_outcome
 from dghsim.grid import PeriodicGrid, interp_values, pad_values, project_values
 from dghsim.model import ModelParams
 from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
@@ -59,6 +60,13 @@ def breaking_wave(n):
     p = ModelParams(A=1.0, gamma=0.0)
     a = solve_blowup_amplitude(b=1.0, margin=1.05, model=p, n=n)
     return build_initial_data("blowup31", {"a": a, "b": 1.0}, PeriodicGrid(n)), p
+
+
+def outcome(s0, p, res):
+    """The (cause, fault) that criteria.name_outcome gives the run res of
+    the initial state s0 under p."""
+    report = evaluate_criteria(s0.u, s0.rho, p)
+    return name_outcome(report, res.termination.cause, res.termination.t, res.slope_trace.m)
 
 
 def dealiased_product(f, g):

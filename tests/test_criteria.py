@@ -1,6 +1,7 @@
 """Threshold and diagnostic tests: closed-form threshold values, Riccati
 bound algebra, the rate estimator on synthetic hyperbolas, the growth
-envelope, and the embedding inequalities behind it all."""
+envelope, the embedding inequalities behind it all, and the outcome a
+stopped run is given."""
 
 import math
 
@@ -10,20 +11,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dghsim.criteria import (
+    BLOWUP_DETECTED,
     BLOWUP_PREDICTED,
     GLOBAL_PREDICTED,
     NO_PREDICTION,
+    NONFINITE_STATE,
+    REACHED_END,
+    RESOLUTION_LOST,
     SHARP_EMBEDDING_CONSTANT,
+    STOP_E0,
+    STOP_END,
+    STOP_NONFINITE,
+    STOP_TIME_RESOLUTION,
+    STOP_WITNESS,
     CriterionReport,
     DensitySignChangeError,
     InsufficientWindowError,
     SlopeTrace,
+    Verdict,
     dive_cutoff,
     estimate_blowup_rate,
     evaluate_criteria,
     k_mean,
     k_sharp,
     lyapunov_trace,
+    name_outcome,
     poincare_check,
     refined_max,
     refined_min,
@@ -492,3 +504,107 @@ def test_report_container_validation():
             e0=1.0, a0=0.0, m0=0.0, xi0=0.0, thresholds={}, k_values={},
             riccati_t=-1.0, verdicts={},
         )
+
+
+# ---------------------------------------------------------------------------
+# a run's outcome
+
+# slope traces from m(0) = -2, whose dive cutoff is -6, that end on it or
+# short of it, and from m(0) = -0.5, whose cutoff is -3, not -1.5
+PAST, SHORT = [-2.0, -4.0, -6.0], [-2.0, -4.0, -5.9]
+SHALLOW_PAST, SHALLOW_SHORT = [-0.5, -3.0], [-0.5, -2.9]
+# verdict sets; riccati_t is set apart from them, and every run stops at
+# t = 0.5, after a bound of 0.3 and before one of 0.8
+NONE = {"positive_density": Verdict(False, NO_PREDICTION)}
+BLOWUP = {
+    "sharp": Verdict(True, BLOWUP_PREDICTED),
+    "positive_density": Verdict(False, NO_PREDICTION),
+}
+GLOBAL = {
+    "sharp": Verdict(False, NO_PREDICTION),
+    "positive_density": Verdict(True, GLOBAL_PREDICTED),
+}
+NONFINITE_FAULT = "non-finite state without a declared blow-up approach"
+SMOOTH_FAULT = "{} at t=0.5: the grid could not resolve a solution the paper proves smooth"
+LATE_FAULT = "reached t=0.5 past the Riccati blow-up bound 0.3 without breaking"
+
+
+@pytest.mark.parametrize("stop, m, verdicts, riccati_t, cause, fault", [
+    pytest.param(STOP_END, PAST, NONE, None, REACHED_END, None, id="end-past-none"),
+    pytest.param(STOP_END, PAST, GLOBAL, None, REACHED_END, None, id="end-past-global"),
+    pytest.param(
+        STOP_END, SHORT, BLOWUP, 0.8, REACHED_END, None, id="end-short-blowup-bound-after"
+    ),
+    pytest.param(
+        STOP_END, PAST, BLOWUP, 0.5, REACHED_END, None, id="end-past-blowup-bound-at-t"
+    ),
+    pytest.param(
+        STOP_END, SHORT, BLOWUP, 0.3, REACHED_END, LATE_FAULT,
+        id="end-short-blowup-bound-before",
+    ),
+    pytest.param(
+        STOP_TIME_RESOLUTION, PAST, NONE, None, RESOLUTION_LOST, None,
+        id="time-resolution-past-none",
+    ),
+    pytest.param(
+        STOP_TIME_RESOLUTION, PAST, BLOWUP, 0.3, RESOLUTION_LOST, None,
+        id="time-resolution-past-blowup-bound-before",
+    ),
+    pytest.param(
+        STOP_TIME_RESOLUTION, SHORT, GLOBAL, None,
+        RESOLUTION_LOST, SMOOTH_FAULT.format(RESOLUTION_LOST),
+        id="time-resolution-short-global",
+    ),
+    # a slope dive, however deep, is no verdict: only BlowupPredicted
+    # excuses a non-finite state
+    pytest.param(
+        STOP_NONFINITE, PAST, NONE, None, NONFINITE_STATE, NONFINITE_FAULT,
+        id="nonfinite-past-none",
+    ),
+    pytest.param(
+        STOP_NONFINITE, PAST, BLOWUP, 0.3, NONFINITE_STATE, None,
+        id="nonfinite-past-blowup-bound-before",
+    ),
+    pytest.param(
+        STOP_NONFINITE, SHORT, GLOBAL, None, NONFINITE_STATE, NONFINITE_FAULT,
+        id="nonfinite-short-global",
+    ),
+    pytest.param(
+        STOP_WITNESS, PAST, NONE, None, BLOWUP_DETECTED, None, id="witness-past-none"
+    ),
+    pytest.param(
+        STOP_WITNESS, SHORT, NONE, None, RESOLUTION_LOST, None, id="witness-short-none"
+    ),
+    pytest.param(
+        STOP_WITNESS, PAST, GLOBAL, None,
+        BLOWUP_DETECTED, SMOOTH_FAULT.format(BLOWUP_DETECTED),
+        id="witness-past-global",
+    ),
+    pytest.param(
+        STOP_WITNESS, SHORT, BLOWUP, 0.8, RESOLUTION_LOST, None,
+        id="witness-short-blowup-bound-after",
+    ),
+    pytest.param(
+        STOP_E0, PAST, BLOWUP, 0.3, BLOWUP_DETECTED, None,
+        id="e0-past-blowup-bound-before",
+    ),
+    pytest.param(
+        STOP_E0, SHORT, GLOBAL, None,
+        RESOLUTION_LOST, SMOOTH_FAULT.format(RESOLUTION_LOST),
+        id="e0-short-global",
+    ),
+    pytest.param(
+        STOP_E0, SHALLOW_PAST, NONE, None, BLOWUP_DETECTED, None, id="e0-shallow-past-none"
+    ),
+    pytest.param(
+        STOP_E0, SHALLOW_SHORT, NONE, None, RESOLUTION_LOST, None,
+        id="e0-shallow-short-none",
+    ),
+])
+def test_name_outcome(stop, m, verdicts, riccati_t, cause, fault):
+    trace = make_trace(np.linspace(0.0, 0.5, len(m)), m)
+    report = CriterionReport(
+        e0=1.0, a0=0.0, m0=m[0], xi0=0.5, thresholds={}, k_values={},
+        riccati_t=riccati_t, verdicts=verdicts,
+    )
+    assert name_outcome(report, stop, trace.times[-1], trace.m) == (cause, fault)

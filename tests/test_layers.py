@@ -1,6 +1,8 @@
-"""The sample-space kernels stay out of the package's call graph: the run
-works on coefficients, and only the tests and the benchmark call the
-one-row sample-array forms."""
+"""Which module knows what.  The sample-space kernels stay out of the
+package's call graph: the run works on coefficients, and only the tests
+and the benchmark call the one-row sample-array forms.  A run's outcome is
+named in criteria alone: stepping reports the stop that ended a run, and
+neither it nor cli decides what that stop means."""
 
 import ast
 from pathlib import Path
@@ -23,3 +25,38 @@ def test_no_module_reaches_another_modules_sample_space_kernels(path):
         elif isinstance(node, ast.Attribute) and node.attr in SAMPLE_SPACE:
             reached.add(node.attr)
     assert not reached, f"{path.name} reaches {sorted(reached)}"
+
+
+# the causes a report writes, and the names criteria gives them
+LABELS = {"ReachedEnd", "BlowupDetected", "ResolutionLost", "NonFiniteState"}
+LABEL_NAMES = {"REACHED_END", "BLOWUP_DETECTED", "RESOLUTION_LOST", "NONFINITE_STATE"}
+
+
+def _names_and_strings(path):
+    """Every name a module binds, imports or reads, attributes included,
+    and every string constant in it."""
+    names, strings = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    return names, strings
+
+
+def test_stepping_reports_the_stop_and_names_no_outcome():
+    names, strings = _names_and_strings(PACKAGE / "stepping.py")
+    assert "dive_cutoff" not in names
+    assert not names & LABEL_NAMES
+    assert not strings & LABELS
+
+
+def test_cli_leaves_the_fault_to_criteria():
+    names, _ = _names_and_strings(PACKAGE / "cli.py")
+    assert "_numerical_fault" not in names

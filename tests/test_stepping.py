@@ -1,5 +1,5 @@
 """Integrator tests: step-size policy arithmetic, RK4 order, exact snapshot
-placement, record cadence, determinism, and termination classification."""
+placement, record cadence, determinism, and the stop that ends a run."""
 
 import dataclasses
 import math
@@ -7,6 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from dghsim.criteria import (
+    BLOWUP_DETECTED,
+    NONFINITE_STATE,
+    REACHED_END,
+    RESOLUTION_LOST,
+    STOP_E0,
+    STOP_END,
+    STOP_NONFINITE,
+    STOP_TIME_RESOLUTION,
+    STOP_WITNESS,
+)
 from dghsim.grid import ConfigError, PeriodicGrid, deriv_values
 from dghsim.model import (
     ModelParams,
@@ -19,17 +30,14 @@ from dghsim.model import (
 from dghsim.stepping import (
     E0_DRIFT_TOL,
     SERIES_COLUMNS,
-    TERM_BLOWUP,
-    TERM_NONFINITE,
-    TERM_REACHED_END,
-    TERM_RESOLUTION_LOST,
+    WITNESS_TOL,
     NonFiniteStateError,
     SimConfig,
     adaptive_dt,
     run,
     step_rk4,
 )
-from helpers import breaking_wave, pad_buffer
+from helpers import breaking_wave, outcome, pad_buffer
 
 
 def smooth_state(n=64, amp=0.25):
@@ -178,7 +186,7 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
 
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
     res = run(s0, p, c, seeds=seeds)
-    assert res.termination.cause == TERM_NONFINITE
+    assert res.termination.cause == STOP_NONFINITE
     assert res.termination.t == ref.slope_trace.times[2]
     assert np.all(np.isfinite(res.series))
 
@@ -210,7 +218,7 @@ def test_nonfinite_record_reads_the_state_its_step_started_from(monkeypatch, tra
 
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
     failed, other = run(states, [p, p], [c, c], seeds=[seeds, seeds])
-    assert failed.termination.cause == TERM_NONFINITE
+    assert failed.termination.cause == STOP_NONFINITE
     assert failed.termination.t == every.series[12, 0]
     # the failed step's dt is the one the full record gives the next row
     assert np.array_equal(failed.series[-1, :-1], every.series[12, :-1])
@@ -572,7 +580,7 @@ def test_nonfinite_member_leaves_its_group_alone(monkeypatch, step, stage):
     alone = run(states[1], params[1], configs[1], seeds=seeds[1])
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoning(1))
     together = run(states, params, configs, seeds=seeds)
-    assert alone.termination.cause == TERM_NONFINITE
+    assert alone.termination.cause == STOP_NONFINITE
     assert alone.termination.t == clean[1].slope_trace.times[step]
     assert len(alone.series) == (1 if step == 0 else 2)
     assert np.array_equal(alone.series[0], clean[1].series[0])
@@ -628,7 +636,7 @@ def test_constant_state_stays_put():
     s = constant_state(64, 0.5, 1.5)
     p = ModelParams(A=1.0, gamma=0.0)
     res = run(s, p, SimConfig(n=64, t_end=10.0))
-    assert res.termination.cause == TERM_REACHED_END
+    assert res.termination.cause == STOP_END
     assert res.termination.t == pytest.approx(10.0, abs=1e-9)
     e0_first, e0_last = res.series[[0, -1], 1]
     assert abs(e0_last - e0_first) < 1e-10 * e0_first
@@ -644,7 +652,7 @@ def test_time_error_shrinks_with_cfl(rng):
     def final_u(cfl):
         c = SimConfig(n=64, t_end=0.2, cfl=cfl, snapshot_times=(0.2,))
         res = run(s0, p, c)
-        assert res.termination.cause == TERM_REACHED_END
+        assert res.termination.cause == STOP_END
         return res.snapshots[-1][1].u
 
     coarse = final_u(0.3)
@@ -737,31 +745,32 @@ def test_step_below_time_resolution_stops_the_run():
     # resolution 1e-12: the run records step 0 and ends there
     s = constant_state(64, 1.0e12, 1.0)
     res = run(s, ModelParams(), SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == TERM_RESOLUTION_LOST
+    assert res.termination.cause == STOP_TIME_RESOLUTION
     assert res.termination.t == 0.0
     assert len(res.series) == 1
     assert len(res.slope_trace.times) == 1
     assert 0.0 < res.series[0, SERIES_COLUMNS.index("dt")] < 1.0e-12
 
 
-@pytest.mark.parametrize("how, cause", [
-    ("end", TERM_REACHED_END),
-    ("time-resolution", TERM_RESOLUTION_LOST),
-    ("nonfinite", TERM_NONFINITE),
-    ("witness", TERM_BLOWUP),
-    ("e0", TERM_BLOWUP),
+@pytest.mark.parametrize("stop, cause", [
+    (STOP_END, REACHED_END),
+    (STOP_TIME_RESOLUTION, RESOLUTION_LOST),
+    (STOP_NONFINITE, NONFINITE_STATE),
+    (STOP_WITNESS, BLOWUP_DETECTED),
+    (STOP_E0, BLOWUP_DETECTED),
 ])
-def test_every_stop_records_its_state_once(monkeypatch, how, cause):
-    # however a run stops, its last series row is the state it stopped at,
-    # the last of its slope trace, and no state is recorded twice; the dt
-    # of that row is 0 at the end, whose 79th step is no tenth one, and
+def test_every_stop_records_its_state_once(monkeypatch, stop, cause):
+    # however a run stops, it reports that stop, which criteria names
+    # `cause` on these runs; its last series row is the state it stopped
+    # at, the last of its slope trace, and no state is recorded twice; the
+    # dt of that row is 0 at the end, whose 79th step is no tenth one, and
     # the step taken or tried otherwise
     import dghsim.stepping as stepping
 
     s0, p, t_end = smooth_state(), ModelParams(), 0.5
-    if how == "time-resolution":
+    if stop == STOP_TIME_RESOLUTION:
         s0 = constant_state(64, 1.0e12, 1.0)
-    elif how == "nonfinite":
+    elif stop == STOP_NONFINITE:
         real, calls = stepping.rhs_coeffs, []
 
         def poisoned(*args):
@@ -772,16 +781,17 @@ def test_every_stop_records_its_state_once(monkeypatch, how, cause):
             return out
 
         monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
-    elif how in ("witness", "e0"):
+    elif stop in (STOP_WITNESS, STOP_E0):
         (s0, p), t_end = breaking_wave(128), 5.0
-        if how == "e0":
+        if stop == STOP_E0:
             monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
     res = run(s0, p, SimConfig(n=s0.grid.n, t_end=t_end))
-    assert res.termination.cause == cause
+    assert res.termination.cause == stop
+    assert outcome(s0, p, res)[0] == cause
     last = res.series[-1]
     assert last[0] == res.termination.t == res.slope_trace.times[-1]
     assert np.unique(res.series[:, 0]).size == len(res.series)
-    assert (last[SERIES_COLUMNS.index("dt")] == 0.0) == (cause == TERM_REACHED_END)
+    assert (last[SERIES_COLUMNS.index("dt")] == 0.0) == (stop == STOP_END)
 
 
 @pytest.fixture
@@ -799,7 +809,7 @@ def test_e0_guard_stops_a_breaking_run_before_its_bound(no_witness):
 
     s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
-    assert res.termination.cause == TERM_BLOWUP
+    assert res.termination.cause == STOP_E0
     assert res.termination.t < evaluate_criteria(s0.u, s0.rho, p).riccati_t
     assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
     # the stop is recorded, with a drift just past the tolerance
@@ -814,8 +824,10 @@ def test_e0_guard_reports_lost_resolution_without_a_dive(no_witness):
     # alone (it shrinks about 20x when cfl halves) carries E0 drift past the
     # tolerance at t ~ 0.926, while min u_x is still near m(0): the run has
     # stopped following the solution, but it has not met a blow-up
-    res = run(smooth_state(n=64), ModelParams(), SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == TERM_RESOLUTION_LOST
+    s0, p = smooth_state(n=64), ModelParams()
+    res = run(s0, p, SimConfig(n=64, t_end=1.0))
+    assert res.termination.cause == STOP_E0
+    assert outcome(s0, p, res)[0] == RESOLUTION_LOST
     assert res.termination.t == pytest.approx(0.926, abs=0.002)
     m = res.slope_trace.m
     assert m[-1] == pytest.approx(m[0], rel=0.05)
@@ -831,7 +843,7 @@ def test_witness_stops_a_breaking_run_before_the_e0_guard(monkeypatch):
 
     s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
-    assert res.termination.cause == TERM_BLOWUP
+    assert res.termination.cause == STOP_WITNESS
     assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
     last = res.series[-1]
     assert last[0] == res.termination.t
@@ -850,8 +862,10 @@ def test_witness_reports_lost_resolution_without_a_dive():
     # spectral tail passes WITNESS_TOL at t ~ 0.679, with E0 still held and
     # min u_x short of the fit cutoff; there rho is 0.4% of its maximum off
     # the n = 256 run, and twice that by t = 0.8
-    res = run(smooth_state(n=64), ModelParams(), SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == TERM_RESOLUTION_LOST
+    s0, p = smooth_state(n=64), ModelParams()
+    res = run(s0, p, SimConfig(n=64, t_end=1.0))
+    assert res.termination.cause == STOP_WITNESS
+    assert outcome(s0, p, res)[0] == RESOLUTION_LOST
     assert res.termination.t == pytest.approx(0.679, abs=0.002)
     m = res.slope_trace.m
     assert -3.0 * abs(m[0]) < m[-1] < m[0]
@@ -860,13 +874,11 @@ def test_witness_reports_lost_resolution_without_a_dive():
 
 
 @pytest.mark.parametrize("row", ["u", "rho"])
-@pytest.mark.parametrize(
-    "share, cause", [(0.06, TERM_RESOLUTION_LOST), (0.04, TERM_REACHED_END)]
-)
+@pytest.mark.parametrize("share, cause", [(0.06, RESOLUTION_LOST), (0.04, REACHED_END)])
 def test_witness_fires_on_a_tail_past_its_tolerance(row, share, cause):
     # a wave whose mode n/4 + 1 holds `share` of its amplitude, in u or in
     # rho: one short step keeps the share, and the witness ends the run on
-    # it past WITNESS_TOL = 0.05 only
+    # it past WITNESS_TOL = 0.05 only, short of a dive
     n = 64
     g = PeriodicGrid(n)
     x = 2.0 * np.pi * g.nodes
@@ -874,8 +886,10 @@ def test_witness_fires_on_a_tail_past_its_tolerance(row, share, cause):
     # rho = 0 stays 0 beside the wave in u, while a constant rho would
     # take u_x rho, whose mode k is k times larger, into its own row
     u, rho = (0.5 + wave, np.zeros(n)) if row == "u" else (np.full(n, 0.5), 1.0 + wave)
-    res = run(State(g, u, rho), ModelParams(), SimConfig(n=n, t_end=1.0e-4))
-    assert res.termination.cause == cause
+    s0, p = State(g, u, rho), ModelParams()
+    res = run(s0, p, SimConfig(n=n, t_end=1.0e-4))
+    assert res.termination.cause == (STOP_WITNESS if share > WITNESS_TOL else STOP_END)
+    assert outcome(s0, p, res)[0] == cause
     assert len(res.slope_trace.times) == 2
 
 
@@ -889,7 +903,7 @@ def test_witness_reads_zero_on_rows_without_modes(monkeypatch, tol, u, rho):
 
     monkeypatch.setattr(stepping, "WITNESS_TOL", tol)
     res = run(constant_state(64, u, rho), ModelParams(), SimConfig(n=64, t_end=0.5))
-    assert res.termination.cause == TERM_REACHED_END
+    assert res.termination.cause == STOP_END
     assert res.termination.t == pytest.approx(0.5, abs=1e-12)
 
 
