@@ -28,27 +28,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharacteristicEnsemble:
-    """Positions, Jacobians and sampled density at the record times."""
+    """Positions, Jacobians and sampled density, one row per record of
+    the run and one column per seed: the seeds are q[0], and the record
+    times the run's series[:, 0]."""
 
-    seeds: np.ndarray
-    times: np.ndarray
     q: np.ndarray
     log_qx: np.ndarray
     rho_q: np.ndarray
 
     def __post_init__(self) -> None:
-        seeds = np.ascontiguousarray(self.seeds, dtype=float)
-        times = np.ascontiguousarray(self.times, dtype=float)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "times", times)
-        shape = (times.size, seeds.size)
+        shape = np.shape(self.q)
+        if len(shape) != 2:
+            raise ValueError(f"q must be 2-D (records, seeds), got shape {shape}")
         for name in ("q", "log_qx", "rho_q"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
-        if not np.allclose(self.q[0], seeds, atol=0.0):
-            raise ValueError("trajectories must start at the seeds")
         if np.any(self.log_qx[0] != 0.0):
             raise ValueError("Jacobian must start at 1")
         if not np.all(np.isfinite(self.log_qx)):
@@ -75,7 +71,7 @@ def verify_density_transport(e: CharacteristicEnsemble) -> float:
 
 def is_monotone(e: CharacteristicEnsemble) -> bool:
     """Paths of sorted seeds stay ordered (positions are unwrapped)."""
-    order = np.argsort(e.seeds)
+    order = np.argsort(e.q[0])
     q = e.q[:, order]
     interior = np.all(np.diff(q, axis=1) > 0.0)
     # wrap pair: the first seed shifted one period must stay above the last

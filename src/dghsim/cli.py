@@ -49,6 +49,7 @@ from .criteria import (
     lyapunov_trace,
     name_outcome,
 )
+from .grid import PeriodicGrid
 from .model import NonFiniteFieldError
 from .scenarios import (
     MAX_CHARACTERISTICS,
@@ -158,8 +159,8 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         result.series[[0, -1], 1:5].tolist()
     )
     trace = result.slope_trace
-    t_stop = result.termination.t
-    cause, fault = name_outcome(report, result.termination.cause, t_stop, trace.m)
+    t_stop = float(trace.times[-1])
+    cause, fault = name_outcome(report, result.stop, trace)
     deepest = int(np.argmin(trace.m))  # the first step on ties
     doc["run"] = {
         "termination": {"cause": cause, "t": t_stop},
@@ -220,7 +221,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         snap_dir.mkdir(exist_ok=True)
         used: set = set()
         # the grid nodes, formatted once for every snapshot
-        nodes = [f"{x!r}," for x in s0.grid.nodes.tolist()]
+        nodes = [f"{x!r}," for x in PeriodicGrid(s0.u.size).nodes.tolist()]
         for t, st in result.snapshots:
             name = _snapshot_name(t, used)
             rows = np.column_stack([st.u, st.rho])
@@ -229,8 +230,8 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         ens = result.ensemble
         # long format: one row per (record time, seed), times outermost;
         # each time and each seed is formatted once
-        seeds = [f",{s!r}," for s in ens.seeds.tolist()]
-        lead = [t + s for t in map(repr, ens.times.tolist()) for s in seeds]
+        seeds = [f",{s!r}," for s in ens.q[0].tolist()]
+        lead = [t + s for t in map(repr, result.series[:, 0].tolist()) for s in seeds]
         rows = np.column_stack([ens.q.ravel(), ens.qx.ravel(), ens.rho_q.ravel()])
         _write_csv(
             out_dir / "characteristics.csv",

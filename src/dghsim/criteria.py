@@ -110,18 +110,18 @@ def refined_max(values: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SlopeTrace:
-    """Per-step history of the minimal slope and the density riding it."""
+    """Per-step history of the minimal slope m and the density alpha at
+    its location."""
 
     times: np.ndarray
     m: np.ndarray
-    xi: np.ndarray
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("times", "m", "xi", "alpha"):
+        for name in ("times", "m", "alpha"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-        if not (self.times.size == self.m.size == self.xi.size == self.alpha.size):
+        if not (self.times.size == self.m.size == self.alpha.size):
             raise ValueError("trace arrays must have equal length")
 
 
@@ -452,7 +452,7 @@ def evaluate_criteria(
 # ---------------------------------------------------------------------------
 # a run's outcome
 
-# what stopped a run, as stepping.run reports it in Termination.cause
+# what stopped a run, as stepping.run reports it in SimResult.stop
 STOP_END = "end"
 STOP_TIME_RESOLUTION = "time-resolution"
 STOP_NONFINITE = "nonfinite"
@@ -466,12 +466,12 @@ NONFINITE_STATE = "NonFiniteState"
 
 
 def name_outcome(
-    report: CriterionReport, stop: str, t: float, m: np.ndarray
+    report: CriterionReport, stop: str, trace: SlopeTrace
 ) -> tuple[str, str | None]:
     """The cause a run's report names, and why the run contradicts its
     criteria or None, for a run from the initial state that report
-    assessed, which stepping.run stopped at t for `stop`, with slope
-    trace m.
+    assessed, which stepping.run stopped for `stop` with slope trace
+    `trace`, at its last time t, with slopes m.
 
     The grid has lost the solution when the spectral-tail witness or the
     E0 drift stops a run: that is BlowupDetected once m has dived past
@@ -483,6 +483,7 @@ def name_outcome(
     verdict proves it smooth and it ends in BlowupDetected or
     ResolutionLost, or when it reaches its end after riccati_t.
     """
+    t, m = float(trace.times[-1]), trace.m
     if stop in (STOP_WITNESS, STOP_E0):
         dived = m[-1] <= dive_cutoff(float(m[0]))
         cause = BLOWUP_DETECTED if dived else RESOLUTION_LOST

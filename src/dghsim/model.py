@@ -39,7 +39,8 @@ and each call writes every step into the buffer or into its result with
 out=, so it makes no view of the buffer and no temporary, and
 overwrites what the previous call left there.
 
-A State is the one container of (grid, u, rho) as float sample arrays.
+A State is the one container of (u, rho) as float sample arrays; its
+grid is PeriodicGrid(u.size).
 energy_e0 takes the stack of u, the slope u_x, which the caller computes
 once and shares, and rho, and squares it with one call, into work arrays
 a caller may build once; hamiltonian_e is read off E0 and rho, so a
@@ -101,22 +102,24 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class State:
-    """Velocity and density samples on one grid; both finite, n samples each."""
+    """Velocity and density samples on the grid PeriodicGrid(u.size): two
+    finite 1-D float arrays of one length."""
 
-    grid: PeriodicGrid
     u: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("u", "rho"):
-            v = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if v.shape != (self.grid.n,):
-                raise ValueError(
-                    f"{name}: expected {self.grid.n} samples, got shape {v.shape}"
-                )
-            if not np.isfinite(v).all():
-                raise NonFiniteFieldError("field samples must be finite")
-            object.__setattr__(self, name, v)
+        u = np.ascontiguousarray(self.u, dtype=float)
+        rho = np.ascontiguousarray(self.rho, dtype=float)
+        if u.ndim != 1 or rho.shape != u.shape:
+            raise ValueError(
+                f"u and rho must be 1-D of one length, got shapes {u.shape}, {rho.shape}"
+            )
+        PeriodicGrid(u.size)  # validates the sample count
+        if not (np.isfinite(u).all() and np.isfinite(rho).all()):
+            raise NonFiniteFieldError("field samples must be finite")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "rho", rho)
 
 
 class RhsBuffer:

@@ -185,11 +185,8 @@ def steady_state_deviation(steps: int) -> float:
 def rk4_orders() -> list[float]:
     """Observed convergence orders of step_rk4 to t = 0.1 between 32, 64 and
     128 steps, against a 1024-step reference, on smooth data at n = 64."""
-    g = PeriodicGrid(64)
-    x = g.nodes
-    s0 = State(
-        g, 0.5 + 0.25 * np.sin(2.0 * np.pi * x), 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
-    )
+    x = PeriodicGrid(64).nodes
+    s0 = State(0.5 + 0.25 * np.sin(2.0 * np.pi * x), 1.0 + 0.25 * np.cos(2.0 * np.pi * x))
     p = ModelParams(A=1.0, gamma=0.3)
     t_end = 0.1
 

@@ -223,7 +223,7 @@ def build_initial_data(family: str, params: dict, grid: PeriodicGrid) -> State:
     zero-mean(a)          u = (a/2pi) sin(2pi x) (mean zero), rho = 0
     custom-fourier(...)   truncated cosine/sine series for both fields
     """
-    return State(grid, *_initial_arrays(family, params, grid))
+    return State(*_initial_arrays(family, params, grid))
 
 
 def _check_energy(family: str, params: dict, e0: float) -> None:
@@ -350,7 +350,7 @@ class Scenario:
             _check_energy(self.family, self.params, e0)
         except ConfigError as exc:
             raise _keyed(exc) from None
-        return State(grid, u, rho)
+        return State(u, rho)
 
 
 # ---------------------------------------------------------------------------

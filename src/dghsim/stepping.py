@@ -1,4 +1,4 @@
-"""Adaptive RK4 time integration with slope-based breakdown detection.
+"""Adaptive RK4 time integration that stops where the grid loses the solution.
 
 The step size tracks both the advective CFL limit and the steepness of
 the solution:
@@ -12,7 +12,8 @@ proportion, so a genuine blow-up is followed in a controlled geometric
 cascade until the grid can no longer resolve it; the two floors keep a
 quiescent or slowly varying state from asking for an unbounded step.
 
-A run reports which of five stops ended it, as Termination.cause:
+A run reports which of five stops ended it, as SimResult.stop, at the
+last time of its slope trace:
 
   end              it integrated to t_end
   time-resolution  the step fell below the time resolution
@@ -98,13 +99,12 @@ witness flag, its record entries and whether its last step was finite,
 and yields its next dt.  The next step overwrites the arrays those views
 show, so whatever a member keeps, a snapshot's fields or a record's
 characteristics, it copies.  So the slope minimum, alpha, the step size,
-records, snapshots, the stop tests and termination stay one scalar code
-path per member, and each stop test sets the run's cause and leaves its
-loop, after which one record and one Termination end it.  A member
-takes its grid from the size of the samples it is sent, so nothing but
-its arrays ties it to a group.  The group's transforms, products and sums
-are the ones each member makes alone, so a member's result is bit for bit
-its single run's.
+records, snapshots and the stop tests stay one scalar code path per
+member, and each stop test sets the run's stop and leaves its loop,
+after which one record ends it.  A member takes its grid from the size
+of the samples it is sent, so nothing but its arrays ties it to a group.
+The group's transforms, products and sums are the ones each member makes
+alone, so a member's result is bit for bit its single run's.
 
 A member leaves its group one way: it returns when it is sent a state,
 either because a stop test fired on it or because its last step was not
@@ -150,7 +150,6 @@ from .model import (
 
 __all__ = [
     "SimConfig",
-    "Termination",
     "SimResult",
     "NonFiniteStateError",
     "SERIES_COLUMNS",
@@ -216,16 +215,10 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Termination:
-    cause: str  # the stop that ended the run, one of criteria's STOP_* names
-    t: float
-
-
-@dataclass(frozen=True)
 class SimResult:
-    slope_trace: SlopeTrace
+    slope_trace: SlopeTrace  # its last time is the time the run stopped at
     snapshots: list[tuple[float, State]]
-    termination: Termination
+    stop: str  # the stop that ended the run, one of criteria's STOP_* names
     series: np.ndarray  # one row per record, columns SERIES_COLUMNS
     ensemble: CharacteristicEnsemble | None = None
 
@@ -477,39 +470,40 @@ def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
     transformed to samples once, at the end."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    group = _Group(s.grid, (p,), None)
+    grid = PeriodicGrid(s.u.size)
+    group = _Group(grid, (p,), None)
     group.coefficients[0] = np.fft.rfft(np.stack((s.u, s.rho)), norm="forward")
     dt = np.full((1, 1), dt)
     for _ in range(steps):
         if not _advance(group, dt)[0]:
             raise NonFiniteStateError("non-finite values in an RK4 stage")
-    u, rho = np.fft.irfft(group.coefficients[0], s.grid.n, norm="forward")
-    return State(s.grid, u, rho)
+    u, rho = np.fft.irfft(group.coefficients[0], grid.n, norm="forward")
+    return State(u, rho)
 
 
-def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
+def _member(p: ModelParams, c: SimConfig):
     """One run as a generator over its slice of its group's arrays.
 
     It is sent (samples, rho_c, chars, invariants, e0, lost, finite) for
     each state its run reaches, step 0 first: views of the samples of u,
     u_x and rho, each of shape (n,), and of the coefficients of rho, shape
-    (n/2 + 1,), with seeds views of the positions q, the log-Jacobians lq
-    and rho(q), each of shape (K,), or None without, a callable that
-    returns the record invariants (meanU, hamE, hamF) of that state, its
-    E0, whether the spectral-tail witness fired on it, and whether the
-    step to it was finite.  The views are of its group's arrays, which the
+    (n/2 + 1,), with characteristics views of the positions q, the
+    log-Jacobians lq and rho(q), each of shape (K,), or None without, a
+    callable that returns the record invariants (meanU, hamE, hamF) of
+    that state, its E0, whether the spectral-tail witness fired on it, and
+    whether the step to it was finite.  The views are of its group's arrays, which the
     next step overwrites, so whatever it keeps of them, a snapshot's
     fields or a record's characteristics, it copies.  It yields each
     step's dt and is sent the state that step reached; when the step was
     not finite it is sent the state the step started from instead, which
     its row kept, records from it and returns, as a member that ends does.
-    Every stop test sets the cause and leaves the loop, so a run ends one
+    Every stop test sets the stop and leaves the loop, so a run ends one
     way: one record of the state it stopped at, which writes a row unless
     that state has one already, with dt 0 at the end of the run and the
-    step last taken or tried otherwise, and one Termination.
-    It returns the run's SimResult.  It takes its grid from the size of
-    its samples, makes no transform, computes no invariant, and reads
-    off-grid only alpha.
+    step last taken or tried otherwise.  It returns the run's SimResult,
+    with the ensemble of the characteristics it was sent, if any.  It
+    takes its grid from the size of its samples, makes no transform,
+    computes no invariant, and reads off-grid only alpha.
     """
     (u, ux, rho), rho_c, chars, invariants, e0, _, _ = yield
 
@@ -523,17 +517,17 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
     last_recorded = -1
     trace_t: list[float] = []
     trace_m: list[float] = []
-    trace_xi: list[float] = []
+    xi = 0.0  # the location of the slope minimum last traced
     trace_alpha: list[float] = []
     series: list[list[float]] = []
     snapshots: list[tuple[float, State]] = []
     ens_chars: list[np.ndarray] = []  # (q, lq, rho(q)) of each record
 
     def observe() -> None:
+        nonlocal xi
         m, xi = refined_min(ux)
         trace_t.append(t)
         trace_m.append(m)
-        trace_xi.append(xi)
         trace_alpha.append(interp_point(rho_c, xi))
 
     def record(dt_next: float) -> None:
@@ -542,7 +536,7 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
             return
         last_recorded = step
         series.append([
-            t, e0, *invariants(), trace_m[-1], trace_xi[-1], trace_alpha[-1], dt_next,
+            t, e0, *invariants(), trace_m[-1], xi, trace_alpha[-1], dt_next,
         ])
         if chars is not None:
             # a copy, since chars are views of the group's arrays
@@ -550,14 +544,14 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
 
     def take_snapshot() -> None:
         # copies, since u and rho are views of the group's samples
-        snapshots.append((t, State(PeriodicGrid(u.size), u.copy(), rho.copy())))
+        snapshots.append((t, State(u.copy(), rho.copy())))
 
     observe()
     e0_first = e0
     while True:
         t_remaining = c.t_end - t
         if t_remaining <= tiny:
-            cause, dt = STOP_END, 0.0
+            stop, dt = STOP_END, 0.0
             break
 
         dt = adaptive_dt(u, p, c, t_remaining, min_slope=trace_m[-1])
@@ -576,12 +570,12 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
             record(dt)
         if dt < tiny:
             # a step below the loop's time resolution cannot carry the run on
-            cause = STOP_TIME_RESOLUTION
+            stop = STOP_TIME_RESOLUTION
             break
 
         (u, ux, rho), rho_c, chars, invariants, e0, lost, finite = yield dt
         if not finite:
-            cause = STOP_NONFINITE
+            stop = STOP_NONFINITE
             break
 
         if hit_snapshot:
@@ -592,11 +586,11 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
         observe()
 
         if lost:
-            cause = STOP_WITNESS
+            stop = STOP_WITNESS
             break
         # the E0 test is written so that a NaN drift also stops the run
         if not abs(e0 - e0_first) <= E0_DRIFT_TOL * e0_first:
-            cause = STOP_E0
+            stop = STOP_E0
             break
         if hit_snapshot:
             take_snapshot()
@@ -607,28 +601,18 @@ def _member(p: ModelParams, c: SimConfig, seeds: np.ndarray | None):
     record(dt)
 
     trace = SlopeTrace(
-        times=np.asarray(trace_t),
-        m=np.asarray(trace_m),
-        xi=np.asarray(trace_xi),
-        alpha=np.asarray(trace_alpha),
+        times=np.asarray(trace_t), m=np.asarray(trace_m), alpha=np.asarray(trace_alpha)
     )
-    series = np.asarray(series, dtype=float)
     ensemble = None
-    if seeds is not None:
+    if chars is not None:
         # a record appends to the series and the characteristics together
         q, lq, rho_q = np.stack(ens_chars, axis=1)
-        ensemble = CharacteristicEnsemble(
-            seeds=np.asarray(seeds, dtype=float),
-            times=series[:, 0],
-            q=q,
-            log_qx=lq,
-            rho_q=rho_q,
-        )
+        ensemble = CharacteristicEnsemble(q=q, log_qx=lq, rho_q=rho_q)
     return SimResult(
         slope_trace=trace,
         snapshots=snapshots,
-        termination=Termination(cause, t),
-        series=series,
+        stop=stop,
+        series=np.asarray(series, dtype=float),
         ensemble=ensemble,
     )
 
@@ -681,13 +665,13 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     results: list = [None] * len(members)
     keys: dict = {}
     for i, (s0, _, c, seeds) in enumerate(members):
-        if s0.grid.n != c.n:
-            raise ValueError(f"state lives on n={s0.grid.n}, config says n={c.n}")
-        key = (s0.grid, None if seeds is None else len(seeds))
+        if s0.u.size != c.n:
+            raise ValueError(f"state lives on n={s0.u.size}, config says n={c.n}")
+        key = (c.n, None if seeds is None else len(seeds))
         keys.setdefault(key, []).append(i)
     groups = []
-    for (grid, count), indices in keys.items():
-        group = _Group(grid, tuple(members[i][1] for i in indices), count)
+    for (n, count), indices in keys.items():
+        group = _Group(PeriodicGrid(n), tuple(members[i][1] for i in indices), count)
         # step 0 from the given samples: u_x is their spectral derivative,
         # and the rows' first and last start the RK4 state, followed by the
         # seeds and lq = 0
@@ -698,7 +682,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
         np.copyto(group.coefficients, group.row_pairs)
         if count is not None:
             group.q[:] = [members[i][3] for i in indices]
-        live = [(i, _member(*members[i][1:])) for i in indices]
+        live = [(i, _member(*members[i][1:3])) for i in indices]
         for _, member in live:
             next(member)  # to the yield that takes the step-0 views
         groups.append((group, live))

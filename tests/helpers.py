@@ -66,7 +66,7 @@ def outcome(s0, p, res):
     """The (cause, fault) that criteria.name_outcome gives the run res of
     the initial state s0 under p."""
     report = evaluate_criteria(s0.u, s0.rho, p)
-    return name_outcome(report, res.termination.cause, res.termination.t, res.slope_trace.m)
+    return name_outcome(report, res.stop, res.slope_trace)
 
 
 def dealiased_product(f, g):

@@ -132,12 +132,12 @@ def test_criterion_07_blowup_detection(blowup_runs):
     cause, _ = outcome(s0, BLOWUP_MODEL, res)
     ok = (
         cause == "BlowupDetected"
-        and res.termination.t <= bound + slack
+        and res.slope_trace.times[-1] <= bound + slack
         and elapsed < 120.0
     )
     verdict(
         7, ok,
-        f"{cause} at t={res.termination.t:.4f} <= riccati_t "
+        f"{cause} at t={res.slope_trace.times[-1]:.4f} <= riccati_t "
         f"{bound:.4f} + interval {slack:.4f}, {elapsed:.1f}s (<120s)",
     )
 
@@ -171,7 +171,7 @@ def test_criterion_09_global_existence(global_long_run):
     )
     verdict(
         9, ok,
-        f"{cause} at t={res.termination.t:g}, envelope "
+        f"{cause} at t={res.slope_trace.times[-1]:g}, envelope "
         f"violations {lt.violations.size}, density sign preserved {signs_ok}",
     )
 

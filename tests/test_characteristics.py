@@ -18,8 +18,8 @@ from dghsim.stepping import SimConfig, run
 
 
 def build_state(n, u_fn, rho_fn):
-    g = PeriodicGrid(n)
-    return State(g, u_fn(g.nodes), rho_fn(g.nodes))
+    x = PeriodicGrid(n).nodes
+    return State(u_fn(x), rho_fn(x))
 
 
 # ---------------------------------------------------------------------------
@@ -27,21 +27,15 @@ def build_state(n, u_fn, rho_fn):
 
 def test_ensemble_validation():
     seeds = default_seeds(4)
-    times = np.array([0.0, 1.0])
-    ok = CharacteristicEnsemble(
-        seeds=seeds,
-        times=times,
-        q=np.vstack([seeds, seeds + 0.1]),
-        log_qx=np.zeros((2, 4)),
-        rho_q=np.ones((2, 4)),
-    )
+    q = np.vstack([seeds, seeds + 0.1])
+    ok = CharacteristicEnsemble(q=q, log_qx=np.zeros((2, 4)), rho_q=np.ones((2, 4)))
     assert np.allclose(ok.qx, 1.0)
     with pytest.raises(ValueError):  # wrong shape
-        CharacteristicEnsemble(seeds, times, np.zeros((3, 4)), np.zeros((2, 4)), np.ones((2, 4)))
-    with pytest.raises(ValueError):  # paths must start at the seeds
-        CharacteristicEnsemble(seeds, times, np.vstack([seeds + 0.5, seeds]), np.zeros((2, 4)), np.ones((2, 4)))
+        CharacteristicEnsemble(np.zeros((3, 4)), np.zeros((2, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError):  # positions not one row per record
+        CharacteristicEnsemble(seeds, np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):  # Jacobian must start at one
-        CharacteristicEnsemble(seeds, times, np.vstack([seeds, seeds]), np.ones((2, 4)), np.ones((2, 4)))
+        CharacteristicEnsemble(q, np.ones((2, 4)), np.ones((2, 4)))
 
 
 def test_default_seeds():
@@ -63,7 +57,8 @@ def test_uniform_flow_translates_seeds():
     seeds = default_seeds(16)
     res = run(s0, ModelParams(), cfg, seeds=seeds)
     e = res.ensemble
-    expected = seeds[None, :] + c_speed * e.times[:, None]
+    assert np.array_equal(e.q[0], seeds)
+    expected = seeds[None, :] + c_speed * res.series[:, 0, None]
     assert np.max(np.abs(e.q - expected)) < 1e-9
     assert np.max(np.abs(e.log_qx)) < 1e-9  # no stretching in a rigid flow
     assert e.q[-1, 0] > 1.0  # genuinely unwrapped past the period
@@ -72,8 +67,9 @@ def test_uniform_flow_translates_seeds():
 def test_still_flow_keeps_seeds_fixed():
     s0 = build_state(64, lambda x: 0.0 * x, lambda x: 2.0 + 0.0 * x)
     cfg = SimConfig(n=64, t_end=1.0)
-    e = run(s0, ModelParams(), cfg, seeds=default_seeds(8)).ensemble
-    assert np.max(np.abs(e.q - e.seeds[None, :])) < 1e-12
+    seeds = default_seeds(8)
+    e = run(s0, ModelParams(), cfg, seeds=seeds).ensemble
+    assert np.max(np.abs(e.q - seeds[None, :])) < 1e-12
     assert np.max(np.abs(e.rho_q - 2.0)) < 1e-12
 
 
@@ -107,12 +103,14 @@ def test_density_transport_smooth_run():
         lambda x: 2.0 + np.sin(2.0 * np.pi * x),
     )
     cfg = SimConfig(n=256, t_end=1.0)
-    res = run(s0, ModelParams(A=1.0, gamma=0.0), cfg, seeds=default_seeds(64))
+    seeds = default_seeds(64)
+    res = run(s0, ModelParams(A=1.0, gamma=0.0), cfg, seeds=seeds)
     e = res.ensemble
+    assert np.array_equal(e.q[0], seeds)
     # the checks read rho0(x0) off the t = 0 record, which holds the
     # interpolant of the initial density at the seeds bit for bit, so the
     # residual's t = 0 row is exactly 0
-    ref = interp_values(s0.rho, e.seeds)
+    ref = interp_values(s0.rho, seeds)
     assert np.array_equal(e.rho_q[0], ref)
     assert np.max(np.abs(e.rho_q[0] * e.qx[0] - ref)) == 0.0
     assert verify_density_transport(e) < 1e-5
@@ -144,10 +142,8 @@ def test_sign_preservation_with_mixed_sign_density():
 
 def test_monotonicity_detects_crossing():
     seeds = default_seeds(4)
-    times = np.array([0.0, 1.0])
     q = np.vstack([seeds, seeds])
-    q = q.copy()
     q[1, 1] = q[1, 2] + 0.1  # force a crossing at the later time
-    e = CharacteristicEnsemble(seeds, times, q, np.zeros((2, 4)), np.ones((2, 4)))
+    e = CharacteristicEnsemble(q, np.zeros((2, 4)), np.ones((2, 4)))
     assert not is_monotone(e)
 

@@ -22,6 +22,7 @@ from dghsim.cli import (
     main,
 )
 from dghsim.characteristics import default_seeds
+from dghsim.grid import PeriodicGrid
 from dghsim.scenarios import ConfigError
 from dghsim.stepping import SERIES_COLUMNS, run
 from helpers import csv_text_reference, outcome
@@ -220,12 +221,13 @@ def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
     assert main(["run", str(smooth_cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
     sc = scenarios.scenario_from_entries(scenarios.parse_config_entries(SMOOTH_CONFIG))
     s0 = sc.build_state()
-    res = run(s0, sc.model, sc.sim, seeds=default_seeds(16))
+    seeds = default_seeds(16)
+    res = run(s0, sc.model, sc.sim, seeds=seeds)
     ens = res.ensemble
     chars = [
         (t, seed, ens.q[i, j], np.exp(ens.log_qx[i, j]), ens.rho_q[i, j])
-        for i, t in enumerate(ens.times)
-        for j, seed in enumerate(ens.seeds)
+        for i, t in enumerate(res.series[:, 0])
+        for j, seed in enumerate(seeds)
     ]
     assert (out / "series.csv").read_text() == csv_text_reference(SERIES_COLUMNS, res.series)
     assert (out / "characteristics.csv").read_text() == csv_text_reference(
@@ -234,7 +236,7 @@ def test_csv_rows_match_per_value_formatting(smooth_cfg, tmp_path):
     assert [t for t, _ in res.snapshots] == [0.0, 0.2, 0.4]
     for name, (_, st) in zip(("t_0", "t_0.2", "t_0.4"), res.snapshots):
         assert (out / "snapshots" / f"{name}.csv").read_text() == csv_text_reference(
-            ("x", "u", "rho"), zip(s0.grid.nodes, st.u, st.rho)
+            ("x", "u", "rho"), zip(PeriodicGrid(sc.sim.n).nodes, st.u, st.rho)
         )
 
 

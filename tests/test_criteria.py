@@ -54,18 +54,16 @@ from dghsim.grid import (
 )
 from dghsim.model import ModelParams, State
 from dghsim.scenarios import build_initial_data
-from dghsim.stepping import SimConfig, run
+from dghsim.stepping import SERIES_COLUMNS, SimConfig, run
 from helpers import breaking_wave, dense_extremum
 
 
-def make_trace(t, m, xi=None, alpha=None):
+def make_trace(t, m, alpha=None):
     t = np.asarray(t, dtype=float)
     m = np.asarray(m, dtype=float)
-    if xi is None:
-        xi = np.zeros_like(t)
     if alpha is None:
         alpha = np.zeros_like(t)
-    return SlopeTrace(times=t, m=m, xi=xi, alpha=alpha)
+    return SlopeTrace(times=t, m=m, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +94,33 @@ def test_refined_min_beats_node_minimum(rng):
 
 
 def initial_slope(s: State) -> tuple[float, float, float]:
-    """(m, xi, alpha) that a run's slope trace records for its initial state."""
-    tr = run(s, ModelParams(), SimConfig(n=s.grid.n, t_end=1e-6)).slope_trace
-    return float(tr.m[0]), float(tr.xi[0]), float(tr.alpha[0])
+    """(m, xi, alpha) that a run records for its initial state: m and alpha
+    in its slope trace, xi in its first series row."""
+    res = run(s, ModelParams(), SimConfig(n=s.u.size, t_end=1e-6))
+    xi = res.series[0, SERIES_COLUMNS.index("xi")]
+    return float(res.slope_trace.m[0]), float(xi), float(res.slope_trace.alpha[0])
 
 
 def test_track_slope_single_mode():
     g = PeriodicGrid(128)
     u = np.sin(2.0 * np.pi * g.nodes) / (2.0 * np.pi)
-    m, xi, alpha = initial_slope(State(g, u, np.full(128, 2.0)))
+    m, xi, alpha = initial_slope(State(u, np.full(128, 2.0)))
     assert m == pytest.approx(-1.0, abs=1e-12)
     assert xi == pytest.approx(0.5, abs=1e-12)
     assert alpha == pytest.approx(2.0, abs=1e-12)
 
 
 def test_track_slope_flat_field_ties_to_first_node():
-    s = State(PeriodicGrid(64), np.full(64, 3.0), np.ones(64))
+    s = State(np.full(64, 3.0), np.ones(64))
     m, xi, _ = initial_slope(s)
     assert m == 0.0 and xi == 0.0
 
 
 def test_slope_trace_validation():
     with pytest.raises(ValueError):
-        SlopeTrace(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+        SlopeTrace(np.zeros(3), np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        SlopeTrace(np.zeros(3), np.zeros(3), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def test_lyapunov_initial_value():
     g = PeriodicGrid(128)
     u0 = np.sin(2.0 * np.pi * g.nodes) / (2.0 * np.pi)
     rho0 = np.full(128, 2.0)
-    tr = make_trace([0.0], [-1.0], xi=[0.5], alpha=[2.0])
+    tr = make_trace([0.0], [-1.0], alpha=[2.0])
     ly = lyapunov_trace(tr, rho0, u0, ModelParams(A=1.0, gamma=0.0))
     assert ly.beta == pytest.approx(2.0, abs=1e-12)
     assert ly.w[0] == pytest.approx(6.0, abs=1e-12)  # 2*2 + (2/2)(1 + 1)
@@ -607,4 +609,4 @@ def test_name_outcome(stop, m, verdicts, riccati_t, cause, fault):
         e0=1.0, a0=0.0, m0=m[0], xi0=0.5, thresholds={}, k_values={},
         riccati_t=riccati_t, verdicts=verdicts,
     )
-    assert name_outcome(report, stop, trace.times[-1], trace.m) == (cause, fault)
+    assert name_outcome(report, stop, trace) == (cause, fault)

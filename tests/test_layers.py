@@ -2,14 +2,17 @@
 package's call graph: the run works on coefficients, and only the tests
 and the benchmark call the one-row sample-array forms.  A run's outcome is
 named in criteria alone: stepping reports the stop that ended a run, and
-neither it nor cli decides what that stop means."""
+neither it nor cli decides what that stop means.  And the numpy that
+pyproject.toml requires has every numpy feature the package calls."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dghsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dghsim"
 SAMPLE_SPACE = {"interp_values", "pad_values", "project_values", "rhs_values"}
 
 
@@ -60,3 +63,30 @@ def test_stepping_reports_the_stop_and_names_no_outcome():
 def test_cli_leaves_the_fault_to_criteria():
     names, _ = _names_and_strings(PACKAGE / "cli.py")
     assert "_numerical_fault" not in names
+
+
+def _numpy_2_calls(path):
+    """The calls of a module that need numpy 2.0: np.vecdot, and out= passed
+    to an np.fft function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        owner = node.func.value
+        in_fft = isinstance(owner, ast.Attribute) and owner.attr == "fft"
+        if node.func.attr == "vecdot":
+            found.append(f"{path.name}:{node.lineno} vecdot")
+        elif in_fft and any(k.arg == "out" for k in node.keywords):
+            found.append(f"{path.name}:{node.lineno} fft.{node.func.attr}(out=)")
+    return found
+
+
+def test_declared_numpy_has_what_the_package_calls():
+    # np.vecdot and the out= argument of the np.fft functions are new in
+    # numpy 2.0; tomllib is not in Python 3.10, so the requirement is
+    # read with a regex
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'"numpy\s*>=\s*(\d+)[^"]*"', text)
+    assert match, "pyproject.toml declares no numpy>= floor"
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _numpy_2_calls(path)]
+    assert not calls or int(match.group(1)) >= 2, f"numpy>={match.group(1)} but {calls}"

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dghsim.grid import (
+    ConfigError,
     PeriodicGrid,
     deriv_values,
     dgreen_kernel,
@@ -374,17 +375,27 @@ def test_model_params_require_positive_shear():
 
 
 def test_state_requires_shared_grid():
-    with pytest.raises(ValueError):
-        State(PeriodicGrid(16), np.zeros(16), np.zeros(32))
+    # u and rho of different lengths lie on no one grid; the error is the
+    # plain ValueError, not its subclasses
+    for u, rho in ((np.zeros(16), np.zeros(32)), (np.zeros(8), np.zeros(7))):
+        with pytest.raises(ValueError) as exc:
+            State(u, rho)
+        assert exc.type is ValueError
 
 
 def test_state_validation():
-    g = PeriodicGrid(8)
-    with pytest.raises(ValueError):
-        State(g, np.zeros(7), np.zeros(8))
+    # the grid is PeriodicGrid(u.size), which rejects 7 samples and 6
+    for n in (7, 6):
+        with pytest.raises(ConfigError) as exc:
+            State(np.zeros(n), np.zeros(n))
+        assert exc.type is ConfigError and exc.value.name == "n"
+    with pytest.raises(ValueError) as exc:
+        State(np.zeros((2, 8)), np.zeros((2, 8)))
+    assert exc.type is ValueError
     with pytest.raises(NonFiniteFieldError):
-        State(g, np.zeros(8), np.full(8, np.nan))
+        State(np.zeros(8), np.full(8, np.nan))
     with pytest.raises(NonFiniteFieldError):
-        State(g, np.array([0.0, np.inf, 0, 0, 0, 0, 0, 0]), np.zeros(8))
-    s = State(g, [0, 1, 2, 3, 4, 5, 6, 7], np.zeros(8))
-    assert s.u.dtype == float and s.u[7] == 7.0
+        State(np.array([0.0, np.inf, 0, 0, 0, 0, 0, 0]), np.zeros(8))
+    s = State([0, 1, 2, 3, 4, 5, 6, 7], np.zeros(8, dtype=int))
+    assert s.u.dtype == s.rho.dtype == float and s.u[7] == 7.0
+    assert s.u.flags.c_contiguous and s.rho.flags.c_contiguous

@@ -334,7 +334,7 @@ sim.t_end = 1.0
     # resolving twice is a no-op
     assert resolved.resolve() is resolved
     state = resolved.build_state()
-    assert state.grid.n == 256
+    assert state.u.size == state.rho.size == 256
 
 
 def test_resolved_config_echo():

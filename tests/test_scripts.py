@@ -1,6 +1,8 @@
-"""Smoke runs of each script under scripts/ at a small size, so that an API
-change cannot break one unnoticed."""
+"""Smoke runs of each script under scripts/ at a small size, and of the
+README's Library example, so that an API change cannot break one
+unnoticed."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from dghsim.grid import PeriodicGrid
 from dghsim.model import ModelParams
 from dghsim.scenarios import build_initial_data, solve_blowup_amplitude
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _riccati_t(n: int) -> float:
@@ -85,3 +88,14 @@ def test_code_lines_counts_public_names_and_defaulted_parameters(tmp_path, capsy
     assert rows == {
         "a.py": ["8", "2", "5"], "b.py": ["3", "0", "2"], "total": ["11", "2", "7"]
     }
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block under "## Library", run as it stands
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    out = capsys.readouterr().out
+    assert out.split()[0] == "BlowupDetected"

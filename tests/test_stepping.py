@@ -41,13 +41,12 @@ from helpers import breaking_wave, outcome, pad_buffer
 
 
 def smooth_state(n=64, amp=0.25):
-    g = PeriodicGrid(n)
-    x = g.nodes
-    return State(g, 0.5 + amp * np.sin(2.0 * np.pi * x), 1.0 + amp * np.cos(2.0 * np.pi * x))
+    x = PeriodicGrid(n).nodes
+    return State(0.5 + amp * np.sin(2.0 * np.pi * x), 1.0 + amp * np.cos(2.0 * np.pi * x))
 
 
 def constant_state(n, u, rho):
-    return State(PeriodicGrid(n), np.full(n, u), np.full(n, rho))
+    return State(np.full(n, u), np.full(n, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,8 @@ def test_nonfinite_stage_ends_run_at_its_step(monkeypatch, stage, field, track):
 
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
     res = run(s0, p, c, seeds=seeds)
-    assert res.termination.cause == STOP_NONFINITE
-    assert res.termination.t == ref.slope_trace.times[2]
+    assert res.stop == STOP_NONFINITE
+    assert res.slope_trace.times[-1] == ref.slope_trace.times[2]
     assert np.all(np.isfinite(res.series))
 
 
@@ -218,8 +217,8 @@ def test_nonfinite_record_reads_the_state_its_step_started_from(monkeypatch, tra
 
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoned)
     failed, other = run(states, [p, p], [c, c], seeds=[seeds, seeds])
-    assert failed.termination.cause == STOP_NONFINITE
-    assert failed.termination.t == every.series[12, 0]
+    assert failed.stop == STOP_NONFINITE
+    assert failed.slope_trace.times[-1] == every.series[12, 0]
     # the failed step's dt is the one the full record gives the next row
     assert np.array_equal(failed.series[-1, :-1], every.series[12, :-1])
     assert failed.series[-1, -1] == every.series[13, -1]
@@ -394,15 +393,15 @@ def _lockstep_members():
 
 
 def _assert_same_result(a, b):
-    assert a.termination == b.termination
+    assert a.stop == b.stop
     assert np.array_equal(a.series, b.series)
-    for name in ("times", "m", "xi", "alpha"):
+    for name in ("times", "m", "alpha"):
         assert np.array_equal(getattr(a.slope_trace, name), getattr(b.slope_trace, name))
     assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
     for (_, sa), (_, sb) in zip(a.snapshots, b.snapshots):
         assert np.array_equal(sa.u, sb.u) and np.array_equal(sa.rho, sb.rho)
     assert (a.ensemble is None) == (b.ensemble is None)
-    for name in ("times", "q", "log_qx", "rho_q") if a.ensemble else ():
+    for name in ("q", "log_qx", "rho_q") if a.ensemble else ():
         assert np.array_equal(getattr(a.ensemble, name), getattr(b.ensemble, name))
 
 
@@ -580,8 +579,8 @@ def test_nonfinite_member_leaves_its_group_alone(monkeypatch, step, stage):
     alone = run(states[1], params[1], configs[1], seeds=seeds[1])
     monkeypatch.setattr(stepping, "rhs_coeffs", poisoning(1))
     together = run(states, params, configs, seeds=seeds)
-    assert alone.termination.cause == STOP_NONFINITE
-    assert alone.termination.t == clean[1].slope_trace.times[step]
+    assert alone.stop == STOP_NONFINITE
+    assert alone.slope_trace.times[-1] == clean[1].slope_trace.times[step]
     assert len(alone.series) == (1 if step == 0 else 2)
     assert np.array_equal(alone.series[0], clean[1].series[0])
     # all but the dt column, which holds the step that failed
@@ -606,10 +605,10 @@ def test_characteristics_do_not_perturb_the_fields():
     tracked = run(s0, p, c, seeds=np.linspace(0.0, 1.0, 8, endpoint=False))
     assert tracked.ensemble is not None
     assert np.array_equal(plain.series, tracked.series)
-    for name in ("times", "m", "xi", "alpha"):
+    for name in ("times", "m", "alpha"):
         assert np.array_equal(getattr(plain.slope_trace, name),
                               getattr(tracked.slope_trace, name))
-    assert plain.termination == tracked.termination
+    assert plain.stop == tracked.stop
     assert [t for t, _ in plain.snapshots] == [t for t, _ in tracked.snapshots] == [0.1, 0.2]
     for (_, a), (_, b) in zip(plain.snapshots, tracked.snapshots):
         assert np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho)
@@ -636,8 +635,8 @@ def test_constant_state_stays_put():
     s = constant_state(64, 0.5, 1.5)
     p = ModelParams(A=1.0, gamma=0.0)
     res = run(s, p, SimConfig(n=64, t_end=10.0))
-    assert res.termination.cause == STOP_END
-    assert res.termination.t == pytest.approx(10.0, abs=1e-9)
+    assert res.stop == STOP_END
+    assert res.slope_trace.times[-1] == pytest.approx(10.0, abs=1e-9)
     e0_first, e0_last = res.series[[0, -1], 1]
     assert abs(e0_last - e0_first) < 1e-10 * e0_first
     final_u = res.snapshots[-1][1].u if res.snapshots else None
@@ -652,7 +651,7 @@ def test_time_error_shrinks_with_cfl(rng):
     def final_u(cfl):
         c = SimConfig(n=64, t_end=0.2, cfl=cfl, snapshot_times=(0.2,))
         res = run(s0, p, c)
-        assert res.termination.cause == STOP_END
+        assert res.stop == STOP_END
         return res.snapshots[-1][1].u
 
     coarse = final_u(0.3)
@@ -681,7 +680,6 @@ def test_snapshots_take_their_members_own_grid():
     for res, c in zip(results, configs):
         assert [t for t, _ in res.snapshots] == [0.0, 0.05, 0.1]
         for _, st in res.snapshots:
-            assert st.grid == PeriodicGrid(c.n)
             assert st.u.size == c.n
 
 
@@ -737,7 +735,7 @@ def test_runs_are_deterministic():
     a = run(s0, ModelParams(A=1.0, gamma=0.1), c)
     b = run(s0, ModelParams(A=1.0, gamma=0.1), c)
     assert np.array_equal(a.series, b.series)
-    assert a.termination == b.termination
+    assert a.stop == b.stop
 
 
 def test_step_below_time_resolution_stops_the_run():
@@ -745,8 +743,8 @@ def test_step_below_time_resolution_stops_the_run():
     # resolution 1e-12: the run records step 0 and ends there
     s = constant_state(64, 1.0e12, 1.0)
     res = run(s, ModelParams(), SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == STOP_TIME_RESOLUTION
-    assert res.termination.t == 0.0
+    assert res.stop == STOP_TIME_RESOLUTION
+    assert res.slope_trace.times[-1] == 0.0
     assert len(res.series) == 1
     assert len(res.slope_trace.times) == 1
     assert 0.0 < res.series[0, SERIES_COLUMNS.index("dt")] < 1.0e-12
@@ -785,11 +783,15 @@ def test_every_stop_records_its_state_once(monkeypatch, stop, cause):
         (s0, p), t_end = breaking_wave(128), 5.0
         if stop == STOP_E0:
             monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
-    res = run(s0, p, SimConfig(n=s0.grid.n, t_end=t_end))
-    assert res.termination.cause == stop
+    res = run(s0, p, SimConfig(n=s0.u.size, t_end=t_end))
+    assert res.stop == stop
     assert outcome(s0, p, res)[0] == cause
-    last = res.series[-1]
-    assert last[0] == res.termination.t == res.slope_trace.times[-1]
+    # the stop time is the trace's last, and the last row records the
+    # trace's last slope minimum and alpha
+    last, trace = res.series[-1], res.slope_trace
+    assert last[0] == trace.times[-1]
+    assert last[SERIES_COLUMNS.index("minUx")] == trace.m[-1]
+    assert last[SERIES_COLUMNS.index("alpha")] == trace.alpha[-1]
     assert np.unique(res.series[:, 0]).size == len(res.series)
     assert (last[SERIES_COLUMNS.index("dt")] == 0.0) == (stop == STOP_END)
 
@@ -809,12 +811,12 @@ def test_e0_guard_stops_a_breaking_run_before_its_bound(no_witness):
 
     s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
-    assert res.termination.cause == STOP_E0
-    assert res.termination.t < evaluate_criteria(s0.u, s0.rho, p).riccati_t
+    assert res.stop == STOP_E0
+    assert res.slope_trace.times[-1] < evaluate_criteria(s0.u, s0.rho, p).riccati_t
     assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
     # the stop is recorded, with a drift just past the tolerance
     last = res.series[-1]
-    assert last[0] == res.termination.t
+    assert last[0] == res.slope_trace.times[-1]
     drift = abs(last[1] - res.series[0, 1]) / res.series[0, 1]
     assert E0_DRIFT_TOL < drift <= 1.0e-2
 
@@ -826,9 +828,9 @@ def test_e0_guard_reports_lost_resolution_without_a_dive(no_witness):
     # stopped following the solution, but it has not met a blow-up
     s0, p = smooth_state(n=64), ModelParams()
     res = run(s0, p, SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == STOP_E0
+    assert res.stop == STOP_E0
     assert outcome(s0, p, res)[0] == RESOLUTION_LOST
-    assert res.termination.t == pytest.approx(0.926, abs=0.002)
+    assert res.slope_trace.times[-1] == pytest.approx(0.926, abs=0.002)
     m = res.slope_trace.m
     assert m[-1] == pytest.approx(m[0], rel=0.05)
     drift = abs(res.series[-1, 1] - res.series[0, 1]) / res.series[0, 1]
@@ -843,10 +845,10 @@ def test_witness_stops_a_breaking_run_before_the_e0_guard(monkeypatch):
 
     s0, p = breaking_wave(128)
     res = run(s0, p, SimConfig(n=128, t_end=5.0))
-    assert res.termination.cause == STOP_WITNESS
+    assert res.stop == STOP_WITNESS
     assert res.slope_trace.m[-1] <= -3.0 * abs(res.slope_trace.m[0])
     last = res.series[-1]
-    assert last[0] == res.termination.t
+    assert last[0] == res.slope_trace.times[-1]
     drift = abs(last[1] - res.series[0, 1]) / res.series[0, 1]
     assert drift <= E0_DRIFT_TOL
     monkeypatch.setattr(stepping, "WITNESS_TOL", math.inf)
@@ -864,9 +866,9 @@ def test_witness_reports_lost_resolution_without_a_dive():
     # the n = 256 run, and twice that by t = 0.8
     s0, p = smooth_state(n=64), ModelParams()
     res = run(s0, p, SimConfig(n=64, t_end=1.0))
-    assert res.termination.cause == STOP_WITNESS
+    assert res.stop == STOP_WITNESS
     assert outcome(s0, p, res)[0] == RESOLUTION_LOST
-    assert res.termination.t == pytest.approx(0.679, abs=0.002)
+    assert res.slope_trace.times[-1] == pytest.approx(0.679, abs=0.002)
     m = res.slope_trace.m
     assert -3.0 * abs(m[0]) < m[-1] < m[0]
     drift = abs(res.series[-1, 1] - res.series[0, 1]) / res.series[0, 1]
@@ -886,9 +888,9 @@ def test_witness_fires_on_a_tail_past_its_tolerance(row, share, cause):
     # rho = 0 stays 0 beside the wave in u, while a constant rho would
     # take u_x rho, whose mode k is k times larger, into its own row
     u, rho = (0.5 + wave, np.zeros(n)) if row == "u" else (np.full(n, 0.5), 1.0 + wave)
-    s0, p = State(g, u, rho), ModelParams()
+    s0, p = State(u, rho), ModelParams()
     res = run(s0, p, SimConfig(n=n, t_end=1.0e-4))
-    assert res.termination.cause == (STOP_WITNESS if share > WITNESS_TOL else STOP_END)
+    assert res.stop == (STOP_WITNESS if share > WITNESS_TOL else STOP_END)
     assert outcome(s0, p, res)[0] == cause
     assert len(res.slope_trace.times) == 2
 
@@ -903,8 +905,8 @@ def test_witness_reads_zero_on_rows_without_modes(monkeypatch, tol, u, rho):
 
     monkeypatch.setattr(stepping, "WITNESS_TOL", tol)
     res = run(constant_state(64, u, rho), ModelParams(), SimConfig(n=64, t_end=0.5))
-    assert res.termination.cause == STOP_END
-    assert res.termination.t == pytest.approx(0.5, abs=1e-12)
+    assert res.stop == STOP_END
+    assert res.slope_trace.times[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_checks_grid_against_config():
