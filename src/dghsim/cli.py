@@ -141,7 +141,7 @@ def _seeds(sc: Scenario):
     return default_seeds(sc.characteristic_count) if sc.characteristics else None
 
 
-def run_scenario(sc: Scenario, out_dir: Path, quiet: bool = False) -> tuple[int, dict]:
+def run_scenario(sc: Scenario, out_dir: Path, quiet: bool) -> tuple[int, dict]:
     """Execute one scenario and write its artifacts under out_dir.
 
     Returns the exit code and the report document written to report.json.
@@ -247,8 +247,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
         )
         # a run writes the snapshots due by t_end in order, so the ones it
         # stopped short of are the last
-        due = sorted({t for t in sc.sim.snapshot_times if t <= sc.sim.t_end})
-        unwritten = due[len(result.snapshots) :]
+        unwritten = sc.sim.due_snapshots[len(result.snapshots) :]
         if unwritten:
             print(
                 f"{sc.name}: no snapshot at t={', '.join(f'{t:g}' for t in unwritten)}: "

@@ -17,11 +17,14 @@ band keeps (Orszag's 3/2 rule), so the quadratic right-hand side of the
 dynamics pads to 3n/2; a cubic needs 2n, so hamiltonian_f pads there.
 Padding and projection are statements about coefficients (zero-fill
 above n/2, split or fold the Nyquist mode), so the model applies them to
-coefficients directly, to several fields per batched transform;
-deriv_values, pad_values and interp_values likewise accept a leading
-batch axis.  The operations here take and return plain sample arrays,
-except interp_blocks and interp_point, which read rfft coefficients; the
-grid object only carries the size and the cached symbol tables.
+coefficients directly, to several fields per batched transform.
+pad_values, project_values and interp_values, their sample-array forms,
+are references for the tests and the benchmark: no other module calls
+them, and they are not exported.  deriv_values, pad_values and
+interp_values accept a leading batch axis.  The operations here take and
+return plain sample arrays, except interp_blocks and interp_point, which
+read rfft coefficients; the grid object only carries the size and the
+cached symbol tables.
 
 Evaluation at off-grid points fills the phase table z^k, z = e^{2 pi i x},
 by repeated doubling of a running product rather than one complex
@@ -67,10 +70,7 @@ __all__ = [
     "helmholtz_convolve",
     "dgreen_convolve",
     "random_trig_field",
-    "pad_values",
-    "project_values",
     "deriv_values",
-    "interp_values",
     "InterpWork",
     "coefficient_parts",
     "interp_blocks",
@@ -415,16 +415,13 @@ def random_trig_field(
     rng: np.random.Generator,
     max_mode: int = 8,
     rms: float = 1.0,
-    zero_mean: bool = False,
 ) -> np.ndarray:
-    """Samples of a random band-limited field with mildly decaying mode
-    amplitudes."""
+    """Samples of a random band-limited field: a drawn mean and modes
+    1 .. max_mode with mildly decaying amplitudes, scaled to the given rms."""
     if max_mode < 1 or max_mode >= grid.n // 2:
         raise ValueError(f"max_mode must be in 1 .. {grid.n // 2 - 1}")
     x = grid.nodes
-    v = np.zeros(grid.n)
-    if not zero_mean:
-        v += rng.normal()
+    v = np.full(grid.n, rng.normal())
     for k in range(1, max_mode + 1):
         decay = 1.0 / (1.0 + k)
         v += decay * rng.normal() * np.cos(2.0 * np.pi * k * x)

@@ -41,20 +41,25 @@ overwrites what the previous call left there.
 
 A State is the one container of (u, rho) as float sample arrays; its
 grid is PeriodicGrid(u.size).
-energy_e0 takes the stack of u, the slope u_x, which the caller computes
-once and shares, and rho, and squares it with one call, into work arrays
-a caller may build once; hamiltonian_e is read off E0 and rho, so a
-caller that has taken E0 does not take it again.  The one cubic
-invariant, hamiltonian_f, takes the coefficients of (u, u_x, rho), which
-the integrator holds, and pads them to a 2n grid, in a pad buffer the
-caller builds once, with one inverse transform and no forward one; it
-takes A and gamma as floats, or as columns with one entry per row, which
-a caller builds once for its rows, as it builds its RhsBuffer.  Like
-rhs_coeffs, the invariants take a leading member axis and reduce over
-the last axis only: given one row they return a float, given a stack of
-rows an array with each row's float, bit for bit, so the integrator
-evaluates a group of runs with one expression, one reduction and, for
-the cubic one, one transform.
+energy_e0 takes a stack of any number of field rows, in a run those of
+u, the slope u_x, which the caller computes once and shares, and rho,
+and squares it with one call, into work arrays a caller may build once;
+hamiltonian_e is read off E0 and rho, so a caller that has taken E0
+does not take it again.  The one cubic invariant, hamiltonian_f, takes
+the coefficients of (u, u_x, rho), which the integrator holds, and pads
+them to a 2n grid, in a pad buffer the caller builds once, with one
+inverse transform and no forward one; it takes A and gamma as floats,
+or as columns with one entry per row, which a caller builds once for
+its rows, as it builds its RhsBuffer.  Like rhs_coeffs, the invariants
+take a leading member axis and reduce over the last axis only: given
+one row they return a float, given a stack of rows an array with each
+row's float, bit for bit, so the integrator evaluates a group of runs
+with one expression, one reduction and, for the cubic one, one
+transform.
+
+rhs_values, the one-row sample-array form of rhs_coeffs, is a reference
+for the tests and the benchmark; no module calls it, and it is not
+exported.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ __all__ = [
     "State",
     "RhsBuffer",
     "rhs_coeffs",
-    "rhs_values",
     "energy_e0",
     "mean_u",
     "hamiltonian_e",
@@ -258,14 +262,16 @@ def energy_e0(
     fields: np.ndarray,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | float:
-    """integral(u^2 + u_x^2 + rho^2), conserved along smooth evolutions,
-    of the stacked samples fields = (u, u_x, rho), shape (..., 3, n): a
-    float for one stack, an array with each stack's float otherwise.
+    """The integral of the sum of the squares of any number of field rows,
+    stacked in fields, shape (..., rows, n): a float for one stack, an
+    array with each stack's float otherwise.  Of the rows (u, u_x, rho) it
+    is E0 = integral(u^2 + u_x^2 + rho^2), conserved along smooth
+    evolutions.
 
-    One square of the stack, one reduction over its three rows, which adds
-    them as u^2 + u_x^2 + rho^2 adds them, and one over the samples,
+    One square of the stack, one reduction over its rows, which adds them
+    in order, as u^2 + u_x^2 + rho^2 adds them, and one over the samples,
     summed and divided as _mean is, so each stack gets the float it gets
-    alone.  work, if given, is a tuple of arrays of shapes (..., 3, n),
+    alone.  work, if given, is a tuple of arrays of shapes (..., rows, n),
     (..., n) and (...) that a caller builds once: each step writes into
     it, and its last array is returned, so the call allocates nothing.
     """

@@ -216,7 +216,7 @@ def transport_residual(
     params: dict,
     n: int,
     count: int,
-    record_every: int = 10,
+    record_every: int,
 ) -> float:
     """sup |rho(t, q) q_x - rho0| over a coupled run to t = 1 of `count`
     equispaced characteristics from one initial-data family (A = 1,

@@ -262,9 +262,8 @@ def solve_blowup_amplitude(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u1, rho = _initial_arrays("blowup31", {"a": 1.0, "b": b}, PeriodicGrid(n))
-        zero = np.zeros_like(rho)
-        rows = np.array(((u1, deriv_values(u1, 1), zero), (zero, zero, rho)))
-        e_u, e_rho = energy_e0(rows).tolist()
+        e_u = energy_e0(np.stack((u1, deriv_values(u1, 1))))
+        e_rho = energy_e0(rho[None])
 
         def overshoot(a: float) -> float:
             e0 = a * a * e_u + e_rho

@@ -213,6 +213,11 @@ class SimConfig:
                 )
         object.__setattr__(self, "snapshot_times", times)
 
+    @property
+    def due_snapshots(self) -> list[float]:
+        """The snapshot times a run reaches by t_end, ascending, each once."""
+        return sorted({t for t in self.snapshot_times if t <= self.t_end})
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -220,7 +225,7 @@ class SimResult:
     snapshots: list[tuple[float, State]]
     stop: str  # the stop that ended the run, one of criteria's STOP_* names
     series: np.ndarray  # one row per record, columns SERIES_COLUMNS
-    ensemble: CharacteristicEnsemble | None = None
+    ensemble: CharacteristicEnsemble | None
 
 
 def adaptive_dt(
@@ -282,8 +287,9 @@ class _Group:
     whose rows (u, u_x) stage 1 reads.  views holds each member's views
     of its samples, its coefficients of rho and its (q, lq, rho(q)).
     Every step overwrites these arrays, so a member copies what it keeps
-    of them.  The group holds no reference to itself, so one that
-    members leave is freed as soon as nothing reads it.
+    of them.  The group holds no reference to itself, and the lockstep
+    driver and its suspended members hold none to a group they have left,
+    so one that members leave is freed at their regroup.
     """
 
     def __init__(
@@ -464,7 +470,7 @@ def _advance(group: _Group, dt: np.ndarray) -> np.ndarray:
     return finite
 
 
-def step_rk4(s: State, p: ModelParams, dt: float, steps: int = 1) -> State:
+def step_rk4(s: State, p: ModelParams, dt: float, steps: int) -> State:
     """`steps` classical RK4 steps of size dt of the field equations, taken
     on the coefficients of a group of one, whose rows of u and rho are
     transformed to samples once, at the end."""
@@ -491,9 +497,10 @@ def _member(p: ModelParams, c: SimConfig):
     log-Jacobians lq and rho(q), each of shape (K,), or None without, a
     callable that returns the record invariants (meanU, hamE, hamF) of
     that state, its E0, whether the spectral-tail witness fired on it, and
-    whether the step to it was finite.  The views are of its group's arrays, which the
-    next step overwrites, so whatever it keeps of them, a snapshot's
-    fields or a record's characteristics, it copies.  It yields each
+    whether the step to it was finite.  The views are of its group's
+    arrays, which the next step overwrites, so whatever it keeps of them,
+    a snapshot's fields or a record's characteristics, it copies, and it
+    drops them, with the callable, before it yields.  It yields each
     step's dt and is sent the state that step reached; when the step was
     not finite it is sent the state the step started from instead, which
     its row kept, records from it and returns, as a member that ends does.
@@ -508,9 +515,7 @@ def _member(p: ModelParams, c: SimConfig):
     (u, ux, rho), rho_c, chars, invariants, e0, _, _ = yield
 
     tiny = 1.0e-12 * max(1.0, c.t_end)
-    snaps_due = deque(
-        sorted({t for t in c.snapshot_times if t <= c.t_end})
-    )
+    snaps_due = deque(c.due_snapshots)
 
     t = 0.0
     step = 0
@@ -573,6 +578,9 @@ def _member(p: ModelParams, c: SimConfig):
             stop = STOP_TIME_RESOLUTION
             break
 
+        # hold nothing of the group while suspended, so that a group this
+        # member leaves with others is freed at their regroup
+        del u, ux, rho, rho_c, chars, invariants
         (u, ux, rho), rho_c, chars, invariants, e0, lost, finite = yield dt
         if not finite:
             stop = STOP_NONFINITE
@@ -659,8 +667,9 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
     the state its row kept.  The driver then takes _regroup of the rows
     that stay, so no array of a step is sized or parameterised for
     members that have left, and drops a group once all its members have.
-    A group that members leave is freed once they are sent the next
-    step's views, since it holds no reference to itself.
+    The driver holds a group only in its queue and while stepping it, and
+    a member drops what it was sent before it yields, so a group that
+    members leave is freed when _regroup returns its replacement.
     """
     results: list = [None] * len(members)
     keys: dict = {}
@@ -669,7 +678,7 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             raise ValueError(f"state lives on n={s0.u.size}, config says n={c.n}")
         key = (c.n, None if seeds is None else len(seeds))
         keys.setdefault(key, []).append(i)
-    groups = []
+    groups = deque()
     for (n, count), indices in keys.items():
         group = _Group(PeriodicGrid(n), tuple(members[i][1] for i in indices), count)
         # step 0 from the given samples: u_x is their spectral derivative,
@@ -687,23 +696,23 @@ def _lockstep(members: list[tuple]) -> list[SimResult]:
             next(member)  # to the yield that takes the step-0 views
         groups.append((group, live))
     while groups:
-        stepped = []
-        for group, live in groups:
-            staying, dts = [], []
-            for j, ((i, member), sent) in enumerate(zip(live, group.observe())):
-                try:
-                    dts.append(member.send(sent))
-                except StopIteration as end:
-                    results[i] = end.value
-                    continue
-                staying.append(j)
-            if not staying:
+        # a group that steps on rejoins the queue at its back, so groups take turns
+        group, live = groups.popleft()
+        staying, dts = [], []
+        for j, ((i, member), sent) in enumerate(zip(live, group.observe())):
+            try:
+                dts.append(member.send(sent))
+            except StopIteration as end:
+                results[i] = end.value
                 continue
-            if len(staying) < len(live):
-                live = [live[j] for j in staying]
-                group = _regroup([(group, j) for j in staying])
-            _advance(group, np.array(dts)[:, None])
-            group.transform()
-            stepped.append((group, live))
-        groups = stepped
+            staying.append(j)
+        del sent  # its invariants hold the group
+        if not staying:
+            continue
+        if len(staying) < len(live):
+            live = [live[j] for j in staying]
+            group = _regroup([(group, j) for j in staying])
+        _advance(group, np.array(dts)[:, None])
+        group.transform()
+        groups.append((group, live))
     return results

@@ -1,11 +1,14 @@
 """Which module knows what.  The sample-space kernels stay out of the
-package's call graph: the run works on coefficients, and only the tests
-and the benchmark call the one-row sample-array forms.  A run's outcome is
-named in criteria alone: stepping reports the stop that ended a run, and
-neither it nor cli decides what that stop means.  And the numpy that
-pyproject.toml requires has every numpy feature the package calls."""
+package's call graph and out of its exports: the run works on
+coefficients, and only the tests and the benchmark call the one-row
+sample-array forms.  Every name a module exports is bound in it.  A
+run's outcome is named in criteria alone: stepping reports the stop that
+ended a run, and neither it nor cli decides what that stop means.  And
+the numpy that pyproject.toml requires has every numpy feature the
+package calls."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -28,6 +31,24 @@ def test_no_module_reaches_another_modules_sample_space_kernels(path):
         elif isinstance(node, ast.Attribute) and node.attr in SAMPLE_SPACE:
             reached.add(node.attr)
     assert not reached, f"{path.name} reaches {sorted(reached)}"
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_exports_a_sample_space_kernel(name):
+    # they are references for the tests and the benchmark, reached as
+    # module attributes, not API
+    module = importlib.import_module(f"dghsim.{name}")
+    assert not set(getattr(module, "__all__", ())) & SAMPLE_SPACE
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_bound_in_its_module(name):
+    module = importlib.import_module(f"dghsim.{name}")
+    unbound = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not unbound, f"{name}.__all__ lists unbound {unbound}"
 
 
 # the causes a report writes, and the names criteria gives them

@@ -174,6 +174,25 @@ def test_amplitude_solver_samples_the_data_once(monkeypatch):
     assert (len(arrays), len(derivs)) == (1, 1)
 
 
+@pytest.mark.parametrize("b, margin, n", [
+    (1.0, 1.05, 8), (1.0, 1.05, 1024), (0.3, 1.2, 64), (2.5, 1.01, 4096),
+])
+def test_amplitude_solver_energies_match_the_stacked_rows(monkeypatch, b, margin, n):
+    # every trial's E0 is bit for bit a^2 e_u + e_rho with e_u and e_rho
+    # the energies of the rows (u1, u1_x, 0) and (0, 0, rho) of one stack,
+    # so the solver returns the bits it returned from that stack
+    trials = _count_calls(monkeypatch, "_check_energy")
+    solve_blowup_amplitude(b=b, margin=margin, model=ModelParams(), n=n)
+    s = build_initial_data("blowup31", {"a": 1.0, "b": b}, PeriodicGrid(n))
+    zero = np.zeros(n)
+    rows = np.array(((s.u, deriv_values(s.u, 1), zero), (zero, zero, s.rho)))
+    e_u, e_rho = energy_e0(rows).tolist()
+    assert len(trials) > 10
+    for _, params, e0 in trials:
+        a = params["a"]
+        assert e0 == a * a * e_u + e_rho
+
+
 def test_amplitude_solver_respects_margin():
     p = ModelParams(A=1.0, gamma=0.0)
     a_tight = solve_blowup_amplitude(b=1.0, margin=1.01, model=p, n=256)

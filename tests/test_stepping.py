@@ -120,9 +120,9 @@ def test_step_rejects_nonpositive_dt():
     s = smooth_state()
     p = ModelParams()
     with pytest.raises(ValueError):
-        step_rk4(s, p, 0.0)
+        step_rk4(s, p, 0.0, steps=1)
     with pytest.raises(ValueError):
-        step_rk4(s, p, -0.1)
+        step_rk4(s, p, -0.1, steps=1)
 
 
 def test_step_flags_overflow():
@@ -130,7 +130,7 @@ def test_step_flags_overflow():
     # double range, and the failure must surface as a typed error
     s = smooth_state()
     with pytest.raises(NonFiniteStateError):
-        step_rk4(s, ModelParams(), 1.0e30)
+        step_rk4(s, ModelParams(), 1.0e30, steps=1)
 
 
 @pytest.mark.parametrize("track", [False, True])
@@ -467,9 +467,8 @@ def test_members_that_leave_a_group_step_on_as_in_it(track):
 
 def test_a_group_members_left_is_freed_without_the_collector(monkeypatch):
     # a group holds no reference to itself, so reference counting frees
-    # one that members left as soon as they are sent the next step's
-    # views: when a step starts, no group but its own and the one before
-    # is alive, and none is once the run returns
+    # one that members left at their regroup: when a step starts, no
+    # group but its own is alive, and none is once the run returns
     import gc
     import weakref
 
@@ -484,7 +483,7 @@ def test_a_group_members_left_is_freed_without_the_collector(monkeypatch):
         return out
 
     def advance(*args):
-        assert all(ref() is None for ref in built[:-2])
+        assert all(ref() is None for ref in built[:-1])
         return real_advance(*args)
 
     monkeypatch.setattr(stepping, "_Group", group)
@@ -497,6 +496,46 @@ def test_a_group_members_left_is_freed_without_the_collector(monkeypatch):
         assert all(ref() is None for ref in built)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_a_departed_group_is_freed_at_its_regroup(monkeypatch, track):
+    # neither the driver nor a member suspended at its yield holds a group
+    # that members left, or a view of its arrays, so reference counting
+    # frees them before its replacement takes its first step
+    import gc
+    import weakref
+
+    import dghsim.stepping as stepping
+
+    left = []
+    real_regroup, real_advance = stepping._regroup, stepping._advance
+
+    def regroup(rows):
+        # the group and the arrays its members are sent views of
+        left.extend(
+            weakref.ref(x) for g, _ in rows for x in (g, g.samples, g.rows, g.state)
+        )
+        return real_regroup(rows)
+
+    def advance(*args):
+        assert all(ref() is None for ref in left)
+        return real_advance(*args)
+
+    monkeypatch.setattr(stepping, "_regroup", regroup)
+    monkeypatch.setattr(stepping, "_advance", advance)
+    seeds = [np.linspace(0.0, 1.0, 4, endpoint=False)] * 3 if track else None
+    gc.disable()
+    try:
+        run(
+            [smooth_state(n=32, amp=a) for a in (0.1, 0.25, 0.4)],
+            [ModelParams(A=1.0, gamma=0.3)] * 3,
+            [SimConfig(n=32, t_end=t) for t in (0.05, 0.1, 0.2)],
+            seeds=seeds,
+        )
+    finally:
+        gc.enable()
+    assert len(left) == 4 * 3  # a regroup of the two rows that stay, then of one
 
 
 def test_lockstep_step_builds_four_phase_matrices_and_one_transform_for_the_group(
