@@ -201,17 +201,14 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
     except ValueError as exc:
         doc["lyapunov"] = {"unavailable": str(exc)}
 
-    if result.ensemble is not None:
-        ens = result.ensemble
-        doc["characteristics"] = {
-            "transport_residual": verify_density_transport(ens),
-            "monotone": is_monotone(ens),
-            "sign_preserved": sign_preserved(ens),
-            "min_jacobian": float(np.exp(ens.log_qx.min())),
-            "max_jacobian": float(ens.qx.max()),
-        }
-    else:
-        doc["characteristics"] = None
+    ens = result.ensemble
+    doc["characteristics"] = None if ens is None else {
+        "transport_residual": verify_density_transport(ens),
+        "monotone": is_monotone(ens),
+        "sign_preserved": sign_preserved(ens),
+        "min_jacobian": float(np.exp(ens.log_qx.min())),
+        "max_jacobian": float(ens.qx.max()),
+    }
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "series.csv", SERIES_COLUMNS, result.series)
@@ -226,8 +223,7 @@ def _finish(sc, s0, report, doc, result, out_dir: Path, quiet: bool) -> tuple[in
             name = _snapshot_name(t, used)
             rows = np.column_stack([st.u, st.rho])
             _write_csv(snap_dir / f"{name}.csv", ("x", "u", "rho"), rows, nodes)
-    if result.ensemble is not None:
-        ens = result.ensemble
+    if ens is not None:
         # long format: one row per (record time, seed), times outermost;
         # each time and each seed is formatted once
         seeds = [f",{s!r}," for s in ens.q[0].tolist()]
@@ -273,18 +269,14 @@ def _read_config(path: str) -> dict[str, str]:
     return parse_config_entries(text)
 
 
-def _load_scenario(path: str) -> Scenario:
-    return scenario_from_entries(_read_config(path))
-
-
 def _cmd_run(args) -> int:
-    sc = _load_scenario(args.config)
+    sc = scenario_from_entries(_read_config(args.config))
     code, _ = run_scenario(sc, Path(args.out_dir), quiet=args.quiet)
     return code
 
 
 def _cmd_criteria(args) -> int:
-    sc, _, report, doc = _assess(_load_scenario(args.config))
+    sc, _, report, doc = _assess(scenario_from_entries(_read_config(args.config)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", doc)
@@ -440,23 +432,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each flag goes only to the subcommands that read it
-    quiet = argparse.ArgumentParser(add_help=False)
-    quiet.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    writes = argparse.ArgumentParser(add_help=False, parents=[quiet])
-    writes.add_argument("--out-dir", default="out", help="artifact directory")
+    p_run = sub.add_parser("run", help="integrate a scenario")
+    p_cr = sub.add_parser("criteria", help="evaluate thresholds only")
+    p_sw = sub.add_parser("sweep", help="run a scenario across a parameter range")
+    p_st = sub.add_parser("selftest", help="run the built-in oracle suites")
+    # each flag goes only to the subcommands that read it, ahead of their own
+    for p in (p_run, p_cr, p_sw, p_st):
+        p.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    for p in (p_run, p_cr, p_sw):
+        p.add_argument("--out-dir", default="out", help="artifact directory")
 
-    p_run = sub.add_parser("run", parents=[writes], help="integrate a scenario")
     p_run.add_argument("config", help="flat key=value config file")
     p_run.set_defaults(handler=_cmd_run)
 
-    p_cr = sub.add_parser("criteria", parents=[writes], help="evaluate thresholds only")
     p_cr.add_argument("config")
     p_cr.set_defaults(handler=_cmd_criteria)
 
-    p_sw = sub.add_parser(
-        "sweep", parents=[writes], help="run a scenario across a parameter range"
-    )
     p_sw.add_argument("config")
     p_sw.add_argument(
         "--param", required=True, metavar="key=lo:hi:count",
@@ -464,9 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sw.set_defaults(handler=_cmd_sweep)
 
-    p_st = sub.add_parser(
-        "selftest", parents=[quiet], help="run the built-in oracle suites"
-    )
     p_st.add_argument("--seed", type=int, default=0, help="seed for random checks")
     p_st.set_defaults(handler=_cmd_selftest)
     return parser

@@ -42,7 +42,6 @@ __all__ = [
     "Verdict",
     "CriterionReport",
     "InsufficientWindowError",
-    "DensitySignChangeError",
     "refined_min",
     "refined_max",
     "k_sharp",
@@ -74,10 +73,6 @@ _MIN_FIT_SAMPLES = 10
 
 class InsufficientWindowError(ValueError):
     """Too few trace samples qualify for the blow-up rate fit."""
-
-
-class DensitySignChangeError(ValueError):
-    """rho(t, xi(t)) changed sign or vanished: resolution failure."""
 
 
 def refined_min(values: np.ndarray) -> tuple[float, float]:
@@ -228,17 +223,15 @@ def estimate_blowup_rate(trace: SlopeTrace) -> RateEstimate:
         raise InsufficientWindowError(
             f"slope never fell past the fit cutoff {cutoff:.3g}"
         )
-    peak = m[start]
-    end = m.size
-    for i in range(start, m.size):
-        peak = min(peak, m[i])
-        if m[i] >= 0.5 * peak:
-            end = i
-            break
+    # the dive's running minimum; fmin passes over a NaN sample, which
+    # ends no dive
+    peak = np.fmin.accumulate(m[start:])
+    back = np.flatnonzero(m[start:] >= 0.5 * peak)
+    end = start + int(back[0]) if back.size else m.size
     dive = m[start:end]
     mask = dive <= cutoff
     if end < m.size:
-        mask &= dive >= 0.5 * peak
+        mask &= dive >= 0.5 * peak[end - start]
     count = int(np.count_nonzero(mask))
     if count < _MIN_FIT_SAMPLES:
         raise InsufficientWindowError(
@@ -300,7 +293,7 @@ def lyapunov_trace(
 
     alpha = trace.alpha
     if np.any(alpha * alpha[0] <= 0.0):
-        raise DensitySignChangeError(
+        raise ValueError(
             "tracked density changed sign or vanished along the slope minimum"
         )
     w = alpha[0] * alpha + (alpha[0] / alpha) * (1.0 + trace.m**2)

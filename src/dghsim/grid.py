@@ -226,10 +226,12 @@ class InterpWork:
     One phase table of shape (half + 1, blocks count), its row 0 of ones
     set here and never written again; the (source, factor, destination)
     row views of its doublings; the positions less their nearest
-    integers; and, per row count, the weighted coefficients, their
-    products with the table and those products' cos and sin columns.  The
-    table's float view, reshaped so that block i reads its own columns, is
-    made here too, so a call makes no view of these and allocates nothing.
+    integers; the weights interp_blocks multiplies the coefficients' parts
+    by, shape (2, 1, half + 1), built here and only read; and, per row
+    count, the weighted coefficients, their products with the table and
+    those products' cos and sin columns.  The table's float view, reshaped
+    so that block i reads its own columns, is made here too, so a call
+    makes no view of these and allocates nothing.
     A call overwrites whole every array it reads from here besides row 0,
     so a result never depends on what an earlier call left, and one work
     serves every call of its shapes.
@@ -251,7 +253,11 @@ class InterpWork:
                 self.table[1 : step + 1], self.table[j], self.table[j + 1 : j + 1 + step]
             ))
             j += step
-        self.weights = _part_weights(half)
+        # the factors (2 w_k, -2 w_k) of Re c_k and Im c_k, with w_k = 1/2
+        # at k = 0 and k = half and 1 between
+        self.weights = np.full((2, 1, half + 1), 2.0)
+        self.weights[:, :, 0] = self.weights[:, :, half] = 1.0
+        self.weights[1] *= -1.0
         # block i's columns of the float view, stacked on a leading axis
         self.columns = (
             self.table.view(float).reshape(half + 1, blocks, 2 * count).transpose(1, 0, 2)
@@ -290,18 +296,6 @@ def _phase_matrix(x: np.ndarray, work: InterpWork) -> None:
     np.exp(first, out=first)
     for source, factor, destination in work.doublings:
         np.multiply(source, factor, out=destination)
-
-
-@lru_cache(maxsize=8)
-def _part_weights(half: int) -> np.ndarray:
-    """The factors (2 w_k, -2 w_k) of Re c_k and Im c_k, k = 0 .. half,
-    shape (2, 1, half + 1), with w_k = 1/2 at k = 0 and k = half and 1
-    between; read-only."""
-    w = np.full((2, 1, half + 1), 2.0)
-    w[:, :, 0] = w[:, :, half] = 1.0
-    w[1] *= -1.0
-    w.flags.writeable = False
-    return w
 
 
 def interp_values(v: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -249,15 +249,6 @@ def rhs_values(
     return du, drho
 
 
-def _mean(v: np.ndarray) -> np.ndarray | float:
-    """The mean over the last axis of v, summed and divided as np.mean
-    does, bit for bit, without its Python overhead; a float for 1-D v.
-    numpy sums each contiguous row pairwise, as it sums a 1-D array, so a
-    row of a stack gets the float it gets alone."""
-    m = np.add.reduce(v, axis=-1) / v.shape[-1]
-    return m if v.ndim > 1 else float(m)
-
-
 def energy_e0(
     fields: np.ndarray,
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -270,7 +261,7 @@ def energy_e0(
 
     One square of the stack, one reduction over its rows, which adds them
     in order, as u^2 + u_x^2 + rho^2 adds them, and one over the samples,
-    summed and divided as _mean is, so each stack gets the float it gets
+    summed and divided as mean_u is, so each stack gets the float it gets
     alone.  work, if given, is a tuple of arrays of shapes (..., rows, n),
     (..., n) and (...) that a caller builds once: each step writes into
     it, and its last array is returned, so the call allocates nothing.
@@ -282,17 +273,22 @@ def energy_e0(
     return e0 if e0.ndim else float(e0)
 
 
-def mean_u(u: np.ndarray) -> np.ndarray | float:
-    """integral(u) of each row, conserved exactly; summed and divided as
-    energy_e0 is."""
-    return _mean(u)
+def mean_u(v: np.ndarray) -> np.ndarray | float:
+    """The integral of each row of v over the last axis: of u, conserved
+    exactly, and of any other row, rho or the cubic invariant's integrand
+    among them; a float for 1-D v.  Summed and divided as np.mean does, bit
+    for bit, without its Python overhead, and as energy_e0 is: numpy sums
+    each contiguous row pairwise, as it sums a 1-D array, so a row of a
+    stack gets the float it gets alone."""
+    m = np.add.reduce(v, axis=-1) / v.shape[-1]
+    return m if v.ndim > 1 else float(m)
 
 
 def hamiltonian_e(e0: np.ndarray | float, rho: np.ndarray) -> np.ndarray | float:
     """(1/2) integral(u^2 + u_x^2 + (rho - 1)^2) = (E0 - 2 integral(rho) + 1)/2
     from e0 = energy_e0((u, u_x, rho)) and the density samples rho, row by
     row."""
-    return 0.5 * (e0 - 2.0 * _mean(rho) + 1.0)
+    return 0.5 * (e0 - 2.0 * mean_u(rho) + 1.0)
 
 
 def hamiltonian_f(
@@ -326,4 +322,4 @@ def hamiltonian_f(
     uf, uxf, rf = np.fft.irfft(padded, 4 * half, norm="forward")
     ux2 = uxf * uxf
     integrand = uf * (uf * (uf - A) + ux2 + rf * rf - 1.0) - gamma * ux2
-    return 0.5 * _mean(integrand)
+    return 0.5 * mean_u(integrand)

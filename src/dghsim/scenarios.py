@@ -308,10 +308,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # a sweep writes each member to the directory of its name under --out-dir
-        if not self.name or self.name in (".", "..") or {"/", "\\"} & set(self.name):
+        if not self.name or self.name in (".", "..") or {"/", "\\", "\0"} & set(self.name):
             raise ConfigError(
-                f"the name must be nonempty, not '.' or '..', and hold no '/' "
-                f"or '\\', got {self.name!r}",
+                f"the name must be nonempty, not '.' or '..', and hold no '/', "
+                f"'\\' or NUL, got {self.name!r}",
                 "name",
             )
         merged = _merge_family_params(self.family, dict(self.family_params))

@@ -560,16 +560,14 @@ def _member(p: ModelParams, c: SimConfig):
             break
 
         dt = adaptive_dt(u, p, c, t_remaining, min_slope=trace_m[-1])
-        hit_snapshot = False
-        if snaps_due:
-            if snaps_due[0] <= t + tiny:
-                snaps_due.popleft()  # t = 0 (or an already-passed) snapshot
-                take_snapshot()
-                record(dt)
-                continue
-            if t + dt >= snaps_due[0] - tiny:
-                dt = snaps_due[0] - t
-                hit_snapshot = True
+        # a snapshot due now: t = 0, or one within tiny of the one just hit
+        while snaps_due and snaps_due[0] <= t + tiny:
+            snaps_due.popleft()
+            take_snapshot()
+            record(dt)
+        hit_snapshot = bool(snaps_due) and t + dt >= snaps_due[0] - tiny
+        if hit_snapshot:
+            dt = snaps_due[0] - t
 
         if step == 0:
             record(dt)

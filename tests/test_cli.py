@@ -725,10 +725,11 @@ def test_sweep_checks_every_member_before_running_any(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("name", ["../escaped", "{tmp}/abs", "a\\b"])
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/abs", "a\\b", "a\0b"])
 def test_name_that_is_a_path_exits_2_and_writes_nothing(command, name, tmp_path, capsys):
     # a sweep names each member's directory after the scenario, so a name
-    # that is a path would write beside --out-dir, or anywhere at all
+    # that is a path would write beside --out-dir, or anywhere at all, and
+    # one that holds a NUL names no directory
     cfg = write_config(tmp_path, f"scenario.name = {name.format(tmp=tmp_path)}")
     sweep = ["--param", "scenario.ru=0.5:1.5:2"] if command == "sweep" else []
     rc = main([

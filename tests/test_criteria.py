@@ -25,7 +25,6 @@ from dghsim.criteria import (
     STOP_TIME_RESOLUTION,
     STOP_WITNESS,
     CriterionReport,
-    DensitySignChangeError,
     InsufficientWindowError,
     SlopeTrace,
     Verdict,
@@ -250,6 +249,25 @@ def test_rate_estimator_stops_at_recovery():
     assert est.t_blowup == pytest.approx(1.0, abs=1e-6)
 
 
+def test_rate_estimator_ends_the_dive_at_exactly_half_its_minimum():
+    # the first sample after the deepest one is exactly half of it: the
+    # window ends there, so that sample is not fitted, as it would be were
+    # the window to run on to a later recovery
+    dive = hyperbola_trace(t_star=1.0, depth=500.0, points=2000)
+    half = 0.5 * dive.m.min()
+    assert dive.m.argmin() == dive.m.size - 1
+
+    def recovering(tail):
+        return make_trace(
+            np.concatenate([dive.times, dive.times[-1] + 1e-4 * np.arange(1, len(tail) + 1)]),
+            np.concatenate([dive.m, tail]),
+        )
+
+    est = estimate_blowup_rate(recovering([half, half - 1.0, -100.0]))
+    assert est == estimate_blowup_rate(recovering([-100.0]))
+    assert est.samples == np.count_nonzero((dive.m <= dive_cutoff(dive.m[0])) & (dive.m >= half))
+
+
 def test_rate_estimator_needs_a_dive():
     flat = make_trace(np.linspace(0.0, 1.0, 50), np.full(50, -1.0))
     with pytest.raises(InsufficientWindowError):
@@ -374,7 +392,7 @@ def test_lyapunov_flags_tracked_sign_change():
     u0 = np.zeros(64)
     rho0 = np.full(64, 2.0)
     tr = make_trace([0.0, 1.0], [0.0, -1.0], alpha=[2.0, -0.1])
-    with pytest.raises(DensitySignChangeError):
+    with pytest.raises(ValueError, match="changed sign or vanished"):
         lyapunov_trace(tr, rho0, u0, ModelParams())
 
 

@@ -709,6 +709,30 @@ def test_snapshots_land_exactly():
     assert np.array_equal(state0.rho, s0.rho)
 
 
+@pytest.mark.parametrize("snapshot_times, taken", [
+    ((), 0),
+    ((0.0,), 1),
+    ((0.0, 0.25, 0.25 + 1e-15), 3),  # a pair closer than the time resolution
+])
+def test_one_step_size_per_step_whatever_the_snapshots(monkeypatch, snapshot_times, taken):
+    # a snapshot due at the current time is taken before the step is sized,
+    # so it costs no second adaptive_dt
+    import dghsim.stepping as stepping
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return adaptive_dt(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "adaptive_dt", spy)
+    c = SimConfig(n=32, t_end=0.5, snapshot_times=snapshot_times)
+    res = run(smooth_state(n=32), ModelParams(), c)
+    assert res.stop == STOP_END
+    assert len(res.snapshots) == taken
+    assert len(calls) == len(res.slope_trace.times) - 1 == 40
+
+
 def test_snapshots_take_their_members_own_grid():
     # a member takes its grid from its samples: in one call on two grids,
     # each member's snapshots live on its own
