@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from itertools import chain
@@ -49,13 +50,14 @@ from .criteria import (
     lyapunov_trace,
     name_outcome,
 )
-from .grid import PeriodicGrid
-from .model import NonFiniteFieldError
+from .grid import PeriodicGrid, deriv_values
+from .model import hamiltonian_f
 from .scenarios import (
     MAX_CHARACTERISTICS,
     MAX_GRID_SIZE,
     ConfigError,
     Scenario,
+    _keyed,
     parse_config_entries,
     resolved_config,
     scenario_from_entries,
@@ -116,11 +118,30 @@ def _assess(sc: Scenario):
 
     Returns the resolved scenario, the state, the criterion report, and the
     report document's first two sections: the config echo and the criteria,
-    field by field.
+    field by field.  build_state has bounded E0; its cubic invariant hamF,
+    the forcing bounds K and the thresholds must be finite too, or a config
+    error names the family's keys, model.A and model.gamma.  So data past
+    double range reports here, before anything runs or is written, and
+    with numpy's overflow warnings silenced.
     """
     sc = sc.resolve()
     s0 = sc.build_state()
-    report = evaluate_criteria(s0.u, s0.rho, sc.model)
+    p = sc.model
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = evaluate_criteria(s0.u, s0.rho, p)
+        rows = np.fft.rfft((s0.u, deriv_values(s0.u, 1), s0.rho), norm="forward")
+        padded = np.zeros((3, s0.u.size + 1), dtype=complex)
+        values = {"hamF": hamiltonian_f(rows, p.A, p.gamma, padded)}
+    values.update((f"K {k}", v) for k, v in report.k_values.items())
+    values.update((f"threshold {k}", v) for k, v in report.thresholds.items())
+    for name, value in values.items():
+        if not math.isfinite(value):
+            shown = ", ".join(f"{k} = {v!r}" for k, v in sc.params.items())
+            raise _keyed(ConfigError(
+                f"{sc.family} initial data ({shown}) under A = {p.A!r}, "
+                f"gamma = {p.gamma!r} has {name} = {value!r}, beyond double range",
+                (*sc.params, "A", "gamma"),
+            ))
     criteria = _fields_of(report)
     criteria["verdicts"] = {name: _fields_of(v) for name, v in report.verdicts.items()}
     return sc, s0, report, {"config": resolved_config(sc), "criteria": criteria}
@@ -302,6 +323,9 @@ def _parse_sweep_param(spec: str) -> tuple[str, np.ndarray]:
         count = int(parts[2])
     except ValueError:
         raise ConfigError(f"bad sweep range {rng!r}") from None
+    # hi - lo is finite only when both ends are, and then so is every value
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"--param range must be finite, got {rng!r}")
     if not 1 <= count <= MAX_SWEEP_COUNT:
         raise ConfigError(
             f"--param sweep count must lie in 1 .. {MAX_SWEEP_COUNT}, got {count}"
@@ -406,7 +430,12 @@ _SELFTESTS = (
 def _cmd_selftest(args) -> int:
     failures = 0
     for i, (name, measure, passes) in enumerate(_SELFTESTS):
-        measured = measure(np.random.default_rng(args.seed + i))
+        try:
+            measured = measure(np.random.default_rng(args.seed + i))
+        except Exception as exc:  # a failure to report, as a wrong value is
+            failures += 1
+            print(f"FAIL {name}: raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            continue
         if passes(measured):
             if not args.quiet:
                 print(f"ok   {name}")
@@ -464,7 +493,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, NonFiniteFieldError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

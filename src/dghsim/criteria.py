@@ -305,7 +305,9 @@ def lyapunov_trace(
     sup_ux0 = max(abs(refined_min(ux0)[0]), abs(refined_max(ux0)[0]))
     c2 = sup_rho0**2 + 1.0 + sup_ux0**2
 
-    envelope = (c2 / (2.0 * beta)) * np.exp((c1 + 0.5) * trace.times)
+    # an envelope past double range is +inf, which no slope exceeds
+    with np.errstate(over="ignore"):
+        envelope = (c2 / (2.0 * beta)) * np.exp((c1 + 0.5) * trace.times)
     violations = np.nonzero(np.abs(trace.m) > envelope)[0]
     return LyapunovTrace(
         w=w,

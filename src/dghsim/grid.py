@@ -58,7 +58,7 @@ grows with k or |x|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -359,14 +359,6 @@ def interp_blocks(
     return np.add(cos, sin, out=out)
 
 
-@lru_cache(maxsize=8)
-def _mode_numbers(half: int) -> np.ndarray:
-    """0, 1, .., half as floats, read-only."""
-    k = np.arange(half + 1, dtype=float)
-    k.flags.writeable = False
-    return k
-
-
 def interp_point(c: np.ndarray, x: float) -> float:
     """Evaluate the trig polynomial of one row of rfft coefficients c (in
     the normalisation interp_blocks reads) at one point x: one weighted
@@ -382,7 +374,7 @@ def interp_point(c: np.ndarray, x: float) -> float:
     half = c.shape[-1] - 1
     t = 134217729.0 * x  # 2^27 + 1: Veltkamp's split
     head = t - (t - x)
-    k = _mode_numbers(half)
+    k = np.arange(half + 1.0)
     turns = k * head
     turns -= np.rint(turns)
     turns += k * (x - head)

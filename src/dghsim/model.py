@@ -40,10 +40,11 @@ out=, so it makes no view of the buffer and no temporary, and
 overwrites what the previous call left there.
 
 A State is the one container of (u, rho) as float sample arrays; its
-grid is PeriodicGrid(u.size).
+grid is PeriodicGrid(u.size), and a non-finite sample is a ConfigError,
+as a bad config value is.
 energy_e0 takes a stack of any number of field rows, in a run those of
 u, the slope u_x, which the caller computes once and shares, and rho,
-and squares it with one call, into work arrays a caller may build once;
+squares it with one call and returns E0, which the caller keeps:
 hamiltonian_e is read off E0 and rho, so a caller that has taken E0
 does not take it again.  The one cubic invariant, hamiltonian_f, takes
 the coefficients of (u, u_x, rho), which the integrator holds, and pads
@@ -71,7 +72,6 @@ import numpy as np
 from .grid import ConfigError, PeriodicGrid
 
 __all__ = [
-    "NonFiniteFieldError",
     "ModelParams",
     "State",
     "RhsBuffer",
@@ -81,10 +81,6 @@ __all__ = [
     "hamiltonian_e",
     "hamiltonian_f",
 ]
-
-
-class NonFiniteFieldError(ValueError):
-    """A state holds non-finite samples."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class State:
     """Velocity and density samples on the grid PeriodicGrid(u.size): two
-    finite 1-D float arrays of one length."""
+    finite 1-D float arrays of one length.  A non-finite sample raises
+    ConfigError."""
 
     u: np.ndarray
     rho: np.ndarray
@@ -121,7 +118,7 @@ class State:
             )
         PeriodicGrid(u.size)  # validates the sample count
         if not (np.isfinite(u).all() and np.isfinite(rho).all()):
-            raise NonFiniteFieldError("field samples must be finite")
+            raise ConfigError("field samples must be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "rho", rho)
 
@@ -249,10 +246,7 @@ def rhs_values(
     return du, drho
 
 
-def energy_e0(
-    fields: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | float:
+def energy_e0(fields: np.ndarray) -> np.ndarray | float:
     """The integral of the sum of the squares of any number of field rows,
     stacked in fields, shape (..., rows, n): a float for one stack, an
     array with each stack's float otherwise.  Of the rows (u, u_x, rho) it
@@ -262,14 +256,10 @@ def energy_e0(
     One square of the stack, one reduction over its rows, which adds them
     in order, as u^2 + u_x^2 + rho^2 adds them, and one over the samples,
     summed and divided as mean_u is, so each stack gets the float it gets
-    alone.  work, if given, is a tuple of arrays of shapes (..., rows, n),
-    (..., n) and (...) that a caller builds once: each step writes into
-    it, and its last array is returned, so the call allocates nothing.
+    alone.
     """
-    squares, total, out = work or (None, None, None)
-    squares = np.multiply(fields, fields, out=squares)
-    total = np.add.reduce(squares, axis=-2, out=total)
-    e0 = np.divide(np.add.reduce(total, axis=-1, out=out), total.shape[-1], out=out)
+    total = np.add.reduce(fields * fields, axis=-2)
+    e0 = np.add.reduce(total, axis=-1) / total.shape[-1]
     return e0 if e0.ndim else float(e0)
 
 

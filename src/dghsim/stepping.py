@@ -49,16 +49,17 @@ takes and returns coefficients, so a right-hand side makes only its two
 transforms at 3n/2 points, padding into the work arrays of the group's
 model.RhsBuffer, which every stage of every step shares.  The _Group
 holds every array of a group: the RK4 rates and stage, the states, the
-rows, their samples, the arrays E0 and the witness are reduced in, the
-values at q and the 2n pad buffer of the cubic invariant, each with the
-views the driver and the members read.  It is built when the group forms
-and again when members leave it, never per step; a step allocates none of
-these and overwrites each.  Once per step one batched inverse transform
-of the rows (c_u, ik c_u, c_rho) gives the samples u, u_x and rho in a
-single pass; that u_x feeds the slope tracking, the step size and the E0
-check, and a record reads the invariants straight off the arrays and E0,
-except the cubic one, which pads the same rows to 2n with one more
-inverse transform.  No sample is transformed forward again, and only a
+rows, their samples, the arrays the witness is reduced in, the values at
+q and the 2n pad buffer of the cubic invariant, each with the views the
+driver and the members read, and the E0 array of the last observation.
+It is built when the group forms and again when members leave it, never
+per step; a step allocates none of these arrays but E0's, which
+energy_e0 returns, and overwrites each.  Once per step one batched
+inverse transform of the rows (c_u, ik c_u, c_rho) gives the samples u,
+u_x and rho in a single pass; that u_x feeds the slope tracking, the
+step size and the E0 check, and a record reads the invariants straight
+off the arrays and E0, except the cubic one, which pads the same rows to
+2n with one more inverse transform.  No sample is transformed forward again, and only a
 snapshot builds a State.
 
 Off-grid values cost one phase table per RK4 stage and nothing besides,
@@ -271,10 +272,11 @@ class _Group:
     each row's last step, true until a step says otherwise.  To observe,
     it holds the flat RK4 states (c, q, lq), with their coefficient
     views; the rows (c_u, ik c_u, c_rho), with their views of c and ik
-    c_u; the samples of (u, u_x, rho) that transform fills; the three
-    arrays energy_e0 writes E0 into; the two halves of the floats of the
-    states' modes k >= 1 and the sums of their squares per row, which
-    the witness reads; and, for the record invariants, the (members, 1)
+    c_u; the samples of (u, u_x, rho) that transform fills; the array
+    of each row's E0 that observe takes from energy_e0, which
+    hamiltonian_e reads; the two halves of the floats of the states'
+    modes k >= 1 and the sums of their squares per row, which the
+    witness reads; and, for the record invariants, the (members, 1)
     columns of A and gamma, the field-major 2n pad buffer that
     hamiltonian_f reads and the table of each member's entries.  With
     characteristics it also holds the grid.InterpWork whose one phase
@@ -317,7 +319,6 @@ class _Group:
         self.rows = np.empty((members, 3, n // 2 + 1), dtype=complex)
         self.row_pairs, self.row_slopes = self.rows[:, ::2], self.rows[:, 1]
         self.samples = np.empty((members, 3, n))
-        self.energy = (np.empty((members, 3, n)), np.empty((members, n)), np.empty(members))
         # coefficient k of a row is its floats 2k and 2k + 1, so the upper
         # half of the floats of the modes k >= 1 holds the modes k > n/4;
         # for n/2 odd it splits the mode (n + 2)/4, and only its imaginary
@@ -366,7 +367,8 @@ class _Group:
             interp_blocks(self.row_parts, self.q, self.interp, self.at_q)
         self.table.clear()
         np.vecdot(self.halves, self.halves, out=self.half_sums)
-        e0s = energy_e0(self.samples, work=self.energy).tolist()
+        self.e0 = energy_e0(self.samples)
+        e0s = self.e0.tolist()
         # in Python floats, so that WITNESS_TOL = inf on a row without
         # modes (inf * 0 = nan, never exceeded) raises no warning
         bound = WITNESS_TOL**2
@@ -387,7 +389,7 @@ class _Group:
         if not self.table:
             self.table.extend(zip(
                 mean_u(self.samples[:, 0]).tolist(),
-                hamiltonian_e(self.energy[2], self.samples[:, 2]).tolist(),
+                hamiltonian_e(self.e0, self.samples[:, 2]).tolist(),
                 hamiltonian_f(self.rows, self.A, self.gamma, self.padded).tolist(),
             ))
         return self.table[j]
@@ -547,9 +549,10 @@ def _member(p: ModelParams, c: SimConfig):
             # a copy, since chars are views of the group's arrays
             ens_chars.append(np.array(chars))
 
-    def take_snapshot() -> None:
+    def take_snapshot(dt_next: float) -> None:
         # copies, since u and rho are views of the group's samples
         snapshots.append((t, State(u.copy(), rho.copy())))
+        record(dt_next)
 
     observe()
     e0_first = e0
@@ -563,8 +566,7 @@ def _member(p: ModelParams, c: SimConfig):
         # a snapshot due now: t = 0, or one within tiny of the one just hit
         while snaps_due and snaps_due[0] <= t + tiny:
             snaps_due.popleft()
-            take_snapshot()
-            record(dt)
+            take_snapshot(dt)
         hit_snapshot = bool(snaps_due) and t + dt >= snaps_due[0] - tiny
         if hit_snapshot:
             dt = snaps_due[0] - t
@@ -599,8 +601,7 @@ def _member(p: ModelParams, c: SimConfig):
             stop = STOP_E0
             break
         if hit_snapshot:
-            take_snapshot()
-            record(dt)
+            take_snapshot(dt)
         elif step % c.record_every == 0:
             record(dt)
 

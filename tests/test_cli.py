@@ -362,20 +362,23 @@ def test_unresolved_global_run_exits_4(tmp_path, capsys):
     )
 
 
-# the breaking wave's data (blowup31, a = 8.6301, b = 1) with its density
-# raised by 1: u = 1.3735246 sin 2 pi x, whose slope starts at -8.63, over
-# rho = 1.5 + 0.5 cos 2 pi x >= 1, which the paper's global theorem covers
-DENSITY_FLOOR_CONFIG = """\
-scenario.family = custom-fourier
-scenario.name = density_floor
-scenario.u_sin = 1.3735246
-scenario.rho_mean = 1.5
-scenario.rho_cos = 0.5
-model.A = 1.0
-model.gamma = 0.0
-sim.n = 128
-sim.t_end = 1.0
-"""
+def test_envelope_past_double_range_is_satisfied_without_a_warning(tmp_path, capsys):
+    # c1 = 239.5 here, so the envelope leaves double range near t = 3; the
+    # suite turns any numpy warning into an error
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(
+        "scenario.family = global41\nscenario.r0 = 10\nsim.n = 64\nsim.t_end = 4\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    lyapunov = json.loads((out / "report.json").read_text())["lyapunov"]
+    assert lyapunov["c1"] > 200.0 and lyapunov["bound_satisfied"] is True
+    assert capsys.readouterr().err == ""
+
+
+# the breaking wave's data with its density raised by 1, which the paper's
+# global theorem covers; scripts/contract_check.py runs the same file
+DENSITY_FLOOR_CONFIG = (Path(__file__).parent / "data" / "density_floor.cfg").read_text()
 
 
 @pytest.mark.xfail(
@@ -526,6 +529,36 @@ def test_overflowing_custom_fourier_data_exits_2(tmp_path, capsys):
     assert "custom-fourier initial data" in err and "u_cos = (1e+308, 1e+308)" in err
 
 
+# data whose E0 fits double range but whose cubic invariant, forcing bound K
+# or threshold does not: each used to run, or to be assessed, and write NaN
+# or +-Infinity into report.json and series.csv, with numpy warnings
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", "scenario.family = zero-mean\nscenario.a = 1e140\n"),
+        ("run", "scenario.family = custom-fourier\nscenario.u_cos = 1e150\n"),
+        ("run", "scenario.family = global41\nscenario.ru = 1e150\n"),
+        ("run", "scenario.family = constant\nscenario.c = 2\nmodel.A = 1e308\n"),
+        ("run", "scenario.family = constant\nscenario.c = 2\nmodel.gamma = 1e308\n"),
+        ("criteria", "scenario.family = constant\nscenario.c = 2\nmodel.A = 1e308\n"),
+        ("criteria", "scenario.family = constant\nscenario.c = 4.4e153\nsim.n = 8\n"),
+    ],
+)
+def test_initial_state_past_double_range_exits_2_and_writes_nothing(
+    command, text, tmp_path, capsys
+):
+    cfg = tmp_path / "overflow.cfg"
+    n = "" if "sim.n" in text else "sim.n = 32\n"
+    cfg.write_text(f"{text}{n}sim.t_end = 0.01\n")
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    # the family's keys first, then the model's
+    assert err.startswith("config error: keys 'scenario.")
+    assert "'model.A', 'model.gamma': " in err and "beyond double range" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -662,6 +695,10 @@ def test_sweep_param_parsing():
     assert np.allclose(values, [0.5, 1.0, 1.5])
     for bad in ("scenario.ru", "x=1:2", "x=a:b:3", "x=1:2:0"):
         with pytest.raises(ConfigError):
+            _parse_sweep_param(bad)
+    # a non-finite end, or a range whose width overflows
+    for bad in ("scenario.r0=2:inf:2", "scenario.r0=1e308:-1e308:3", "x=nan:1:2"):
+        with pytest.raises(ConfigError, match="--param"):
             _parse_sweep_param(bad)
 
 
@@ -1058,6 +1095,21 @@ def test_selftest_fails_on_a_broken_oracle_input(monkeypatch, capsys):
     assert captured.out.count("ok   ") == 7
 
 
+def test_selftest_reports_an_oracle_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    # a NaN right-hand side makes step_rk4 raise inside two oracles
+    def nan_rhs(c, buffer, out):
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(stepping, "rhs_coeffs", nan_rhs)
+    assert main(["selftest"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "FAIL constant-steady-state: raised NonFiniteStateError: " in captured.err
+    assert "Traceback" not in captured.err
+    for name, *_ in cli._SELFTESTS:
+        assert (captured.out + captured.err).count(f" {name}") == 1
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: any config text or --param spec gives 0, 2, 3 or 4
 
@@ -1119,6 +1171,7 @@ def test_any_sweep_param_parses_or_is_a_config_error(spec):
     except ConfigError:
         return
     assert key and 1 <= len(values) <= MAX_SWEEP_COUNT
+    assert np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_script_runs(name, capsys):
         assert fragment in out
 
 
+def test_contract_check_of_this_tree_against_itself(capsys):
+    main = runpy.run_path(str(SCRIPTS / "contract_check.py"))["main"]
+    assert main([str(ROOT / "src"), "criteria"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": 0 differences")
+
+
 def test_code_lines_counts_public_names_and_defaulted_parameters(tmp_path, capsys):
     for name, text in PACKAGE.items():
         (tmp_path / name).write_text(text)
